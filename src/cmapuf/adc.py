@@ -141,29 +141,55 @@ def convert(config: AdcConfig, spec: QuantizerSpec, v: float) -> ResponseWord:
     return ResponseWord(region=region, code=quantize(config, v_eff, bits), bits=bits)
 
 
-def response_bits(config: AdcConfig, spec: QuantizerSpec, v: np.ndarray) -> np.ndarray:
-    """Vectorized conversion straight to the (n, 11) bit matrix.
+def convert_array(
+    config: AdcConfig, spec: QuantizerSpec, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``convert`` over an array of voltages: (region, code, bits) arrays.
 
-    Must agree bit-for-bit with ``convert`` + ``encode_word``; the tests
-    hold the two routes against each other.
+    Equal value for value to ``convert``, checks included: a voltage that
+    ``convert`` rejects (outside [0, vdd], or landing in a region that
+    does not fit the word) makes this raise the same error, for the first
+    such voltage in C order.
     """
     v = np.asarray(v, dtype=float)
-    boundaries = np.asarray(spec.boundaries)
     bits_table = np.asarray(spec.bits_per_region, dtype=np.int64)
-    idx = np.clip(np.searchsorted(boundaries, v, side="right") - 1, 0, spec.k - 1)
-    bits = bits_table[idx]
+    # 0-based region: the interior boundaries at or below v, which on
+    # [0, vdd] is region_of's lookup with v == vdd folded into the last region
+    idx = np.zeros(v.shape, dtype=np.int64)
+    for b in spec.boundaries[1:-1]:
+        idx += v >= b
+    bad = ~((v >= 0.0) & (v <= spec.vdd))
+    if spec.k >= 1 << REGION_FIELD_BITS or bits_table.max() > CODE_FIELD_BITS:
+        bad |= (idx + 1 >= 1 << REGION_FIELD_BITS) | (bits_table[idx] > CODE_FIELD_BITS)
+    if bad.any():
+        first = float(v.reshape(-1)[np.argmax(bad.reshape(-1))])
+        convert(config, spec, first)  # raises the scalar path's error
+        raise AssertionError(f"convert accepted {first!r}, which convert_array rejects")
+    levels = 1 << bits_table
     shift = config.comparator_residual_offset
-    is_a = v > 0.5 * config.vdd + shift
-    v_eff = np.clip(np.where(is_a, v + shift, v - shift), 0.0, config.vdd)
-    code = np.floor(v_eff / config.vdd * (1 << bits).astype(float)).astype(np.int64)
-    code = np.minimum(code, (1 << bits) - 1)
-    region = idx + 1
-    out = np.zeros(v.shape + (WORD_BITS,), dtype=np.int8)
-    for b in range(REGION_FIELD_BITS):
-        out[..., b] = (region >> (REGION_FIELD_BITS - 1 - b)) & 1
-    for b in range(CODE_FIELD_BITS):
-        out[..., REGION_FIELD_BITS + b] = (code >> (CODE_FIELD_BITS - 1 - b)) & 1
-    return out
+    # comparator A shifts the ramp up by the offset, B down (see ``convert``)
+    v_eff = v + np.where(v > 0.5 * config.vdd + shift, shift, -shift)
+    v_eff = np.minimum(np.maximum(v_eff, 0.0), config.vdd)
+    code = np.floor(v_eff / config.vdd * np.take(levels.astype(float), idx)).astype(np.int64)
+    return idx + 1, np.minimum(code, np.take(levels - 1, idx)), np.take(bits_table, idx)
+
+
+# Bit row of every 11-bit word, most significant bit first.
+_WORD_BIT_ROWS = (
+    (np.arange(1 << WORD_BITS)[:, None] >> np.arange(WORD_BITS - 1, -1, -1)) & 1
+).astype(np.int8)
+
+
+def word_bits(region: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Bit rows (..., 11) of response words: the array form of ``encode_word``."""
+    word = (np.asarray(region) << CODE_FIELD_BITS) | np.asarray(code)
+    return np.take(_WORD_BIT_ROWS, word, axis=0)
+
+
+def response_bits(config: AdcConfig, spec: QuantizerSpec, v: np.ndarray) -> np.ndarray:
+    """Conversion straight to the (..., 11) bit matrix; agrees with ``convert``."""
+    region, code, _ = convert_array(config, spec, v)
+    return word_bits(region, code)
 
 
 def conversion_cycles(bits: int) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import Conditions, TransferModel, cell_output
+from .analog import Conditions, TransferModel, cell_output, transfer
 from .variation import N_COLS, N_ROWS, ChipInstance
 
 CHALLENGE_BITS = 8
@@ -100,3 +100,32 @@ def evaluate(
     """Analog output voltage of the cell the challenge selects."""
     addr = decode(challenge)
     return cell_output(model, chip, addr.row, addr.col, conditions, rng=rng)
+
+
+def evaluate_array(
+    model: TransferModel,
+    chips: list[ChipInstance],
+    words: np.ndarray,
+    conditions: Conditions,
+    noise: np.ndarray | None = None,
+) -> np.ndarray:
+    """Output voltages (chips, words) of the cells the challenge words select.
+
+    Equal value for value to ``evaluate`` given the same noise samples:
+    the imbalance sums the same terms in the same order, and the voltage
+    comes from the scalar ``transfer`` (libm tanh; ``np.tanh`` differs in
+    the last bits).  Words are not range checked here.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    dvth = np.stack([chip.mismatch for chip in chips])[:, words >> 4, words & 0x0F]
+    w = model.weights
+    delta = w[0] * dvth[..., 0] + w[1] * dvth[..., 1] + w[2] * dvth[..., 2] + w[3] * dvth[..., 3]
+    delta += np.array([model.switching.offset(chip.config.corner) for chip in chips])[:, None]
+    delta += model.temp_coeff * (conditions.temperature - model.temp_ref)
+    delta += model.mirror.asymmetry_offset
+    if noise is not None:
+        delta += noise
+    volts = np.fromiter(
+        (transfer(model, d) for d in delta.ravel().tolist()), dtype=float, count=delta.size
+    )
+    return volts.reshape(delta.shape)

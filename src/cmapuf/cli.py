@@ -120,6 +120,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ValueError(f"need at least 1 Monte Carlo sample, got {args.samples}")
     if args.bins < 2:
         raise ValueError(f"need at least 2 histogram bins, got {args.bins}")
     model = _model(args)
@@ -171,6 +173,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     samples = np.loadtxt(args.samples, ndmin=1)
     dist = quantizer.EmpiricalDistribution(samples=samples, vdd=args.vdd)
+    distinct = int(np.unique(samples).size)
+    if distinct < args.k:
+        raise ValueError(
+            f"{args.samples} holds {distinct} distinct value(s), too few for k={args.k} "
+            f"regions: a fit needs at least k distinct values"
+        )
     if args.bits:
         bits = tuple(int(b) for b in args.bits.split(","))
         if len(bits) != args.k:

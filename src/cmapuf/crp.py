@@ -6,6 +6,13 @@ the generator seed is derived from (dataset noise seed, chip id,
 challenge word), so re-generating any single record gives the same bits
 without replaying the whole dataset.
 
+Reads are made in one batch per call (``read``): chips x challenge words
+to region, code and precision arrays, plus each record's noise seed.
+The scalar chain ``evaluate`` -> ``convert`` -> ``encode_word`` and
+``record_seed`` stay the definition every batched value must equal; the
+batch uses the same libm ``tanh`` as the scalar ``transfer``, so record
+bytes do not depend on which route produced them.
+
 Metrics follow the usual fractional-Hamming-distance conventions:
 
     uniqueness   mean pairwise HD between chips on shared challenges
@@ -26,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adc import WORD_BITS, AdcConfig, ResponseWord, convert
+from .adc import AdcConfig, ResponseWord, convert_array, word_bits
 from .analog import Conditions, TransferModel
-from .cellarray import CHALLENGE_BITS, Challenge, evaluate
+from .cellarray import CHALLENGE_BITS, Challenge, evaluate_array
 from .quantizer import QuantizerSpec
 from .variation import ChipInstance
 
@@ -74,14 +81,130 @@ def record_seed(base_seed: int, chip_id: str, challenge: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# numpy SeedSequence's hash constants, for the batched ``record_seed``.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_words(n: int) -> list[int]:
+    """An entropy integer as SeedSequence reads it: little-endian uint32 words."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")  # SeedSequence's message
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's hash constants, (xor, multiply) per step: data independent."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.ndarray:
+    """``record_seed`` for every (chip, word) pair at once, as (chips, words) uint64.
+
+    SeedSequence's pool mix is a fixed sequence of uint32 operations
+    whose constants do not depend on the entropy, so it runs elementwise
+    over all records.
+    """
+    shape = (len(chip_ids), len(words))
+    crcs = np.array([zlib.crc32(c.encode()) for c in chip_ids], dtype=np.uint32)[:, None]
+    entropy = [np.uint32(w) for w in _seed_words(base_seed)]
+    entropy += [crcs, np.asarray(words).astype(np.uint32)[None, :]]
+    entropy = [np.broadcast_to(e, shape) for e in entropy]
+    entropy += [np.zeros(shape, np.uint32)] * (_POOL_SIZE - len(entropy))
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(e, consts) for e in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for e in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(e, consts))
+    # generate_state(1, uint64): two uint32 words, low word first
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    low, high = (_hashmix(value, consts).astype(np.uint64) for value in pool[:2])
+    return low | (high << np.uint64(32))
+
+
+@dataclass(frozen=True)
+class Reads:
+    """One batch of reads, every array shaped (chips, words).
+
+    seeds holds each record's derived noise seed (``record_seed``), or is
+    None when the caller did not ask for seeds and the reads are noiseless.
+    """
+
+    region: np.ndarray
+    code: np.ndarray
+    bits: np.ndarray
+    seeds: np.ndarray | None
+
+
+def read(
+    chips: list[ChipInstance],
+    model: TransferModel,
+    spec: QuantizerSpec,
+    adc_config: AdcConfig,
+    challenges: list[int],
+    conditions: Conditions,
+    with_seeds: bool = True,
+) -> Reads:
+    """Read every chip at every challenge word in one batch.
+
+    Each value equals the scalar route's: ``record_seed`` for the seed,
+    a ``default_rng(seed).normal`` draw for the noise, then ``evaluate``
+    and ``convert``.  Bad input raises the scalar route's error: a
+    negative noise seed, then a challenge outside [0, 255], then the
+    first voltage ``convert`` rejects.
+    """
+    _seed_words(conditions.noise_seed)  # a negative seed fails, noisy or not
+    words = np.asarray(challenges, dtype=np.int64).reshape(-1)
+    bad = (words < 0) | (words >= 1 << CHALLENGE_BITS)
+    if bad.any():
+        Challenge(int(words[np.argmax(bad)]))  # raises
+    noisy = conditions.noise_sigma > 0.0
+    seeds = None
+    if with_seeds or noisy:
+        seeds = _record_seeds(conditions.noise_seed, [c.chip_id for c in chips], words)
+    noise = None
+    if noisy:
+        sigma = conditions.noise_sigma
+        noise = np.array(
+            [np.random.default_rng(s).normal(0.0, sigma) for s in seeds.ravel().tolist()]
+        ).reshape(seeds.shape)
+    volts = evaluate_array(model, chips, words, conditions, noise)
+    region, code, bits = convert_array(adc_config, spec, volts)
+    return Reads(region=region, code=code, bits=bits, seeds=seeds)
+
+
 def bits_matrix(records: list[CrpRecord]) -> np.ndarray:
     """Encoded responses as an (n, 11) int8 matrix."""
-    out = np.empty((len(records), WORD_BITS), dtype=np.int8)
-    for i, r in enumerate(records):
-        enc = r.response.encoded
-        for j in range(WORD_BITS):
-            out[i, j] = enc[j] == "1"
-    return out
+    n = len(records)
+    region = np.fromiter((r.response.region for r in records), dtype=np.int64, count=n)
+    code = np.fromiter((r.response.code for r in records), dtype=np.int64, count=n)
+    return word_bits(region, code)
 
 
 def generate(
@@ -102,25 +225,18 @@ def generate(
         raise ValueError("need at least one chip")
     if not challenges:
         raise ValueError("need at least one challenge")
-    records: list[CrpRecord] = []
-    for chip in chips:
-        for word in challenges:
-            seed = record_seed(conditions.noise_seed, chip.chip_id, word)
-            cond = Conditions(
-                temperature=conditions.temperature,
-                noise_sigma=conditions.noise_sigma,
-                noise_seed=seed,
-            )
-            rng = np.random.default_rng(seed) if conditions.noise_sigma > 0.0 else None
-            v = evaluate(model, chip, Challenge(word), cond, rng=rng)
-            records.append(
-                CrpRecord(
-                    chip_id=chip.chip_id,
-                    challenge=word,
-                    response=convert(adc_config, spec, v),
-                    conditions=cond,
-                )
-            )
+    reads = read(chips, model, spec, adc_config, challenges, conditions)
+    temperature, sigma = conditions.temperature, conditions.noise_sigma
+    records = [
+        CrpRecord(
+            chip_id=chip.chip_id,
+            challenge=word,
+            response=ResponseWord(region=region, code=code, bits=bits),
+            conditions=Conditions(temperature=temperature, noise_sigma=sigma, noise_seed=seed),
+        )
+        for chip, *row in zip(chips, reads.region, reads.code, reads.bits, reads.seeds)
+        for word, region, code, bits, seed in zip(challenges, *(a.tolist() for a in row))
+    ]
     meta = {
         "temperature": conditions.temperature,
         "noise_sigma": conditions.noise_sigma,
@@ -143,7 +259,13 @@ def uniqueness(dataset: CrpDataset, bit_positions: list[int] | None = None) -> f
     per_chip: dict[str, dict[int, np.ndarray]] = {c: {} for c in ids}
     rows = bits_matrix(dataset.records)
     for r, row in zip(dataset.records, rows):
-        per_chip[r.chip_id][r.challenge] = row
+        reads = per_chip[r.chip_id]
+        if r.challenge in reads:
+            raise ValueError(
+                f"uniqueness needs one read per (chip, challenge), but chip {r.chip_id!r} "
+                f"has more than one read of challenge {r.challenge}"
+            )
+        reads[r.challenge] = row
     common = set(per_chip[ids[0]])
     for c in ids[1:]:
         common &= set(per_chip[c])
@@ -193,12 +315,15 @@ def reliability(
     if reference is None:
         reference = Conditions(temperature=25.0, noise_sigma=0.0)
     words = list(range(1 << CHALLENGE_BITS))
-    ref = generate([chip], model, spec, adc_config, words, reference)
-    ref_bits = bits_matrix(ref.records)
+
+    def read_bits(cond: Conditions) -> np.ndarray:
+        got = read([chip], model, spec, adc_config, words, cond, with_seeds=False)
+        return word_bits(got.region, got.code)
+
+    ref_bits = read_bits(reference)
     total = 0.0
     for cond in test_conditions:
-        got = generate([chip], model, spec, adc_config, words, cond)
-        total += float((bits_matrix(got.records) != ref_bits).mean())
+        total += float((read_bits(cond) != ref_bits).mean())
     return 1.0 - total / len(test_conditions)
 
 

@@ -242,3 +242,36 @@ def test_manifests_have_no_timestamps(tmp_path):
     manifest = (tmp_path / "ds.csv.manifest.json").read_text()
     for fragment in ("time", "date", "T0", "2024", "2025", "2026"):
         assert fragment not in manifest
+
+
+def test_mc_rejects_an_empty_sample_set(tmp_path, capsys):
+    for n in (0, -3):
+        assert run("mc", "--samples", n, "--out", tmp_path / "h.csv") == 1
+        assert f"need at least 1 Monte Carlo sample, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_fit_quantizer_names_too_few_distinct_values(tmp_path, capsys):
+    raw = tmp_path / "flat.txt"
+    # without mismatch every cell sits at the same voltage
+    assert run("mc", "--samples", 500, "--sigma-vth", 0, "--out", tmp_path / "h.csv",
+               "--samples-out", raw) == 0
+    assert run("fit-quantizer", "--samples", raw, "--k", 5, "--out", tmp_path / "q.json") == 1
+    err = capsys.readouterr().err
+    assert "1 distinct value(s), too few for k=5" in err
+    assert not (tmp_path / "q.json").exists()
+
+
+def test_crps_rejects_a_challenge_past_the_array(tmp_path, capsys):
+    assert run("crps", "--chips", 2, "--challenges", 300, "--out", tmp_path / "ds.csv") == 1
+    assert "error: challenge must be in [0, 255], got 256" in capsys.readouterr().err
+
+
+def test_negative_noise_seed_fails_even_without_noise(tmp_path, capsys):
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--chips", 1, "--noise-seed", -1, "--out", ds) == 1
+    assert "error: expected non-negative integer" in capsys.readouterr().err
+    assert run("crps", "--chips", 2, "--out", ds) == 0
+    args = ("metrics", "--in", ds, "--temps", "0", "--seed", -1, "--out", tmp_path / "m.json")
+    assert run(*args) == 1
+    assert "error: expected non-negative integer" in capsys.readouterr().err

@@ -68,6 +68,20 @@ def test_single_record_reproducible_from_its_seed():
     assert solo.records[0].response == r.response
 
 
+def test_uniqueness_rejects_duplicate_reads():
+    # a 0 degC and a 90 degC dataset of the same chips, merged: every
+    # (chip, challenge) is read twice and no one read is the right one
+    chips = synth_population(VariationConfig(seed=50), 2)
+    cold, hot = (
+        generate(chips, MODEL, SPEC, ADC, list(range(32)), Conditions(temperature=t))
+        for t in (0.0, 90.0)
+    )
+    merged = CrpDataset(records=cold.records + hot.records)
+    with pytest.raises(ValueError, match="chip 'chip000' has more than one read of challenge 0"):
+        uniqueness(merged)
+    assert 0.0 < uniqueness(cold) < 1.0
+
+
 def test_noise_flips_some_codes():
     chip = synth_chip(VariationConfig(seed=50))
     clean = generate([chip], MODEL, SPEC, ADC, list(range(256)), Conditions())
