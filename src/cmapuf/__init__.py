@@ -31,7 +31,6 @@ from .attack import EsHyper, FeatureEncoding, LrHyper, attack_report, es_fit, lr
 from .cellarray import CellAddress, Challenge, decode, evaluate
 from .crp import (
     CrpDataset,
-    CrpRecord,
     MetricsReport,
     bit_aliasing,
     generate,
@@ -45,7 +44,6 @@ from .variation import (
     MismatchVector,
     ProcessCorner,
     VariationConfig,
-    sample_population,
     synth_chip,
     synth_population,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "Comparator",
     "Conditions",
     "CrpDataset",
-    "CrpRecord",
     "EmpiricalDistribution",
     "EsHyper",
     "FeatureEncoding",
@@ -92,7 +89,6 @@ __all__ = [
     "lr_train",
     "region_of",
     "reliability",
-    "sample_population",
     "split",
     "synth_chip",
     "synth_population",

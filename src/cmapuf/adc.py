@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quantizer import QuantizerSpec, region_of
+from .quantizer import QuantizerSpec, region_index_array, region_of
 
 REGION_FIELD_BITS = 3
 CODE_FIELD_BITS = 8
@@ -153,11 +153,7 @@ def convert_array(
     """
     v = np.asarray(v, dtype=float)
     bits_table = np.asarray(spec.bits_per_region, dtype=np.int64)
-    # 0-based region: the interior boundaries at or below v, which on
-    # [0, vdd] is region_of's lookup with v == vdd folded into the last region
-    idx = np.zeros(v.shape, dtype=np.int64)
-    for b in spec.boundaries[1:-1]:
-        idx += v >= b
+    idx = region_index_array(spec, v)
     bad = ~((v >= 0.0) & (v <= spec.vdd))
     if spec.k >= 1 << REGION_FIELD_BITS or bits_table.max() > CODE_FIELD_BITS:
         bad |= (idx + 1 >= 1 << REGION_FIELD_BITS) | (bits_table[idx] > CODE_FIELD_BITS)

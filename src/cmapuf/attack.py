@@ -29,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .adc import WORD_BITS, AdcConfig, ResponseWord, convert, response_bits
-from .analog import TransferModel, transfer, transfer_array
+from .adc import WORD_BITS, AdcConfig, response_bits
+from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS
 from .crp import CrpDataset, bits_matrix
 from .quantizer import QuantizerSpec
@@ -123,8 +123,7 @@ def _targets(dataset: CrpDataset) -> tuple[np.ndarray, np.ndarray]:
     ids = dataset.chip_ids
     if len(ids) != 1:
         raise ValueError(f"attack expects a single-chip dataset, got chips {ids}")
-    words = np.array([r.challenge for r in dataset.records], dtype=np.int64)
-    return words, bits_matrix(dataset.records).astype(float)
+    return dataset.challenge, bits_matrix(dataset).astype(float)
 
 
 def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper | None = None) -> LrModel:
@@ -210,17 +209,6 @@ def clone_bits(
     return response_bits(adc_config, spec, v)
 
 
-def clone_response(
-    clone: EsClone,
-    model: TransferModel,
-    spec: QuantizerSpec,
-    adc_config: AdcConfig,
-    word: int,
-) -> ResponseWord:
-    v = transfer(model, float(clone.params[word]))
-    return convert(adc_config, spec, v)
-
-
 def es_fit(
     dataset: CrpDataset,
     model: TransferModel,
@@ -290,19 +278,17 @@ def split(dataset: CrpDataset, train_fraction: float, seed: int = 0) -> tuple[Cr
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    words = sorted({r.challenge for r in dataset.records})
+    words = np.unique(dataset.challenge)
     if len(words) < 2:
         raise ValueError("need at least two distinct challenges to split")
     n_train = int(round(train_fraction * len(words)))
     n_train = min(max(n_train, 1), len(words) - 1)
     perm = np.random.default_rng(seed).permutation(len(words))
-    train_words = {words[i] for i in perm[:n_train]}
-    train = [r for r in dataset.records if r.challenge in train_words]
-    test = [r for r in dataset.records if r.challenge not in train_words]
+    train = np.isin(dataset.challenge, words[perm[:n_train]])
     meta = dict(dataset.metadata)
     return (
-        CrpDataset(records=train, metadata={**meta, "split": "train"}),
-        CrpDataset(records=test, metadata={**meta, "split": "test"}),
+        dataset.take(train, {**meta, "split": "train"}),
+        dataset.take(~train, {**meta, "split": "test"}),
     )
 
 

@@ -18,24 +18,6 @@ CHALLENGE_BITS = 8
 
 
 @dataclass(frozen=True)
-class PowerState:
-    """Bias accounting for the array at one instant.
-
-    The decoders can select at most one cell, so any state claiming more
-    is rejected outright, and an idle array draws nothing by definition.
-    """
-
-    active_cells: int
-    static_power_w: float
-
-    def __post_init__(self) -> None:
-        if self.active_cells not in (0, 1):
-            raise ValueError(f"active_cells must be 0 or 1, got {self.active_cells}")
-        if self.active_cells == 0 and self.static_power_w != 0.0:
-            raise ValueError("an idle array cannot draw static power")
-
-
-@dataclass(frozen=True)
 class Challenge:
     """An 8-bit cell-select word."""
 
@@ -61,20 +43,6 @@ def decode(challenge: Challenge) -> CellAddress:
     return CellAddress(row=challenge.word >> 4, col=challenge.word & 0x0F)
 
 
-def encode_address(addr: CellAddress) -> Challenge:
-    """Inverse of ``decode``."""
-    return Challenge(word=(addr.row << 4) | addr.col)
-
-
-def power_state(model: TransferModel, selected: CellAddress | None) -> PowerState:
-    """Bias state while ``selected`` (or no cell) is driven."""
-    if selected is None:
-        return PowerState(active_cells=0, static_power_w=0.0)
-    return PowerState(
-        active_cells=1, static_power_w=model.vdd * model.mirror.bias_current
-    )
-
-
 def static_power(model: TransferModel, selected: CellAddress | None = None) -> float:
     """Static array draw in watts.
 
@@ -82,12 +50,7 @@ def static_power(model: TransferModel, selected: CellAddress | None = None) -> f
     nothing, and a selected cell draws its mirror's bias current from the
     supply (7.74 uW at the 1.8 V / 4.3 uA defaults).
     """
-    return power_state(model, selected).static_power_w
-
-
-def active_cells(challenge: Challenge) -> int:
-    """Number of simultaneously biased cells for one applied challenge."""
-    return 1
+    return 0.0 if selected is None else model.vdd * model.mirror.bias_current
 
 
 def evaluate(

@@ -86,10 +86,19 @@ def _conditions(args: argparse.Namespace) -> analog.Conditions:
     )
 
 
-def _spec(args: argparse.Namespace) -> quantizer.QuantizerSpec:
-    if args.quantizer is not None:
-        return quantizer.load_spec(args.quantizer)
-    return quantizer.default_regions()
+def _spec(
+    args: argparse.Namespace, model: analog.TransferModel, adc_config: adc.AdcConfig
+) -> quantizer.QuantizerSpec:
+    """The quantizer, which must span the same [0, vdd] the cell and converter run at."""
+    if args.quantizer is None:
+        return quantizer.default_regions()
+    spec = quantizer.load_spec(args.quantizer)
+    if not spec.vdd == model.vdd == adc_config.vdd:
+        raise ValueError(
+            f"quantizer {args.quantizer} spans [0, {spec.vdd}] V, but the cell runs at "
+            f"vdd {model.vdd} V and the converter at {adc_config.vdd} V"
+        )
+    return spec
 
 
 def _adc_config(args: argparse.Namespace) -> adc.AdcConfig:
@@ -212,8 +221,8 @@ def cmd_crps(args: argparse.Namespace) -> int:
     config = _variation_config(args)
     chips = variation.synth_population(config, args.chips)
     model = _model(args)
-    spec = _spec(args)
     adc_config = _adc_config(args)
+    spec = _spec(args, model, adc_config)
     cond = _conditions(args)
     words = list(range(args.challenges))
     dataset = crp.generate(chips, model, spec, adc_config, words, cond)
@@ -308,7 +317,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         if len(ids) != 1:
             raise ValueError(f"dataset has chips {ids}; pick one with --chip-id")
         chip_id = ids[0]
-    single = crp.CrpDataset(records=dataset.for_chip(chip_id), metadata=dataset.metadata)
+    single = dataset.for_chip(chip_id)
     train, test = attack.split(single, args.train_frac, seed=args.seed)
 
     if args.model == "lr":
@@ -321,8 +330,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         detail = {"encoding": encoding.value, "final_loss": fitted.loss_history[-1].tolist()}
     else:
         model = _model(args)
-        spec = _spec(args)
         adc_config = _adc_config(args)
+        spec = _spec(args, model, adc_config)
         hyper = attack.EsHyper(
             parents=args.parents,
             population=args.population,

@@ -1,19 +1,21 @@
 """Challenge-response datasets and the standard quality metrics.
 
-A record is one read: which chip, which challenge, the 11-bit response
-and the conditions it was taken under.  Noise is reproducible per record:
-the generator seed is derived from (dataset noise seed, chip id,
-challenge word), so re-generating any single record gives the same bits
-without replaying the whole dataset.
+A dataset is a set of equal-length columns, one row per read: chip,
+challenge, the response (region, code, precision) and the conditions of
+the read.  Noise is reproducible per record: the generator seed is
+derived from (dataset noise seed, chip id, challenge word), so
+re-generating any single record gives the same bits without replaying
+the whole dataset.
 
-Reads are made in one batch per call (``read``): chips x challenge words
-to region, code and precision arrays, plus each record's noise seed.
-The scalar chain ``evaluate`` -> ``convert`` -> ``encode_word`` and
-``record_seed`` stay the definition every batched value must equal; the
-batch uses the same libm ``tanh`` as the scalar ``transfer``, so record
-bytes do not depend on which route produced them.
+``generate`` is the one batched read, chips x challenge words straight
+to columns; ``reliability`` re-reads through it.  The scalar chain
+``evaluate`` -> ``convert`` -> ``encode_word`` and ``record_seed`` stay
+the definition every batched value must equal; the batch uses the same
+libm ``tanh`` as the scalar ``transfer``, so record bytes do not depend
+on which route produced them.
 
-Metrics follow the usual fractional-Hamming-distance conventions:
+Metrics follow the usual fractional-Hamming-distance conventions, and
+refuse a dataset with more than one read of a (chip, challenge):
 
     uniqueness   mean pairwise HD between chips on shared challenges
                  (ideal 0.5 on unbiased bit positions)
@@ -29,50 +31,121 @@ import csv
 import json
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .adc import AdcConfig, ResponseWord, convert_array, word_bits
+from .adc import (
+    CODE_FIELD_BITS,
+    REGION_FIELD_BITS,
+    WORD_BITS,
+    AdcConfig,
+    ResponseWord,
+    convert_array,
+    word_bits,
+)
 from .analog import Conditions, TransferModel
 from .cellarray import CHALLENGE_BITS, Challenge, evaluate_array
 from .quantizer import QuantizerSpec
 from .variation import ChipInstance
 
+# A dataset's columns and their dtypes.
+COLUMNS = {
+    "chip_id": np.str_,
+    "challenge": np.int64,
+    "region": np.int64,
+    "code": np.int64,
+    "bits": np.int64,
+    "temperature": np.float64,
+    "noise_sigma": np.float64,
+    "noise_seed": np.uint64,
+}
 
-@dataclass(frozen=True)
-class CrpRecord:
-    chip_id: str
-    challenge: int
-    response: ResponseWord
-    conditions: Conditions
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.challenge < 1 << CHALLENGE_BITS):
-            raise ValueError(f"challenge must be in [0, 255], got {self.challenge}")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CrpDataset:
-    records: list[CrpRecord]
+    """Reads as equal-length 1-D columns (see ``COLUMNS``) plus metadata.
+
+    Columns are converted to their dtype and checked on construction: a
+    row that ``ResponseWord``, ``Conditions`` or ``Challenge`` rejects
+    makes this raise their error for the first such row, and a noise seed
+    outside [0, 2**64) is refused rather than wrapped.
+    """
+
+    chip_id: np.ndarray
+    challenge: np.ndarray
+    region: np.ndarray
+    code: np.ndarray
+    bits: np.ndarray
+    temperature: np.ndarray
+    noise_sigma: np.ndarray
+    noise_seed: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name, dtype in COLUMNS.items():
+            values = getattr(self, name)
+            if name == "noise_seed":
+                values = _seed_column(values)
+            try:
+                object.__setattr__(self, name, np.asarray(values, dtype=dtype))
+            except OverflowError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        shapes = {name: getattr(self, name).shape for name in COLUMNS}
+        if len(set(shapes.values())) != 1 or self.chip_id.ndim != 1:
+            raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
+        bad = (self.region < 1) | (self.region >= 1 << REGION_FIELD_BITS)
+        bad |= (self.bits < 1) | (self.bits > CODE_FIELD_BITS)
+        bad |= (self.code < 0) | (self.code >= 1 << self.bits)
+        bad |= ~((self.temperature >= -20.0) & (self.temperature <= 100.0)) | (self.noise_sigma < 0)
+        bad |= (self.challenge < 0) | (self.challenge >= 1 << CHALLENGE_BITS)
+        if bad.any():
+            # raise the scalar types' error, in the order a record was once built
+            i = int(np.argmax(bad))
+            ResponseWord(self.region[i].item(), self.code[i].item(), self.bits[i].item())
+            Conditions(self.temperature[i].item(), self.noise_sigma[i].item())
+            Challenge(self.challenge[i].item())
+            raise AssertionError(f"row {i} is valid, but the column checks reject it")
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.chip_id)
+
+    @cached_property
+    def _chips(self) -> tuple[list[str], np.ndarray]:
+        """Distinct chip ids in first-appearance order, and each row's index into them."""
+        ids, first, inverse = np.unique(self.chip_id, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[order] = np.arange(len(ids))
+        return ids[order].tolist(), rank[inverse.reshape(-1)]
 
     @property
     def chip_ids(self) -> list[str]:
         """Distinct chip ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.chip_id)
-        return list(seen)
+        return list(self._chips[0])
 
-    def for_chip(self, chip_id: str) -> list[CrpRecord]:
-        out = [r for r in self.records if r.chip_id == chip_id]
-        if not out:
+    def take(self, rows: np.ndarray, metadata: dict) -> CrpDataset:
+        """The dataset of the selected rows (a mask or indices), order kept."""
+        return CrpDataset(**{name: getattr(self, name)[rows] for name in COLUMNS}, metadata=metadata)
+
+    def for_chip(self, chip_id: str) -> CrpDataset:
+        """One chip's rows, metadata kept."""
+        ids, chip = self._chips
+        if chip_id not in ids:
             raise ValueError(f"no records for chip {chip_id!r}")
-        return out
+        return self.take(chip == ids.index(chip_id), dict(self.metadata))
+
+
+def _seed_column(values) -> np.ndarray:
+    """Noise seeds as uint64; numpy would wrap or overflow on one outside [0, 2**64)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
+        return values
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    for seed in values:
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"noise_seed must be in [0, 2**64), got {seed}")
+    return np.array(values, dtype=np.uint64)
 
 
 def record_seed(base_seed: int, chip_id: str, challenge: int) -> int:
@@ -148,65 +221,6 @@ def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.
     return low | (high << np.uint64(32))
 
 
-@dataclass(frozen=True)
-class Reads:
-    """One batch of reads, every array shaped (chips, words).
-
-    seeds holds each record's derived noise seed (``record_seed``), or is
-    None when the caller did not ask for seeds and the reads are noiseless.
-    """
-
-    region: np.ndarray
-    code: np.ndarray
-    bits: np.ndarray
-    seeds: np.ndarray | None
-
-
-def read(
-    chips: list[ChipInstance],
-    model: TransferModel,
-    spec: QuantizerSpec,
-    adc_config: AdcConfig,
-    challenges: list[int],
-    conditions: Conditions,
-    with_seeds: bool = True,
-) -> Reads:
-    """Read every chip at every challenge word in one batch.
-
-    Each value equals the scalar route's: ``record_seed`` for the seed,
-    a ``default_rng(seed).normal`` draw for the noise, then ``evaluate``
-    and ``convert``.  Bad input raises the scalar route's error: a
-    negative noise seed, then a challenge outside [0, 255], then the
-    first voltage ``convert`` rejects.
-    """
-    _seed_words(conditions.noise_seed)  # a negative seed fails, noisy or not
-    words = np.asarray(challenges, dtype=np.int64).reshape(-1)
-    bad = (words < 0) | (words >= 1 << CHALLENGE_BITS)
-    if bad.any():
-        Challenge(int(words[np.argmax(bad)]))  # raises
-    noisy = conditions.noise_sigma > 0.0
-    seeds = None
-    if with_seeds or noisy:
-        seeds = _record_seeds(conditions.noise_seed, [c.chip_id for c in chips], words)
-    noise = None
-    if noisy:
-        sigma = conditions.noise_sigma
-        noise = np.array(
-            [np.random.default_rng(s).normal(0.0, sigma) for s in seeds.ravel().tolist()]
-        ).reshape(seeds.shape)
-    volts = evaluate_array(model, chips, words, conditions, noise)
-    region, code, bits = convert_array(adc_config, spec, volts)
-    return Reads(region=region, code=code, bits=bits, seeds=seeds)
-
-
-def bits_matrix(records: list[CrpRecord]) -> np.ndarray:
-    """Encoded responses as an (n, 11) int8 matrix."""
-    n = len(records)
-    region = np.fromiter((r.response.region for r in records), dtype=np.int64, count=n)
-    code = np.fromiter((r.response.code for r in records), dtype=np.int64, count=n)
-    return word_bits(region, code)
-
-
 def generate(
     chips: list[ChipInstance],
     model: TransferModel,
@@ -215,28 +229,36 @@ def generate(
     challenges: list[int],
     conditions: Conditions,
 ) -> CrpDataset:
-    """Read every chip at every challenge under one set of conditions.
+    """Read every chip at every challenge word in one batch.
 
     Records are emitted chip-major in the order given, challenge order
     preserved within a chip.  The same arguments always produce the same
-    dataset, noise included.
+    dataset, noise included.  Each value equals the scalar route's:
+    ``record_seed`` for the seed, a ``default_rng(seed).normal`` draw for
+    the noise, then ``evaluate`` and ``convert``.  Bad input raises the
+    scalar route's error: a negative noise seed, then a challenge outside
+    [0, 255], then the first voltage ``convert`` rejects.
     """
     if not chips:
         raise ValueError("need at least one chip")
     if not challenges:
         raise ValueError("need at least one challenge")
-    reads = read(chips, model, spec, adc_config, challenges, conditions)
-    temperature, sigma = conditions.temperature, conditions.noise_sigma
-    records = [
-        CrpRecord(
-            chip_id=chip.chip_id,
-            challenge=word,
-            response=ResponseWord(region=region, code=code, bits=bits),
-            conditions=Conditions(temperature=temperature, noise_sigma=sigma, noise_seed=seed),
-        )
-        for chip, *row in zip(chips, reads.region, reads.code, reads.bits, reads.seeds)
-        for word, region, code, bits, seed in zip(challenges, *(a.tolist() for a in row))
-    ]
+    _seed_words(conditions.noise_seed)  # a negative seed fails, noisy or not
+    words = np.asarray(challenges, dtype=np.int64).reshape(-1)
+    bad = (words < 0) | (words >= 1 << CHALLENGE_BITS)
+    if bad.any():
+        Challenge(int(words[np.argmax(bad)]))  # raises
+    chip_ids = [c.chip_id for c in chips]
+    seeds = _record_seeds(conditions.noise_seed, chip_ids, words)
+    noise = None
+    if conditions.noise_sigma > 0.0:
+        sigma = conditions.noise_sigma
+        noise = np.array(
+            [np.random.default_rng(s).normal(0.0, sigma) for s in seeds.ravel().tolist()]
+        ).reshape(seeds.shape)
+    volts = evaluate_array(model, chips, words, conditions, noise)
+    region, code, bits = convert_array(adc_config, spec, volts)
+    n = seeds.size
     meta = {
         "temperature": conditions.temperature,
         "noise_sigma": conditions.noise_sigma,
@@ -244,45 +266,73 @@ def generate(
         "n_chips": len(chips),
         "n_challenges": len(challenges),
     }
-    return CrpDataset(records=records, metadata=meta)
+    return CrpDataset(
+        chip_id=np.repeat(chip_ids, len(words)),
+        challenge=np.tile(words, len(chips)),
+        region=region.ravel(),
+        code=code.ravel(),
+        bits=bits.ravel(),
+        temperature=np.full(n, conditions.temperature),
+        noise_sigma=np.full(n, conditions.noise_sigma),
+        noise_seed=seeds.ravel(),
+        metadata=meta,
+    )
+
+
+def bits_matrix(dataset: CrpDataset) -> np.ndarray:
+    """Encoded responses as an (n, 11) int8 matrix."""
+    return word_bits(dataset.region, dataset.code)
+
+
+def _refuse_repeated_reads(dataset: CrpDataset, metric: str) -> None:
+    """Raise naming the first row that repeats an earlier (chip, challenge)."""
+    key = (dataset._chips[1] << CHALLENGE_BITS) | dataset.challenge
+    _, first = np.unique(key, return_index=True)
+    if len(first) < len(key):
+        repeat = np.ones(len(key), dtype=bool)
+        repeat[first] = False
+        i = int(np.argmax(repeat))
+        raise ValueError(
+            f"{metric} needs one read per (chip, challenge), but chip "
+            f"{dataset.chip_id[i].item()!r} has more than one read of challenge "
+            f"{dataset.challenge[i]}"
+        )
 
 
 def uniqueness(dataset: CrpDataset, bit_positions: list[int] | None = None) -> float:
     """Mean pairwise fractional HD between chips over shared challenges.
 
     bit_positions restricts the comparison to a subset of the 11 response
-    bits (for example code bits only); default is all of them.
+    bits (for example code bits only); default is all of them.  Pair
+    distances come from one (chips x chips) product of the 0/1 response
+    matrix, so memory grows with chips, not with chip pairs; the counts
+    are exact in float64, so every pair's value is the exact fraction.
     """
-    ids = dataset.chip_ids
+    ids, chip = dataset._chips
     if len(ids) < 2:
         raise ValueError(f"uniqueness needs >= 2 chips, got {len(ids)}")
-    per_chip: dict[str, dict[int, np.ndarray]] = {c: {} for c in ids}
-    rows = bits_matrix(dataset.records)
-    for r, row in zip(dataset.records, rows):
-        reads = per_chip[r.chip_id]
-        if r.challenge in reads:
-            raise ValueError(
-                f"uniqueness needs one read per (chip, challenge), but chip {r.chip_id!r} "
-                f"has more than one read of challenge {r.challenge}"
-            )
-        reads[r.challenge] = row
-    common = set(per_chip[ids[0]])
-    for c in ids[1:]:
-        common &= set(per_chip[c])
-    if not common:
+    _refuse_repeated_reads(dataset, "uniqueness")
+    read = np.zeros((len(ids), 1 << CHALLENGE_BITS), dtype=bool)
+    read[chip, dataset.challenge] = True
+    common = read.all(axis=0)
+    if not common.any():
         raise ValueError("chips share no common challenges")
-    order = sorted(common)
-    stack = np.stack([[per_chip[c][w] for w in order] for c in ids])  # (K, C, 11)
+    table = np.zeros((len(ids), 1 << CHALLENGE_BITS, WORD_BITS), dtype=np.int8)
+    table[chip, dataset.challenge] = bits_matrix(dataset)
+    x = table[:, common]  # (chips, common challenges, 11)
     if bit_positions is not None:
-        stack = stack[:, :, bit_positions]
-    diff = (stack[:, None, :, :] != stack[None, :, :, :]).mean(axis=(2, 3))
-    iu = np.triu_indices(len(ids), k=1)
-    return float(diff[iu].mean())
+        x = x[:, :, bit_positions]
+    x = x.reshape(len(ids), -1).astype(np.float64)
+    ones = x.sum(axis=1)
+    distance = (ones[:, None] + ones[None, :] - 2.0 * (x @ x.T)) / x.shape[1]
+    return float(distance[np.triu_indices(len(ids), k=1)].mean())
 
 
 def uniformity(dataset: CrpDataset, chip_id: str) -> float:
     """Fraction of ones across one chip's encoded responses."""
-    return float(bits_matrix(dataset.for_chip(chip_id)).mean())
+    chip = dataset.for_chip(chip_id)
+    _refuse_repeated_reads(chip, "uniformity")
+    return float(bits_matrix(chip).mean())
 
 
 def bit_aliasing(dataset: CrpDataset) -> np.ndarray:
@@ -294,7 +344,8 @@ def bit_aliasing(dataset: CrpDataset) -> np.ndarray:
     """
     if len(dataset.chip_ids) < 2:
         raise ValueError("bit_aliasing needs >= 2 chips")
-    return bits_matrix(dataset.records).mean(axis=0)
+    _refuse_repeated_reads(dataset, "bit_aliasing")
+    return bits_matrix(dataset).mean(axis=0)
 
 
 def reliability(
@@ -317,8 +368,7 @@ def reliability(
     words = list(range(1 << CHALLENGE_BITS))
 
     def read_bits(cond: Conditions) -> np.ndarray:
-        got = read([chip], model, spec, adc_config, words, cond, with_seeds=False)
-        return word_bits(got.region, got.code)
+        return bits_matrix(generate([chip], model, spec, adc_config, words, cond))
 
     ref_bits = read_bits(reference)
     total = 0.0
@@ -356,7 +406,7 @@ class MetricsReport:
 
 
 # challenge is serialized as 2-digit hex; noise_sigma rides along so a
-# loaded record reconstructs its Conditions value-exactly.
+# loaded record reconstructs its conditions value-exactly.
 CSV_FIELDS = (
     "chip_id",
     "challenge",
@@ -370,59 +420,63 @@ CSV_FIELDS = (
 )
 
 
-def _record_row(r: CrpRecord) -> dict:
-    return {
-        "chip_id": r.chip_id,
-        "challenge": format(r.challenge, "02x"),
-        "region": r.response.region,
-        "code": r.response.code,
-        "bits": r.response.bits,
-        "encoded": r.response.encoded,
-        "temperature": r.conditions.temperature,
-        "noise_sigma": r.conditions.noise_sigma,
-        "noise_seed": r.conditions.noise_seed,
-    }
+def _rows(dataset: CrpDataset):
+    """Each record's ``CSV_FIELDS`` values as Python scalars, so floats print as repr."""
+    word = (dataset.region << CODE_FIELD_BITS) | dataset.code
+    return zip(
+        dataset.chip_id.tolist(),
+        [format(c, "02x") for c in dataset.challenge.tolist()],
+        dataset.region.tolist(),
+        dataset.code.tolist(),
+        dataset.bits.tolist(),
+        [format(w, f"0{WORD_BITS}b") for w in word.tolist()],
+        dataset.temperature.tolist(),
+        dataset.noise_sigma.tolist(),
+        dataset.noise_seed.tolist(),
+    )
 
 
-def _row_record(row: dict) -> CrpRecord:
-    return CrpRecord(
-        chip_id=row["chip_id"],
-        challenge=int(row["challenge"], 16),
-        response=ResponseWord(
-            region=int(row["region"]), code=int(row["code"]), bits=int(row["bits"])
-        ),
-        conditions=Conditions(
-            temperature=float(row["temperature"]),
-            noise_sigma=float(row["noise_sigma"]),
-            noise_seed=int(row["noise_seed"]),
-        ),
+def _from_rows(rows: list[dict], metadata: dict) -> CrpDataset:
+    """A dataset from CSV or JSONL rows; ``CrpDataset`` checks every column."""
+
+    def column(name: str, parse=int) -> list:
+        return [parse(row[name]) for row in rows]
+
+    return CrpDataset(
+        chip_id=column("chip_id", str),
+        challenge=[int(row["challenge"], 16) for row in rows],
+        region=column("region"),
+        code=column("code"),
+        bits=column("bits"),
+        temperature=column("temperature", float),
+        noise_sigma=column("noise_sigma", float),
+        noise_seed=column("noise_seed"),
+        metadata=metadata,
     )
 
 
 def save_csv(dataset: CrpDataset, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for r in dataset.records:
-            writer.writerow(_record_row(r))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        writer.writerows(_rows(dataset))
 
 
 def load_csv(path: str | Path) -> CrpDataset:
     with open(path, newline="") as fh:
-        records = [_row_record(row) for row in csv.DictReader(fh)]
-    return CrpDataset(records=records)
+        return _from_rows(list(csv.DictReader(fh)), {})
 
 
 def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
     with open(path, "w") as fh:
         if dataset.metadata:
             fh.write(json.dumps({"_meta": dataset.metadata}, sort_keys=True) + "\n")
-        for r in dataset.records:
-            fh.write(json.dumps(_record_row(r), sort_keys=True) + "\n")
+        for row in _rows(dataset):
+            fh.write(json.dumps(dict(zip(CSV_FIELDS, row)), sort_keys=True) + "\n")
 
 
 def load_jsonl(path: str | Path) -> CrpDataset:
-    records: list[CrpRecord] = []
+    rows: list[dict] = []
     metadata: dict = {}
     with open(path) as fh:
         for line in fh:
@@ -430,5 +484,5 @@ def load_jsonl(path: str | Path) -> CrpDataset:
             if "_meta" in doc:
                 metadata = doc["_meta"]
             else:
-                records.append(_row_record(doc))
-    return CrpDataset(records=records, metadata=metadata)
+                rows.append(doc)
+    return _from_rows(rows, metadata)

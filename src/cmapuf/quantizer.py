@@ -137,9 +137,17 @@ def region_of(spec: QuantizerSpec, v: float) -> tuple[int, int]:
 
 
 def region_index_array(spec: QuantizerSpec, v: np.ndarray) -> np.ndarray:
-    """Vectorized 0-based region lookup (no range checking)."""
-    idx = np.searchsorted(np.asarray(spec.boundaries), v, side="right") - 1
-    return np.clip(idx, 0, spec.k - 1)
+    """Vectorized 0-based region lookup (no range checking).
+
+    Counts the interior boundaries at or below each voltage: ``region_of``
+    on [0, vdd], clamped beyond the rails.  A comparison per boundary is
+    faster than ``searchsorted`` on the small batches ES scores.
+    """
+    v = np.asarray(v, dtype=float)
+    idx = np.zeros(v.shape, dtype=np.int64)
+    for b in spec.boundaries[1:-1]:
+        idx += v >= b
+    return idx
 
 
 def quantization_mse(

@@ -128,22 +128,6 @@ def synth_chip(config: VariationConfig, chip_id: str | None = None) -> ChipInsta
     return ChipInstance(chip_id=chip_id, config=config, mismatch=sample_mismatch(config))
 
 
-def sample_population(config: VariationConfig, n: int) -> list[MismatchVector]:
-    """Draw ``n`` i.i.d. mismatch vectors.
-
-    This is the cheap sampling path for distribution studies: one flat
-    stream of ``4 * n`` normal draws, consumed in ``TRANSISTORS`` order
-    within each vector.  Components are mutually independent; each has
-    standard deviation sigma_vth.  Use ``synth_population`` when whole
-    chips are needed.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(config.seed)
-    draws = rng.normal(0.0, config.sigma_vth, size=(n, len(TRANSISTORS)))
-    return [MismatchVector(*row) for row in draws.tolist()]
-
-
 def synth_population(config: VariationConfig, n_chips: int) -> list[ChipInstance]:
     """Synthesize ``n_chips`` independent chips.
 

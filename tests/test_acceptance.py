@@ -299,9 +299,8 @@ def test_criterion_8_attack_harness(population):
 
     full = generate([population[0]], MODEL, SPEC, ADC, list(range(256)), Conditions())
     memor = lr_train(full, FeatureEncoding.ONE_HOT_CELL)
-    words = np.array([r.challenge for r in full.records])
-    truth = bits_matrix(full.records)
-    word_acc = float((lr_predict(memor, words) == truth).all(axis=1).mean())
+    truth = bits_matrix(full)
+    word_acc = float((lr_predict(memor, full.challenge) == truth).all(axis=1).mean())
     memor_ok = word_acc >= 0.95
 
     held_out_ok = True

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cmapuf.adc import AdcConfig, ResponseWord
-from cmapuf.analog import Conditions, default_model
+from cmapuf.adc import AdcConfig, convert, encode_word
+from cmapuf.analog import Conditions, default_model, transfer
 from cmapuf.attack import (
     AttackReport,
     EsHyper,
@@ -12,14 +12,13 @@ from cmapuf.attack import (
     bce_gradient,
     bce_loss,
     clone_bits,
-    clone_response,
     es_fit,
     features,
     lr_predict,
     lr_train,
     split,
 )
-from cmapuf.crp import CrpDataset, CrpRecord, bits_matrix, generate
+from cmapuf.crp import COLUMNS, CrpDataset, bits_matrix, generate
 from cmapuf.quantizer import default_regions
 from cmapuf.variation import VariationConfig, synth_population, synth_chip
 
@@ -96,27 +95,26 @@ def test_lr_fits_constant_bits():
     # term alone must nail: every response below sits in region 1, so the
     # three region-tag bits are the constants 0, 0, 1
     rng = np.random.default_rng(4)
-    records = [
-        CrpRecord(
-            chip_id="c",
-            challenge=w,
-            response=ResponseWord(region=1, code=int(rng.integers(0, 256)), bits=8),
-            conditions=Conditions(),
-        )
-        for w in range(256)
-    ]
-    ds = CrpDataset(records=records)
+    ds = CrpDataset(
+        chip_id=["c"] * 256,
+        challenge=np.arange(256),
+        region=np.ones(256, dtype=np.int64),
+        code=rng.integers(0, 256, 256),
+        bits=np.full(256, 8),
+        temperature=np.full(256, 25.0),
+        noise_sigma=np.zeros(256),
+        noise_seed=np.zeros(256, dtype=np.uint64),
+    )
     model = lr_train(ds, FeatureEncoding.RAW_BITS)
-    truth = bits_matrix(records)
+    truth = bits_matrix(ds)
     acc = (lr_predict(model, np.arange(256)) == truth).mean(axis=0)
     assert np.all(acc[:3] >= 0.99)
 
 
 def test_lr_memorizes_with_one_hot_cell(chip_dataset):
     model = lr_train(chip_dataset, FeatureEncoding.ONE_HOT_CELL)
-    words = np.array([r.challenge for r in chip_dataset.records])
-    pred = lr_predict(model, words)
-    truth = bits_matrix(chip_dataset.records)
+    pred = lr_predict(model, chip_dataset.challenge)
+    truth = bits_matrix(chip_dataset)
     assert float((pred == truth).all(axis=1).mean()) >= 0.95
 
 
@@ -138,15 +136,18 @@ def test_lr_rejects_multichip_dataset():
 
 def test_split_is_challenge_disjoint(chip_dataset):
     train, test = split(chip_dataset, 0.75, seed=3)
-    train_words = {r.challenge for r in train.records}
-    test_words = {r.challenge for r in test.records}
+    train_words = set(train.challenge.tolist())
+    test_words = set(test.challenge.tolist())
     assert not train_words & test_words
     assert len(train_words) == 192 and len(test_words) == 64
     assert len(train) + len(test) == len(chip_dataset)
+    # each side keeps the dataset's record order
+    assert np.all(np.diff(train.challenge) > 0) and np.all(np.diff(test.challenge) > 0)
     again = split(chip_dataset, 0.75, seed=3)
-    assert again[0].records == train.records
+    for name in COLUMNS:
+        assert np.array_equal(getattr(again[0], name), getattr(train, name))
     other = split(chip_dataset, 0.75, seed=4)
-    assert {r.challenge for r in other[0].records} != train_words
+    assert set(other[0].challenge.tolist()) != train_words
 
 
 def test_split_validates_fraction(chip_dataset):
@@ -154,7 +155,7 @@ def test_split_validates_fraction(chip_dataset):
         with pytest.raises(ValueError):
             split(chip_dataset, bad)
     tiny_train, tiny_test = split(chip_dataset, 0.001, seed=0)
-    assert len(tiny_train.records) >= 1 and len(tiny_test.records) >= 1
+    assert len(tiny_train) >= 1 and len(tiny_test) >= 1
 
 
 def test_es_history_non_increasing_and_improves(chip_dataset):
@@ -183,19 +184,18 @@ def test_es_zero_generations_returns_initial_best(chip_dataset):
 def test_es_fitness_matches_prediction_error(chip_dataset):
     train, _ = split(chip_dataset, 0.75, seed=0)
     clone = es_fit(train, MODEL, SPEC, ADC, EsHyper(generations=200, seed=0))
-    words = np.array([r.challenge for r in train.records])
-    pred = clone_bits(clone.params, MODEL, SPEC, ADC, words)
-    truth = bits_matrix(train.records)
+    pred = clone_bits(clone.params, MODEL, SPEC, ADC, train.challenge)
+    truth = bits_matrix(train)
     assert float((pred != truth).mean()) == pytest.approx(clone.fitness)
 
 
-def test_clone_response_agrees_with_clone_bits(chip_dataset):
+def test_clone_bits_agrees_with_the_scalar_route(chip_dataset):
     train, _ = split(chip_dataset, 0.75, seed=0)
     clone = es_fit(train, MODEL, SPEC, ADC, EsHyper(generations=50, seed=0))
     for word in (0, 100, 255):
-        response = clone_response(clone, MODEL, SPEC, ADC, word)
+        response = convert(ADC, SPEC, transfer(MODEL, float(clone.params[word])))
         row = clone_bits(clone.params, MODEL, SPEC, ADC, np.array([word]))[0]
-        assert [int(c) for c in response.encoded] == row.tolist()
+        assert [int(c) for c in encode_word(response)] == row.tolist()
 
 
 def test_es_hyper_validation():
@@ -217,8 +217,8 @@ def test_attack_report_chance_baseline():
     chip = synth_chip(VariationConfig(seed=20))
     ds = generate([chip], MODEL, SPEC, ADC, list(range(64)), Conditions())
     train, test = split(ds, 0.5, seed=0)
-    truth_train = bits_matrix(train.records).astype(float)
-    truth_test = bits_matrix(test.records).astype(float)
+    truth_train = bits_matrix(train).astype(float)
+    truth_test = bits_matrix(test).astype(float)
     majority = (truth_train.mean(axis=0) >= 0.5).astype(float)
     expected_chance = (majority[None, :] == truth_test).mean(axis=0)
     report = attack_report(train, test, lambda w: np.zeros((len(w), 11), dtype=np.int8))

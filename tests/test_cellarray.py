@@ -6,12 +6,8 @@ from cmapuf.analog import Conditions, cell_output, default_model
 from cmapuf.cellarray import (
     CellAddress,
     Challenge,
-    PowerState,
-    active_cells,
     decode,
-    encode_address,
     evaluate,
-    power_state,
     static_power,
 )
 from cmapuf.variation import ChipInstance, VariationConfig, synth_chip
@@ -28,7 +24,8 @@ def test_decode_is_a_bijection():
     seen = {decode(Challenge(w)) for w in range(256)}
     assert len(seen) == 256
     for w in range(256):
-        assert encode_address(decode(Challenge(w))).word == w
+        addr = decode(Challenge(w))
+        assert (addr.row << 4) | addr.col == w
 
 
 def test_challenge_range_checked():
@@ -41,27 +38,20 @@ def test_challenge_range_checked():
 
 
 def test_exactly_one_cell_active():
-    assert active_cells(Challenge(0x4B)) == 1
-    state = power_state(default_model(), CellAddress(4, 11))
-    assert state.active_cells == 1
+    # whichever cell a challenge selects, the array draws one cell's bias
+    model = default_model()
+    one_cell = model.vdd * model.mirror.bias_current
+    assert {static_power(model, decode(Challenge(w))) for w in range(256)} == {one_cell}
 
 
 def test_static_power_accounting():
     model = default_model()
     # gated: nothing selected, nothing drawn
     assert static_power(model) == 0.0
-    assert power_state(model, None) == PowerState(0, 0.0)
     # one selected cell draws its mirror's bias current from the rail
     expected = model.vdd * model.mirror.bias_current
     assert static_power(model, CellAddress(0, 0)) == pytest.approx(expected)
     assert static_power(model, CellAddress(0, 0)) == pytest.approx(7.74e-6)
-
-
-def test_power_state_rejects_impossible_counts():
-    with pytest.raises(ValueError):
-        PowerState(active_cells=2, static_power_w=1.0e-6)
-    with pytest.raises(ValueError):
-        PowerState(active_cells=0, static_power_w=1.0e-6)
 
 
 def test_evaluate_matches_direct_cell_readout():

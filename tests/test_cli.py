@@ -275,3 +275,36 @@ def test_negative_noise_seed_fails_even_without_noise(tmp_path, capsys):
     args = ("metrics", "--in", ds, "--temps", "0", "--seed", -1, "--out", tmp_path / "m.json")
     assert run(*args) == 1
     assert "error: expected non-negative integer" in capsys.readouterr().err
+
+
+def test_metrics_refuses_merged_temperatures(tmp_path, capsys):
+    # the same chips read at 0 degC and at 90 degC in one file: every
+    # (chip, challenge) has two reads and no metric can pick one
+    for temp in (0, 90):
+        assert run("crps", "--chips", 2, "--challenges", 8, "--temp", temp,
+                   "--out", tmp_path / f"t{temp}.csv") == 0
+    cold, hot = ((tmp_path / f"t{t}.csv").read_text().splitlines() for t in (0, 90))
+    merged = tmp_path / "merged.csv"
+    merged.write_text("\n".join(cold + hot[1:]) + "\n")
+    assert run("metrics", "--in", merged, "--out", tmp_path / "m.json") == 1
+    err = capsys.readouterr().err
+    assert "chip 'chip000' has more than one read of challenge 0" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("vdd", [3.3, 1.2])
+def test_quantizer_for_another_vdd_is_refused(tmp_path, capsys, vdd):
+    raw = tmp_path / "s.txt"
+    raw.write_text("\n".join(str(i * vdd / 2000) for i in range(2001)) + "\n")
+    spec = tmp_path / "q.json"
+    assert run("fit-quantizer", "--samples", raw, "--k", 2, "--vdd", vdd, "--out", spec) == 0
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--quantizer", spec, "--out", ds) == 1
+    err = capsys.readouterr().err
+    assert f"spans [0, {vdd}] V, but the cell runs at vdd 1.8 V" in err
+    assert not ds.exists()
+    assert run("crps", "--out", ds) == 0
+    es = ("attack", "--in", ds, "--model", "es", "--generations", 1, "--out", tmp_path / "es.csv")
+    assert run(*es, "--quantizer", spec) == 1
+    assert f"spans [0, {vdd}] V" in capsys.readouterr().err
+    assert run(*es) == 0

@@ -1,11 +1,15 @@
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cmapuf.adc import AdcConfig, ResponseWord
 from cmapuf.analog import Conditions, default_model
 from cmapuf.crp import (
+    COLUMNS,
     CrpDataset,
-    CrpRecord,
     MetricsReport,
     bit_aliasing,
     bits_matrix,
@@ -33,27 +37,33 @@ def small_dataset():
     return generate(chips, MODEL, SPEC, ADC, list(range(256)), Conditions())
 
 
-def _record(chip_id, challenge, encoded_region, code, bits=8, **cond):
-    return CrpRecord(
-        chip_id=chip_id,
-        challenge=challenge,
-        response=ResponseWord(region=encoded_region, code=code, bits=bits),
-        conditions=Conditions(**cond),
+def _dataset(*reads):
+    """A dataset of (chip_id, challenge, region, code[, bits]) reads at 25 degC, noiseless."""
+    chip_id, challenge, region, code, bits = zip(*((*r, 8)[:5] for r in reads))
+    n = len(reads)
+    return CrpDataset(
+        chip_id=chip_id, challenge=challenge, region=region, code=code, bits=bits,
+        temperature=[25.0] * n, noise_sigma=[0.0] * n, noise_seed=[0] * n,
     )
+
+
+def assert_same_records(a, b):
+    for name, dtype in COLUMNS.items():
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype.type is dtype and np.array_equal(got, want), name
 
 
 def test_generate_shape_and_order(small_dataset):
     assert len(small_dataset) == 3 * 256
     assert small_dataset.chip_ids == ["chip000", "chip001", "chip002"]
-    first = small_dataset.records[:256]
-    assert [r.challenge for r in first] == list(range(256))
-    assert all(r.chip_id == "chip000" for r in first)
+    assert small_dataset.challenge[:256].tolist() == list(range(256))
+    assert set(small_dataset.chip_id[:256].tolist()) == {"chip000"}
 
 
 def test_generate_deterministic(small_dataset):
     chips = synth_population(VariationConfig(seed=50), 3)
     again = generate(chips, MODEL, SPEC, ADC, list(range(256)), Conditions())
-    assert again.records == small_dataset.records
+    assert_same_records(again, small_dataset)
 
 
 def test_single_record_reproducible_from_its_seed():
@@ -62,10 +72,9 @@ def test_single_record_reproducible_from_its_seed():
     chip = synth_chip(VariationConfig(seed=50))
     cond = Conditions(noise_sigma=0.004, noise_seed=123)
     ds = generate([chip], MODEL, SPEC, ADC, list(range(256)), cond)
-    r = ds.records[77]
-    assert r.conditions.noise_seed == record_seed(123, chip.chip_id, 77)
+    assert ds.noise_seed[77] == record_seed(123, chip.chip_id, 77)
     solo = generate([chip], MODEL, SPEC, ADC, [77], cond)
-    assert solo.records[0].response == r.response
+    assert_same_records(solo, ds.take([77], {}))
 
 
 def test_uniqueness_rejects_duplicate_reads():
@@ -76,10 +85,16 @@ def test_uniqueness_rejects_duplicate_reads():
         generate(chips, MODEL, SPEC, ADC, list(range(32)), Conditions(temperature=t))
         for t in (0.0, 90.0)
     )
-    merged = CrpDataset(records=cold.records + hot.records)
-    with pytest.raises(ValueError, match="chip 'chip000' has more than one read of challenge 0"):
-        uniqueness(merged)
+    merged = CrpDataset(
+        **{name: np.concatenate([getattr(cold, name), getattr(hot, name)]) for name in COLUMNS}
+    )
+    repeat = "needs one read per (chip, challenge), but chip 'chip000' has more than one read"
+    for metric in (uniqueness, bit_aliasing, lambda ds: uniformity(ds, "chip000")):
+        with pytest.raises(ValueError, match=re.escape(repeat) + " of challenge 0$"):
+            metric(merged)
     assert 0.0 < uniqueness(cold) < 1.0
+    assert 0.0 < uniformity(cold, "chip000") < 1.0
+    assert bit_aliasing(cold).shape == (11,)
 
 
 def test_noise_flips_some_codes():
@@ -88,24 +103,25 @@ def test_noise_flips_some_codes():
     noisy = generate(
         [chip], MODEL, SPEC, ADC, list(range(256)), Conditions(noise_sigma=0.004, noise_seed=1)
     )
-    flips = sum(a.response != b.response for a, b in zip(clean.records, noisy.records))
+    flips = int(np.sum((clean.region != noisy.region) | (clean.code != noisy.code)))
     assert 0 < flips < 256
 
 
 def test_bits_matrix_matches_encoded_strings(small_dataset):
-    mat = bits_matrix(small_dataset.records[:10])
-    for row, record in zip(mat, small_dataset.records[:10]):
-        assert "".join(str(int(b)) for b in row) == record.response.encoded
+    mat = bits_matrix(small_dataset)
+    for i in range(10):
+        d = small_dataset
+        word = ResponseWord(int(d.region[i]), int(d.code[i]), int(d.bits[i]))
+        assert "".join(str(int(b)) for b in mat[i]) == word.encoded
 
 
 def test_uniqueness_identical_chips_is_zero():
-    records = [_record("a", 0, 3, 17), _record("b", 0, 3, 17), _record("a", 1, 5, 200), _record("b", 1, 5, 200)]
-    assert uniqueness(CrpDataset(records=records)) == 0.0
+    ds = _dataset(("a", 0, 3, 17), ("b", 0, 3, 17), ("a", 1, 5, 200), ("b", 1, 5, 200))
+    assert uniqueness(ds) == 0.0
 
 
 def test_uniqueness_complementary_codes_is_one_on_code_bits():
-    records = [_record("a", 0, 1, 0b10101010), _record("b", 0, 1, 0b01010101)]
-    ds = CrpDataset(records=records)
+    ds = _dataset(("a", 0, 1, 0b10101010), ("b", 0, 1, 0b01010101))
     assert uniqueness(ds, bit_positions=list(range(3, 11))) == 1.0
     # region bits agree, so over all 11 positions the distance dilutes to 8/11
     assert uniqueness(ds) == pytest.approx(8 / 11)
@@ -122,32 +138,31 @@ def test_hamming_distance_extremes_exhaustive():
     ]
     for start in range(0, len(words), 256):
         chunk = words[start : start + 256]
-        records = [
-            _record(cid, ch, region, code, bits)
+        reads = [
+            (cid, ch, region, code, bits)
             for cid in ("a", "b")
             for ch, (region, code, bits) in enumerate(chunk)
         ]
-        assert uniqueness(CrpDataset(records=records)) == 0.0
+        assert uniqueness(_dataset(*reads)) == 0.0
 
     # distance to the complement is 1; the complement of a valid word is
     # itself valid exactly when an 8-bit region-2 word pairs with the
     # region-5 word holding its inverted code
-    records = []
+    reads = []
     for code in range(128):
         assert ResponseWord(2, code, 7).encoded == "".join(
             "10"[int(b)] for b in ResponseWord(5, 255 - code, 8).encoded
         )
-        records.append(_record("a", code, 2, code, 7))
-        records.append(_record("b", code, 5, 255 - code, 8))
-    assert uniqueness(CrpDataset(records=records)) == 1.0
+        reads.append(("a", code, 2, code, 7))
+        reads.append(("b", code, 5, 255 - code, 8))
+    assert uniqueness(_dataset(*reads)) == 1.0
 
 
 def test_uniqueness_requires_two_chips_and_overlap():
     with pytest.raises(ValueError):
-        uniqueness(CrpDataset(records=[_record("a", 0, 3, 17)]))
-    disjoint = [_record("a", 0, 3, 17), _record("b", 1, 3, 17)]
+        uniqueness(_dataset(("a", 0, 3, 17)))
     with pytest.raises(ValueError):
-        uniqueness(CrpDataset(records=disjoint))
+        uniqueness(_dataset(("a", 0, 3, 17), ("b", 1, 3, 17)))
 
 
 def test_uniqueness_population_plausible(small_dataset):
@@ -157,27 +172,24 @@ def test_uniqueness_population_plausible(small_dataset):
 
 def test_uniformity_hand_computed():
     # '00100010001' has 3 ones of 11; two such records average the same
-    records = [_record("a", 0, 1, 0b00010001), _record("a", 1, 1, 0b00010001)]
-    ds = CrpDataset(records=records)
+    ds = _dataset(("a", 0, 1, 0b00010001), ("a", 1, 1, 0b00010001))
     assert uniformity(ds, "a") == pytest.approx(3 / 11)
     with pytest.raises(ValueError):
         uniformity(ds, "missing")
 
 
 def test_bit_aliasing_single_challenge_two_chips():
-    records = [_record("a", 0, 1, 0b11110000), _record("b", 0, 1, 0b00001111)]
-    alias = bit_aliasing(CrpDataset(records=records))
+    alias = bit_aliasing(_dataset(("a", 0, 1, 0b11110000), ("b", 0, 1, 0b00001111)))
     assert alias.shape == (11,)
     # region bits identical across chips pin to 0 or 1, code bits split at 0.5
     assert alias.tolist() == [0.0, 0.0, 1.0] + [0.5] * 8
 
 
 def test_bit_aliasing_identical_chips_saturates():
-    records = [_record("a", 0, 2, 0b1010101, bits=7), _record("b", 0, 2, 0b1010101, bits=7)]
-    alias = bit_aliasing(CrpDataset(records=records))
+    alias = bit_aliasing(_dataset(("a", 0, 2, 0b1010101, 7), ("b", 0, 2, 0b1010101, 7)))
     assert set(alias.tolist()) <= {0.0, 1.0}
     with pytest.raises(ValueError):
-        bit_aliasing(CrpDataset(records=[_record("a", 0, 1, 1)]))
+        bit_aliasing(_dataset(("a", 0, 1, 1)))
 
 
 def test_reliability_at_reference_is_exactly_one():
@@ -213,8 +225,7 @@ def test_metrics_report_validation():
 def test_csv_round_trip(tmp_path, small_dataset):
     path = tmp_path / "ds.csv"
     save_csv(small_dataset, path)
-    loaded = load_csv(path)
-    assert loaded.records == small_dataset.records
+    assert_same_records(load_csv(path), small_dataset)
 
 
 def test_csv_challenge_column_is_two_digit_hex(tmp_path, small_dataset):
@@ -235,14 +246,14 @@ def test_csv_round_trip_with_noise_conditions(tmp_path):
     )
     path = tmp_path / "noisy.csv"
     save_csv(ds, path)
-    assert load_csv(path).records == ds.records
+    assert_same_records(load_csv(path), ds)
 
 
 def test_jsonl_round_trip(tmp_path, small_dataset):
     path = tmp_path / "ds.jsonl"
     save_jsonl(small_dataset, path)
     loaded = load_jsonl(path)
-    assert loaded.records == small_dataset.records
+    assert_same_records(loaded, small_dataset)
     assert loaded.metadata == small_dataset.metadata
 
 
@@ -252,10 +263,69 @@ def test_generate_validates_inputs():
         generate([], MODEL, SPEC, ADC, [0], Conditions())
     with pytest.raises(ValueError):
         generate([chip], MODEL, SPEC, ADC, [], Conditions())
-    with pytest.raises(ValueError):
-        CrpRecord(
-            chip_id="a",
-            challenge=300,
-            response=ResponseWord(region=1, code=0, bits=8),
-            conditions=Conditions(),
-        )
+    with pytest.raises(ValueError, match=re.escape("challenge must be in [0, 255], got 300")):
+        _dataset(("a", 300, 1, 0))
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"challenge": "100"}, "challenge must be in [0, 255], got 256"),
+        ({"region": 0}, "region must be in [1, 7], got 0"),
+        ({"region": 8}, "region must be in [1, 7], got 8"),
+        ({"bits": 0}, "bits must be in [1, 8], got 0"),
+        ({"bits": 9}, "bits must be in [1, 8], got 9"),
+        ({"bits": 6, "code": 64}, "code must fit in 6 bits, got 64"),
+        ({"bits": 8, "code": -1}, "code must fit in 8 bits, got -1"),
+        ({"temperature": 100.5}, "temperature must be within [-20, 100] degC, got 100.5"),
+        ({"temperature": -20.5}, "temperature must be within [-20, 100] degC, got -20.5"),
+        ({"temperature": float("nan")}, "temperature must be within [-20, 100] degC, got nan"),
+        ({"noise_sigma": -0.001}, "noise_sigma must be >= 0, got -0.001"),
+        ({"noise_seed": -1}, "noise_seed must be in [0, 2**64), got -1"),
+        ({"noise_seed": 2**64}, f"noise_seed must be in [0, 2**64), got {2**64}"),
+    ],
+)
+def test_loaders_refuse_bad_rows(tmp_path, suffix, edit, message):
+    chip = synth_chip(VariationConfig(seed=50))
+    ds = generate([chip], MODEL, SPEC, ADC, [0, 1, 2], Conditions())
+    path = tmp_path / f"ds{suffix}"
+    save, load = (save_csv, load_csv) if suffix == ".csv" else (save_jsonl, load_jsonl)
+    save(ds, path)
+    load(path)  # the file as written loads
+    lines = path.read_text().splitlines()
+    if suffix == ".csv":
+        header = lines[0].split(",")
+        row = dict(zip(header, lines[-1].split(","))) | {k: str(v) for k, v in edit.items()}
+        lines[-1] = ",".join(row[name] for name in header)
+    else:
+        lines[-1] = json.dumps(json.loads(lines[-1]) | edit)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        load(path)
+
+
+def test_uniqueness_memory_grows_linearly_in_chips():
+    # 400 chips x 256 challenges; a (chips, chips, challenges, 11) tensor
+    # of pairwise differences would take about 450 MB
+    chips, n = 400, 400 * 256
+    rng = np.random.default_rng(0)
+    ds = CrpDataset(
+        chip_id=np.repeat([f"chip{i:03d}" for i in range(chips)], 256),
+        challenge=np.tile(np.arange(256), chips),
+        region=rng.integers(1, 6, n),
+        code=rng.integers(0, 256, n),
+        bits=np.full(n, 8),
+        temperature=np.full(n, 25.0),
+        noise_sigma=np.zeros(n),
+        noise_seed=np.zeros(n, dtype=np.uint64),
+    )
+    tracemalloc.start()
+    try:
+        u = uniqueness(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # uniform regions 1-5 differ with p = 0.48 per region bit, codes with 0.5
+    assert u == pytest.approx((3 * 0.48 + 8 * 0.5) / 11, abs=0.005)

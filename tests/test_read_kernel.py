@@ -1,8 +1,9 @@
 """The batched read kernel against the scalar route it replaces.
 
-``generate`` and ``reliability`` read through ``crp.read``; every record
-must equal what ``record_seed`` -> ``evaluate`` -> ``convert`` ->
-``encode_word`` gives for the same read, errors included.
+``generate`` is the one batched read, returning the dataset's columns,
+and ``reliability`` re-reads through it; every record must equal what
+``record_seed`` -> ``evaluate`` -> ``convert`` -> ``encode_word`` gives
+for the same read, errors included.
 """
 
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cmapuf.adc import AdcConfig, convert, convert_array, encode_word, response_bits
+from cmapuf.adc import AdcConfig, ResponseWord, convert, convert_array, encode_word, response_bits
 from cmapuf.analog import (
     Conditions,
     MirrorConfig,
@@ -97,13 +98,15 @@ def test_generate_equals_the_scalar_route(
     ds = generate(chips, model, spec, adc_config, words, cond)
     expected = [(c, w) for c in chips for w in words]
     assert len(ds) == len(expected)
-    for r, (chip, word) in zip(ds.records, expected):
+    rows = []
+    for i, (chip, word) in enumerate(expected):
         seed, response = oracle(chip, model, spec, adc_config, word, cond)
-        assert (r.chip_id, r.challenge) == (chip.chip_id, word)
-        assert r.conditions == Conditions(cond.temperature, cond.noise_sigma, seed)
-        assert r.response == response
-    got = bits_matrix(ds.records)
-    assert got.tolist() == [[int(ch) for ch in encode_word(r.response)] for r in ds.records]
+        assert (ds.chip_id[i], ds.challenge[i]) == (chip.chip_id, word)
+        assert (ds.temperature[i], ds.noise_sigma[i]) == (cond.temperature, cond.noise_sigma)
+        assert ds.noise_seed[i] == seed
+        assert ResponseWord(ds.region[i], ds.code[i], ds.bits[i]) == response
+        rows.append([int(ch) for ch in encode_word(response)])
+    assert bits_matrix(ds).tolist() == rows
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -137,8 +140,9 @@ def test_record_seeds_match_record_seed(base):
     chips = [synth_chip(VariationConfig(seed=s)) for s in (0, 9)]
     ds = generate(chips, default_model(), default_regions(), AdcConfig(), list(range(256)),
                   Conditions(noise_seed=base))
-    for r in ds.records:
-        assert r.conditions.noise_seed == record_seed(base, r.chip_id, r.challenge)
+    seeds = ds.noise_seed.tolist()
+    for chip_id, word, seed in zip(ds.chip_id.tolist(), ds.challenge.tolist(), seeds):
+        assert seed == record_seed(base, chip_id, word)
 
 
 def test_saturated_cells_read_the_rails_exactly():
@@ -152,7 +156,8 @@ def test_saturated_cells_read_the_rails_exactly():
     for offset in (0.0, 0.01, -0.01):
         adc_config = AdcConfig(comparator_residual_offset=offset)
         ds = generate([chip], model, spec, adc_config, list(range(256)), cond)
-        assert [r.response for r in ds.records] == [convert(adc_config, spec, v) for v in volts]
+        got = zip(ds.region.tolist(), ds.code.tolist(), ds.bits.tolist())
+        assert [ResponseWord(*w) for w in got] == [convert(adc_config, spec, v) for v in volts]
 
 
 def _scalar_error(config, spec, v):

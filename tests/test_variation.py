@@ -13,7 +13,6 @@ from cmapuf.variation import (
     VariationConfig,
     load_chip,
     sample_mismatch,
-    sample_population,
     synth_population,
     save_chip,
     synth_chip,
@@ -55,13 +54,14 @@ def test_population_statistics():
 
 
 def test_vector_sampling_statistics():
-    pop = sample_population(VariationConfig(sigma_vth=0.030, seed=5), 100_000)
-    assert all(isinstance(mv, MismatchVector) for mv in pop[:10])
-    mat = np.array([[mv.pm1, mv.pm2, mv.nm1, mv.nm2] for mv in pop])
+    # 400 chips of 256 cells: about 100k per-cell mismatch vectors
+    chips = synth_population(VariationConfig(sigma_vth=0.030, seed=5), 400)
+    assert isinstance(chips[0].cell(3, 4), MismatchVector)
+    mat = np.concatenate([c.mismatch.reshape(-1, len(TRANSISTORS)) for c in chips])
     # each component is N(0, sigma^2): stddev tight at this n, mean within
     # three standard errors of zero
     assert np.all(np.abs(mat.std(axis=0) - 0.030) < 0.001)
-    assert np.all(np.abs(mat.mean(axis=0)) < 3.0 * 0.030 / np.sqrt(len(pop)))
+    assert np.all(np.abs(mat.mean(axis=0)) < 3.0 * 0.030 / np.sqrt(len(mat)))
     # components are mutually independent draws
     corr = np.corrcoef(mat.T)
     off_diag = corr[~np.eye(4, dtype=bool)]
@@ -70,12 +70,14 @@ def test_vector_sampling_statistics():
 
 def test_vector_sampling_edge_cases():
     with pytest.raises(ValueError):
-        sample_population(VariationConfig(), 0)
-    zeros = sample_population(VariationConfig(sigma_vth=0.0, seed=3), 10)
+        synth_population(VariationConfig(), 0)
+    zeros = synth_population(VariationConfig(sigma_vth=0.0, seed=3), 10)
     assert len(zeros) == 10
-    assert all(mv.as_array().tolist() == [0.0, 0.0, 0.0, 0.0] for mv in zeros)
-    again = sample_population(VariationConfig(sigma_vth=0.030, seed=5), 50)
-    assert again == sample_population(VariationConfig(sigma_vth=0.030, seed=5), 50)
+    assert all(c.cell(5, 5).as_array().tolist() == [0.0] * 4 for c in zeros)
+    again = synth_population(VariationConfig(sigma_vth=0.030, seed=5), 5)
+    for a, b in zip(again, synth_population(VariationConfig(sigma_vth=0.030, seed=5), 5)):
+        assert a.cell(7, 9) == b.cell(7, 9)
+        assert np.array_equal(a.mismatch, b.mismatch)
 
 
 def test_zero_sigma_gives_identical_mismatch_free_chips():
