@@ -153,7 +153,7 @@ def convert_array(
     """
     v = np.asarray(v, dtype=float)
     bits_table = np.asarray(spec.bits_per_region, dtype=np.int64)
-    idx = region_index_array(spec, v)
+    idx = region_index_array(spec.boundaries, v)
     bad = ~((v >= 0.0) & (v <= spec.vdd))
     if spec.k >= 1 << REGION_FIELD_BITS or bits_table.max() > CODE_FIELD_BITS:
         bad |= (idx + 1 >= 1 << REGION_FIELD_BITS) | (bits_table[idx] > CODE_FIELD_BITS)

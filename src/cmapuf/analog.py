@@ -202,14 +202,6 @@ class Conditions:
             "noise_seed": self.noise_seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Conditions":
-        return cls(
-            temperature=float(d["temperature"]),
-            noise_sigma=float(d["noise_sigma"]),
-            noise_seed=int(d["noise_seed"]),
-        )
-
 
 @dataclass(frozen=True)
 class TransferModel:
@@ -303,13 +295,13 @@ def transfer(model: TransferModel, delta: float) -> float:
     Strictly increasing in delta and odd-symmetric about (0, vdd / 2).
     Mathematically the output never reaches a rail for finite delta; in
     float64 the tanh saturates once gain * |delta| / vdd exceeds about 19,
-    so far-rail outputs land exactly on 0 or vdd.
+    so far-rail outputs land exactly on 0 or vdd.  One element of ``transfer_array``.
     """
-    return 0.5 * model.vdd * (1.0 + math.tanh(model.mirror.gain * delta / model.vdd))
+    return float(transfer_array(model, delta))
 
 
 def transfer_array(model: TransferModel, delta: np.ndarray | float) -> np.ndarray:
-    """Vectorized ``transfer`` for Monte Carlo and attack work."""
+    """``transfer`` elementwise: the one tanh stage (``np.tanh``) every read uses."""
     return 0.5 * model.vdd * (1.0 + np.tanh(model.mirror.gain * np.asarray(delta) / model.vdd))
 
 

@@ -204,8 +204,8 @@ def clone_bits(
     adc_config: AdcConfig,
     words: np.ndarray,
 ) -> np.ndarray:
-    """Responses the cloned parameters produce for the given challenges."""
-    v = transfer_array(model, np.asarray(clone_params)[np.asarray(words, dtype=np.int64)])
+    """Responses (..., words, 11) of one clone's (256,) imbalances or a (..., 256) stack."""
+    v = transfer_array(model, np.asarray(clone_params)[..., np.asarray(words, dtype=np.int64)])
     return response_bits(adc_config, spec, v)
 
 
@@ -231,9 +231,7 @@ def es_fit(
     y = y.astype(np.int8)
 
     def fitness(pop: np.ndarray) -> np.ndarray:
-        v = transfer_array(model, pop[:, words])
-        bits = response_bits(adc_config, spec, v)
-        return (bits != y[None, :, :]).mean(axis=(1, 2))
+        return (clone_bits(pop, model, spec, adc_config, words) != y).mean(axis=(1, 2))
 
     rng = np.random.default_rng(hyper.seed)
     mu, lam = hyper.parents, hyper.population

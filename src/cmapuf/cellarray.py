@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import Conditions, TransferModel, cell_output, transfer
+from .analog import Conditions, TransferModel, cell_output, transfer_array
 from .variation import N_COLS, N_ROWS, ChipInstance
 
 CHALLENGE_BITS = 8
@@ -75,9 +75,9 @@ def evaluate_array(
     """Output voltages (chips, words) of the cells the challenge words select.
 
     Equal value for value to ``evaluate`` given the same noise samples:
-    the imbalance sums the same terms in the same order, and the voltage
-    comes from the scalar ``transfer`` (libm tanh; ``np.tanh`` differs in
-    the last bits).  Words are not range checked here.
+    the imbalance sums the same terms in the same order, and
+    ``transfer_array`` is the stage ``transfer`` takes one element of.
+    Words are not range checked here.
     """
     words = np.asarray(words, dtype=np.int64)
     dvth = np.stack([chip.mismatch for chip in chips])[:, words >> 4, words & 0x0F]
@@ -88,7 +88,4 @@ def evaluate_array(
     delta += model.mirror.asymmetry_offset
     if noise is not None:
         delta += noise
-    volts = np.fromiter(
-        (transfer(model, d) for d in delta.ravel().tolist()), dtype=float, count=delta.size
-    )
-    return volts.reshape(delta.shape)
+    return transfer_array(model, delta)

@@ -285,11 +285,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             analog.Conditions(temperature=t, noise_sigma=noise_sigma, noise_seed=args.seed)
             for t in temps
         ]
-        for chip in chips:
-            if chip.chip_id in uniformities:
-                reliabilities[chip.chip_id] = crp.reliability(
-                    chip, model, spec, adc_config, conds
-                )
+        chips = [chip for chip in chips if chip.chip_id in uniformities]
+        if chips:
+            values = crp.reliability(chips, model, spec, adc_config, conds)
+            reliabilities = {chip.chip_id: v for chip, v in zip(chips, values)}
     report = crp.MetricsReport(
         uniqueness=uniq,
         uniformity=uniformities,

@@ -8,11 +8,10 @@ re-generating any single record gives the same bits without replaying
 the whole dataset.
 
 ``generate`` is the one batched read, chips x challenge words straight
-to columns; ``reliability`` re-reads through it.  The scalar chain
-``evaluate`` -> ``convert`` -> ``encode_word`` and ``record_seed`` stay
-the definition every batched value must equal; the batch uses the same
-libm ``tanh`` as the scalar ``transfer``, so record bytes do not depend
-on which route produced them.
+to columns; ``reliability`` re-reads a population through it, once per
+condition.  The scalar chain ``evaluate`` -> ``convert`` -> ``encode_word``
+and ``record_seed`` stay the definition every batched value must equal;
+both share the one tanh stage, ``analog.transfer_array``.
 
 Metrics follow the usual fractional-Hamming-distance conventions, and
 refuse a dataset with more than one read of a (chip, challenge):
@@ -349,17 +348,18 @@ def bit_aliasing(dataset: CrpDataset) -> np.ndarray:
 
 
 def reliability(
-    chip: ChipInstance,
+    chips: list[ChipInstance],
     model: TransferModel,
     spec: QuantizerSpec,
     adc_config: AdcConfig,
     test_conditions: list[Conditions],
     reference: Conditions | None = None,
-) -> float:
-    """1 - mean encoded HD between reference reads and stressed re-reads.
+) -> list[float]:
+    """Per chip, in order: 1 - mean encoded HD between reference and stressed reads.
 
     The reference defaults to a noise-free read at 25 degC.  All 256
-    challenges are compared under every test condition.
+    challenges are compared under every test condition, with one
+    ``generate`` call per condition for the whole population.
     """
     if not test_conditions:
         raise ValueError("need at least one test condition")
@@ -368,13 +368,14 @@ def reliability(
     words = list(range(1 << CHALLENGE_BITS))
 
     def read_bits(cond: Conditions) -> np.ndarray:
-        return bits_matrix(generate([chip], model, spec, adc_config, words, cond))
+        dataset = generate(chips, model, spec, adc_config, words, cond)
+        return bits_matrix(dataset).reshape(len(chips), -1)
 
     ref_bits = read_bits(reference)
-    total = 0.0
+    total = np.zeros(len(chips))
     for cond in test_conditions:
-        total += float((read_bits(cond) != ref_bits).mean())
-    return 1.0 - total / len(test_conditions)
+        total += (read_bits(cond) != ref_bits).mean(axis=1)
+    return (1.0 - total / len(test_conditions)).tolist()
 
 
 @dataclass(frozen=True)
@@ -437,14 +438,23 @@ def _rows(dataset: CrpDataset):
 
 
 def _from_rows(rows: list[dict], metadata: dict) -> CrpDataset:
-    """A dataset from CSV or JSONL rows; ``CrpDataset`` checks every column."""
+    """A dataset from CSV or JSONL rows; ``CrpDataset`` checks every column.
+
+    A row without a field raises a ``ValueError`` naming it, rows counted from 1.
+    """
 
     def column(name: str, parse=int) -> list:
-        return [parse(row[name]) for row in rows]
+        try:
+            return [parse(row[name]) for row in rows]
+        except (KeyError, TypeError) as exc:
+            for i, row in enumerate(rows, 1):
+                if row.get(name) is None:
+                    raise ValueError(f"row {i} has no {name!r} field") from None
+            raise ValueError(f"{name}: {exc}") from None
 
     return CrpDataset(
         chip_id=column("chip_id", str),
-        challenge=[int(row["challenge"], 16) for row in rows],
+        challenge=column("challenge", lambda s: int(s, 16)),
         region=column("region"),
         code=column("code"),
         bits=column("bits"),
@@ -481,6 +491,8 @@ def load_jsonl(path: str | Path) -> CrpDataset:
     with open(path) as fh:
         for line in fh:
             doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError(f"row {len(rows) + 1} is not a JSON object: {line.strip()!r}")
             if "_meta" in doc:
                 metadata = doc["_meta"]
             else:

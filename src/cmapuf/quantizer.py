@@ -136,16 +136,16 @@ def region_of(spec: QuantizerSpec, v: float) -> tuple[int, int]:
     return idx + 1, spec.bits_per_region[idx]
 
 
-def region_index_array(spec: QuantizerSpec, v: np.ndarray) -> np.ndarray:
-    """Vectorized 0-based region lookup (no range checking).
+def region_index_array(boundaries: tuple[float, ...] | np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Vectorized 0-based region lookup over sorted boundaries (no range checking).
 
     Counts the interior boundaries at or below each voltage: ``region_of``
-    on [0, vdd], clamped beyond the rails.  A comparison per boundary is
-    faster than ``searchsorted`` on the small batches ES scores.
+    on [0, vdd], clamped beyond the rails.  A comparison per boundary beats
+    a binary search on both ES's small batches and the Lloyd-Max samples.
     """
     v = np.asarray(v, dtype=float)
     idx = np.zeros(v.shape, dtype=np.int64)
-    for b in spec.boundaries[1:-1]:
+    for b in boundaries[1:-1]:
         idx += v >= b
     return idx
 
@@ -154,8 +154,7 @@ def quantization_mse(
     boundaries: np.ndarray, centroids: np.ndarray, samples: np.ndarray
 ) -> float:
     """Mean squared error of representing each sample by its region centroid."""
-    idx = np.clip(np.searchsorted(boundaries, samples, side="right") - 1, 0, len(centroids) - 1)
-    err = samples - centroids[idx]
+    err = samples - centroids[region_index_array(boundaries, samples)]
     return float(np.mean(err * err))
 
 
@@ -170,7 +169,7 @@ def _lloyd_max_steps(
         # centroid step: region means, with empty regions re-seeded at the
         # midpoint of the currently most populous region so they can claim
         # a share of its mass next round
-        idx = np.clip(np.searchsorted(boundaries, samples, side="right") - 1, 0, k - 1)
+        idx = region_index_array(boundaries, samples)
         counts = np.bincount(idx, minlength=k)
         sums = np.bincount(idx, weights=samples, minlength=k)
         busiest = int(np.argmax(counts))

@@ -158,7 +158,7 @@ def test_criterion_3_lloyd_max():
 
         fitted = lloyd_max(dist, 5)
         b, c = np.array(fitted.boundaries), np.array(fitted.centroids)
-        idx = region_index_array(fitted, samples)
+        idx = region_index_array(fitted.boundaries, samples)
         means = np.array([samples[idx == i].mean() for i in range(5)])
         resid = float(np.abs(b[1:-1] - 0.5 * (means[:-1] + means[1:])).max())
         worst_resid = max(worst_resid, resid)
@@ -223,7 +223,7 @@ def test_criterion_5_rail_skew():
     dvth = rng.normal(0.0, 0.030, size=(100_000, 4))
     delta = dvth @ np.asarray(MODEL.weights)
     volts = transfer_array(MODEL, delta)
-    regions = region_index_array(SPEC, volts) + 1
+    regions = region_index_array(SPEC.boundaries, volts) + 1
     outer = float(np.isin(regions, (1, 5)).mean())
     middle = float((regions == 3).mean())
     report(
@@ -265,10 +265,10 @@ def test_criterion_7_metrics(population, population_dataset):
     uniq = uniqueness(population_dataset, bit_positions=CODE_BITS)
     uniq_ok = 0.45 <= uniq <= 0.55
     temps = [Conditions(temperature=t) for t in (0.0, 30.0, 60.0)]
-    rels = [reliability(chip, MODEL, SPEC, ADC, temps) for chip in population[:5]]
+    rels = reliability(population[:5], MODEL, SPEC, ADC, temps)
     rel_ok = all(r >= 0.90 for r in rels)
     ref = Conditions(temperature=25.0)
-    ref_rel = reliability(population[0], MODEL, SPEC, ADC, [ref], reference=ref)
+    [ref_rel] = reliability(population[:1], MODEL, SPEC, ADC, [ref], reference=ref)
     ref_ok = ref_rel == 1.0
     report(
         "criterion 7 (uniqueness 0.5 +/- 0.05 on code bits, reliability >= 0.90, reference = 1)",

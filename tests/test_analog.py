@@ -85,11 +85,16 @@ def test_transfer_strictly_monotone_and_bounded():
 
 
 def test_transfer_array_matches_scalar():
+    # one tanh stage: the scalar is exactly one element of the array, from
+    # mid-range out into the saturated rails
     model = default_model()
-    deltas = np.linspace(-0.1, 0.1, 77)
+    deltas = np.linspace(-0.5, 0.5, 2001)
     vec = transfer_array(model, deltas)
-    scalar = np.array([transfer(model, float(d)) for d in deltas])
-    np.testing.assert_allclose(vec, scalar, rtol=0, atol=1e-15)
+    scalar = [transfer(model, float(d)) for d in deltas]
+    assert vec.tolist() == scalar
+    assert scalar[0] == 0.0 and scalar[-1] == model.vdd
+    for d in deltas[::50]:
+        assert transfer(model, float(d)) == transfer_array(model, np.array([d]))[0]
 
 
 def test_higher_gain_saturates_harder():

@@ -6,9 +6,9 @@ import pytest
 from cmapuf.adc import AdcConfig
 from cmapuf.analog import Conditions, default_model
 from cmapuf.cli import main
-from cmapuf.crp import generate, load_csv, save_csv
+from cmapuf.crp import generate, load_csv, reliability, save_csv
 from cmapuf.quantizer import default_regions, load_spec
-from cmapuf.variation import VariationConfig, load_chip, synth_chip
+from cmapuf.variation import VariationConfig, load_chip, synth_chip, synth_population
 
 
 def run(*argv):
@@ -162,6 +162,58 @@ def test_metrics_reliability_requires_manifest(tmp_path, capsys):
     (tmp_path / "ds.csv.manifest.json").unlink()
     assert run("metrics", "--in", ds, "--temps", "0,60", "--out", tmp_path / "r.json") == 1
     assert "manifest" in capsys.readouterr().err
+
+
+def test_metrics_reliability_equals_per_chip_reads(tmp_path):
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--chips", 3, "--seed", 7, "--noise-sigma", 0.002, "--out", ds) == 0
+    conds = [Conditions(temperature=t, noise_sigma=0.002, noise_seed=2) for t in (0.0, 60.0)]
+    model, spec, adc_config = default_model(), default_regions(), AdcConfig()
+    expected = {
+        chip.chip_id: reliability([chip], model, spec, adc_config, conds)[0]
+        for chip in synth_population(VariationConfig(seed=7), 3)
+    }
+
+    def metrics_reliability(lines):
+        ds.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.json"
+        assert run("metrics", "--in", ds, "--temps", "0,60", "--seed", 2, "--out", out) == 0
+        return json.loads(out.read_text())["reliability"]
+
+    header, *rows = ds.read_text().splitlines()
+    assert metrics_reliability([header, *rows]) == expected
+    # only the manifest chips the dataset holds are re-read
+    chip001 = [row for row in rows if row.startswith("chip001,")]
+    assert metrics_reliability([header, *chip001]) == {"chip001": expected["chip001"]}
+    assert metrics_reliability([header, *(r.replace("chip", "other") for r in rows)]) == {}
+
+
+@pytest.mark.parametrize("command", ["metrics", "attack"])
+def test_a_malformed_record_is_reported(tmp_path, capsys, command):
+    def broken(name, edit):
+        path = tmp_path / name
+        assert run("crps", "--chips", 1, "--challenges", 4, "--out", path) == 0
+        lines = path.read_text().splitlines()  # header or metadata, then records 1..4
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def drop_code(line):
+        return json.dumps({k: v for k, v in json.loads(line).items() if k != "code"})
+
+    cases = [
+        # record 2 stops after its code field
+        (broken("short.csv", lambda line: ",".join(line.split(",")[:4])),
+         "row 2 has no 'bits' field"),
+        (broken("keyless.jsonl", drop_code), "row 2 has no 'code' field"),
+        (broken("array.jsonl", lambda line: "[1, 2]"), "row 2 is not a JSON object: '[1, 2]'"),
+        (broken("listed.jsonl", lambda line: json.dumps(json.loads(line) | {"code": [1]})),
+         "code: int() argument must be"),
+    ]
+    for path, message in cases:
+        assert run(command, "--in", path, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_attack_lr_report(tmp_path, capsys):

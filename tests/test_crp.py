@@ -193,16 +193,16 @@ def test_bit_aliasing_identical_chips_saturates():
 
 
 def test_reliability_at_reference_is_exactly_one():
-    chip = synth_chip(VariationConfig(seed=50))
+    chips = [synth_chip(VariationConfig(seed=s)) for s in (50, 51)]
     ref = Conditions(temperature=25.0)
-    assert reliability(chip, MODEL, SPEC, ADC, [ref], reference=ref) == 1.0
+    assert reliability(chips, MODEL, SPEC, ADC, [ref], reference=ref) == [1.0, 1.0]
 
 
 def test_reliability_degrades_with_stress():
     chip = synth_chip(VariationConfig(seed=50))
-    mild = reliability(chip, MODEL, SPEC, ADC, [Conditions(temperature=30.0)])
-    harsh = reliability(
-        chip, MODEL, SPEC, ADC, [Conditions(temperature=60.0, noise_sigma=0.01, noise_seed=3)]
+    [mild] = reliability([chip], MODEL, SPEC, ADC, [Conditions(temperature=30.0)])
+    [harsh] = reliability(
+        [chip], MODEL, SPEC, ADC, [Conditions(temperature=60.0, noise_sigma=0.01, noise_seed=3)]
     )
     assert harsh < mild <= 1.0
     assert harsh > 0.5
@@ -210,8 +210,10 @@ def test_reliability_degrades_with_stress():
 
 def test_reliability_needs_conditions():
     chip = synth_chip(VariationConfig(seed=50))
-    with pytest.raises(ValueError):
-        reliability(chip, MODEL, SPEC, ADC, [])
+    with pytest.raises(ValueError, match="test condition"):
+        reliability([chip], MODEL, SPEC, ADC, [])
+    with pytest.raises(ValueError, match="at least one chip"):
+        reliability([], MODEL, SPEC, ADC, [Conditions()])
 
 
 def test_metrics_report_validation():

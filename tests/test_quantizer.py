@@ -126,7 +126,7 @@ def test_converged_boundaries_are_centroid_midpoints():
     b, c = np.array(spec.boundaries), np.array(spec.centroids)
     np.testing.assert_allclose(b[1:-1], 0.5 * (c[:-1] + c[1:]), atol=1e-6)
     # and centroids are the region means of the final partition
-    idx = region_index_array(spec, samples)
+    idx = region_index_array(spec.boundaries, samples)
     means = np.array([samples[idx == i].mean() for i in range(spec.k)])
     np.testing.assert_allclose(c, means, atol=1e-5)
 
@@ -240,4 +240,4 @@ def test_region_of_total_and_consistent(v):
     region, bits = region_of(spec, v)
     assert 1 <= region <= spec.k
     assert bits == spec.bits_per_region[region - 1]
-    assert region_index_array(spec, np.array([v]))[0] == region - 1
+    assert region_index_array(spec.boundaries, np.array([v]))[0] == region - 1

@@ -1,9 +1,9 @@
 """The batched read kernel against the scalar route it replaces.
 
 ``generate`` is the one batched read, returning the dataset's columns,
-and ``reliability`` re-reads through it; every record must equal what
-``record_seed`` -> ``evaluate`` -> ``convert`` -> ``encode_word`` gives
-for the same read, errors included.
+and ``reliability`` re-reads a population through it; every record must
+equal what ``record_seed`` -> ``evaluate`` -> ``convert`` ->
+``encode_word`` gives for the same read, errors included.
 """
 
 import re
@@ -112,25 +112,27 @@ def test_generate_equals_the_scalar_route(
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     corner=st.sampled_from(list(ProcessCorner)),
-    chip_seed=st.integers(0, 10_000),
+    chip_seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=3, unique=True),
     spec=specs(),
     offset=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
     tests=st.lists(conditions, min_size=1, max_size=2),
     reference=st.one_of(st.none(), conditions),
 )
-def test_reliability_equals_the_scalar_route(corner, chip_seed, spec, offset, tests, reference):
-    chip = synth_chip(VariationConfig(corner=corner, seed=chip_seed))
+def test_reliability_equals_the_scalar_route(corner, chip_seeds, spec, offset, tests, reference):
+    chips = [synth_chip(VariationConfig(corner=corner, seed=s)) for s in chip_seeds]
     model = TransferModel(mirror=default_model().mirror, switching=naive_switching())
     adc_config = AdcConfig(comparator_residual_offset=offset)
     words = range(256)
     ref = reference or Conditions(temperature=25.0, noise_sigma=0.0)
-    ref_bits = oracle_bits(chip, model, spec, adc_config, words, ref)
-    total = 0.0
-    for cond in tests:
-        got = oracle_bits(chip, model, spec, adc_config, words, cond)
-        total += float((got != ref_bits).mean())
-    expected = 1.0 - total / len(tests)
-    assert reliability(chip, model, spec, adc_config, tests, reference) == expected
+    expected = []
+    for chip in chips:
+        ref_bits = oracle_bits(chip, model, spec, adc_config, words, ref)
+        total = 0.0
+        for cond in tests:
+            got = oracle_bits(chip, model, spec, adc_config, words, cond)
+            total += float((got != ref_bits).mean())
+        expected.append(1.0 - total / len(tests))
+    assert reliability(chips, model, spec, adc_config, tests, reference) == expected
 
 
 @pytest.mark.parametrize(
@@ -197,7 +199,7 @@ def test_generate_raises_what_the_scalar_route_raises():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         generate([chip], model, spec, cfg, [0], Conditions(noise_seed=-1))
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        reliability(chip, model, spec, cfg, [Conditions(noise_seed=-1)])
+        reliability([chip], model, spec, cfg, [Conditions(noise_seed=-1)])
     # a model whose rail sits above the quantizer's range: the first
     # record past 1.8 V is the one reported
     high = TransferModel(mirror=model.mirror, switching=model.switching, vdd=2.0)
