@@ -41,7 +41,6 @@ from .crp import (
 from .quantizer import EmpiricalDistribution, QuantizerSpec, default_regions, lloyd_max, region_of
 from .variation import (
     ChipInstance,
-    MismatchVector,
     ProcessCorner,
     VariationConfig,
     synth_chip,
@@ -64,7 +63,6 @@ __all__ = [
     "LrHyper",
     "MetricsReport",
     "MirrorConfig",
-    "MismatchVector",
     "ProcessCorner",
     "QuantizerSpec",
     "ResponseWord",

@@ -6,9 +6,12 @@ near one rail or the other; only nearly balanced cells land mid-range.
 The model collapses all of that into two steps:
 
 1. an effective input-referred imbalance (volts) that is linear in the
-   four threshold deviations plus corner, temperature and topology terms,
+   four threshold deviations plus corner, temperature and topology terms
+   (``effective_mismatch``),
 2. a saturating tanh stage that maps the imbalance to an output voltage
-   in [0, vdd].
+   in [0, vdd] (``transfer_array``).
+
+Every read, batched or not, runs these two array stages.
 
 The tanh stage is what produces the bimodal, rail-heavy output histogram
 that the multi-bit quantizer downstream is shaped around.
@@ -22,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .variation import ChipInstance, MismatchVector, ProcessCorner
+from .variation import ProcessCorner
 
 VDD_DEFAULT = 1.8
 
@@ -262,28 +265,33 @@ def default_model() -> TransferModel:
 
 def effective_mismatch(
     model: TransferModel,
-    mv: MismatchVector,
-    corner: ProcessCorner,
-    conditions: Conditions,
-    noise: float = 0.0,
-) -> float:
-    """Collapse a cell's state into a single input-referred imbalance.
+    dvth: np.ndarray,
+    offset: np.ndarray | float,
+    temperature: float,
+    noise: np.ndarray | float | None = None,
+) -> np.ndarray:
+    """The one imbalance stage: (..., 4) deviations to (...) imbalances in volts.
 
-    delta = sum_i w_i * dvth_i
-          + corner offset from the switching network
-          + temp_coeff * (T - temp_ref)
+    delta = (w_pm1 * pm1 + w_nm1 * nm1) + (w_pm2 * pm2 + w_nm2 * nm2)
+          + offset, the switching network's corner offset
+          + temp_coeff * (temperature - temp_ref)
           + mirror asymmetry offset
           + noise
 
-    ``noise`` is a pre-drawn sample; drawing is the caller's job so that
-    batched reads can share one generator.
+    ``dvth`` is ordered as ``TRANSISTORS``.  The deviations sum pairwise in
+    the order above, elementwise, so every caller's imbalance is the same
+    float whatever the batch shape.  ``noise`` is pre-drawn: drawing is the
+    caller's job so that batched reads can share one generator.
     """
-    w = model.weights
-    delta = w[0] * mv.pm1 + w[1] * mv.pm2 + w[2] * mv.nm1 + w[3] * mv.nm2
-    delta += model.switching.offset(corner)
-    delta += model.temp_coeff * (conditions.temperature - model.temp_ref)
+    w_pm1, w_pm2, w_nm1, w_nm2 = model.weights
+    delta = (w_pm1 * dvth[..., 0] + w_nm1 * dvth[..., 2]) + (
+        w_pm2 * dvth[..., 1] + w_nm2 * dvth[..., 3]
+    )
+    delta += offset
+    delta += model.temp_coeff * (temperature - model.temp_ref)
     delta += model.mirror.asymmetry_offset
-    delta += noise
+    if noise is not None:
+        delta += noise
     return delta
 
 
@@ -303,31 +311,6 @@ def transfer(model: TransferModel, delta: float) -> float:
 def transfer_array(model: TransferModel, delta: np.ndarray | float) -> np.ndarray:
     """``transfer`` elementwise: the one tanh stage (``np.tanh``) every read uses."""
     return 0.5 * model.vdd * (1.0 + np.tanh(model.mirror.gain * np.asarray(delta) / model.vdd))
-
-
-def cell_output(
-    model: TransferModel,
-    chip: ChipInstance,
-    row: int,
-    col: int,
-    conditions: Conditions,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Output voltage of one addressed cell under the given conditions.
-
-    When noise_sigma > 0 a generator must be supplied (or one is built
-    from conditions.noise_seed, which makes every call identical; batch
-    callers should pass their own).
-    """
-    noise = 0.0
-    if conditions.noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(conditions.noise_seed)
-        noise = float(rng.normal(0.0, conditions.noise_sigma))
-    delta = effective_mismatch(
-        model, chip.cell(row, col), chip.config.corner, conditions, noise=noise
-    )
-    return transfer(model, delta)
 
 
 def transfer_curve(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import Conditions, TransferModel, cell_output, transfer_array
+from .analog import Conditions, TransferModel, effective_mismatch, transfer, transfer_array
 from .variation import N_COLS, N_ROWS, ChipInstance
 
 CHALLENGE_BITS = 8
@@ -60,9 +60,23 @@ def evaluate(
     conditions: Conditions,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Analog output voltage of the cell the challenge selects."""
+    """Analog output voltage of the cell the challenge selects.
+
+    When noise_sigma > 0 a generator must be supplied (or one is built
+    from conditions.noise_seed, which makes every call identical; batch
+    callers should pass their own).
+    """
     addr = decode(challenge)
-    return cell_output(model, chip, addr.row, addr.col, conditions, rng=rng)
+    noise = None
+    if conditions.noise_sigma > 0.0:
+        if rng is None:
+            rng = np.random.default_rng(conditions.noise_seed)
+        noise = float(rng.normal(0.0, conditions.noise_sigma))
+    offset = model.switching.offset(chip.config.corner)
+    delta = effective_mismatch(
+        model, chip.mismatch[addr.row, addr.col], offset, conditions.temperature, noise
+    )
+    return transfer(model, delta)
 
 
 def evaluate_array(
@@ -75,17 +89,11 @@ def evaluate_array(
     """Output voltages (chips, words) of the cells the challenge words select.
 
     Equal value for value to ``evaluate`` given the same noise samples:
-    the imbalance sums the same terms in the same order, and
-    ``transfer_array`` is the stage ``transfer`` takes one element of.
-    Words are not range checked here.
+    both run the one imbalance stage, ``effective_mismatch``, and the one
+    tanh stage, ``transfer_array``.  Words are not range checked here.
     """
     words = np.asarray(words, dtype=np.int64)
     dvth = np.stack([chip.mismatch for chip in chips])[:, words >> 4, words & 0x0F]
-    w = model.weights
-    delta = w[0] * dvth[..., 0] + w[1] * dvth[..., 1] + w[2] * dvth[..., 2] + w[3] * dvth[..., 3]
-    delta += np.array([model.switching.offset(chip.config.corner) for chip in chips])[:, None]
-    delta += model.temp_coeff * (conditions.temperature - model.temp_ref)
-    delta += model.mirror.asymmetry_offset
-    if noise is not None:
-        delta += noise
+    offsets = np.array([model.switching.offset(chip.config.corner) for chip in chips])
+    delta = effective_mismatch(model, dvth, offsets[:, None], conditions.temperature, noise)
     return transfer_array(model, delta)

@@ -45,8 +45,11 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mirror", choices=sorted(MIRRORS), default="wide")
     p.add_argument("--switching", choices=["gated", "naive"], default="gated")
     p.add_argument("--gain", type=float, default=None, help="override the mirror preset gain")
-    p.add_argument("--temp", type=float, default=25.0, help="read temperature in degC")
     p.add_argument("--temp-coeff", type=float, default=analog.DEFAULT_TEMP_COEFF)
+
+
+def _add_read_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--temp", type=float, default=25.0, help="read temperature in degC")
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--noise-seed", type=int, default=0)
 
@@ -138,12 +141,11 @@ def cmd_mc(args: argparse.Namespace) -> int:
     corner = variation.ProcessCorner(args.corner.upper())
     rng = np.random.default_rng(args.seed)
     dvth = rng.normal(0.0, args.sigma_vth, size=(args.samples, 4))
-    delta = dvth @ np.asarray(model.weights)
-    delta += model.switching.offset(corner)
-    delta += model.temp_coeff * (cond.temperature - model.temp_ref)
-    delta += model.mirror.asymmetry_offset
+    noise = None
     if cond.noise_sigma > 0.0:
-        delta += rng.normal(0.0, cond.noise_sigma, size=args.samples)
+        noise = rng.normal(0.0, cond.noise_sigma, size=args.samples)
+    offset = model.switching.offset(corner)
+    delta = analog.effective_mismatch(model, dvth, offset, cond.temperature, noise)
     volts = analog.transfer_array(model, delta)
 
     counts, edges = np.histogram(volts, bins=args.bins, range=(0.0, model.vdd))
@@ -427,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo histogram of cell output voltages")
     _add_variation_args(p)
     _add_model_args(p)
+    _add_read_args(p)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--bins", type=int, default=64)
     p.add_argument("--out", required=True, help="histogram CSV")
@@ -451,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crps", help="generate a challenge-response dataset")
     _add_variation_args(p)
     _add_model_args(p)
+    _add_read_args(p)
     _add_adc_args(p)
     p.add_argument("--chips", type=int, default=1)
     p.add_argument("--challenges", type=int, default=256, help="use challenge words [0, N)")
@@ -495,6 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="curve CSV")
     p.set_defaults(func=cmd_curve)
 
+    # no prefix matching: `attack --temp 80` must not pass for --temp-coeff
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 

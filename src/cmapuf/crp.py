@@ -11,7 +11,8 @@ the whole dataset.
 to columns; ``reliability`` re-reads a population through it, once per
 condition.  The scalar chain ``evaluate`` -> ``convert`` -> ``encode_word``
 and ``record_seed`` stay the definition every batched value must equal;
-both share the one tanh stage, ``analog.transfer_array``.
+both share the one imbalance stage, ``analog.effective_mismatch``, and
+the one tanh stage, ``analog.transfer_array``.
 
 Metrics follow the usual fractional-Hamming-distance conventions, and
 refuse a dataset with more than one read of a (chip, challenge):
@@ -440,16 +441,17 @@ def _rows(dataset: CrpDataset):
 def _from_rows(rows: list[dict], metadata: dict) -> CrpDataset:
     """A dataset from CSV or JSONL rows; ``CrpDataset`` checks every column.
 
-    A row without a field raises a ``ValueError`` naming it, rows counted from 1.
+    A row without a field, or with a null one, raises a ``ValueError``
+    naming it, rows counted from 1.
     """
 
     def column(name: str, parse=int) -> list:
+        values = [row.get(name) for row in rows]
+        if None in values:
+            raise ValueError(f"row {values.index(None) + 1} has no {name!r} field")
         try:
-            return [parse(row[name]) for row in rows]
-        except (KeyError, TypeError) as exc:
-            for i, row in enumerate(rows, 1):
-                if row.get(name) is None:
-                    raise ValueError(f"row {i} has no {name!r} field") from None
+            return [parse(value) for value in values]
+        except TypeError as exc:
             raise ValueError(f"{name}: {exc}") from None
 
     return CrpDataset(

@@ -46,8 +46,12 @@ class EmpiricalDistribution:
             raise ValueError("samples must be a non-empty 1-D array")
         if self.vdd <= 0.0:
             raise ValueError(f"vdd must be > 0, got {self.vdd}")
-        if samples.min() < 0.0 or samples.max() > self.vdd:
-            raise ValueError("samples must lie within [0, vdd]")
+        outside = ~((samples >= 0.0) & (samples <= self.vdd))  # NaN is outside too
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"samples must lie within [0, {self.vdd}], got {float(samples[i])} at index {i}"
+            )
 
 
 @dataclass(frozen=True)

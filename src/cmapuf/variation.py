@@ -68,19 +68,6 @@ class VariationConfig:
         )
 
 
-@dataclass(frozen=True)
-class MismatchVector:
-    """Threshold deviations of one cell's four transistors, in volts."""
-
-    pm1: float
-    pm2: float
-    nm1: float
-    nm2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.pm1, self.pm2, self.nm1, self.nm2])
-
-
 @dataclass(frozen=True, eq=False)
 class ChipInstance:
     """One synthesized die: a 16x16 grid of mismatch vectors.
@@ -101,12 +88,6 @@ class ChipInstance:
                 f"got {self.mismatch.shape}"
             )
         self.mismatch.setflags(write=False)
-
-    def cell(self, row: int, col: int) -> MismatchVector:
-        if not (0 <= row < N_ROWS and 0 <= col < N_COLS):
-            raise IndexError(f"cell ({row}, {col}) outside the {N_ROWS}x{N_COLS} array")
-        pm1, pm2, nm1, nm2 = self.mismatch[row, col]
-        return MismatchVector(float(pm1), float(pm2), float(nm1), float(nm2))
 
 
 def sample_mismatch(config: VariationConfig) -> np.ndarray:

@@ -48,7 +48,7 @@ from cmapuf.quantizer import (
     region_index_array,
     region_of,
 )
-from cmapuf.variation import MismatchVector, ProcessCorner, VariationConfig, synth_population
+from cmapuf.variation import ProcessCorner, VariationConfig, synth_population
 
 MODEL = default_model()
 SPEC = default_regions()
@@ -198,7 +198,7 @@ def test_criterion_4_analog_core():
     monotone &= bool(np.all(np.diff(transfer_array(MODEL, deltas)) >= 0.0))
     zero_mismatch = transfer(
         MODEL,
-        effective_mismatch(MODEL, MismatchVector(0, 0, 0, 0), ProcessCorner.TT, Conditions()),
+        effective_mismatch(MODEL, np.zeros(4), MODEL.switching.offset(ProcessCorner.TT), 25.0),
     )
     gated, naive = power_gated_switching(), naive_switching()
 

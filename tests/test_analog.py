@@ -12,7 +12,6 @@ from cmapuf.analog import (
     SwitchingConfig,
     SwitchingKind,
     TransferModel,
-    cell_output,
     default_model,
     effective_mismatch,
     naive_switching,
@@ -24,16 +23,22 @@ from cmapuf.analog import (
     transfer_curve,
     wide_swing_mirror,
 )
-from cmapuf.variation import MismatchVector, ProcessCorner, VariationConfig, synth_chip
+from cmapuf.cellarray import Challenge, evaluate
+from cmapuf.variation import ProcessCorner, VariationConfig, synth_chip
+
+# three cells without mismatch
+ZERO = np.zeros((3, 4))
 
 
 def test_effective_mismatch_hand_computed():
     # weights (1.0, 0.3, -0.3, -1.0) on dvth (10, 5, -5, -10) mV:
     # 0.010 + 0.0015 + 0.0015 + 0.010 = 0.023 V at reference conditions
+    # and the mirror-image cell gives -0.023 V
     model = default_model()
-    mv = MismatchVector(pm1=0.010, pm2=0.005, nm1=-0.005, nm2=-0.010)
-    delta = effective_mismatch(model, mv, ProcessCorner.TT, Conditions())
-    assert delta == pytest.approx(0.023, abs=1e-15)
+    dvth = np.array([[0.010, 0.005, -0.005, -0.010], [-0.010, -0.005, 0.005, 0.010]])
+    delta = effective_mismatch(model, dvth, 0.0, 25.0)
+    assert delta.shape == (2,)
+    assert delta.tolist() == pytest.approx([0.023, -0.023], abs=1e-15)
 
 
 def test_temperature_drift_term():
@@ -41,24 +46,55 @@ def test_temperature_drift_term():
     model = TransferModel(
         mirror=wide_swing_mirror(), switching=power_gated_switching(), temp_coeff=5.0e-4
     )
-    mv = MismatchVector(0.0, 0.0, 0.0, 0.0)
-    delta = effective_mismatch(model, mv, ProcessCorner.TT, Conditions(temperature=35.0))
-    assert delta == pytest.approx(0.005, abs=1e-15)
+    delta = effective_mismatch(model, ZERO, model.switching.offset(ProcessCorner.TT), 35.0)
+    assert delta.tolist() == pytest.approx([0.005] * 3, abs=1e-15)
 
 
 def test_corner_and_asymmetry_terms_add():
     model = TransferModel(mirror=simple_cascode_mirror(), switching=naive_switching())
-    mv = MismatchVector(0.0, 0.0, 0.0, 0.0)
-    delta = effective_mismatch(model, mv, ProcessCorner.SF, Conditions())
-    assert delta == pytest.approx(0.04 - 0.08, abs=1e-15)
+    delta = effective_mismatch(model, ZERO, model.switching.offset(ProcessCorner.SF), 25.0)
+    assert delta.tolist() == pytest.approx([0.04 - 0.08] * 3, abs=1e-15)
+    # one offset per chip broadcasts over that chip's cells
+    offsets = np.array([[model.switching.offset(ProcessCorner.SF)], [0.0]])
+    delta = effective_mismatch(model, np.zeros((2, 3, 4)), offsets, 25.0)
+    assert delta.shape == (2, 3)
+    assert delta.ravel().tolist() == pytest.approx([0.04 - 0.08] * 3 + [-0.08] * 3, abs=1e-15)
 
 
 def test_noise_term_passes_through():
     model = default_model()
-    mv = MismatchVector(0.0, 0.0, 0.0, 0.0)
-    assert effective_mismatch(model, mv, ProcessCorner.TT, Conditions(), noise=0.003) == (
-        pytest.approx(0.003, abs=1e-15)
+    noise = np.array([0.003, -0.002, 0.0])
+    delta = effective_mismatch(model, ZERO, 0.0, 25.0, noise=noise)
+    assert delta.tolist() == pytest.approx(noise.tolist(), abs=1e-15)
+
+
+def test_effective_mismatch_sums_in_the_pinned_order():
+    # (w_pm1 pm1 + w_nm1 nm1) + (w_pm2 pm2 + w_nm2 nm2), then the offset,
+    # temperature, asymmetry and noise terms, each a float addition in turn
+    model = TransferModel(
+        mirror=simple_cascode_mirror(), switching=naive_switching(), temp_coeff=2.0e-4
     )
+    rng = np.random.default_rng(7)
+    dvth = rng.normal(0.0, 0.03, size=(1000, 4))
+    noise = rng.normal(0.0, 0.005, size=1000)
+    offset = model.switching.offset(ProcessCorner.SF)
+    got = effective_mismatch(model, dvth, offset, 60.0, noise)
+    w_pm1, w_pm2, w_nm1, w_nm2 = model.weights
+    left_to_right = 0
+    for (pm1, pm2, nm1, nm2), e, d in zip(dvth.tolist(), noise.tolist(), got.tolist()):
+        want = (w_pm1 * pm1 + w_nm1 * nm1) + (w_pm2 * pm2 + w_nm2 * nm2)
+        left_to_right += want != w_pm1 * pm1 + w_pm2 * pm2 + w_nm1 * nm1 + w_nm2 * nm2
+        want += offset
+        want += model.temp_coeff * (60.0 - model.temp_ref)
+        want += model.mirror.asymmetry_offset
+        want += e
+        assert d == want
+    # the order matters: summed left to right, some of these cells differ
+    assert left_to_right > 0
+    # one cell is one row of the batch
+    for i in range(0, 1000, 37):
+        assert effective_mismatch(model, dvth[i], offset, 60.0, noise[i]) == got[i]
+    assert effective_mismatch(model, dvth[3], offset, 60.0).shape == ()
 
 
 def test_transfer_midpoint_exact():
@@ -167,14 +203,13 @@ def test_cell_output_reproducible_with_noise():
     model = default_model()
     chip = synth_chip(VariationConfig(seed=5))
     cond = Conditions(noise_sigma=0.005, noise_seed=11)
-    a = cell_output(model, chip, 3, 9, cond)
-    b = cell_output(model, chip, 3, 9, cond)
+    word = Challenge(0x39)
+    a = evaluate(model, chip, word, cond)
+    b = evaluate(model, chip, word, cond)
     assert a == b
     rng1 = np.random.default_rng(1)
     rng2 = np.random.default_rng(2)
-    assert cell_output(model, chip, 3, 9, cond, rng=rng1) != (
-        cell_output(model, chip, 3, 9, cond, rng=rng2)
-    )
+    assert evaluate(model, chip, word, cond, rng=rng1) != evaluate(model, chip, word, cond, rng=rng2)
 
 
 def test_transfer_curve_endpoints_and_shape():

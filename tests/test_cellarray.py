@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmapuf.analog import Conditions, cell_output, default_model
+from cmapuf.analog import Conditions, default_model, effective_mismatch, transfer
 from cmapuf.cellarray import (
     CellAddress,
     Challenge,
@@ -58,8 +58,10 @@ def test_evaluate_matches_direct_cell_readout():
     model = default_model()
     chip = synth_chip(VariationConfig(seed=12))
     cond = Conditions()
+    offset = model.switching.offset(chip.config.corner)
     for word in (0x00, 0x5C, 0xFF):
-        direct = cell_output(model, chip, word >> 4, word & 0x0F, cond)
+        dvth = chip.mismatch[word >> 4, word & 0x0F]
+        direct = transfer(model, effective_mismatch(model, dvth, offset, cond.temperature))
         assert evaluate(model, chip, Challenge(word), cond) == direct
 
 

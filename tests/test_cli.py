@@ -5,7 +5,8 @@ import pytest
 
 from cmapuf.adc import AdcConfig
 from cmapuf.analog import Conditions, default_model
-from cmapuf.cli import main
+from cmapuf.cellarray import evaluate_array
+from cmapuf.cli import build_parser, main
 from cmapuf.crp import generate, load_csv, reliability, save_csv
 from cmapuf.quantizer import default_regions, load_spec
 from cmapuf.variation import VariationConfig, load_chip, synth_chip, synth_population
@@ -13,6 +14,11 @@ from cmapuf.variation import VariationConfig, load_chip, synth_chip, synth_popul
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_rows(path):
+    with path.open() as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_synth_writes_chips_and_manifest(tmp_path):
@@ -32,7 +38,7 @@ def test_mc_histogram_counts_and_rails(tmp_path):
     out = tmp_path / "hist.csv"
     raw = tmp_path / "samples.txt"
     assert run("mc", "--samples", 5000, "--bins", 20, "--seed", 2, "--out", out, "--samples-out", raw) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     assert len(rows) == 20
     total = sum(int(r["count"]) for r in rows)
     assert total == 5000
@@ -49,7 +55,7 @@ def test_mc_bin_edge_cases(tmp_path, capsys):
     assert "bins" in capsys.readouterr().err
     out = tmp_path / "h2.csv"
     assert run("mc", "--samples", 1000, "--bins", 2, "--seed", 0, "--out", out) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     assert len(rows) == 2
     assert set(rows[0]) == {"bin_center", "count"}
     assert float(rows[0]["bin_center"]) == pytest.approx(0.45)
@@ -209,6 +215,9 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
         (broken("array.jsonl", lambda line: "[1, 2]"), "row 2 is not a JSON object: '[1, 2]'"),
         (broken("listed.jsonl", lambda line: json.dumps(json.loads(line) | {"code": [1]})),
          "code: int() argument must be"),
+        # a null field is a missing one, not the chip 'None'
+        (broken("null.jsonl", lambda line: json.dumps(json.loads(line) | {"chip_id": None})),
+         "row 2 has no 'chip_id' field"),
     ]
     for path, message in cases:
         assert run(command, "--in", path, "--out", tmp_path / "out") == 1
@@ -225,7 +234,7 @@ def test_attack_lr_report(tmp_path, capsys):
         "--train-frac", 0.75, "--out", report_path,
     ) == 0
     assert "192 train / 64 test" in capsys.readouterr().out
-    rows = list(csv.DictReader(report_path.open()))
+    rows = read_rows(report_path)
     assert [int(r["bit_index"]) for r in rows] == list(range(11))
     for r in rows:
         for col in ("train_acc", "test_acc", "chance"):
@@ -246,7 +255,7 @@ def test_attack_es_report(tmp_path):
     assert run(
         "attack", "--in", ds, "--model", "es", "--generations", 300, "--out", report_path,
     ) == 0
-    rows = list(csv.DictReader(report_path.open()))
+    rows = read_rows(report_path)
     mean_train = sum(float(r["train_acc"]) for r in rows) / len(rows)
     assert mean_train > 0.7
 
@@ -266,7 +275,7 @@ def test_energy_table(tmp_path, capsys):
     assert run("energy", "--out", out) == 0
     printed = capsys.readouterr().out
     assert "TV-PUF" in printed
-    rows = {r["name"]: r for r in csv.DictReader(out.open())}
+    rows = {r["name"]: r for r in read_rows(out)}
     assert set(rows) == {"Super-threshold", "Sub-threshold", "ICID", "TV-PUF", "This design"}
     assert rows["TV-PUF"]["consistent"] == "false"
     assert rows["This design"]["consistent"] == "true"
@@ -276,7 +285,7 @@ def test_energy_table(tmp_path, capsys):
 def test_curve_output(tmp_path):
     out = tmp_path / "curve.csv"
     assert run("curve", "--range=-0.05,0.05", "--points", 21, "--out", out) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     assert len(rows) == 21
     volts = [float(r["v_out"]) for r in rows]
     assert volts == sorted(volts)
@@ -312,6 +321,44 @@ def test_fit_quantizer_names_too_few_distinct_values(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "1 distinct value(s), too few for k=5" in err
     assert not (tmp_path / "q.json").exists()
+
+
+def test_fit_quantizer_names_a_nan_sample(tmp_path, capsys):
+    raw = tmp_path / "samples.txt"
+    raw.write_text("0.1\n0.5\nnan\n1.7\n")
+    assert run("fit-quantizer", "--samples", raw, "--k", 2, "--out", tmp_path / "q.json") == 1
+    assert "error: samples must lie within [0, 1.8], got nan at index 2" in capsys.readouterr().err
+    assert not (tmp_path / "q.json").exists()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mc_samples_are_chip_cell_voltages(tmp_path, seed):
+    # mc's 256 draws are one chip's 1,024 deviations, cell by cell, so its
+    # samples are that chip's voltages in challenge order
+    raw = tmp_path / "samples.txt"
+    out = tmp_path / "h.csv"
+    assert run("mc", "--seed", seed, "--samples", 256, "--out", out, "--samples-out", raw) == 0
+    samples = [float(line) for line in raw.read_text().splitlines()]
+    chip = synth_chip(VariationConfig(seed=seed))
+    volts = evaluate_array(default_model(), [chip], range(256), Conditions())[0]
+    assert samples == volts.tolist()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("attack", "--in", "ds.csv", "--out", "a.csv"), ("--temp", "80")),
+        (("curve", "--out", "c.csv"), ("--noise-sigma", "0.1")),
+        (("curve", "--out", "c.csv"), ("--noise-seed", "3")),
+    ],
+)
+def test_read_conditions_belong_to_the_commands_that_read(capsys, argv, flag):
+    # attack and curve read no cell, so they take no temperature or noise
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_crps_rejects_a_challenge_past_the_array(tmp_path, capsys):

@@ -8,7 +8,6 @@ from cmapuf.variation import (
     N_ROWS,
     TRANSISTORS,
     ChipInstance,
-    MismatchVector,
     ProcessCorner,
     VariationConfig,
     load_chip,
@@ -56,7 +55,6 @@ def test_population_statistics():
 def test_vector_sampling_statistics():
     # 400 chips of 256 cells: about 100k per-cell mismatch vectors
     chips = synth_population(VariationConfig(sigma_vth=0.030, seed=5), 400)
-    assert isinstance(chips[0].cell(3, 4), MismatchVector)
     mat = np.concatenate([c.mismatch.reshape(-1, len(TRANSISTORS)) for c in chips])
     # each component is N(0, sigma^2): stddev tight at this n, mean within
     # three standard errors of zero
@@ -73,10 +71,9 @@ def test_vector_sampling_edge_cases():
         synth_population(VariationConfig(), 0)
     zeros = synth_population(VariationConfig(sigma_vth=0.0, seed=3), 10)
     assert len(zeros) == 10
-    assert all(c.cell(5, 5).as_array().tolist() == [0.0] * 4 for c in zeros)
+    assert all(np.all(c.mismatch == 0.0) for c in zeros)
     again = synth_population(VariationConfig(sigma_vth=0.030, seed=5), 5)
     for a, b in zip(again, synth_population(VariationConfig(sigma_vth=0.030, seed=5), 5)):
-        assert a.cell(7, 9) == b.cell(7, 9)
         assert np.array_equal(a.mismatch, b.mismatch)
 
 
@@ -98,17 +95,6 @@ def test_population_chips_are_pairwise_distinct():
         for j in range(i + 1, 5):
             assert not np.array_equal(chips[i].mismatch, chips[j].mismatch)
     assert [c.chip_id for c in chips] == [f"chip{i:03d}" for i in range(5)]
-
-
-def test_cell_accessor_matches_array():
-    chip = synth_chip(VariationConfig(seed=3))
-    mv = chip.cell(4, 11)
-    assert isinstance(mv, MismatchVector)
-    assert mv.as_array().tolist() == chip.mismatch[4, 11].tolist()
-    with pytest.raises(IndexError):
-        chip.cell(16, 0)
-    with pytest.raises(IndexError):
-        chip.cell(0, -1)
 
 
 def test_mismatch_array_is_read_only():
