@@ -5,7 +5,8 @@ transistor mismatch, ``analog`` turns a cell's mismatch into an output
 voltage, ``cellarray`` routes an 8-bit challenge to one of 256 cells,
 ``quantizer`` + ``adc`` turn the voltage into an 11-bit response word,
 ``crp`` collects datasets and quality metrics, and ``attack`` tries to
-model a chip from its responses.
+model a chip from its responses.  ``codec`` is the one JSON form of every
+config, report and manifest.
 """
 
 from .adc import (

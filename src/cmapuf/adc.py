@@ -49,23 +49,6 @@ class AdcConfig:
         if self.power < 0.0:
             raise ValueError(f"power must be >= 0, got {self.power}")
 
-    def to_dict(self) -> dict:
-        return {
-            "vdd": self.vdd,
-            "clock_freq": self.clock_freq,
-            "power": self.power,
-            "comparator_residual_offset": self.comparator_residual_offset,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdcConfig":
-        return cls(
-            vdd=float(d["vdd"]),
-            clock_freq=float(d["clock_freq"]),
-            power=float(d["power"]),
-            comparator_residual_offset=float(d["comparator_residual_offset"]),
-        )
-
 
 @dataclass(frozen=True)
 class ResponseWord:

@@ -71,23 +71,6 @@ class MirrorConfig:
         if self.bias_current <= 0.0:
             raise ValueError(f"bias_current must be > 0, got {self.bias_current}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "gain": self.gain,
-            "asymmetry_offset": self.asymmetry_offset,
-            "bias_current": self.bias_current,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MirrorConfig":
-        return cls(
-            kind=MirrorKind(d["kind"]),
-            gain=float(d["gain"]),
-            asymmetry_offset=float(d["asymmetry_offset"]),
-            bias_current=float(d["bias_current"]),
-        )
-
 
 def wide_swing_mirror() -> MirrorConfig:
     """Reference topology: highest gain, no systematic asymmetry."""
@@ -128,21 +111,6 @@ class SwitchingConfig:
 
     def offset(self, corner: ProcessCorner) -> float:
         return self.corner_offsets[corner]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "corner_offsets": {c.value: v for c, v in self.corner_offsets.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SwitchingConfig":
-        return cls(
-            kind=SwitchingKind(d["kind"]),
-            corner_offsets={
-                ProcessCorner(k): float(v) for k, v in d["corner_offsets"].items()
-            },
-        )
 
 
 def power_gated_switching() -> SwitchingConfig:
@@ -198,13 +166,6 @@ class Conditions:
         if self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
-    def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "noise_sigma": self.noise_sigma,
-            "noise_seed": self.noise_seed,
-        }
-
 
 @dataclass(frozen=True)
 class TransferModel:
@@ -235,27 +196,6 @@ class TransferModel:
                 "branch symmetry requires w_pm1 == -w_nm2 and w_pm2 == -w_nm1, "
                 f"got {self.weights}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "mirror": self.mirror.to_dict(),
-            "switching": self.switching.to_dict(),
-            "vdd": self.vdd,
-            "weights": list(self.weights),
-            "temp_coeff": self.temp_coeff,
-            "temp_ref": self.temp_ref,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransferModel":
-        return cls(
-            mirror=MirrorConfig.from_dict(d["mirror"]),
-            switching=SwitchingConfig.from_dict(d["switching"]),
-            vdd=float(d["vdd"]),
-            weights=tuple(float(w) for w in d["weights"]),
-            temp_coeff=float(d["temp_coeff"]),
-            temp_ref=float(d["temp_ref"]),
-        )
 
 
 def default_model() -> TransferModel:

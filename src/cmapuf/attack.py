@@ -19,12 +19,13 @@ lambda) elitist loop mutates a handful of coordinates per offspring;
 most mutations use an annealed step size (halved after stagnation), while
 a fixed fraction keep the original coarse step so late-stage search can
 still fix a badly wrong cell.  Fitness is the mean encoded Hamming
-distance to the training responses.
+distance to the training responses.  The step schedules are module
+constants; ``EsHyper`` and ``LrHyper`` hold only what a caller sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,6 +37,12 @@ from .crp import CrpDataset, bits_matrix
 from .quantizer import QuantizerSpec
 
 N_CELLS = 1 << CHALLENGE_BITS
+MAX_BACKTRACKS = 40  # LR step halvings tried per bit and epoch
+SIGMA0 = 0.03  # ES initial and coarse mutation step, volts
+SIGMA_FLOOR = 1.0e-5  # ES annealed step never falls below this
+MUTATION_RATE = 2.0  # expected mutated coordinates per offspring
+COARSE_FRACTION = 0.1  # offspring that mutate at SIGMA0 regardless of annealing
+STAGNATION_LIMIT = 15  # generations without a better fitness before the step halves
 
 
 class FeatureEncoding(Enum):
@@ -100,7 +107,6 @@ class LrHyper:
     learning_rate: float = 50.0
     l2: float = 1.0e-6
     epochs: int = 400
-    max_backtracks: int = 40
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0.0:
@@ -115,7 +121,6 @@ class LrHyper:
 class LrModel:
     encoding: FeatureEncoding
     weights: np.ndarray  # (width + 1, 11), bias row last
-    hyper: LrHyper
     loss_history: np.ndarray  # (epochs + 1, 11)
 
 
@@ -140,7 +145,7 @@ def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper | No
         grad = bce_gradient(weights, x, y, hyper.l2)
         trial = weights - lr * grad
         trial_loss = bce_loss(trial, x, y, hyper.l2)
-        for _ in range(hyper.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             worse = trial_loss > loss + 1.0e-12
             if not worse.any():
                 break
@@ -152,9 +157,7 @@ def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper | No
         loss = np.where(accepted, trial_loss, loss)
         lr = np.where(accepted, np.minimum(lr * 1.2, 1.0e6), lr)
         history.append(loss)
-    return LrModel(
-        encoding=encoding, weights=weights, hyper=hyper, loss_history=np.array(history)
-    )
+    return LrModel(encoding=encoding, weights=weights, loss_history=np.array(history))
 
 
 def lr_predict(model: LrModel, words: np.ndarray | int) -> np.ndarray:
@@ -170,11 +173,6 @@ class EsHyper:
     parents: int = 8
     population: int = 40
     generations: int = 4000
-    sigma0: float = 0.03
-    sigma_floor: float = 1.0e-5
-    mutation_rate: float = 2.0  # expected mutated coordinates per offspring
-    coarse_fraction: float = 0.1  # offspring that mutate at sigma0 regardless of annealing
-    stagnation_limit: int = 15
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -183,17 +181,12 @@ class EsHyper:
         if self.generations < 0:
             # zero is allowed: the clone is then the best of the initial population
             raise ValueError(f"generations must be >= 0, got {self.generations}")
-        if not (0.0 < self.sigma0):
-            raise ValueError(f"sigma0 must be > 0, got {self.sigma0}")
-        if not (0.0 <= self.coarse_fraction <= 1.0):
-            raise ValueError("coarse_fraction must be within [0, 1]")
 
 
 @dataclass
 class EsClone:
     params: np.ndarray  # (256,) effective imbalance per cell, volts
     fitness: float  # mean encoded HD on the training set
-    hyper: EsHyper
     history: np.ndarray  # best fitness per generation, (generations + 1,)
 
 
@@ -222,8 +215,8 @@ def es_fit(
     offspring beats them, so the best fitness can only fall.  Offspring
     mutate a Poisson-thin set of coordinates (at least one); the step
     size anneals by halving whenever the best fitness stalls for
-    stagnation_limit generations, except a coarse_fraction of offspring
-    always mutate at sigma0.
+    STAGNATION_LIMIT generations, except a COARSE_FRACTION of offspring
+    always mutate at SIGMA0.
     """
     if hyper is None:
         hyper = EsHyper()
@@ -235,8 +228,8 @@ def es_fit(
 
     rng = np.random.default_rng(hyper.seed)
     mu, lam = hyper.parents, hyper.population
-    sigma = hyper.sigma0
-    pop = rng.normal(0.0, hyper.sigma0, size=(mu, N_CELLS))
+    sigma = SIGMA0
+    pop = rng.normal(0.0, SIGMA0, size=(mu, N_CELLS))
     fit = fitness(pop)
     order = np.argsort(fit, kind="stable")
     pop, fit = pop[order], fit[order]
@@ -244,13 +237,11 @@ def es_fit(
     stagnant = 0
     for _ in range(hyper.generations):
         parents = pop[rng.integers(0, mu, size=lam)]
-        mask = rng.random((lam, N_CELLS)) < hyper.mutation_rate / N_CELLS
+        mask = rng.random((lam, N_CELLS)) < MUTATION_RATE / N_CELLS
         silent = ~mask.any(axis=1)
         if silent.any():
             mask[np.flatnonzero(silent), rng.integers(0, N_CELLS, size=int(silent.sum()))] = True
-        scale = np.where(
-            rng.random((lam, 1)) < hyper.coarse_fraction, hyper.sigma0, sigma
-        )
+        scale = np.where(rng.random((lam, 1)) < COARSE_FRACTION, SIGMA0, sigma)
         offspring = parents + mask * rng.normal(0.0, 1.0, size=(lam, N_CELLS)) * scale
         all_pop = np.vstack([pop, offspring])
         all_fit = np.concatenate([fit, fitness(offspring)])
@@ -260,11 +251,11 @@ def es_fit(
             stagnant = 0
         else:
             stagnant += 1
-        if stagnant >= hyper.stagnation_limit:
-            sigma = max(sigma * 0.5, hyper.sigma_floor)
+        if stagnant >= STAGNATION_LIMIT:
+            sigma = max(sigma * 0.5, SIGMA_FLOOR)
             stagnant = 0
         history.append(float(fit[0]))
-    return EsClone(params=pop[0], fitness=float(fit[0]), hyper=hyper, history=np.array(history))
+    return EsClone(params=pop[0], fitness=float(fit[0]), history=np.array(history))
 
 
 def split(dataset: CrpDataset, train_fraction: float, seed: int = 0) -> tuple[CrpDataset, CrpDataset]:
@@ -301,25 +292,12 @@ class AttackReport:
     chance_bit_accuracy: tuple[float, ...]
 
     @property
-    def mean_train_bit_accuracy(self) -> float:
-        return float(np.mean(self.train_bit_accuracy))
-
-    @property
     def mean_test_bit_accuracy(self) -> float:
         return float(np.mean(self.test_bit_accuracy))
 
     @property
     def mean_chance_bit_accuracy(self) -> float:
         return float(np.mean(self.chance_bit_accuracy))
-
-    def to_dict(self) -> dict:
-        return {
-            "train_bit_accuracy": list(self.train_bit_accuracy),
-            "test_bit_accuracy": list(self.test_bit_accuracy),
-            "train_word_accuracy": self.train_word_accuracy,
-            "test_word_accuracy": self.test_word_accuracy,
-            "chance_bit_accuracy": list(self.chance_bit_accuracy),
-        }
 
 
 def attack_report(train: CrpDataset, test: CrpDataset, predict) -> AttackReport:

@@ -3,20 +3,20 @@
 Every writing command drops a manifest next to its output (``<out>.manifest.json``,
 or ``manifest.json`` inside a directory) holding the fully resolved
 parameters, so any output file can be regenerated from its manifest alone.
-Manifests and outputs contain no timestamps; the same invocation produces
-byte-identical files.
+``codec`` writes and reads them field by field.  Manifests and outputs
+contain no timestamps; the same invocation produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import adc, analog, attack, cellarray, crp, quantizer, variation
+from . import adc, analog, attack, codec, crp, quantizer, variation
 
 MIRRORS = {
     "wide": analog.wide_swing_mirror,
@@ -71,12 +71,7 @@ def _variation_config(args: argparse.Namespace) -> variation.VariationConfig:
 def _model(args: argparse.Namespace) -> analog.TransferModel:
     mirror = MIRRORS[args.mirror]()
     if args.gain is not None:
-        mirror = analog.MirrorConfig(
-            kind=mirror.kind,
-            gain=args.gain,
-            asymmetry_offset=mirror.asymmetry_offset,
-            bias_current=mirror.bias_current,
-        )
+        mirror = replace(mirror, gain=args.gain)
     switching = (
         analog.naive_switching() if args.switching == "naive" else analog.power_gated_switching()
     )
@@ -108,10 +103,28 @@ def _adc_config(args: argparse.Namespace) -> adc.AdcConfig:
     return adc.AdcConfig(clock_freq=args.clock, power=args.power)
 
 
-def _write_manifest(out: Path, command: str, parameters: dict) -> None:
+@dataclass(frozen=True)
+class CrpsParameters:
+    """What a ``crps`` manifest records; ``metrics --temps`` re-reads the chips from it."""
+
+    variation: variation.VariationConfig
+    chips: int
+    challenges: int
+    model: analog.TransferModel
+    quantizer: quantizer.QuantizerSpec
+    adc: adc.AdcConfig
+    conditions: analog.Conditions
+
+
+@dataclass(frozen=True)
+class CrpsManifest:
+    command: str
+    parameters: CrpsParameters
+
+
+def _write_manifest(out: Path, command: str, parameters: dict | CrpsParameters) -> None:
     target = out / "manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
-    doc = {"command": command, "parameters": parameters}
-    target.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    codec.write_json(target, {"command": command, "parameters": parameters})
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -125,7 +138,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         variation.save_chip(chip, out / name)
         names.append(name)
     _write_manifest(
-        out, "synth", {"variation": config.to_dict(), "chips": args.chips, "files": names}
+        out, "synth", {"variation": config, "chips": args.chips, "files": names}
     )
     print(f"synthesized {len(chips)} chips at corner {config.corner.value} into {out}")
     return 0
@@ -163,9 +176,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
         out,
         "mc",
         {
-            "model": model.to_dict(),
-            "conditions": cond.to_dict(),
-            "corner": corner.value,
+            "model": model,
+            "conditions": cond,
+            "corner": corner,
             "sigma_vth": args.sigma_vth,
             "seed": args.seed,
             "samples": args.samples,
@@ -184,12 +197,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     samples = np.loadtxt(args.samples, ndmin=1)
     dist = quantizer.EmpiricalDistribution(samples=samples, vdd=args.vdd)
-    distinct = int(np.unique(samples).size)
-    if distinct < args.k:
-        raise ValueError(
-            f"{args.samples} holds {distinct} distinct value(s), too few for k={args.k} "
-            f"regions: a fit needs at least k distinct values"
-        )
     if args.bits:
         bits = tuple(int(b) for b in args.bits.split(","))
         if len(bits) != args.k:
@@ -211,7 +218,7 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
             "tol": args.tol,
             "max_iter": args.max_iter,
             "vdd": args.vdd,
-            "spec": spec.to_dict(),
+            "spec": spec,
         },
     )
     pretty = ", ".join(f"{b:.4f}" for b in spec.boundaries)
@@ -233,19 +240,16 @@ def cmd_crps(args: argparse.Namespace) -> int:
         crp.save_jsonl(dataset, out)
     else:
         crp.save_csv(dataset, out)
-    _write_manifest(
-        out,
-        "crps",
-        {
-            "variation": config.to_dict(),
-            "chips": args.chips,
-            "challenges": args.challenges,
-            "model": model.to_dict(),
-            "quantizer": spec.to_dict(),
-            "adc": adc_config.to_dict(),
-            "conditions": cond.to_dict(),
-        },
+    parameters = CrpsParameters(
+        variation=config,
+        chips=args.chips,
+        challenges=args.challenges,
+        model=model,
+        quantizer=spec,
+        adc=adc_config,
+        conditions=cond,
     )
+    _write_manifest(out, "crps", parameters)
     print(f"wrote {len(dataset)} records ({args.chips} chips x {args.challenges} challenges)")
     return 0
 
@@ -275,21 +279,15 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"reliability needs the generation manifest {manifest_path}, which is missing"
             )
-        params = json.loads(manifest_path.read_text())["parameters"]
-        config = variation.VariationConfig.from_dict(params["variation"])
-        chips = variation.synth_population(config, params["chips"])
-        model = analog.TransferModel.from_dict(params["model"])
-        spec = quantizer.QuantizerSpec.from_dict(params["quantizer"])
-        adc_config = adc.AdcConfig.from_dict(params["adc"])
-        noise_sigma = params["conditions"]["noise_sigma"]
-        temps = [float(t) for t in args.temps.split(",")]
+        params = codec.read_json(manifest_path, CrpsManifest).parameters
+        chips = variation.synth_population(params.variation, params.chips)
         conds = [
-            analog.Conditions(temperature=t, noise_sigma=noise_sigma, noise_seed=args.seed)
-            for t in temps
+            replace(params.conditions, temperature=float(t), noise_seed=args.seed)
+            for t in args.temps.split(",")
         ]
         chips = [chip for chip in chips if chip.chip_id in uniformities]
         if chips:
-            values = crp.reliability(chips, model, spec, adc_config, conds)
+            values = crp.reliability(chips, params.model, params.quantizer, params.adc, conds)
             reliabilities = {chip.chip_id: v for chip, v in zip(chips, values)}
     report = crp.MetricsReport(
         uniqueness=uniq,
@@ -297,9 +295,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         bit_aliasing=aliasing,
         reliability=reliabilities,
     )
-    doc = report.to_dict() | extra
     out = Path(args.out)
-    out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    codec.write_json(out, codec.to_json(report) | extra)
     _write_manifest(out, "metrics", {"infile": str(args.infile), "temps": args.temps})
     if uniq is not None:
         print(f"uniqueness {uniq:.4f} over {len(ids)} chips")
@@ -362,7 +359,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             "train_frac": args.train_frac,
             "seed": args.seed,
             "detail": detail,
-            "report": report.to_dict(),
+            "report": report,
         },
     )
     print(
@@ -407,7 +404,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     _write_manifest(
         out,
         "curve",
-        {"model": model.to_dict(), "range": [lo, hi], "points": args.points},
+        {"model": model, "range": [lo, hi], "points": args.points},
     )
     print(f"wrote {args.points} curve points for gain {model.mirror.gain:g}")
     return 0

@@ -1,0 +1,84 @@
+"""The one JSON form of every config, spec, chip, report and manifest.
+
+A dataclass's fields are its schema.  ``to_json`` writes them by name,
+enums by value, tuples and arrays as lists; ``from_json`` reads them back,
+converting each value by its field's annotated type, and then the type's
+own checks run.  A missing or null field, or a value of the wrong JSON
+kind, raises a ``ValueError`` naming the type and the field; extra keys
+are ignored.  ``write_json`` is the one file format.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import typing
+from enum import Enum
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+
+_JSON_NAMES = {float: "number", int: "integer", str: "string", list: "list", dict: "object"}
+
+
+def to_json(obj: Any) -> Any:
+    """The JSON-ready form of ``obj``, recursing into fields and containers."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {to_json(k): to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(x) for x in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def from_json(tp: Any, doc: Any, where: str = "") -> Any:
+    """Rebuild a ``tp`` from its ``to_json`` form; ``where`` names the value in errors."""
+    where = where or tp.__name__
+    if dataclasses.is_dataclass(tp):
+        hints, doc = typing.get_type_hints(tp), _kind(dict, doc, where)
+        values = {}
+        for f in dataclasses.fields(tp):
+            if doc.get(f.name) is None:
+                raise ValueError(f"{tp.__name__} has no {f.name!r} field")
+            values[f.name] = from_json(hints[f.name], doc[f.name], f"{tp.__name__}.{f.name}")
+        return tp(**values)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        if doc not in [m.value for m in tp]:
+            raise ValueError(f"{where} must be one of {[m.value for m in tp]}, got {doc!r}")
+        return tp(doc)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:  # tuple[X, ...] or tuple[X, X, ...]; the type checks the length
+        items = _kind(list, doc, where)
+        return tuple(from_json(args[0], x, f"{where}[{i}]") for i, x in enumerate(items))
+    if origin is dict:
+        return {
+            from_json(args[0], k, where): from_json(args[1], v, f"{where}[{k!r}]")
+            for k, v in _kind(dict, doc, where).items()
+        }
+    if tp is np.ndarray:
+        return np.asarray(_kind(list, doc, where), dtype=float)
+    return tp(_kind(tp, doc, where))
+
+
+def _kind(tp: type, doc: Any, where: str) -> Any:
+    """``doc`` if it is a JSON value of type ``tp``; a number is a float, a bool is neither."""
+    if isinstance(doc, bool) or not isinstance(doc, (int, float) if tp is float else tp):
+        raise ValueError(f"{where} must be a JSON {_JSON_NAMES[tp]}, got {doc!r}")
+    return doc
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write ``to_json(obj)`` with sorted keys and a two-space indent."""
+    Path(path).write_text(json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n")
+
+
+def read_json(path: str | Path, tp: Any) -> Any:
+    """Read a ``tp`` written by ``write_json``; an error names the file."""
+    try:
+        return from_json(tp, json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -398,14 +398,6 @@ class MetricsReport:
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"metric value {v} outside [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "uniqueness": self.uniqueness,
-            "uniformity": dict(self.uniformity),
-            "bit_aliasing": list(self.bit_aliasing) if self.bit_aliasing is not None else None,
-            "reliability": dict(self.reliability),
-        }
-
 
 # challenge is serialized as 2-digit hex; noise_sigma rides along so a
 # loaded record reconstructs its conditions value-exactly.

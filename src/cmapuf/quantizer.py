@@ -11,16 +11,18 @@ representative moves to the mean of the samples inside it (the point that
 minimises that region's squared error); given representatives, each
 boundary moves to the midpoint between neighbours (the nearest-neighbour
 rule for a scalar).  Each half-step can only lower the mean squared
-error, so the iteration converges to a local optimum.
+error, so the iteration converges to a local optimum.  A fit refuses
+samples with fewer distinct values than regions.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .codec import read_json, write_json
 
 DEFAULT_TOL = 1.0e-6
 DEFAULT_MAX_ITER = 1000
@@ -101,21 +103,6 @@ class QuantizerSpec:
     def vdd(self) -> float:
         return self.boundaries[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "boundaries": list(self.boundaries),
-            "bits_per_region": list(self.bits_per_region),
-            "centroids": list(self.centroids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantizerSpec":
-        return cls(
-            boundaries=tuple(float(x) for x in d["boundaries"]),
-            bits_per_region=tuple(int(x) for x in d["bits_per_region"]),
-            centroids=tuple(float(x) for x in d["centroids"]),
-        )
-
 
 def default_regions() -> QuantizerSpec:
     """The shipped five-region partition for the reference design."""
@@ -163,9 +150,15 @@ def quantization_mse(
 
 
 def _lloyd_max_steps(
-    dist: EmpiricalDistribution, k: int, tol: float, max_iter: int
+    dist: EmpiricalDistribution, k: int, tol: float, max_iter: int, trace: bool
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """The fit: final boundaries and centroids, and the MSE of each iteration if ``trace``."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     samples = np.sort(dist.samples)
+    distinct = 1 + int(np.count_nonzero(np.diff(samples)))
+    if distinct < k:  # some region would hold no sample
+        raise ValueError(f"samples hold {distinct} distinct value(s), too few for k={k} regions")
     boundaries = np.linspace(0.0, dist.vdd, k + 1)
     centroids = 0.5 * (boundaries[:-1] + boundaries[1:])
     mse_trace: list[float] = []
@@ -185,7 +178,8 @@ def _lloyd_max_steps(
         new_boundaries[1:-1] = 0.5 * (centroids[:-1] + centroids[1:])
         moved = float(np.max(np.abs(new_boundaries - boundaries)))
         boundaries = new_boundaries
-        mse_trace.append(quantization_mse(boundaries, centroids, samples))
+        if trace:
+            mse_trace.append(quantization_mse(boundaries, centroids, samples))
         if moved < tol:
             break
     return boundaries, centroids, mse_trace
@@ -205,15 +199,11 @@ def lloyd_max(
     below tol (or max_iter is hit).  bits_per_region defaults to 8 bits
     everywhere; pass an explicit tuple to assign mixed precision.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if dist.samples.size < k:
-        raise ValueError(f"need at least k={k} samples, got {dist.samples.size}")
     if bits_per_region is None:
         bits_per_region = (8,) * k
     if len(bits_per_region) != k:
         raise ValueError(f"bits_per_region must have {k} entries")
-    boundaries, centroids, _ = _lloyd_max_steps(dist, k, tol, max_iter)
+    boundaries, centroids, _ = _lloyd_max_steps(dist, k, tol, max_iter, trace=False)
     # fitted interior boundaries can coincide only if two centroids collide,
     # which the empty-region rule prevents for sample sets with >= k distinct
     # values; the spec constructor still checks monotonicity
@@ -231,13 +221,13 @@ def lloyd_max_mse_trace(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[float]:
     """Per-iteration quantization MSE of the fit, for convergence checks."""
-    _, _, trace = _lloyd_max_steps(dist, k, tol, max_iter)
+    _, _, trace = _lloyd_max_steps(dist, k, tol, max_iter, trace=True)
     return trace
 
 
 def save_spec(spec: QuantizerSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_json(path, spec)
 
 
 def load_spec(path: str | Path) -> QuantizerSpec:
-    return QuantizerSpec.from_dict(json.loads(Path(path).read_text()))
+    return read_json(path, QuantizerSpec)

@@ -8,12 +8,13 @@ down a chip exactly and two chips with different seeds are independent.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .codec import read_json, write_json
 
 N_ROWS = 16
 N_COLS = 16
@@ -51,21 +52,6 @@ class VariationConfig:
             raise ValueError(f"sigma_vth must be >= 0, got {self.sigma_vth}")
         if not isinstance(self.corner, ProcessCorner):
             raise TypeError("corner must be a ProcessCorner")
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma_vth": self.sigma_vth,
-            "corner": self.corner.value,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VariationConfig":
-        return cls(
-            sigma_vth=float(d["sigma_vth"]),
-            corner=ProcessCorner(d["corner"]),
-            seed=int(d["seed"]),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,28 +105,15 @@ def synth_population(config: VariationConfig, n_chips: int) -> list[ChipInstance
     """
     if n_chips < 1:
         raise ValueError(f"n_chips must be >= 1, got {n_chips}")
-    chips = []
-    for i in range(n_chips):
-        cfg_i = VariationConfig(
-            sigma_vth=config.sigma_vth, corner=config.corner, seed=config.seed + i
-        )
-        chips.append(synth_chip(cfg_i, chip_id=f"chip{i:03d}"))
-    return chips
+    return [
+        synth_chip(replace(config, seed=config.seed + i), chip_id=f"chip{i:03d}")
+        for i in range(n_chips)
+    ]
 
 
 def save_chip(chip: ChipInstance, path: str | Path) -> None:
-    doc = {
-        "chip_id": chip.chip_id,
-        "config": chip.config.to_dict(),
-        "mismatch": chip.mismatch.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, chip)
 
 
 def load_chip(path: str | Path) -> ChipInstance:
-    doc = json.loads(Path(path).read_text())
-    return ChipInstance(
-        chip_id=doc["chip_id"],
-        config=VariationConfig.from_dict(doc["config"]),
-        mismatch=np.asarray(doc["mismatch"], dtype=float),
-    )
+    return read_json(path, ChipInstance)

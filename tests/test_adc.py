@@ -20,6 +20,7 @@ from cmapuf.adc import (
     response_bits,
     select_comparator,
 )
+from cmapuf.codec import from_json, to_json
 from cmapuf.quantizer import default_regions
 
 CFG = AdcConfig()
@@ -169,7 +170,7 @@ def test_adc_config_validation():
         AdcConfig(vdd=0.0)
     with pytest.raises(ValueError):
         AdcConfig(clock_freq=-1.0)
-    assert AdcConfig.from_dict(CFG.to_dict()) == CFG
+    assert from_json(AdcConfig, to_json(CFG)) == CFG
 
 
 @settings(max_examples=200, deadline=None)

@@ -24,6 +24,7 @@ from cmapuf.analog import (
     wide_swing_mirror,
 )
 from cmapuf.cellarray import Challenge, evaluate
+from cmapuf.codec import from_json, to_json
 from cmapuf.variation import ProcessCorner, VariationConfig, synth_chip
 
 # three cells without mismatch
@@ -230,7 +231,7 @@ def test_model_dict_round_trip():
         switching=naive_switching(),
         temp_coeff=2.0e-4,
     )
-    assert TransferModel.from_dict(model.to_dict()) == model
+    assert from_json(TransferModel, to_json(model)) == model
 
 
 @settings(max_examples=100, deadline=None)

@@ -204,8 +204,6 @@ def test_es_hyper_validation():
     with pytest.raises(ValueError):
         EsHyper(parents=10, population=5)
     with pytest.raises(ValueError):
-        EsHyper(coarse_fraction=1.5)
-    with pytest.raises(ValueError):
         LrHyper(learning_rate=0.0)
     with pytest.raises(ValueError):
         LrHyper(epochs=0)

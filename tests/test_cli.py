@@ -407,3 +407,32 @@ def test_quantizer_for_another_vdd_is_refused(tmp_path, capsys, vdd):
     assert run(*es, "--quantizer", spec) == 1
     assert f"spans [0, {vdd}] V" in capsys.readouterr().err
     assert run(*es) == 0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["model"]["mirror"].pop("gain"), "MirrorConfig has no 'gain' field"),
+        # a null field is a missing one
+        (lambda p: p["conditions"].update(noise_sigma=None), "Conditions has no 'noise_sigma' field"),
+    ],
+)
+def test_a_malformed_manifest_is_reported(tmp_path, capsys, edit, message):
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--chips", 2, "--challenges", 8, "--out", ds) == 0
+    manifest = tmp_path / "ds.csv.manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc["parameters"])
+    manifest.write_text(json.dumps(doc))
+    assert run("metrics", "--in", ds, "--temps", "0,60", "--out", tmp_path / "m.json") == 1
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_a_quantizer_spec_without_centroids_is_reported(tmp_path, capsys):
+    spec = tmp_path / "q.json"
+    spec.write_text(json.dumps({"boundaries": [0.0, 0.9, 1.8], "bits_per_region": [8, 8]}))
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--quantizer", spec, "--out", ds) == 1
+    assert capsys.readouterr().err == f"error: {spec}: QuantizerSpec has no 'centroids' field\n"
+    assert not ds.exists()

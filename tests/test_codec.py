@@ -1,0 +1,136 @@
+"""The JSON codec: a config type's fields are its JSON schema."""
+
+import json
+import re
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from cmapuf.adc import AdcConfig
+from cmapuf.analog import (
+    Conditions,
+    MirrorConfig,
+    MirrorKind,
+    TransferModel,
+    default_model,
+    naive_switching,
+    power_gated_switching,
+    reduced_headroom_mirror,
+)
+from cmapuf.cli import CrpsParameters
+from cmapuf.codec import from_json, read_json, to_json, write_json
+from cmapuf.quantizer import QuantizerSpec
+from cmapuf.variation import ProcessCorner, VariationConfig
+
+MODEL = TransferModel(
+    mirror=reduced_headroom_mirror(),
+    switching=naive_switching(),
+    vdd=1.2,
+    weights=(0.9, 0.2, -0.2, -0.9),
+    temp_coeff=2.0e-4,
+    temp_ref=27.0,
+)
+SPEC = QuantizerSpec(boundaries=(0.0, 0.4, 1.2), bits_per_region=(8, 6), centroids=(0.1, 0.9))
+ADC = AdcConfig(vdd=1.2, clock_freq=3.2e9, power=1.0e-4, comparator_residual_offset=0.004)
+COND = Conditions(temperature=-10.5, noise_sigma=0.003, noise_seed=2**64 - 1)
+
+# every readable type away from its defaults, with every enum value and the
+# residual offsets set
+CONFIGS = [
+    ADC,
+    *(
+        MirrorConfig(kind=kind, gain=150.0, asymmetry_offset=-0.02, bias_current=5.0e-6)
+        for kind in MirrorKind
+    ),
+    power_gated_switching(),
+    naive_switching(),
+    COND,
+    MODEL,
+    SPEC,
+    *(VariationConfig(sigma_vth=0.02, corner=corner, seed=7) for corner in ProcessCorner),
+    CrpsParameters(
+        variation=VariationConfig(sigma_vth=0.02, corner=ProcessCorner.SF, seed=3),
+        chips=4,
+        challenges=16,
+        model=MODEL,
+        quantizer=SPEC,
+        adc=ADC,
+        conditions=COND,
+    ),
+]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+def test_json_form_is_the_fields(config):
+    tp = type(config)
+    doc = to_json(config)
+    assert set(doc) == {f.name for f in fields(tp)}
+    assert from_json(tp, doc) == config
+    assert from_json(tp, json.loads(json.dumps(doc))) == config
+
+
+def test_enums_tuples_and_dict_keys_take_their_json_form():
+    doc = to_json(MODEL)
+    assert doc["mirror"]["kind"] == "reduced_headroom"
+    assert doc["switching"]["corner_offsets"] == {"TT": 0.0, "SS": 0.0, "FF": 0.0, "SF": 0.04, "FS": -0.04}
+    assert doc["weights"] == [0.9, 0.2, -0.2, -0.9]
+    assert to_json({ProcessCorner.SF: (1, np.arange(2))}) == {"SF": [1, [0, 1]]}
+
+
+def test_write_json_is_the_one_file_format(tmp_path):
+    path = tmp_path / "spec.json"
+    write_json(path, SPEC)
+    assert path.read_text() == json.dumps(to_json(SPEC), sort_keys=True, indent=2) + "\n"
+    assert read_json(path, QuantizerSpec) == SPEC
+
+
+def _model_doc(edit):
+    doc = to_json(default_model())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_model_doc(lambda d: d["mirror"].pop("gain")), "MirrorConfig has no 'gain' field"),
+        (_model_doc(lambda d: d["mirror"].update(gain=None)), "MirrorConfig has no 'gain' field"),
+        (_model_doc(lambda d: d.pop("switching")), "TransferModel has no 'switching' field"),
+        ([1.8], "TransferModel must be a JSON object, got [1.8]"),
+        (_model_doc(lambda d: d.update(mirror="wide")),
+         "TransferModel.mirror must be a JSON object, got 'wide'"),
+        (_model_doc(lambda d: d["mirror"].update(kind="bent")),
+         "MirrorConfig.kind must be one of ['wide_swing_cascode', 'reduced_headroom', "
+         "'simple_cascode'], got 'bent'"),
+        (_model_doc(lambda d: d["switching"]["corner_offsets"].update(XX=0.0)),
+         "SwitchingConfig.corner_offsets must be one of ['TT', 'SS', 'FF', 'SF', 'FS'], got 'XX'"),
+        (_model_doc(lambda d: d["switching"]["corner_offsets"].update(SF=None)),
+         "SwitchingConfig.corner_offsets['SF'] must be a JSON number, got None"),
+        (_model_doc(lambda d: d.update(weights=[1.0, "0.3", -0.3, -1.0])),
+         "TransferModel.weights[1] must be a JSON number, got '0.3'"),
+        (_model_doc(lambda d: d.update(weights=1.0)),
+         "TransferModel.weights must be a JSON list, got 1.0"),
+        (_model_doc(lambda d: d.update(vdd=True)), "TransferModel.vdd must be a JSON number, got True"),
+        # the type's own checks still run
+        (_model_doc(lambda d: d["mirror"].update(gain=-1.0)), "gain must be > 0, got -1.0"),
+        (_model_doc(lambda d: d.update(weights=[1.0, 0.3])),
+         "weights must have four entries (pm1, pm2, nm1, nm2)"),
+    ],
+)
+def test_a_malformed_document_is_refused_by_name(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(TransferModel, doc)
+
+
+def test_scalars_keep_their_json_kind():
+    assert from_json(VariationConfig, {"sigma_vth": 0, "corner": "TT", "seed": 3}).sigma_vth == 0.0
+    with pytest.raises(ValueError, match=re.escape("VariationConfig.seed must be a JSON integer, got 1.5")):
+        from_json(VariationConfig, {"sigma_vth": 0.03, "corner": "TT", "seed": 1.5})
+
+
+def test_read_json_names_the_file(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"boundaries": [0.0, 1.8], "bits_per_region": [8]}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: QuantizerSpec has no 'centroids' field")):
+        read_json(path, QuantizerSpec)

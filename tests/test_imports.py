@@ -1,0 +1,36 @@
+"""Every module-level import in the package is used; no linter is installed to say so."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cmapuf
+
+# __init__.py is exempt: its imports are the package's re-exports
+MODULES = sorted(p for p in Path(cmapuf.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports at top level but never mentions again."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_scan_names_an_unused_import():
+    source = "from __future__ import annotations\nimport json\nimport os.path\nfrom . import a, b as c\n"
+    assert unused_imports(source + "os.path.join(a)\n") == ["json (line 2)", "c (line 4)"]

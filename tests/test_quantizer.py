@@ -218,8 +218,13 @@ def test_lloyd_max_argument_validation():
     dist = EmpiricalDistribution(np.linspace(0.1, 1.7, 50), VDD)
     with pytest.raises(ValueError):
         lloyd_max(dist, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 distinct value"):
         lloyd_max(EmpiricalDistribution(np.array([0.9]), VDD), 2)
+    # five samples but two values: the first of three regions would hold none
+    few = EmpiricalDistribution(np.array([0.2] * 3 + [1.5] * 2), VDD)
+    for fit in (lloyd_max, lloyd_max_mse_trace):
+        with pytest.raises(ValueError, match=r"2 distinct value\(s\), too few for k=3"):
+            fit(few, 3)
     with pytest.raises(ValueError):
         lloyd_max(dist, 3, bits_per_region=(8, 8))
     with pytest.raises(ValueError):
