@@ -42,11 +42,11 @@ class AdcConfig:
     comparator_residual_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.vdd <= 0.0:
+        if not self.vdd > 0.0:  # NaN fails too
             raise ValueError(f"vdd must be > 0, got {self.vdd}")
-        if self.clock_freq <= 0.0:
+        if not self.clock_freq > 0.0:
             raise ValueError(f"clock_freq must be > 0, got {self.clock_freq}")
-        if self.power < 0.0:
+        if not self.power >= 0.0:
             raise ValueError(f"power must be >= 0, got {self.power}")
 
 

@@ -66,9 +66,9 @@ class MirrorConfig:
     bias_current: float = 4.3e-6
 
     def __post_init__(self) -> None:
-        if self.gain <= 0.0:
+        if not self.gain > 0.0:  # NaN fails too
             raise ValueError(f"gain must be > 0, got {self.gain}")
-        if self.bias_current <= 0.0:
+        if not self.bias_current > 0.0:
             raise ValueError(f"bias_current must be > 0, got {self.bias_current}")
 
 
@@ -163,7 +163,7 @@ class Conditions:
             raise ValueError(
                 f"temperature must be within [-20, 100] degC, got {self.temperature}"
             )
-        if self.noise_sigma < 0.0:
+        if not self.noise_sigma >= 0.0:  # NaN fails too
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
@@ -186,8 +186,10 @@ class TransferModel:
     temp_ref: float = TEMP_REF
 
     def __post_init__(self) -> None:
-        if self.vdd <= 0.0:
+        if not self.vdd > 0.0:  # NaN fails too
             raise ValueError(f"vdd must be > 0, got {self.vdd}")
+        if not math.isfinite(self.temp_coeff):
+            raise ValueError(f"temp_coeff must be finite, got {self.temp_coeff}")
         if len(self.weights) != 4:
             raise ValueError("weights must have four entries (pm1, pm2, nm1, nm2)")
         w_pm1, w_pm2, w_nm1, w_nm2 = self.weights

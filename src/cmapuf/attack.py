@@ -21,6 +21,8 @@ a fixed fraction keep the original coarse step so late-stage search can
 still fix a badly wrong cell.  Fitness is the mean encoded Hamming
 distance to the training responses.  The step schedules are module
 constants; ``EsHyper`` and ``LrHyper`` hold only what a caller sets.
+ES uses the model, quantizer and converter the data was read with.  Both
+attackers refuse more than one read of a (chip, challenge), as the metrics do.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .adc import WORD_BITS, AdcConfig, response_bits
 from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS
-from .crp import CrpDataset, bits_matrix
+from .crp import CrpDataset, _refuse_repeated_reads, bits_matrix
 from .quantizer import QuantizerSpec
 
 N_CELLS = 1 << CHALLENGE_BITS
@@ -52,13 +54,9 @@ class FeatureEncoding(Enum):
     ONE_HOT_ROWCOL = "rowcol"
     ONE_HOT_CELL = "cell"
 
-    @property
-    def width(self) -> int:
-        return {"raw": CHALLENGE_BITS, "rowcol": 32, "cell": N_CELLS}[self.value]
-
 
 def features(encoding: FeatureEncoding, words: np.ndarray) -> np.ndarray:
-    """Feature matrix (n, width) for an array of challenge words."""
+    """The (n, 8 | 32 | 256) feature matrix of an array of challenge words, by encoding."""
     words = np.asarray(words, dtype=np.int64)
     n = words.shape[0]
     if encoding is FeatureEncoding.RAW_BITS:
@@ -109,9 +107,9 @@ class LrHyper:
     epochs: int = 400
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:  # NaN fails too
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l2 < 0.0:
+        if not self.l2 >= 0.0:
             raise ValueError(f"l2 must be >= 0, got {self.l2}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -120,7 +118,7 @@ class LrHyper:
 @dataclass
 class LrModel:
     encoding: FeatureEncoding
-    weights: np.ndarray  # (width + 1, 11), bias row last
+    weights: np.ndarray  # (feature columns + 1, 11), bias row last
     loss_history: np.ndarray  # (epochs + 1, 11)
 
 
@@ -128,6 +126,7 @@ def _targets(dataset: CrpDataset) -> tuple[np.ndarray, np.ndarray]:
     ids = dataset.chip_ids
     if len(ids) != 1:
         raise ValueError(f"attack expects a single-chip dataset, got chips {ids}")
+    _refuse_repeated_reads(dataset, "attack")
     return dataset.challenge, bits_matrix(dataset).astype(float)
 
 
@@ -160,12 +159,10 @@ def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper | No
     return LrModel(encoding=encoding, weights=weights, loss_history=np.array(history))
 
 
-def lr_predict(model: LrModel, words: np.ndarray | int) -> np.ndarray:
-    """Predicted 11-bit rows for one word or an array of words."""
-    arr = np.atleast_1d(np.asarray(words, dtype=np.int64))
-    x = np.hstack([features(model.encoding, arr), np.ones((len(arr), 1))])
-    bits = (x @ model.weights > 0.0).astype(np.int8)
-    return bits[0] if np.isscalar(words) or np.ndim(words) == 0 else bits
+def lr_predict(model: LrModel, words: np.ndarray) -> np.ndarray:
+    """Predicted (n, 11) bit rows for an (n,) array of challenge words."""
+    x = np.hstack([features(model.encoding, words), np.ones((len(words), 1))])
+    return (x @ model.weights > 0.0).astype(np.int8)
 
 
 @dataclass(frozen=True)

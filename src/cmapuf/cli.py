@@ -5,6 +5,8 @@ or ``manifest.json`` inside a directory) holding the fully resolved
 parameters, so any output file can be regenerated from its manifest alone.
 ``codec`` writes and reads them field by field.  Manifests and outputs
 contain no timestamps; the same invocation produces byte-identical files.
+``metrics --temps`` and ``attack --model es`` take how a dataset was read
+from its ``crps`` manifest, not from options of their own.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ MIRRORS = {
     "reduced": analog.reduced_headroom_mirror,
     "simple": analog.simple_cascode_mirror,
 }
-ENCODINGS = {
-    "raw": attack.FeatureEncoding.RAW_BITS,
-    "rowcol": attack.FeatureEncoding.ONE_HOT_ROWCOL,
-    "cell": attack.FeatureEncoding.ONE_HOT_CELL,
-}
 
 
 def _add_variation_args(p: argparse.ArgumentParser) -> None:
@@ -41,14 +38,17 @@ def _add_variation_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
+def _add_mirror_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mirror", choices=sorted(MIRRORS), default="wide")
-    p.add_argument("--switching", choices=["gated", "naive"], default="gated")
     p.add_argument("--gain", type=float, default=None, help="override the mirror preset gain")
-    p.add_argument("--temp-coeff", type=float, default=analog.DEFAULT_TEMP_COEFF)
 
 
 def _add_read_args(p: argparse.ArgumentParser) -> None:
+    """Chips, cell model and conditions: what ``mc`` and ``crps`` read cells with."""
+    _add_variation_args(p)
+    _add_mirror_args(p)
+    p.add_argument("--switching", choices=["gated", "naive"], default="gated")
+    p.add_argument("--temp-coeff", type=float, default=analog.DEFAULT_TEMP_COEFF)
     p.add_argument("--temp", type=float, default=25.0, help="read temperature in degC")
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--noise-seed", type=int, default=0)
@@ -57,7 +57,6 @@ def _add_read_args(p: argparse.ArgumentParser) -> None:
 def _add_adc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clock", type=float, default=6.4e9, help="converter clock in Hz")
     p.add_argument("--power", type=float, default=306.54e-6, help="converter power in W")
-    p.add_argument("--quantizer", type=Path, default=None, help="quantizer spec JSON")
 
 
 def _variation_config(args: argparse.Namespace) -> variation.VariationConfig:
@@ -68,14 +67,16 @@ def _variation_config(args: argparse.Namespace) -> variation.VariationConfig:
     )
 
 
-def _model(args: argparse.Namespace) -> analog.TransferModel:
+def _mirror(args: argparse.Namespace) -> analog.MirrorConfig:
     mirror = MIRRORS[args.mirror]()
-    if args.gain is not None:
-        mirror = replace(mirror, gain=args.gain)
+    return mirror if args.gain is None else replace(mirror, gain=args.gain)
+
+
+def _model(args: argparse.Namespace) -> analog.TransferModel:
     switching = (
         analog.naive_switching() if args.switching == "naive" else analog.power_gated_switching()
     )
-    return analog.TransferModel(mirror=mirror, switching=switching, temp_coeff=args.temp_coeff)
+    return analog.TransferModel(_mirror(args), switching, temp_coeff=args.temp_coeff)
 
 
 def _conditions(args: argparse.Namespace) -> analog.Conditions:
@@ -84,28 +85,16 @@ def _conditions(args: argparse.Namespace) -> analog.Conditions:
     )
 
 
-def _spec(
-    args: argparse.Namespace, model: analog.TransferModel, adc_config: adc.AdcConfig
-) -> quantizer.QuantizerSpec:
-    """The quantizer, which must span the same [0, vdd] the cell and converter run at."""
-    if args.quantizer is None:
-        return quantizer.default_regions()
-    spec = quantizer.load_spec(args.quantizer)
-    if not spec.vdd == model.vdd == adc_config.vdd:
-        raise ValueError(
-            f"quantizer {args.quantizer} spans [0, {spec.vdd}] V, but the cell runs at "
-            f"vdd {model.vdd} V and the converter at {adc_config.vdd} V"
-        )
-    return spec
-
-
 def _adc_config(args: argparse.Namespace) -> adc.AdcConfig:
     return adc.AdcConfig(clock_freq=args.clock, power=args.power)
 
 
 @dataclass(frozen=True)
 class CrpsParameters:
-    """What a ``crps`` manifest records; ``metrics --temps`` re-reads the chips from it."""
+    """How every record of a ``crps`` dataset was read, as its manifest records it.
+
+    The quantizer must span the [0, vdd] the cell and converter run at.
+    """
 
     variation: variation.VariationConfig
     chips: int
@@ -114,6 +103,13 @@ class CrpsParameters:
     quantizer: quantizer.QuantizerSpec
     adc: adc.AdcConfig
     conditions: analog.Conditions
+
+    def __post_init__(self) -> None:
+        if not self.quantizer.vdd == self.model.vdd == self.adc.vdd:
+            raise ValueError(
+                f"the quantizer spans [0, {self.quantizer.vdd}] V, but the cell runs at "
+                f"vdd {self.model.vdd} V and the converter at {self.adc.vdd} V"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,6 +121,14 @@ class CrpsManifest:
 def _write_manifest(out: Path, command: str, parameters: dict | CrpsParameters) -> None:
     target = out / "manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
     codec.write_json(target, {"command": command, "parameters": parameters})
+
+
+def _crps_parameters(infile: str) -> CrpsParameters:
+    """How the dataset ``infile`` was read, from the manifest ``crps`` wrote next to it."""
+    path = Path(str(infile) + ".manifest.json")
+    if not path.exists():
+        raise ValueError(f"{infile} has no crps manifest: {path} is missing")
+    return codec.read_json(path, CrpsManifest).parameters
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -149,15 +153,15 @@ def cmd_mc(args: argparse.Namespace) -> int:
         raise ValueError(f"need at least 1 Monte Carlo sample, got {args.samples}")
     if args.bins < 2:
         raise ValueError(f"need at least 2 histogram bins, got {args.bins}")
+    config = _variation_config(args)
     model = _model(args)
     cond = _conditions(args)
-    corner = variation.ProcessCorner(args.corner.upper())
-    rng = np.random.default_rng(args.seed)
-    dvth = rng.normal(0.0, args.sigma_vth, size=(args.samples, 4))
+    rng = np.random.default_rng(config.seed)
+    dvth = rng.normal(0.0, config.sigma_vth, size=(args.samples, 4))
     noise = None
     if cond.noise_sigma > 0.0:
         noise = rng.normal(0.0, cond.noise_sigma, size=args.samples)
-    offset = model.switching.offset(corner)
+    offset = model.switching.offset(config.corner)
     delta = analog.effective_mismatch(model, dvth, offset, cond.temperature, noise)
     volts = analog.transfer_array(model, delta)
 
@@ -178,9 +182,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
         {
             "model": model,
             "conditions": cond,
-            "corner": corner,
-            "sigma_vth": args.sigma_vth,
-            "seed": args.seed,
+            "corner": config.corner,
+            "sigma_vth": config.sigma_vth,
+            "seed": config.seed,
             "samples": args.samples,
             "bins": args.bins,
         },
@@ -227,29 +231,28 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
 
 
 def cmd_crps(args: argparse.Namespace) -> int:
-    config = _variation_config(args)
-    chips = variation.synth_population(config, args.chips)
-    model = _model(args)
-    adc_config = _adc_config(args)
-    spec = _spec(args, model, adc_config)
-    cond = _conditions(args)
-    words = list(range(args.challenges))
-    dataset = crp.generate(chips, model, spec, adc_config, words, cond)
+    params = CrpsParameters(
+        variation=_variation_config(args),
+        chips=args.chips,
+        challenges=args.challenges,
+        model=_model(args),
+        quantizer=(
+            quantizer.load_spec(args.quantizer) if args.quantizer else quantizer.default_regions()
+        ),
+        adc=_adc_config(args),
+        conditions=_conditions(args),
+    )
+    chips = variation.synth_population(params.variation, params.chips)
+    words = list(range(params.challenges))
+    dataset = crp.generate(
+        chips, params.model, params.quantizer, params.adc, words, params.conditions
+    )
     out = Path(args.out)
     if out.suffix == ".jsonl":
         crp.save_jsonl(dataset, out)
     else:
         crp.save_csv(dataset, out)
-    parameters = CrpsParameters(
-        variation=config,
-        chips=args.chips,
-        challenges=args.challenges,
-        model=model,
-        quantizer=spec,
-        adc=adc_config,
-        conditions=cond,
-    )
-    _write_manifest(out, "crps", parameters)
+    _write_manifest(out, "crps", params)
     print(f"wrote {len(dataset)} records ({args.chips} chips x {args.challenges} challenges)")
     return 0
 
@@ -274,12 +277,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         code_positions = list(range(adc.REGION_FIELD_BITS, adc.WORD_BITS))
         extra["uniqueness_code_bits"] = crp.uniqueness(dataset, bit_positions=code_positions)
     if args.temps:
-        manifest_path = Path(str(args.infile) + ".manifest.json")
-        if not manifest_path.exists():
-            raise ValueError(
-                f"reliability needs the generation manifest {manifest_path}, which is missing"
-            )
-        params = codec.read_json(manifest_path, CrpsManifest).parameters
+        params = _crps_parameters(args.infile)
         chips = variation.synth_population(params.variation, params.chips)
         conds = [
             replace(params.conditions, temperature=float(t), noise_seed=args.seed)
@@ -319,7 +317,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     train, test = attack.split(single, args.train_frac, seed=args.seed)
 
     if args.model == "lr":
-        encoding = ENCODINGS[args.encoding]
+        encoding = attack.FeatureEncoding(args.encoding)
         hyper = attack.LrHyper(
             learning_rate=args.learning_rate, l2=args.l2, epochs=args.epochs
         )
@@ -327,9 +325,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         predict = lambda words: attack.lr_predict(fitted, words)
         detail = {"encoding": encoding.value, "final_loss": fitted.loss_history[-1].tolist()}
     else:
-        model = _model(args)
-        adc_config = _adc_config(args)
-        spec = _spec(args, model, adc_config)
+        params = _crps_parameters(args.infile)
+        model, spec, adc_config = params.model, params.quantizer, params.adc
         hyper = attack.EsHyper(
             parents=args.parents,
             population=args.population,
@@ -373,7 +370,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    adc_config = adc.AdcConfig(clock_freq=args.clock, power=args.power)
+    adc_config = _adc_config(args)
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("name,power_w,clock_hz,quoted_energy_j,computed_energy_j,consistent\n")
@@ -393,7 +390,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    model = _model(args)
+    model = replace(analog.default_model(), mirror=_mirror(args))
     lo, hi = (float(x) for x in args.range.split(","))
     deltas, volts = analog.transfer_curve(model, lo, hi, args.points)
     out = Path(args.out)
@@ -424,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mc", help="Monte Carlo histogram of cell output voltages")
-    _add_variation_args(p)
-    _add_model_args(p)
     _add_read_args(p)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--bins", type=int, default=64)
@@ -449,10 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_quantizer)
 
     p = sub.add_parser("crps", help="generate a challenge-response dataset")
-    _add_variation_args(p)
-    _add_model_args(p)
     _add_read_args(p)
     _add_adc_args(p)
+    p.add_argument("--quantizer", type=Path, default=None, help="quantizer spec JSON")
     p.add_argument("--chips", type=int, default=1)
     p.add_argument("--challenges", type=int, default=256, help="use challenge words [0, N)")
     p.add_argument("--out", required=True, help=".csv or .jsonl")
@@ -465,13 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("attack", help="model one chip from its dataset")
-    _add_model_args(p)
-    _add_adc_args(p)
+    p = sub.add_parser("attack", help="model one chip from its dataset (es reads its manifest)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--chip-id", default=None)
     p.add_argument("--model", choices=["lr", "es"], default="lr")
-    p.add_argument("--encoding", choices=sorted(ENCODINGS), default="cell")
+    p.add_argument("--encoding", choices=[e.value for e in attack.FeatureEncoding], default="cell")
     p.add_argument("--train-frac", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=400)
@@ -484,19 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("energy", help="per-cycle energy comparison table")
-    p.add_argument("--clock", type=float, default=6.4e9)
-    p.add_argument("--power", type=float, default=306.54e-6)
+    _add_adc_args(p)
     p.add_argument("--out", required=True, help="comparison CSV")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("curve", help="transfer characteristic samples")
-    _add_model_args(p)
+    _add_mirror_args(p)
     p.add_argument("--range", default="-0.05,0.05", help="imbalance range lo,hi in volts")
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--out", required=True, help="curve CSV")
     p.set_defaults(func=cmd_curve)
 
-    # no prefix matching: `attack --temp 80` must not pass for --temp-coeff
+    # options are spelled out: a prefix such as `attack --gen 10` is refused
     for p in sub.choices.values():
         p.allow_abbrev = False
     return parser

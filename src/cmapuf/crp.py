@@ -98,7 +98,7 @@ class CrpDataset:
         bad = (self.region < 1) | (self.region >= 1 << REGION_FIELD_BITS)
         bad |= (self.bits < 1) | (self.bits > CODE_FIELD_BITS)
         bad |= (self.code < 0) | (self.code >= 1 << self.bits)
-        bad |= ~((self.temperature >= -20.0) & (self.temperature <= 100.0)) | (self.noise_sigma < 0)
+        bad |= ~((self.temperature >= -20.0) & (self.temperature <= 100.0) & (self.noise_sigma >= 0))
         bad |= (self.challenge < 0) | (self.challenge >= 1 << CHALLENGE_BITS)
         if bad.any():
             # raise the scalar types' error, in the order a record was once built
@@ -354,25 +354,22 @@ def reliability(
     spec: QuantizerSpec,
     adc_config: AdcConfig,
     test_conditions: list[Conditions],
-    reference: Conditions | None = None,
 ) -> list[float]:
     """Per chip, in order: 1 - mean encoded HD between reference and stressed reads.
 
-    The reference defaults to a noise-free read at 25 degC.  All 256
-    challenges are compared under every test condition, with one
-    ``generate`` call per condition for the whole population.
+    The reference is a noise-free read at 25 degC.  All 256 challenges
+    are compared under every test condition, with one ``generate`` call
+    per condition for the whole population.
     """
     if not test_conditions:
         raise ValueError("need at least one test condition")
-    if reference is None:
-        reference = Conditions(temperature=25.0, noise_sigma=0.0)
     words = list(range(1 << CHALLENGE_BITS))
 
     def read_bits(cond: Conditions) -> np.ndarray:
         dataset = generate(chips, model, spec, adc_config, words, cond)
         return bits_matrix(dataset).reshape(len(chips), -1)
 
-    ref_bits = read_bits(reference)
+    ref_bits = read_bits(Conditions(temperature=25.0, noise_sigma=0.0))
     total = np.zeros(len(chips))
     for cond in test_conditions:
         total += (read_bits(cond) != ref_bits).mean(axis=1)
@@ -414,6 +411,9 @@ CSV_FIELDS = (
 )
 
 
+_ENCODED = [format(w, f"0{WORD_BITS}b") for w in range(1 << WORD_BITS)]
+
+
 def _rows(dataset: CrpDataset):
     """Each record's ``CSV_FIELDS`` values as Python scalars, so floats print as repr."""
     word = (dataset.region << CODE_FIELD_BITS) | dataset.code
@@ -423,7 +423,7 @@ def _rows(dataset: CrpDataset):
         dataset.region.tolist(),
         dataset.code.tolist(),
         dataset.bits.tolist(),
-        [format(w, f"0{WORD_BITS}b") for w in word.tolist()],
+        [_ENCODED[w] for w in word.tolist()],
         dataset.temperature.tolist(),
         dataset.noise_sigma.tolist(),
         dataset.noise_seed.tolist(),
@@ -433,8 +433,9 @@ def _rows(dataset: CrpDataset):
 def _from_rows(rows: list[dict], metadata: dict) -> CrpDataset:
     """A dataset from CSV or JSONL rows; ``CrpDataset`` checks every column.
 
-    A row without a field, or with a null one, raises a ``ValueError``
-    naming it, rows counted from 1.
+    A row without a field, or with a null one, or whose ``encoded`` field
+    is not its (region, code), raises a ``ValueError`` naming it, rows
+    counted from 1.
     """
 
     def column(name: str, parse=int) -> list:
@@ -446,7 +447,7 @@ def _from_rows(rows: list[dict], metadata: dict) -> CrpDataset:
         except TypeError as exc:
             raise ValueError(f"{name}: {exc}") from None
 
-    return CrpDataset(
+    dataset = CrpDataset(
         chip_id=column("chip_id", str),
         challenge=column("challenge", lambda s: int(s, 16)),
         region=column("region"),
@@ -457,6 +458,13 @@ def _from_rows(rows: list[dict], metadata: dict) -> CrpDataset:
         noise_seed=column("noise_seed"),
         metadata=metadata,
     )
+    word = (dataset.region << CODE_FIELD_BITS) | dataset.code
+    for i, (got, w) in enumerate(zip(column("encoded", str), word.tolist())):
+        if got != _ENCODED[w]:
+            raise ValueError(
+                f"row {i + 1} has encoded {got!r}, but its region and code are {_ENCODED[w]!r}"
+            )
+    return dataset
 
 
 def save_csv(dataset: CrpDataset, path: str | Path) -> None:

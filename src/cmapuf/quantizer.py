@@ -46,7 +46,7 @@ class EmpiricalDistribution:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        if self.vdd <= 0.0:
+        if not self.vdd > 0.0:  # NaN fails too
             raise ValueError(f"vdd must be > 0, got {self.vdd}")
         outside = ~((samples >= 0.0) & (samples <= self.vdd))  # NaN is outside too
         if outside.any():
@@ -155,6 +155,8 @@ def _lloyd_max_steps(
     """The fit: final boundaries and centroids, and the MSE of each iteration if ``trace``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not tol >= 0.0:  # a NaN tol would never stop the fit early
+        raise ValueError(f"tol must be >= 0, got {tol}")
     samples = np.sort(dist.samples)
     distinct = 1 + int(np.count_nonzero(np.diff(samples)))
     if distinct < k:  # some region would hold no sample

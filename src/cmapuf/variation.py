@@ -48,7 +48,7 @@ class VariationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_vth < 0.0:
+        if not self.sigma_vth >= 0.0:  # NaN fails too
             raise ValueError(f"sigma_vth must be >= 0, got {self.sigma_vth}")
         if not isinstance(self.corner, ProcessCorner):
             raise TypeError("corner must be a ProcessCorner")

@@ -268,7 +268,7 @@ def test_criterion_7_metrics(population, population_dataset):
     rels = reliability(population[:5], MODEL, SPEC, ADC, temps)
     rel_ok = all(r >= 0.90 for r in rels)
     ref = Conditions(temperature=25.0)
-    [ref_rel] = reliability(population[:1], MODEL, SPEC, ADC, [ref], reference=ref)
+    [ref_rel] = reliability(population[:1], MODEL, SPEC, ADC, [ref])
     ref_ok = ref_rel == 1.0
     report(
         "criterion 7 (uniqueness 0.5 +/- 0.05 on code bits, reliability >= 0.90, reference = 1)",

@@ -198,6 +198,8 @@ def test_invalid_scalars_rejected():
         Conditions(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         Conditions(temperature=200.0)
+    with pytest.raises(ValueError, match="temp_coeff must be finite, got inf"):
+        TransferModel(wide_swing_mirror(), power_gated_switching(), temp_coeff=float("inf"))
 
 
 def test_cell_output_reproducible_with_noise():

@@ -71,7 +71,7 @@ def test_feature_encodings():
     assert cell.shape == (3, 256)
     assert cell.sum(axis=1).tolist() == [1.0, 1.0, 1.0]
     assert cell[1, 0xA3] == 1.0
-    assert [e.width for e in FeatureEncoding] == [8, 32, 256]
+    assert [features(e, words).shape[1] for e in FeatureEncoding] == [8, 32, 256]
 
 
 def test_lr_loss_history_non_increasing(chip_dataset):
@@ -116,15 +116,6 @@ def test_lr_memorizes_with_one_hot_cell(chip_dataset):
     pred = lr_predict(model, chip_dataset.challenge)
     truth = bits_matrix(chip_dataset)
     assert float((pred == truth).all(axis=1).mean()) >= 0.95
-
-
-def test_lr_predict_single_word(chip_dataset):
-    model = lr_train(chip_dataset, FeatureEncoding.ONE_HOT_CELL, LrHyper(epochs=100))
-    one = lr_predict(model, 42)
-    many = lr_predict(model, np.array([42, 43]))
-    assert one.shape == (11,)
-    assert many.shape == (2, 11)
-    assert one.tolist() == many[0].tolist()
 
 
 def test_lr_rejects_multichip_dataset():

@@ -1,14 +1,26 @@
 import csv
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from cmapuf import codec
 from cmapuf.adc import AdcConfig
-from cmapuf.analog import Conditions, default_model
+from cmapuf.analog import (
+    Conditions,
+    TransferModel,
+    default_model,
+    naive_switching,
+    reduced_headroom_mirror,
+    wide_swing_mirror,
+)
+from cmapuf.attack import EsHyper, LrHyper, attack_report, clone_bits, es_fit, split
 from cmapuf.cellarray import evaluate_array
 from cmapuf.cli import build_parser, main
 from cmapuf.crp import generate, load_csv, reliability, save_csv
-from cmapuf.quantizer import default_regions, load_spec
+from cmapuf.quantizer import EmpiricalDistribution, default_regions, lloyd_max, load_spec
 from cmapuf.variation import VariationConfig, load_chip, synth_chip, synth_population
 
 
@@ -260,6 +272,49 @@ def test_attack_es_report(tmp_path):
     assert mean_train > 0.7
 
 
+def test_attack_es_attacks_with_what_the_manifest_records(tmp_path):
+    # the data is read with fitted regions and a non-default cell; ES must
+    # attack with those, not with the defaults
+    raw, spec_path, ds = tmp_path / "samples.txt", tmp_path / "q.json", tmp_path / "ds.csv"
+    assert run("mc", "--samples", 20000, "--seed", 2, "--out", tmp_path / "h.csv",
+               "--samples-out", raw) == 0
+    assert run("fit-quantizer", "--samples", raw, "--k", 4, "--out", spec_path) == 0
+    assert run("crps", "--seed", 4, "--quantizer", spec_path, "--mirror", "reduced",
+               "--switching", "naive", "--out", ds) == 0
+    out = tmp_path / "es.csv"
+    assert run("attack", "--in", ds, "--model", "es", "--generations", 200, "--out", out) == 0
+
+    model = TransferModel(reduced_headroom_mirror(), naive_switching())
+    spec, adc_config = load_spec(spec_path), AdcConfig()
+    recorded = json.loads((tmp_path / "ds.csv.manifest.json").read_text())["parameters"]
+    assert recorded["model"] == codec.to_json(model)
+    assert recorded["quantizer"] == codec.to_json(spec)
+    assert recorded["adc"] == codec.to_json(adc_config)
+    train, test = split(load_csv(ds), 0.75, seed=0)
+    clone = es_fit(train, model, spec, adc_config, EsHyper(generations=200))
+    report = attack_report(
+        train, test, lambda words: clone_bits(clone.params, model, spec, adc_config, words)
+    )
+    rows = zip(report.train_bit_accuracy, report.test_bit_accuracy, report.chance_bit_accuracy)
+    assert out.read_text() == "bit_index,train_acc,test_acc,chance\n" + "".join(
+        f"{i},{tr!r},{te!r},{ch!r}\n" for i, (tr, te, ch) in enumerate(rows)
+    )
+    parameters = json.loads((tmp_path / "es.csv.manifest.json").read_text())["parameters"]
+    assert parameters["report"] == codec.to_json(report)
+    assert parameters["detail"] == {"fitness": clone.fitness}
+
+
+def test_only_attack_es_needs_the_manifest(tmp_path, capsys):
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--challenges", 16, "--out", ds) == 0
+    (tmp_path / "ds.csv.manifest.json").unlink()
+    out = tmp_path / "a.csv"
+    assert run("attack", "--in", ds, "--model", "es", "--generations", 1, "--out", out) == 1
+    assert f"{tmp_path / 'ds.csv.manifest.json'} is missing" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("attack", "--in", ds, "--model", "lr", "--epochs", 5, "--out", out) == 0
+
+
 def test_attack_multichip_needs_chip_id(tmp_path, capsys):
     ds = tmp_path / "ds.csv"
     run("crps", "--chips", 2, "--seed", 4, "--out", ds)
@@ -344,16 +399,32 @@ def test_mc_samples_are_chip_cell_voltages(tmp_path, seed):
     assert samples == volts.tolist()
 
 
+ATTACK = ("attack", "--in", "ds.csv", "--out", "a.csv")
+CURVE = ("curve", "--out", "c.csv")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (("attack", "--in", "ds.csv", "--out", "a.csv"), ("--temp", "80")),
-        (("curve", "--out", "c.csv"), ("--noise-sigma", "0.1")),
-        (("curve", "--out", "c.csv"), ("--noise-seed", "3")),
+        (ATTACK, ("--temp", "80")),
+        (CURVE, ("--noise-sigma", "0.1")),
+        (CURVE, ("--noise-seed", "3")),
+        # attack --model es reads how the data was read from its manifest
+        (ATTACK, ("--mirror", "reduced")),
+        (ATTACK, ("--switching", "naive")),
+        (ATTACK, ("--gain", "100")),
+        (ATTACK, ("--temp-coeff", "0")),
+        (ATTACK, ("--clock", "1e9")),
+        (ATTACK, ("--power", "1e-4")),
+        (ATTACK, ("--quantizer", "q.json")),
+        # the transfer curve is the mirror's gain and vdd alone
+        (CURVE, ("--switching", "naive")),
+        (CURVE, ("--temp-coeff", "0")),
     ],
 )
 def test_read_conditions_belong_to_the_commands_that_read(capsys, argv, flag):
-    # attack and curve read no cell, so they take no temperature or noise
+    # attack and curve read no cell, so they take no temperature or noise,
+    # and an option that would change none of their output bytes is refused
     build_parser().parse_args(argv)
     with pytest.raises(SystemExit) as exc:
         run(*argv, *flag)
@@ -385,10 +456,11 @@ def test_metrics_refuses_merged_temperatures(tmp_path, capsys):
     cold, hot = ((tmp_path / f"t{t}.csv").read_text().splitlines() for t in (0, 90))
     merged = tmp_path / "merged.csv"
     merged.write_text("\n".join(cold + hot[1:]) + "\n")
-    assert run("metrics", "--in", merged, "--out", tmp_path / "m.json") == 1
-    err = capsys.readouterr().err
-    assert "chip 'chip000' has more than one read of challenge 0" in err
-    assert not (tmp_path / "m.json").exists()
+    for command in ("metrics", "attack --chip-id chip000"):
+        assert run(*command.split(), "--in", merged, "--out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert "chip 'chip000' has more than one read of challenge 0" in err
+        assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("vdd", [3.3, 1.2])
@@ -402,11 +474,60 @@ def test_quantizer_for_another_vdd_is_refused(tmp_path, capsys, vdd):
     err = capsys.readouterr().err
     assert f"spans [0, {vdd}] V, but the cell runs at vdd 1.8 V" in err
     assert not ds.exists()
-    assert run("crps", "--out", ds) == 0
-    es = ("attack", "--in", ds, "--model", "es", "--generations", 1, "--out", tmp_path / "es.csv")
-    assert run(*es, "--quantizer", spec) == 1
-    assert f"spans [0, {vdd}] V" in capsys.readouterr().err
-    assert run(*es) == 0
+    # a manifest edited by hand to hold that quantizer is refused by its readers
+    assert run("crps", "--chips", 1, "--challenges", 8, "--out", ds) == 0
+    manifest = tmp_path / "ds.csv.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["parameters"]["quantizer"] = json.loads(spec.read_text())
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for argv in (("metrics", "--temps", "0"), ("attack", "--model", "es", "--generations", 1)):
+        assert run(*argv, "--in", ds, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: the quantizer spans [0, {vdd}] V, but the ")
+        assert not out.exists()
+
+
+# the range checks that NaN must fail, keyed "<type or function>.<field>"
+NAN_REFUSERS = {
+    "AdcConfig.vdd": lambda v: AdcConfig(vdd=v),
+    "AdcConfig.clock_freq": lambda v: AdcConfig(clock_freq=v),
+    "AdcConfig.power": lambda v: AdcConfig(power=v),
+    "MirrorConfig.gain": lambda v: replace(wide_swing_mirror(), gain=v),
+    "MirrorConfig.bias_current": lambda v: replace(wide_swing_mirror(), bias_current=v),
+    "Conditions.noise_sigma": lambda v: Conditions(noise_sigma=v),
+    "VariationConfig.sigma_vth": lambda v: VariationConfig(sigma_vth=v),
+    "TransferModel.vdd": lambda v: replace(default_model(), vdd=v),
+    "TransferModel.temp_coeff": lambda v: replace(default_model(), temp_coeff=v),
+    "EmpiricalDistribution.vdd": lambda v: EmpiricalDistribution(np.array([0.5]), vdd=v),
+    "LrHyper.learning_rate": lambda v: LrHyper(learning_rate=v),
+    "LrHyper.l2": lambda v: LrHyper(l2=v),
+    "lloyd_max.tol": lambda v: lloyd_max(
+        EmpiricalDistribution(np.linspace(0.0, 1.8, 9), 1.8), 2, tol=v
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAN_REFUSERS)
+def test_nan_is_refused_by_name(name):
+    field = name.split(".")[1]
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got nan$"):
+        NAN_REFUSERS[name](math.nan)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("crps", "--noise-sigma", "nan"), "noise_sigma must be >= 0, got nan"),
+        (("crps", "--gain", "nan"), "gain must be > 0, got nan"),
+        (("energy", "--power", "nan"), "power must be >= 0, got nan"),
+        (("mc", "--sigma-vth", "-0.01"), "sigma_vth must be >= 0, got -0.01"),
+    ],
+)
+def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, argv, message):
+    assert run(*argv, "--out", tmp_path / "out.csv") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

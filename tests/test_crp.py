@@ -195,7 +195,7 @@ def test_bit_aliasing_identical_chips_saturates():
 def test_reliability_at_reference_is_exactly_one():
     chips = [synth_chip(VariationConfig(seed=s)) for s in (50, 51)]
     ref = Conditions(temperature=25.0)
-    assert reliability(chips, MODEL, SPEC, ADC, [ref], reference=ref) == [1.0, 1.0]
+    assert reliability(chips, MODEL, SPEC, ADC, [ref]) == [1.0, 1.0]
 
 
 def test_reliability_degrades_with_stress():
@@ -286,6 +286,9 @@ def test_generate_validates_inputs():
         ({"noise_sigma": -0.001}, "noise_sigma must be >= 0, got -0.001"),
         ({"noise_seed": -1}, "noise_seed must be in [0, 2**64), got -1"),
         ({"noise_seed": 2**64}, f"noise_seed must be in [0, 2**64), got {2**64}"),
+        # the last row reads region 5, code 255
+        ({"encoded": "11111111111"},
+         "row 3 has encoded '11111111111', but its region and code are '10111111111'"),
     ],
 )
 def test_loaders_refuse_bad_rows(tmp_path, suffix, edit, message):

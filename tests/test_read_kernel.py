@@ -116,14 +116,13 @@ def test_generate_equals_the_scalar_route(
     spec=specs(),
     offset=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
     tests=st.lists(conditions, min_size=1, max_size=2),
-    reference=st.one_of(st.none(), conditions),
 )
-def test_reliability_equals_the_scalar_route(corner, chip_seeds, spec, offset, tests, reference):
+def test_reliability_equals_the_scalar_route(corner, chip_seeds, spec, offset, tests):
     chips = [synth_chip(VariationConfig(corner=corner, seed=s)) for s in chip_seeds]
     model = TransferModel(mirror=default_model().mirror, switching=naive_switching())
     adc_config = AdcConfig(comparator_residual_offset=offset)
     words = range(256)
-    ref = reference or Conditions(temperature=25.0, noise_sigma=0.0)
+    ref = Conditions(temperature=25.0, noise_sigma=0.0)
     expected = []
     for chip in chips:
         ref_bits = oracle_bits(chip, model, spec, adc_config, words, ref)
@@ -132,7 +131,7 @@ def test_reliability_equals_the_scalar_route(corner, chip_seeds, spec, offset, t
             got = oracle_bits(chip, model, spec, adc_config, words, cond)
             total += float((got != ref_bits).mean())
         expected.append(1.0 - total / len(tests))
-    assert reliability(chips, model, spec, adc_config, tests, reference) == expected
+    assert reliability(chips, model, spec, adc_config, tests) == expected
 
 
 @pytest.mark.parametrize(
