@@ -11,7 +11,6 @@ config, report and manifest.
 
 from .adc import (
     AdcConfig,
-    Comparator,
     ResponseWord,
     conversion_cycles,
     conversion_energy,
@@ -55,7 +54,6 @@ __all__ = [
     "CellAddress",
     "Challenge",
     "ChipInstance",
-    "Comparator",
     "Conditions",
     "CrpDataset",
     "EmpiricalDistribution",

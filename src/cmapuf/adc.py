@@ -7,31 +7,25 @@ convert in a quarter of the cycles of rail-adjacent ones.
 
 A response word is region number plus in-region code, packed as a fixed
 11-bit string: 3 region bits followed by the code, zero-padded on the
-left to 8 bits.  The per-cycle energy of the converter is power / clock,
-and a handful of published reference points are kept here for the energy
-comparison command.
+left to 8 bits.  This module holds that layout: the word's index
+``region << 8 | code``, its string and its bit row.  The per-cycle energy
+of the converter is power / clock, and a handful of published reference
+points are kept here for the energy comparison command.
+
+``convert_array`` is the one converter; ``convert`` is one element of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .quantizer import QuantizerSpec, region_index_array, region_of
+from .quantizer import QuantizerSpec, region_index_array
 
 REGION_FIELD_BITS = 3
 CODE_FIELD_BITS = 8
 WORD_BITS = REGION_FIELD_BITS + CODE_FIELD_BITS
-
-
-class Comparator(Enum):
-    """Which of the two rail-referenced comparators handles a conversion."""
-
-    A = "A"
-    B = "B"
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,7 @@ class ResponseWord:
 
 def encode_word(word: ResponseWord) -> str:
     """Pack a response as 3 region bits plus the left-zero-padded code."""
-    return format(word.region, f"0{REGION_FIELD_BITS}b") + format(
-        word.code, f"0{CODE_FIELD_BITS}b"
-    )
+    return word_strings([word.region], [word.code])[0]
 
 
 def decode_word(encoded: str, bits_per_region: tuple[int, ...]) -> ResponseWord:
@@ -89,50 +81,24 @@ def decode_word(encoded: str, bits_per_region: tuple[int, ...]) -> ResponseWord:
     return ResponseWord(region=region, code=code, bits=bits_per_region[region - 1])
 
 
-def quantize(config: AdcConfig, v: float, bits: int) -> int:
-    """Full-scale b-bit code of a voltage: floor(v / vdd * 2**b), clamped."""
-    if not (0.0 <= v <= config.vdd):
-        raise ValueError(f"v must be within [0, {config.vdd}], got {v}")
-    if not (1 <= bits <= CODE_FIELD_BITS):
-        raise ValueError(f"bits must be in [1, 8], got {bits}")
-    code = int(math.floor(v / config.vdd * (1 << bits)))
-    return min(code, (1 << bits) - 1)
-
-
-def select_comparator(config: AdcConfig, v: float) -> Comparator:
-    """Upper-half voltages use comparator A, lower-half comparator B.
-
-    The split lets each comparator work near its own rail; the residual
-    offset models the systematic error of that choice.
-    """
-    return Comparator.A if v > 0.5 * config.vdd + config.comparator_residual_offset else Comparator.B
-
-
 def convert(config: AdcConfig, spec: QuantizerSpec, v: float) -> ResponseWord:
-    """Full conversion: region lookup, comparator choice, in-region code.
-
-    The comparator's residual offset shifts the voltage the ramp actually
-    compares against (sign follows which rail the comparator references),
-    while the region decision happens upstream of the comparator and sees
-    the raw voltage.
-    """
-    region, bits = region_of(spec, v)
-    comp = select_comparator(config, v)
-    shift = config.comparator_residual_offset
-    v_eff = v + shift if comp is Comparator.A else v - shift
-    v_eff = min(max(v_eff, 0.0), config.vdd)
-    return ResponseWord(region=region, code=quantize(config, v_eff, bits), bits=bits)
+    """One voltage's conversion: one element of ``convert_array``."""
+    region, code, bits = (int(x[0]) for x in convert_array(config, spec, np.array([v])))
+    return ResponseWord(region=region, code=code, bits=bits)
 
 
 def convert_array(
     config: AdcConfig, spec: QuantizerSpec, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``convert`` over an array of voltages: (region, code, bits) arrays.
+    """Full conversion of an array of voltages: (region, code, bits) arrays.
 
-    Equal value for value to ``convert``, checks included: a voltage that
-    ``convert`` rejects (outside [0, vdd], or landing in a region that
-    does not fit the word) makes this raise the same error, for the first
-    such voltage in C order.
+    The region sees the raw voltage.  One comparator (A) takes the upper
+    half, the other (B) the rest, so each works near its rail; the offset moves
+    that split and shifts the ramp's voltage, up for A and down for B.  The
+    code is floor(v / vdd * 2**bits) of the shifted voltage clamped to
+    [0, vdd], full scale taking the top code.  A voltage outside [0, vdd],
+    or in a region or at a precision the word cannot hold, raises a
+    ``ValueError`` for the first such voltage in C order.
     """
     v = np.asarray(v, dtype=float)
     bits_table = np.asarray(spec.bits_per_region, dtype=np.int64)
@@ -141,32 +107,47 @@ def convert_array(
     if spec.k >= 1 << REGION_FIELD_BITS or bits_table.max() > CODE_FIELD_BITS:
         bad |= (idx + 1 >= 1 << REGION_FIELD_BITS) | (bits_table[idx] > CODE_FIELD_BITS)
     if bad.any():
-        first = float(v.reshape(-1)[np.argmax(bad.reshape(-1))])
-        convert(config, spec, first)  # raises the scalar path's error
-        raise AssertionError(f"convert accepted {first!r}, which convert_array rejects")
+        i = int(np.argmax(bad.reshape(-1)))
+        first = float(v.reshape(-1)[i])
+        if not 0.0 <= first <= spec.vdd:  # NaN too
+            raise ValueError(f"v must be within [0, {spec.vdd}], got {first}")
+        region = int(idx.reshape(-1)[i]) + 1
+        bits = spec.bits_per_region[region - 1]
+        if bits > CODE_FIELD_BITS:
+            raise ValueError(f"bits must be in [1, 8], got {bits}")
+        raise ValueError(f"region must be in [1, 7], got {region}")
     levels = 1 << bits_table
     shift = config.comparator_residual_offset
-    # comparator A shifts the ramp up by the offset, B down (see ``convert``)
     v_eff = v + np.where(v > 0.5 * config.vdd + shift, shift, -shift)
     v_eff = np.minimum(np.maximum(v_eff, 0.0), config.vdd)
     code = np.floor(v_eff / config.vdd * np.take(levels.astype(float), idx)).astype(np.int64)
     return idx + 1, np.minimum(code, np.take(levels - 1, idx)), np.take(bits_table, idx)
 
 
-# Bit row of every 11-bit word, most significant bit first.
+# String and bit row of every 11-bit word, indexed by ``region << 8 | code``,
+# most significant bit first.
+_WORD_STRINGS = [format(w, f"0{WORD_BITS}b") for w in range(1 << WORD_BITS)]
 _WORD_BIT_ROWS = (
     (np.arange(1 << WORD_BITS)[:, None] >> np.arange(WORD_BITS - 1, -1, -1)) & 1
 ).astype(np.int8)
 
 
+def _word_index(region: np.ndarray, code: np.ndarray) -> np.ndarray:
+    return (np.asarray(region) << CODE_FIELD_BITS) | np.asarray(code)
+
+
+def word_strings(region: np.ndarray, code: np.ndarray) -> list[str]:
+    """The 11-character strings of 1-D arrays of response words."""
+    return [_WORD_STRINGS[w] for w in _word_index(region, code).tolist()]
+
+
 def word_bits(region: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Bit rows (..., 11) of response words: the array form of ``encode_word``."""
-    word = (np.asarray(region) << CODE_FIELD_BITS) | np.asarray(code)
-    return np.take(_WORD_BIT_ROWS, word, axis=0)
+    """Bit rows (..., 11) of response words."""
+    return np.take(_WORD_BIT_ROWS, _word_index(region, code), axis=0)
 
 
 def response_bits(config: AdcConfig, spec: QuantizerSpec, v: np.ndarray) -> np.ndarray:
-    """Conversion straight to the (..., 11) bit matrix; agrees with ``convert``."""
+    """Conversion straight to the (..., 11) bit matrix."""
     region, code, _ = convert_array(config, spec, v)
     return word_bits(region, code)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import Conditions, TransferModel, effective_mismatch, transfer, transfer_array
+from .analog import Conditions, TransferModel, effective_mismatch, transfer_array
 from .variation import N_COLS, N_ROWS, ChipInstance
 
 CHALLENGE_BITS = 8
@@ -64,19 +64,16 @@ def evaluate(
 
     When noise_sigma > 0 a generator must be supplied (or one is built
     from conditions.noise_seed, which makes every call identical; batch
-    callers should pass their own).
+    callers should pass their own).  With the noise drawn, this is one
+    element of ``evaluate_array``.
     """
-    addr = decode(challenge)
     noise = None
     if conditions.noise_sigma > 0.0:
         if rng is None:
             rng = np.random.default_rng(conditions.noise_seed)
-        noise = float(rng.normal(0.0, conditions.noise_sigma))
-    offset = model.switching.offset(chip.config.corner)
-    delta = effective_mismatch(
-        model, chip.mismatch[addr.row, addr.col], offset, conditions.temperature, noise
-    )
-    return transfer(model, delta)
+        noise = np.array([[rng.normal(0.0, conditions.noise_sigma)]])
+    words = np.array([challenge.word])
+    return float(evaluate_array(model, [chip], words, conditions, noise)[0, 0])
 
 
 def evaluate_array(
@@ -88,9 +85,9 @@ def evaluate_array(
 ) -> np.ndarray:
     """Output voltages (chips, words) of the cells the challenge words select.
 
-    Equal value for value to ``evaluate`` given the same noise samples:
-    both run the one imbalance stage, ``effective_mismatch``, and the one
-    tanh stage, ``transfer_array``.  Words are not range checked here.
+    Words select cells as ``decode`` does; the cells run the one imbalance
+    stage, ``effective_mismatch``, with ``noise`` (chips, words) or None, and
+    the one tanh stage, ``transfer_array``.  Words are not range checked here.
     """
     words = np.asarray(words, dtype=np.int64)
     dvth = np.stack([chip.mismatch for chip in chips])[:, words >> 4, words & 0x0F]

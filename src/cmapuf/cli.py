@@ -200,7 +200,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     samples = np.loadtxt(args.samples, ndmin=1)
-    dist = quantizer.EmpiricalDistribution(samples=samples, vdd=args.vdd)
+    dist = quantizer.EmpiricalDistribution(samples=samples, vdd=analog.VDD_DEFAULT)
     if args.bits:
         bits = tuple(int(b) for b in args.bits.split(","))
         if len(bits) != args.k:
@@ -221,7 +221,7 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
             "k": args.k,
             "tol": args.tol,
             "max_iter": args.max_iter,
-            "vdd": args.vdd,
+            "vdd": analog.VDD_DEFAULT,
             "spec": spec,
         },
     )
@@ -305,7 +305,28 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each attacker's own options, by argparse dest.  They default to None: one
+# not given takes its hyperparameter's default.
+ATTACKER_OPTIONS = {
+    "lr": ("encoding", "epochs", "learning_rate", "l2"),
+    "es": ("generations", "population", "parents"),
+}
+
+
+def _attacker_options(args: argparse.Namespace) -> dict:
+    """The options given to ``--model``'s attacker; one of the other attacker's is refused."""
+    for model, names in ATTACKER_OPTIONS.items():
+        given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+        if model == args.model:
+            options = given
+        elif given:
+            flag = "--" + next(iter(given)).replace("_", "-")
+            raise ValueError(f"{flag} is an option of --model {model}, not of --model {args.model}")
+    return options
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
+    options = _attacker_options(args)
     dataset = _load_dataset(Path(args.infile))
     ids = dataset.chip_ids
     chip_id = args.chip_id
@@ -317,22 +338,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
     train, test = attack.split(single, args.train_frac, seed=args.seed)
 
     if args.model == "lr":
-        encoding = attack.FeatureEncoding(args.encoding)
-        hyper = attack.LrHyper(
-            learning_rate=args.learning_rate, l2=args.l2, epochs=args.epochs
-        )
-        fitted = attack.lr_train(train, encoding, hyper)
+        encoding = options.pop("encoding", attack.FeatureEncoding.ONE_HOT_CELL.value)
+        encoding = attack.FeatureEncoding(encoding)
+        fitted = attack.lr_train(train, encoding, attack.LrHyper(**options))
         predict = lambda words: attack.lr_predict(fitted, words)
         detail = {"encoding": encoding.value, "final_loss": fitted.loss_history[-1].tolist()}
     else:
         params = _crps_parameters(args.infile)
         model, spec, adc_config = params.model, params.quantizer, params.adc
-        hyper = attack.EsHyper(
-            parents=args.parents,
-            population=args.population,
-            generations=args.generations,
-            seed=args.seed,
-        )
+        hyper = attack.EsHyper(seed=args.seed, **options)
         clone = attack.es_fit(train, model, spec, adc_config, hyper)
         predict = lambda words: attack.clone_bits(clone.params, model, spec, adc_config, words)
         detail = {"fitness": clone.fitness}
@@ -352,7 +366,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             "infile": str(args.infile),
             "chip_id": chip_id,
             "model": args.model,
-            "encoding": args.encoding if args.model == "lr" else None,
+            "encoding": detail.get("encoding"),
             "train_frac": args.train_frac,
             "seed": args.seed,
             "detail": detail,
@@ -439,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol", type=float, default=quantizer.DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=quantizer.DEFAULT_MAX_ITER)
-    p.add_argument("--vdd", type=float, default=1.8)
     p.add_argument("--out", required=True, help="quantizer spec JSON")
     p.set_defaults(func=cmd_fit_quantizer)
 
@@ -462,16 +475,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="model one chip from its dataset (es reads its manifest)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--chip-id", default=None)
-    p.add_argument("--model", choices=["lr", "es"], default="lr")
-    p.add_argument("--encoding", choices=[e.value for e in attack.FeatureEncoding], default="cell")
+    p.add_argument("--model", choices=list(ATTACKER_OPTIONS), default="lr")
     p.add_argument("--train-frac", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--learning-rate", type=float, default=50.0)
-    p.add_argument("--l2", type=float, default=1.0e-6)
-    p.add_argument("--generations", type=int, default=4000)
-    p.add_argument("--population", type=int, default=40)
-    p.add_argument("--parents", type=int, default=8)
+    lr, es = attack.LrHyper, attack.EsHyper
+    p.add_argument(
+        "--encoding",
+        choices=[e.value for e in attack.FeatureEncoding],
+        help=f"lr only (default {attack.FeatureEncoding.ONE_HOT_CELL.value})",
+    )
+    p.add_argument("--epochs", type=int, help=f"lr only (default {lr.epochs})")
+    p.add_argument("--learning-rate", type=float, help=f"lr only (default {lr.learning_rate})")
+    p.add_argument("--l2", type=float, help=f"lr only (default {lr.l2})")
+    p.add_argument("--generations", type=int, help=f"es only (default {es.generations})")
+    p.add_argument("--population", type=int, help=f"es only (default {es.population})")
+    p.add_argument("--parents", type=int, help=f"es only (default {es.parents})")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=cmd_attack)
 

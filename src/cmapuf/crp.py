@@ -9,10 +9,10 @@ the whole dataset.
 
 ``generate`` is the one batched read, chips x challenge words straight
 to columns; ``reliability`` re-reads a population through it, once per
-condition.  The scalar chain ``evaluate`` -> ``convert`` -> ``encode_word``
-and ``record_seed`` stay the definition every batched value must equal;
-both share the one imbalance stage, ``analog.effective_mismatch``, and
-the one tanh stage, ``analog.transfer_array``.
+condition.  It runs one kernel per stage: ``_record_seeds`` for the noise
+seeds, ``cellarray.evaluate_array`` for the voltages and
+``adc.convert_array`` for the words.  The scalar ``record_seed``,
+``evaluate`` and ``convert`` are one element of those kernels.
 
 Metrics follow the usual fractional-Hamming-distance conventions, and
 refuse a dataset with more than one read of a (chip, challenge):
@@ -44,6 +44,7 @@ from .adc import (
     ResponseWord,
     convert_array,
     word_bits,
+    word_strings,
 )
 from .analog import Conditions, TransferModel
 from .cellarray import CHALLENGE_BITS, Challenge, evaluate_array
@@ -149,12 +150,12 @@ def _seed_column(values) -> np.ndarray:
 
 
 def record_seed(base_seed: int, chip_id: str, challenge: int) -> int:
-    """Derived noise seed for one (chip, challenge) read."""
-    ss = np.random.SeedSequence([base_seed, zlib.crc32(chip_id.encode()), challenge])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Derived noise seed for one (chip, challenge) read: one element of ``_record_seeds``."""
+    word = Challenge(challenge).word
+    return int(_record_seeds(base_seed, [chip_id], np.array([word]))[0, 0])
 
 
-# numpy SeedSequence's hash constants, for the batched ``record_seed``.
+# The hash constants of numpy's seed sequence, for ``_record_seeds``.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -163,9 +164,9 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _seed_words(n: int) -> list[int]:
-    """An entropy integer as SeedSequence reads it: little-endian uint32 words."""
+    """An entropy integer as numpy's seed sequence reads it: little-endian uint32 words."""
     if n < 0:
-        raise ValueError("expected non-negative integer")  # SeedSequence's message
+        raise ValueError("expected non-negative integer")  # numpy's message
     words = [n & _MASK32]
     n >>= 32
     while n:
@@ -175,7 +176,7 @@ def _seed_words(n: int) -> list[int]:
 
 
 def _hash_consts(init: int, mult: int):
-    """SeedSequence's hash constants, (xor, multiply) per step: data independent."""
+    """The seed sequence's hash constants, (xor, multiply) per step: data independent."""
     while True:
         nxt = init * mult & _MASK32
         yield np.uint32(init), np.uint32(nxt)
@@ -194,11 +195,12 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.ndarray:
-    """``record_seed`` for every (chip, word) pair at once, as (chips, words) uint64.
+    """Noise seeds of every (chip, word) pair at once, as (chips, words) uint64.
 
-    SeedSequence's pool mix is a fixed sequence of uint32 operations
-    whose constants do not depend on the entropy, so it runs elementwise
-    over all records.
+    Each is the first uint64 numpy's seed sequence draws from the entropy
+    ``[base_seed, crc32(chip_id), word]``.  Its pool mix is a fixed sequence
+    of uint32 operations with data-independent constants, so it runs
+    elementwise over all records.  Words are not range checked here.
     """
     shape = (len(chip_ids), len(words))
     crcs = np.array([zlib.crc32(c.encode()) for c in chip_ids], dtype=np.uint32)[:, None]
@@ -233,11 +235,10 @@ def generate(
 
     Records are emitted chip-major in the order given, challenge order
     preserved within a chip.  The same arguments always produce the same
-    dataset, noise included.  Each value equals the scalar route's:
-    ``record_seed`` for the seed, a ``default_rng(seed).normal`` draw for
-    the noise, then ``evaluate`` and ``convert``.  Bad input raises the
-    scalar route's error: a negative noise seed, then a challenge outside
-    [0, 255], then the first voltage ``convert`` rejects.
+    dataset, noise included: each record's noise is a
+    ``default_rng(seed).normal`` draw from its own derived seed.  Bad input
+    raises for a negative noise seed, then for a challenge outside
+    [0, 255], then for the first voltage ``convert_array`` rejects.
     """
     if not chips:
         raise ValueError("need at least one chip")
@@ -411,32 +412,30 @@ CSV_FIELDS = (
 )
 
 
-_ENCODED = [format(w, f"0{WORD_BITS}b") for w in range(1 << WORD_BITS)]
-
-
 def _rows(dataset: CrpDataset):
     """Each record's ``CSV_FIELDS`` values as Python scalars, so floats print as repr."""
-    word = (dataset.region << CODE_FIELD_BITS) | dataset.code
     return zip(
         dataset.chip_id.tolist(),
         [format(c, "02x") for c in dataset.challenge.tolist()],
         dataset.region.tolist(),
         dataset.code.tolist(),
         dataset.bits.tolist(),
-        [_ENCODED[w] for w in word.tolist()],
+        word_strings(dataset.region, dataset.code),
         dataset.temperature.tolist(),
         dataset.noise_sigma.tolist(),
         dataset.noise_seed.tolist(),
     )
 
 
-def _from_rows(rows: list[dict], metadata: dict) -> CrpDataset:
-    """A dataset from CSV or JSONL rows; ``CrpDataset`` checks every column.
+def _from_rows(path: str | Path, rows: list[dict], metadata: dict) -> CrpDataset:
+    """A dataset from the CSV or JSONL rows of ``path``; ``CrpDataset`` checks every column.
 
-    A row without a field, or with a null one, or whose ``encoded`` field
-    is not its (region, code), raises a ``ValueError`` naming it, rows
-    counted from 1.
+    A file without rows, and a row without a field, or with a null one, or
+    whose ``encoded`` field is not its (region, code), raise a ``ValueError``
+    naming it, rows counted from 1.
     """
+    if not rows:
+        raise ValueError(f"{path} holds no records")
 
     def column(name: str, parse=int) -> list:
         values = [row.get(name) for row in rows]
@@ -458,11 +457,11 @@ def _from_rows(rows: list[dict], metadata: dict) -> CrpDataset:
         noise_seed=column("noise_seed"),
         metadata=metadata,
     )
-    word = (dataset.region << CODE_FIELD_BITS) | dataset.code
-    for i, (got, w) in enumerate(zip(column("encoded", str), word.tolist())):
-        if got != _ENCODED[w]:
+    words = word_strings(dataset.region, dataset.code)
+    for i, (got, word) in enumerate(zip(column("encoded", str), words)):
+        if got != word:
             raise ValueError(
-                f"row {i + 1} has encoded {got!r}, but its region and code are {_ENCODED[w]!r}"
+                f"row {i + 1} has encoded {got!r}, but its region and code are {word!r}"
             )
     return dataset
 
@@ -476,7 +475,7 @@ def save_csv(dataset: CrpDataset, path: str | Path) -> None:
 
 def load_csv(path: str | Path) -> CrpDataset:
     with open(path, newline="") as fh:
-        return _from_rows(list(csv.DictReader(fh)), {})
+        return _from_rows(path, list(csv.DictReader(fh)), {})
 
 
 def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
@@ -499,4 +498,4 @@ def load_jsonl(path: str | Path) -> CrpDataset:
                 metadata = doc["_meta"]
             else:
                 rows.append(doc)
-    return _from_rows(rows, metadata)
+    return _from_rows(path, rows, metadata)

@@ -118,21 +118,22 @@ def region_of(spec: QuantizerSpec, v: float) -> tuple[int, int]:
     """Map a voltage to its (region number, precision) pair.
 
     Region numbers are 1-based.  v == vdd folds into the last region, so
-    the mapping is total on [0, vdd]; anything outside raises.
+    the mapping is total on [0, vdd]; anything outside raises.  Past the
+    range check this is one element of ``region_index_array``.
     """
     if not (0.0 <= v <= spec.vdd):
         raise ValueError(f"v must be within [0, {spec.vdd}], got {v}")
-    idx = int(np.searchsorted(spec.boundaries, v, side="right")) - 1
-    idx = min(idx, spec.k - 1)
+    idx = int(region_index_array(spec.boundaries, np.array([v]))[0])
     return idx + 1, spec.bits_per_region[idx]
 
 
 def region_index_array(boundaries: tuple[float, ...] | np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized 0-based region lookup over sorted boundaries (no range checking).
+    """The region lookup: 0-based region index over sorted boundaries (no range checking).
 
-    Counts the interior boundaries at or below each voltage: ``region_of``
-    on [0, vdd], clamped beyond the rails.  A comparison per boundary beats
-    a binary search on both ES's small batches and the Lloyd-Max samples.
+    Counts the interior boundaries at or below each voltage, so vdd falls in
+    the last region and voltages beyond the rails clamp to the outer ones.  A
+    comparison per boundary beats a binary search on both ES's small batches
+    and the Lloyd-Max samples.
     """
     v = np.asarray(v, dtype=float)
     idx = np.zeros(v.shape, dtype=np.int64)

@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL
 lines; every criterion also asserts, so a regression fails the suite.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,11 +11,9 @@ from cmapuf.adc import (
     COMPARISON_ROWS,
     AdcConfig,
     ResponseWord,
-    convert,
+    convert_array,
     decode_word,
     encode_word,
-    energy_per_cycle,
-    quantize,
 )
 from cmapuf.analog import (
     Conditions,
@@ -30,7 +26,6 @@ from cmapuf.analog import (
 )
 from cmapuf.attack import (
     FeatureEncoding,
-    LrHyper,
     attack_report,
     bce_gradient,
     bce_loss,
@@ -42,6 +37,7 @@ from cmapuf.cli import main as cli_main
 from cmapuf.crp import bits_matrix, generate, reliability, uniqueness
 from cmapuf.quantizer import (
     EmpiricalDistribution,
+    QuantizerSpec,
     default_regions,
     lloyd_max,
     lloyd_max_mse_trace,
@@ -235,16 +231,14 @@ def test_criterion_5_rail_skew():
 
 def test_criterion_6_adc():
     grid = np.linspace(0.0, 1.8, 3000)
-    monotone = all(
-        list(quantize(ADC, float(v), b) for v in grid)
-        == sorted(quantize(ADC, float(v), b) for v in grid)
-        for b in range(1, 9)
-    )
-    bounds = all(
-        0 <= quantize(ADC, float(v), b) < (1 << b) for v in grid for b in (1, 6, 7, 8)
-    ) and all(
-        quantize(ADC, 0.0, b) == 0 and quantize(ADC, 1.8, b) == (1 << b) - 1
-        for b in range(1, 9)
+    # one region spanning [0, 1.8] per precision: its codes are the full-scale quantization
+    codes = {}
+    for b in range(1, 9):
+        whole = QuantizerSpec((0.0, 1.8), bits_per_region=(b,), centroids=(0.9,))
+        codes[b] = convert_array(ADC, whole, grid)[1].tolist()
+    monotone = all(codes[b] == sorted(codes[b]) for b in range(1, 9))
+    bounds = all(0 <= c < (1 << b) for b in (1, 6, 7, 8) for c in codes[b]) and all(
+        codes[b][0] == 0 and codes[b][-1] == (1 << b) - 1 for b in range(1, 9)
     )
     round_trip = all(
         decode_word(encode_word(ResponseWord(i + 1, code, bits)), SPEC.bits_per_region)
@@ -252,7 +246,10 @@ def test_criterion_6_adc():
         for i, bits in enumerate(SPEC.bits_per_region)
         for code in range(1 << bits)
     )
-    deterministic = all(convert(ADC, SPEC, float(v)) == convert(ADC, SPEC, float(v)) for v in grid[::10])
+    deterministic = all(
+        np.array_equal(a, b)
+        for a, b in zip(convert_array(ADC, SPEC, grid), convert_array(ADC, SPEC, grid))
+    )
     ok = monotone and bounds and round_trip and deterministic
     report(
         "criterion 6 (quantize monotone, code bounds, exhaustive word round-trip, determinism)",

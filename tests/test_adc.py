@@ -1,6 +1,8 @@
 import math
+import re
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,48 +10,52 @@ from hypothesis import strategies as st
 from cmapuf.adc import (
     COMPARISON_ROWS,
     AdcConfig,
-    Comparator,
     ResponseWord,
     conversion_cycles,
     conversion_energy,
     convert,
+    convert_array,
     decode_word,
     encode_word,
     energy_per_cycle,
-    quantize,
     response_bits,
-    select_comparator,
 )
 from cmapuf.codec import from_json, to_json
-from cmapuf.quantizer import default_regions
+from cmapuf.quantizer import QuantizerSpec, default_regions
 
 CFG = AdcConfig()
 SPEC = default_regions()
 
 
+def codes(config, bits, volts):
+    """In-region codes of voltages through one region spanning [0, 1.8] at ``bits``."""
+    spec = QuantizerSpec(boundaries=(0.0, 1.8), bits_per_region=(bits,), centroids=(0.9,))
+    return convert_array(config, spec, np.asarray(volts, dtype=float))[1]
+
+
 def test_quantize_against_direct_formula():
-    for v in np.linspace(0.0, 1.8, 1500):
-        for bits in (1, 4, 6, 7, 8):
-            expected = min(int(math.floor(v / 1.8 * (1 << bits))), (1 << bits) - 1)
-            assert quantize(CFG, float(v), bits) == expected
+    grid = np.linspace(0.0, 1.8, 1500)
+    for bits in (1, 4, 6, 7, 8):
+        expected = [min(int(math.floor(v / 1.8 * (1 << bits))), (1 << bits) - 1) for v in grid]
+        assert codes(CFG, bits, grid).tolist() == expected
+        assert [oracle.quantize(1.8, float(v), bits) for v in grid] == expected
 
 
 def test_quantize_monotone():
     for bits in (1, 6, 8):
-        codes = [quantize(CFG, float(v), bits) for v in np.linspace(0.0, 1.8, 4000)]
-        assert all(b >= a for a, b in zip(codes, codes[1:]))
+        assert np.all(np.diff(codes(CFG, bits, np.linspace(0.0, 1.8, 4000))) >= 0)
 
 
 def test_quantize_bounds():
-    assert quantize(CFG, 0.0, 8) == 0
-    assert quantize(CFG, 1.8, 8) == 255  # full scale clamps to the top code
-    assert quantize(CFG, 0.9, 6) == 32
-    with pytest.raises(ValueError):
-        quantize(CFG, -0.1, 8)
-    with pytest.raises(ValueError):
-        quantize(CFG, 1.9, 8)
-    with pytest.raises(ValueError):
-        quantize(CFG, 0.5, 0)
+    assert codes(CFG, 8, [0.0, 1.8]).tolist() == [0, 255]  # full scale clamps to the top code
+    assert codes(CFG, 6, [0.9]).tolist() == [32]
+    for v in (-0.1, 1.9):
+        with pytest.raises(ValueError, match=re.escape(f"v must be within [0, 1.8], got {v}")):
+            codes(CFG, 8, [0.5, v])
+    with pytest.raises(ValueError, match="bits_per_region must be >= 1, got 0"):
+        codes(CFG, 0, [0.5])
+    with pytest.raises(ValueError, match=re.escape("bits must be in [1, 8], got 9")):
+        codes(CFG, 9, [0.5])
 
 
 def test_worked_eleven_bit_example():
@@ -105,11 +111,18 @@ def test_response_word_validation():
 
 
 def test_comparator_halves():
-    assert select_comparator(CFG, 1.0) is Comparator.A
-    assert select_comparator(CFG, 0.8) is Comparator.B
-    assert select_comparator(CFG, 0.9) is Comparator.B  # tie goes low
-    shifted = AdcConfig(comparator_residual_offset=0.15)
-    assert select_comparator(shifted, 1.0) is Comparator.B
+    # comparator A (upper half) shifts the ramp's voltage up by the
+    # residual offset, B down; the offset also moves the split
+    for offset, v, comparator in (
+        (0.01, 1.0, "A"),
+        (0.01, 0.8, "B"),
+        (0.01, 0.5 * 1.8 + 0.01, "B"),  # tie goes low
+        (0.15, 1.0, "B"),
+    ):
+        cfg = AdcConfig(comparator_residual_offset=offset)
+        assert oracle.comparator(cfg, v) == comparator
+        v_eff = v + offset if comparator == "A" else v - offset
+        assert codes(cfg, 8, [v]).tolist() == [math.floor(v_eff / 1.8 * 256)]
 
 
 def test_residual_offset_shifts_code_not_region():
@@ -131,7 +144,7 @@ def test_vectorized_bits_agree_with_scalar_convert():
         matrix = response_bits(cfg, SPEC, volts)
         assert matrix.shape == (len(volts), 11)
         for i, v in enumerate(volts):
-            expected = [int(ch) for ch in convert(cfg, SPEC, float(v)).encoded]
+            expected = [int(ch) for ch in oracle.encode(oracle.convert(cfg, SPEC, float(v)))]
             assert matrix[i].tolist() == expected
 
 

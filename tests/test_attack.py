@@ -1,7 +1,8 @@
 import numpy as np
+import oracle
 import pytest
 
-from cmapuf.adc import AdcConfig, convert, encode_word
+from cmapuf.adc import AdcConfig
 from cmapuf.analog import Conditions, default_model, transfer
 from cmapuf.attack import (
     AttackReport,
@@ -184,9 +185,9 @@ def test_clone_bits_agrees_with_the_scalar_route(chip_dataset):
     train, _ = split(chip_dataset, 0.75, seed=0)
     clone = es_fit(train, MODEL, SPEC, ADC, EsHyper(generations=50, seed=0))
     for word in (0, 100, 255):
-        response = convert(ADC, SPEC, transfer(MODEL, float(clone.params[word])))
+        response = oracle.convert(ADC, SPEC, transfer(MODEL, float(clone.params[word])))
         row = clone_bits(clone.params, MODEL, SPEC, ADC, np.array([word]))[0]
-        assert [int(c) for c in encode_word(response)] == row.tolist()
+        assert [int(c) for c in oracle.encode(response)] == row.tolist()
 
 
 def test_es_hyper_validation():

@@ -20,7 +20,13 @@ from cmapuf.attack import EsHyper, LrHyper, attack_report, clone_bits, es_fit, s
 from cmapuf.cellarray import evaluate_array
 from cmapuf.cli import build_parser, main
 from cmapuf.crp import generate, load_csv, reliability, save_csv
-from cmapuf.quantizer import EmpiricalDistribution, default_regions, lloyd_max, load_spec
+from cmapuf.quantizer import (
+    EmpiricalDistribution,
+    default_regions,
+    lloyd_max,
+    load_spec,
+    save_spec,
+)
 from cmapuf.variation import VariationConfig, load_chip, synth_chip, synth_population
 
 
@@ -315,6 +321,60 @@ def test_only_attack_es_needs_the_manifest(tmp_path, capsys):
     assert run("attack", "--in", ds, "--model", "lr", "--epochs", 5, "--out", out) == 0
 
 
+@pytest.mark.parametrize(
+    "model, flag, owner",
+    [
+        ("es", ("--encoding", "raw"), "lr"),
+        ("es", ("--epochs", "5"), "lr"),
+        ("es", ("--learning-rate", "nan"), "lr"),
+        ("es", ("--l2", "0"), "lr"),
+        ("lr", ("--generations", "10"), "es"),
+        ("lr", ("--population", "40"), "es"),
+        ("lr", ("--parents", "8"), "es"),
+    ],
+)
+def test_attack_refuses_the_other_attackers_options(tmp_path, capsys, model, flag, owner):
+    # an option that changes nothing for this attacker is refused, even at its default
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--challenges", 16, "--out", ds) == 0
+    out = tmp_path / "a.csv"
+    assert run("attack", "--in", ds, "--model", model, *flag, "--out", out) == 1
+    message = f"error: {flag[0]} is an option of --model {owner}, not of --model {model}\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_attack_takes_unset_hyperparameters_from_their_defaults(tmp_path):
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--challenges", 32, "--out", ds) == 0
+    for model, given, spelled in (
+        ("lr", ("--epochs", 7), ("--epochs", 7, "--learning-rate", 50.0, "--l2", 1e-6,
+                                 "--encoding", "cell")),
+        ("es", ("--parents", 3, "--generations", 20),
+         ("--parents", 3, "--population", 40, "--generations", 20)),
+    ):
+        a, b = tmp_path / f"{model}_a.csv", tmp_path / f"{model}_b.csv"
+        assert run("attack", "--in", ds, "--model", model, *given, "--out", a) == 0
+        assert run("attack", "--in", ds, "--model", model, *spelled, "--out", b) == 0
+        for suffix in ("", ".manifest.json"):
+            assert (tmp_path / (a.name + suffix)).read_bytes() == (
+                tmp_path / (b.name + suffix)
+            ).read_bytes()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_a_dataset_without_records_is_refused(tmp_path, capsys, suffix):
+    # a header-only CSV, or a JSONL file holding only its metadata, with a manifest
+    ds = tmp_path / f"ds{suffix}"
+    assert run("crps", "--chips", 2, "--challenges", 4, "--out", ds) == 0
+    ds.write_text(ds.read_text().splitlines()[0] + "\n")
+    out = tmp_path / "out"
+    for command in ("metrics", "metrics --temps 0", "attack --model lr", "attack --model es"):
+        assert run(*command.split(), "--in", ds, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {ds} holds no records\n"
+        assert not out.exists()
+
+
 def test_attack_multichip_needs_chip_id(tmp_path, capsys):
     ds = tmp_path / "ds.csv"
     run("crps", "--chips", 2, "--seed", 4, "--out", ds)
@@ -401,6 +461,7 @@ def test_mc_samples_are_chip_cell_voltages(tmp_path, seed):
 
 ATTACK = ("attack", "--in", "ds.csv", "--out", "a.csv")
 CURVE = ("curve", "--out", "c.csv")
+FIT = ("fit-quantizer", "--samples", "s.txt", "--out", "q.json")
 
 
 @pytest.mark.parametrize(
@@ -420,6 +481,8 @@ CURVE = ("curve", "--out", "c.csv")
         # the transfer curve is the mirror's gain and vdd alone
         (CURVE, ("--switching", "naive")),
         (CURVE, ("--temp-coeff", "0")),
+        # no option sets the cell's or the converter's vdd, so no fit may either
+        (FIT, ("--vdd", "3.3")),
     ],
 )
 def test_read_conditions_belong_to_the_commands_that_read(capsys, argv, flag):
@@ -465,10 +528,8 @@ def test_metrics_refuses_merged_temperatures(tmp_path, capsys):
 
 @pytest.mark.parametrize("vdd", [3.3, 1.2])
 def test_quantizer_for_another_vdd_is_refused(tmp_path, capsys, vdd):
-    raw = tmp_path / "s.txt"
-    raw.write_text("\n".join(str(i * vdd / 2000) for i in range(2001)) + "\n")
     spec = tmp_path / "q.json"
-    assert run("fit-quantizer", "--samples", raw, "--k", 2, "--vdd", vdd, "--out", spec) == 0
+    save_spec(lloyd_max(EmpiricalDistribution(np.linspace(0.0, vdd, 2001), vdd), 2), spec)
     ds = tmp_path / "ds.csv"
     assert run("crps", "--quantizer", spec, "--out", ds) == 1
     err = capsys.readouterr().err

@@ -3,12 +3,14 @@ import re
 import tracemalloc
 
 import numpy as np
+import oracle
 import pytest
 
 from cmapuf.adc import AdcConfig, ResponseWord
 from cmapuf.analog import Conditions, default_model
 from cmapuf.crp import (
     COLUMNS,
+    CSV_FIELDS,
     CrpDataset,
     MetricsReport,
     bit_aliasing,
@@ -73,6 +75,7 @@ def test_single_record_reproducible_from_its_seed():
     cond = Conditions(noise_sigma=0.004, noise_seed=123)
     ds = generate([chip], MODEL, SPEC, ADC, list(range(256)), cond)
     assert ds.noise_seed[77] == record_seed(123, chip.chip_id, 77)
+    assert ds.noise_seed[77] == oracle.record_seed(123, chip.chip_id, 77)
     solo = generate([chip], MODEL, SPEC, ADC, [77], cond)
     assert_same_records(solo, ds.take([77], {}))
 
@@ -308,6 +311,16 @@ def test_loaders_refuse_bad_rows(tmp_path, suffix, edit, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         load(path)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_loaders_refuse_a_file_without_records(tmp_path, suffix):
+    path = tmp_path / f"ds{suffix}"
+    for text in ("", ",".join(CSV_FIELDS) if suffix == ".csv" else '{"_meta": {"n_chips": 1}}'):
+        path.write_text(text)
+        load = load_csv if suffix == ".csv" else load_jsonl
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no records$"):
+            load(path)
 
 
 def test_uniqueness_memory_grows_linearly_in_chips():

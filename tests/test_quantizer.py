@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,3 +249,32 @@ def test_region_of_total_and_consistent(v):
     assert 1 <= region <= spec.k
     assert bits == spec.bits_per_region[region - 1]
     assert region_index_array(spec.boundaries, np.array([v]))[0] == region - 1
+    assert (region, bits) == oracle.region_of(spec, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cuts=st.lists(st.floats(0.01, VDD - 0.01), max_size=8, unique=True),
+    volts=st.lists(st.one_of(st.floats(-0.5, VDD + 0.5), st.just(VDD)), max_size=20),
+)
+def test_region_index_array_equals_the_binary_search(cuts, volts):
+    # the lookup counts boundaries; the oracle bisects them; boundaries
+    # themselves are drawn as voltages too
+    boundaries = (0.0, *sorted(cuts), VDD)
+    k = len(boundaries) - 1
+    mids = tuple(0.5 * (lo + hi) for lo, hi in zip(boundaries[:-1], boundaries[1:]))
+    spec = QuantizerSpec(boundaries=boundaries, bits_per_region=(8,) * k, centroids=mids)
+    volts = np.array(volts + list(boundaries))
+    inside = (volts >= 0.0) & (volts <= VDD)
+    idx = region_index_array(boundaries, volts)
+    expected = [oracle.region_of(spec, float(v))[0] - 1 for v in volts[inside]]
+    assert idx[inside].tolist() == expected
+    assert [region_of(spec, float(v))[0] - 1 for v in volts[inside]] == expected
+    # beyond the rails the lookup clamps to the outer regions
+    assert idx[volts < 0.0].tolist() == [0] * int(np.sum(volts < 0.0))
+    assert idx[volts > VDD].tolist() == [k - 1] * int(np.sum(volts > VDD))
+    for v in volts[~inside].tolist():
+        message = f"^{re.escape(f'v must be within [0, {VDD}], got {v}')}$"
+        for lookup in (region_of, oracle.region_of):
+            with pytest.raises(ValueError, match=message):
+                lookup(spec, v)

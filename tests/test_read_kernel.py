@@ -1,19 +1,23 @@
-"""The batched read kernel against the scalar route it replaces.
+"""The read kernels against the independent scalar route in ``oracle``.
 
 ``generate`` is the one batched read, returning the dataset's columns,
 and ``reliability`` re-reads a population through it; every record must
-equal what ``record_seed`` -> ``evaluate`` -> ``convert`` ->
-``encode_word`` gives for the same read, errors included.
+equal what ``oracle.read`` gives for the same read (``record_seed`` ->
+``evaluate`` -> ``convert`` -> ``encode``), errors included.  The
+package's scalar ``record_seed``, ``evaluate``, ``region_of`` and
+``convert`` are one element of their kernels and are held to the oracle
+too.
 """
 
 import re
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cmapuf.adc import AdcConfig, ResponseWord, convert, convert_array, encode_word, response_bits
+from cmapuf.adc import AdcConfig, ResponseWord, convert, convert_array, response_bits
 from cmapuf.analog import (
     Conditions,
     MirrorConfig,
@@ -25,34 +29,20 @@ from cmapuf.analog import (
 )
 from cmapuf.cellarray import Challenge, evaluate
 from cmapuf.crp import bits_matrix, generate, record_seed, reliability
-from cmapuf.quantizer import QuantizerSpec, default_regions
+from cmapuf.quantizer import QuantizerSpec, default_regions, region_of
 from cmapuf.variation import ProcessCorner, VariationConfig, synth_chip
 
 VDD = 1.8
 
 
-def oracle(chip, model, spec, adc_config, word, conditions):
-    """One record the scalar way: (derived seed, response word)."""
-    seed = record_seed(conditions.noise_seed, chip.chip_id, word)
-    cond = Conditions(conditions.temperature, conditions.noise_sigma, seed)
-    rng = np.random.default_rng(seed) if conditions.noise_sigma > 0.0 else None
-    v = evaluate(model, chip, Challenge(word), cond, rng=rng)
-    return seed, convert(adc_config, spec, v)
-
-
-def oracle_bits(chip, model, spec, adc_config, words, conditions):
-    rows = [encode_word(oracle(chip, model, spec, adc_config, w, conditions)[1]) for w in words]
-    return np.array([[int(ch) for ch in row] for row in rows], dtype=np.int8)
-
-
 @st.composite
-def specs(draw):
-    """Quantizers with 1 to 7 regions and mixed precision."""
-    k = draw(st.integers(1, 7))
+def specs(draw, max_k=7, max_bits=8):
+    """Quantizers with 1 to ``max_k`` regions and mixed precision."""
+    k = draw(st.integers(1, max_k))
     cuts = draw(st.lists(st.floats(0.01, VDD - 0.01), min_size=k - 1, max_size=k - 1,
                          unique=True))
     boundaries = (0.0, *sorted(cuts), VDD)
-    bits = tuple(draw(st.lists(st.integers(1, 8), min_size=k, max_size=k)))
+    bits = tuple(draw(st.lists(st.integers(1, max_bits), min_size=k, max_size=k)))
     centroids = tuple(0.5 * (lo + hi) for lo, hi in zip(boundaries[:-1], boundaries[1:]))
     return QuantizerSpec(boundaries=boundaries, bits_per_region=bits, centroids=centroids)
 
@@ -100,12 +90,12 @@ def test_generate_equals_the_scalar_route(
     assert len(ds) == len(expected)
     rows = []
     for i, (chip, word) in enumerate(expected):
-        seed, response = oracle(chip, model, spec, adc_config, word, cond)
+        seed, response = oracle.read(chip, model, spec, adc_config, word, cond)
         assert (ds.chip_id[i], ds.challenge[i]) == (chip.chip_id, word)
         assert (ds.temperature[i], ds.noise_sigma[i]) == (cond.temperature, cond.noise_sigma)
         assert ds.noise_seed[i] == seed
         assert ResponseWord(ds.region[i], ds.code[i], ds.bits[i]) == response
-        rows.append([int(ch) for ch in encode_word(response)])
+        rows.append([int(ch) for ch in oracle.encode(response)])
     assert bits_matrix(ds).tolist() == rows
 
 
@@ -125,10 +115,10 @@ def test_reliability_equals_the_scalar_route(corner, chip_seeds, spec, offset, t
     ref = Conditions(temperature=25.0, noise_sigma=0.0)
     expected = []
     for chip in chips:
-        ref_bits = oracle_bits(chip, model, spec, adc_config, words, ref)
+        ref_bits = oracle.read_bits(chip, model, spec, adc_config, words, ref)
         total = 0.0
         for cond in tests:
-            got = oracle_bits(chip, model, spec, adc_config, words, cond)
+            got = oracle.read_bits(chip, model, spec, adc_config, words, cond)
             total += float((got != ref_bits).mean())
         expected.append(1.0 - total / len(tests))
     assert reliability(chips, model, spec, adc_config, tests) == expected
@@ -143,7 +133,7 @@ def test_record_seeds_match_record_seed(base):
                   Conditions(noise_seed=base))
     seeds = ds.noise_seed.tolist()
     for chip_id, word, seed in zip(ds.chip_id.tolist(), ds.challenge.tolist(), seeds):
-        assert seed == record_seed(base, chip_id, word)
+        assert seed == oracle.record_seed(base, chip_id, word) == record_seed(base, chip_id, word)
 
 
 def test_saturated_cells_read_the_rails_exactly():
@@ -152,19 +142,90 @@ def test_saturated_cells_read_the_rails_exactly():
     chip = synth_chip(VariationConfig(sigma_vth=0.3, seed=4))
     model, spec = default_model(), default_regions()
     cond = Conditions()
-    volts = [evaluate(model, chip, Challenge(w), cond) for w in range(256)]
+    volts = [oracle.evaluate(model, chip, w, cond) for w in range(256)]
     assert 0.0 in volts and VDD in volts
     for offset in (0.0, 0.01, -0.01):
         adc_config = AdcConfig(comparator_residual_offset=offset)
         ds = generate([chip], model, spec, adc_config, list(range(256)), cond)
         got = zip(ds.region.tolist(), ds.code.tolist(), ds.bits.tolist())
-        assert [ResponseWord(*w) for w in got] == [convert(adc_config, spec, v) for v in volts]
+        expected = [oracle.convert(adc_config, spec, v) for v in volts]
+        assert [ResponseWord(*w) for w in got] == expected
 
 
 def _scalar_error(config, spec, v):
     with pytest.raises(ValueError) as info:
-        convert(config, spec, v)
+        oracle.convert(config, spec, v)
     return re.escape(str(info.value))
+
+
+voltages = st.one_of(
+    st.floats(0.0, VDD), st.sampled_from([0.0, VDD, -0.1, 1.9, float("nan"), float("inf")])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=specs(max_k=9, max_bits=9),
+    offset=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+    volts=st.lists(voltages, min_size=1, max_size=12),
+    shape=st.sampled_from([(-1,), (-1, 1), (1, -1)]),
+)
+def test_convert_array_equals_the_scalar_route(spec, offset, volts, shape):
+    # value for value, or the error the scalar route raises for the first
+    # voltage it rejects in C order; the scalar ``convert`` is one element
+    cfg = AdcConfig(comparator_residual_offset=offset)
+    v = np.array(volts).reshape(shape)
+    expected, error = [], None
+    for x in volts:
+        try:
+            expected.append(oracle.convert(cfg, spec, x))
+        except ValueError as exc:
+            error = str(exc)
+            break
+    if error is None:
+        region, code, bits = convert_array(cfg, spec, v)
+        assert region.shape == code.shape == bits.shape == v.shape
+        got = zip(region.ravel().tolist(), code.ravel().tolist(), bits.ravel().tolist())
+        assert [ResponseWord(*w) for w in got] == expected
+        assert [convert(cfg, spec, x) for x in volts] == expected
+        assert [region_of(spec, x) for x in volts] == [oracle.region_of(spec, x) for x in volts]
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            convert_array(cfg, spec, v)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            convert(cfg, spec, volts[len(expected)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.one_of(st.integers(-3, 10), st.integers(2**31, 2**80)),
+    chip_id=st.text(max_size=8),
+    word=st.integers(-2, 258),
+    cond=conditions,
+    chip_seed=st.integers(0, 10_000),
+)
+def test_scalar_views_equal_the_scalar_route(base, chip_id, word, cond, chip_seed):
+    # ``record_seed`` and ``evaluate`` are one element of their kernels
+    if 0 <= word < 256 and base >= 0:
+        assert record_seed(base, chip_id, word) == oracle.record_seed(base, chip_id, word)
+        chip = synth_chip(VariationConfig(seed=chip_seed))
+        model = default_model()
+        assert evaluate(model, chip, Challenge(word), cond) == oracle.evaluate(
+            model, chip, word, cond
+        )
+        rng, same = np.random.default_rng(chip_seed), np.random.default_rng(chip_seed)
+        assert evaluate(model, chip, Challenge(word), cond, rng=rng) == oracle.evaluate(
+            model, chip, word, cond, rng=same
+        )
+    elif not 0 <= word < 256:
+        message = re.escape(f"challenge must be in [0, 255], got {word}")
+        with pytest.raises(ValueError, match=message):
+            record_seed(base, chip_id, word)
+    else:
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            oracle.record_seed(base, chip_id, word)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            record_seed(base, chip_id, word)
 
 
 def test_convert_array_raises_what_convert_raises():
@@ -184,7 +245,7 @@ def test_convert_array_raises_what_convert_raises():
                          centroids=(0.45, 1.35))
     for bad_spec, v in ((k8, 1.79), (wide, 1.0)):
         volts = np.array([[0.1, 0.2], [v, v]])
-        assert convert(cfg, bad_spec, 0.1)  # the low voltages convert fine
+        assert oracle.convert(cfg, bad_spec, 0.1)  # the low voltages convert fine
         with pytest.raises(ValueError, match=_scalar_error(cfg, bad_spec, v)):
             convert_array(cfg, bad_spec, volts)
 
@@ -202,7 +263,7 @@ def test_generate_raises_what_the_scalar_route_raises():
     # a model whose rail sits above the quantizer's range: the first
     # record past 1.8 V is the one reported
     high = TransferModel(mirror=model.mirror, switching=model.switching, vdd=2.0)
-    volts = (evaluate(high, chip, Challenge(w), Conditions()) for w in range(256))
+    volts = (oracle.evaluate(high, chip, w, Conditions()) for w in range(256))
     first = next(v for v in volts if v > VDD)
     with pytest.raises(ValueError, match=_scalar_error(cfg, spec, first)):
         generate([chip], high, spec, cfg, list(range(256)), Conditions())
