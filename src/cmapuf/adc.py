@@ -7,7 +7,8 @@ convert in a quarter of the cycles of rail-adjacent ones.
 
 A response word is region number plus in-region code, packed as a fixed
 11-bit string: 3 region bits followed by the code, zero-padded on the
-left to 8 bits.  This module holds that layout: the word's index
+left to 8 bits.  The field widths come from ``quantizer``, whose spec
+must fit them; this module holds the rest of the layout: the word's index
 ``region << 8 | code``, its string and its bit row.  The per-cycle energy
 of the converter is power / clock, and a handful of published reference
 points are kept here for the energy comparison command.
@@ -21,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import QuantizerSpec, region_index_array
+from .quantizer import CODE_FIELD_BITS, REGION_FIELD_BITS, QuantizerSpec, region_index_array
 
-REGION_FIELD_BITS = 3
-CODE_FIELD_BITS = 8
 WORD_BITS = REGION_FIELD_BITS + CODE_FIELD_BITS
 
 
@@ -96,26 +95,17 @@ def convert_array(
     half, the other (B) the rest, so each works near its rail; the offset moves
     that split and shifts the ramp's voltage, up for A and down for B.  The
     code is floor(v / vdd * 2**bits) of the shifted voltage clamped to
-    [0, vdd], full scale taking the top code.  A voltage outside [0, vdd],
-    or in a region or at a precision the word cannot hold, raises a
-    ``ValueError`` for the first such voltage in C order.
+    [0, vdd], full scale taking the top code.  A voltage outside [0, vdd]
+    raises a ``ValueError`` for the first such voltage in C order; the spec
+    itself fits the word.
     """
     v = np.asarray(v, dtype=float)
     bits_table = np.asarray(spec.bits_per_region, dtype=np.int64)
     idx = region_index_array(spec.boundaries, v)
-    bad = ~((v >= 0.0) & (v <= spec.vdd))
-    if spec.k >= 1 << REGION_FIELD_BITS or bits_table.max() > CODE_FIELD_BITS:
-        bad |= (idx + 1 >= 1 << REGION_FIELD_BITS) | (bits_table[idx] > CODE_FIELD_BITS)
+    bad = ~((v >= 0.0) & (v <= spec.vdd))  # NaN too
     if bad.any():
-        i = int(np.argmax(bad.reshape(-1)))
-        first = float(v.reshape(-1)[i])
-        if not 0.0 <= first <= spec.vdd:  # NaN too
-            raise ValueError(f"v must be within [0, {spec.vdd}], got {first}")
-        region = int(idx.reshape(-1)[i]) + 1
-        bits = spec.bits_per_region[region - 1]
-        if bits > CODE_FIELD_BITS:
-            raise ValueError(f"bits must be in [1, 8], got {bits}")
-        raise ValueError(f"region must be in [1, 7], got {region}")
+        first = float(v.reshape(-1)[np.argmax(bad.reshape(-1))])
+        raise ValueError(f"v must be within [0, {spec.vdd}], got {first}")
     levels = 1 << bits_table
     shift = config.comparator_residual_offset
     v_eff = v + np.where(v > 0.5 * config.vdd + shift, shift, -shift)

@@ -62,9 +62,10 @@ def evaluate(
 ) -> float:
     """Analog output voltage of the cell the challenge selects.
 
-    When noise_sigma > 0 a generator must be supplied (or one is built
-    from conditions.noise_seed, which makes every call identical; batch
-    callers should pass their own).  With the noise drawn, this is one
+    When noise_sigma > 0 the noise is one ``normal`` draw from ``rng``, or,
+    without one, from ``default_rng(conditions.noise_seed)``, so such calls
+    repeat the same draw.  Batched reads go through ``crp.generate``, which
+    draws every record's noise itself.  With the noise drawn, this is one
     element of ``evaluate_array``.
     """
     noise = None

@@ -3,16 +3,20 @@
 A dataset is a set of equal-length columns, one row per read: chip,
 challenge, the response (region, code, precision) and the conditions of
 the read.  Noise is reproducible per record: the generator seed is
-derived from (dataset noise seed, chip id, challenge word), so
+derived from (dataset noise seed, chip id, challenge word), and the
+record's noise is ``np.random.default_rng(seed).normal(0, sigma)``, so
 re-generating any single record gives the same bits without replaying
 the whole dataset.
 
 ``generate`` is the one batched read, chips x challenge words straight
 to columns; ``reliability`` re-reads a population through it, once per
 condition.  It runs one kernel per stage: ``_record_seeds`` for the noise
-seeds, ``cellarray.evaluate_array`` for the voltages and
-``adc.convert_array`` for the words.  The scalar ``record_seed``,
-``evaluate`` and ``convert`` are one element of those kernels.
+seeds, ``_record_noise`` for their draws, ``cellarray.evaluate_array`` for
+the voltages and ``adc.convert_array`` for the words.  The first two run
+numpy's seed-sequence mix elementwise over the whole batch
+(``_seed_sequence_state``), so no record builds a generator of its own.
+The scalar ``record_seed``, ``evaluate`` and ``convert`` are one element
+of those kernels.
 
 Metrics follow the usual fractional-Hamming-distance conventions, and
 refuse a dataset with more than one read of a (chip, challenge):
@@ -155,12 +159,15 @@ def record_seed(base_seed: int, chip_id: str, challenge: int) -> int:
     return int(_record_seeds(base_seed, [chip_id], np.array([word]))[0, 0])
 
 
-# The hash constants of numpy's seed sequence, for ``_record_seeds``.
+# The hash constants of numpy's seed sequence, for ``_seed_sequence_state``.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier, for ``_record_noise``.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def _seed_words(n: int) -> list[int]:
@@ -194,18 +201,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.ndarray:
-    """Noise seeds of every (chip, word) pair at once, as (chips, words) uint64.
+def _seed_sequence_state(entropy: list, n_words: int) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)``, elementwise.
 
-    Each is the first uint64 numpy's seed sequence draws from the entropy
-    ``[base_seed, crc32(chip_id), word]``.  Its pool mix is a fixed sequence
-    of uint32 operations with data-independent constants, so it runs
-    elementwise over all records.  Words are not range checked here.
+    ``entropy`` is the uint32 words, each an array (or scalar) broadcast to
+    one shape; the result is ``n_words`` uint64 arrays of that shape.  The
+    pool mix is a fixed sequence of uint32 operations with data-independent
+    constants, so it runs over every element at once.  An entropy shorter
+    than the pool is padded with zero words, as numpy pads it.
     """
-    shape = (len(chip_ids), len(words))
-    crcs = np.array([zlib.crc32(c.encode()) for c in chip_ids], dtype=np.uint32)[:, None]
-    entropy = [np.uint32(w) for w in _seed_words(base_seed)]
-    entropy += [crcs, np.asarray(words).astype(np.uint32)[None, :]]
+    shape = np.broadcast_shapes(*(np.shape(e) for e in entropy))
     entropy = [np.broadcast_to(e, shape) for e in entropy]
     entropy += [np.zeros(shape, np.uint32)] * (_POOL_SIZE - len(entropy))
     consts = _hash_consts(_INIT_A, _MULT_A)
@@ -217,10 +222,60 @@ def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.
     for e in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(e, consts))
-    # generate_state(1, uint64): two uint32 words, low word first
+    # the output cycles through the pool; each uint64 is two uint32 words, low word first
     consts = _hash_consts(_INIT_B, _MULT_B)
-    low, high = (_hashmix(value, consts).astype(np.uint64) for value in pool[:2])
-    return low | (high << np.uint64(32))
+    words = [_hashmix(pool[i % _POOL_SIZE], consts) for i in range(2 * n_words)]
+    return [
+        low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
+        for low, high in zip(words[::2], words[1::2])
+    ]
+
+
+def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.ndarray:
+    """Noise seeds of every (chip, word) pair at once, as (chips, words) uint64.
+
+    Each is the first uint64 numpy's seed sequence draws from the entropy
+    ``[base_seed, crc32(chip_id), word]``.  Words are not range checked here.
+    """
+    crcs = np.array([zlib.crc32(c.encode()) for c in chip_ids], dtype=np.uint32)[:, None]
+    entropy = [np.uint32(w) for w in _seed_words(base_seed)]
+    entropy += [crcs, np.asarray(words).astype(np.uint32)[None, :]]
+    return _seed_sequence_state(entropy, 1)[0]
+
+
+def _record_noise(seeds: np.ndarray, sigma: float) -> np.ndarray:
+    """``np.random.default_rng(seed).normal(0.0, sigma)`` of every uint64 seed, same shape.
+
+    ``default_rng(seed)`` seeds PCG64 from ``SeedSequence(seed).generate_state(4,
+    np.uint64)``, which ``_seed_sequence_state`` gives for all seeds at once
+    (a seed below 2**32 is one entropy word; the zero high word mixes in as
+    the pool's padding does).  The first pair of words, high word first, is
+    the LCG's initial state, the second its stream.  PCG64's own seeding, two
+    LCG steps, runs here in Python ints, and one reused generator draws each
+    record's normal from the state it leaves.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = [(seeds >> np.uint64(shift)).astype(np.uint32) for shift in (0, 32)]
+    init_hi, init_lo, seq_hi, seq_lo = (
+        w.ravel().tolist() for w in _seed_sequence_state(entropy, 4)
+    )
+    # PCG64's seeding: inc = initseq << 1 | 1, then from state 0 an LCG step,
+    # + initstate, and a second step
+    incs = [((hi << 65) | (lo << 1) | 1) & _MASK128 for hi, lo in zip(seq_hi, seq_lo)]
+    states = [
+        ((inc + ((hi << 64) | lo)) * _PCG64_MULT + inc) & _MASK128
+        for inc, hi, lo in zip(incs, init_hi, init_lo)
+    ]
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    bit_generator = np.random.PCG64(0)
+    normal = np.random.Generator(bit_generator).normal
+    noise = []
+    for state, inc in zip(states, incs):
+        pcg["state"], pcg["inc"] = state, inc
+        bit_generator.state = full
+        noise.append(normal(0.0, sigma))
+    return np.array(noise, dtype=np.float64).reshape(seeds.shape)
 
 
 def generate(
@@ -235,8 +290,9 @@ def generate(
 
     Records are emitted chip-major in the order given, challenge order
     preserved within a chip.  The same arguments always produce the same
-    dataset, noise included: each record's noise is a
-    ``default_rng(seed).normal`` draw from its own derived seed.  Bad input
+    dataset, noise included: each record's noise equals
+    ``default_rng(seed).normal(0, sigma)`` of its own derived seed, drawn
+    for the whole batch by ``_record_noise``.  Bad input
     raises for a negative noise seed, then for a challenge outside
     [0, 255], then for the first voltage ``convert_array`` rejects.
     """
@@ -253,10 +309,7 @@ def generate(
     seeds = _record_seeds(conditions.noise_seed, chip_ids, words)
     noise = None
     if conditions.noise_sigma > 0.0:
-        sigma = conditions.noise_sigma
-        noise = np.array(
-            [np.random.default_rng(s).normal(0.0, sigma) for s in seeds.ravel().tolist()]
-        ).reshape(seeds.shape)
+        noise = _record_noise(seeds, conditions.noise_sigma)
     volts = evaluate_array(model, chips, words, conditions, noise)
     region, code, bits = convert_array(adc_config, spec, volts)
     n = seeds.size

@@ -13,6 +13,9 @@ boundary moves to the midpoint between neighbours (the nearest-neighbour
 rule for a scalar).  Each half-step can only lower the mean squared
 error, so the iteration converges to a local optimum.  A fit refuses
 samples with fewer distinct values than regions.
+
+A spec's regions and precisions must fit the 11-bit response word: the
+field widths are defined here, and ``adc`` packs the word from them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ DEFAULT_MAX_ITER = 1000
 # get 8 bits, the sparse middle 6).
 DEFAULT_BOUNDARIES = (0.0, 0.1451, 0.6596, 1.3308, 1.6978, 1.8)
 DEFAULT_BITS = (8, 7, 6, 7, 8)
+
+# The response word's fields: a 1-based region number, then the in-region code.
+REGION_FIELD_BITS = 3
+CODE_FIELD_BITS = 8
+MAX_REGIONS = (1 << REGION_FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,9 @@ class QuantizerSpec:
     vdd at the ends.  Region i (1-based, matching the encoded region
     number) spans [boundaries[i-1], boundaries[i]).  bits_per_region sets
     the converter precision used inside each region and centroids are the
-    fitted representatives.
+    fitted representatives.  A spec holds at most ``MAX_REGIONS`` regions
+    and at most ``CODE_FIELD_BITS`` bits per region, what the response word
+    holds.
     """
 
     boundaries: tuple[float, ...]
@@ -75,6 +85,7 @@ class QuantizerSpec:
         k = len(self.bits_per_region)
         if k < 1:
             raise ValueError("need at least one region")
+        _refuse_wider_than_the_word(k, self.bits_per_region)
         if len(self.boundaries) != k + 1:
             raise ValueError(
                 f"{k} regions need {k + 1} boundaries, got {len(self.boundaries)}"
@@ -102,6 +113,18 @@ class QuantizerSpec:
     @property
     def vdd(self) -> float:
         return self.boundaries[-1]
+
+
+def _refuse_wider_than_the_word(k: int, bits_per_region: tuple[int, ...]) -> None:
+    """Raise for more regions, or a wider precision, than the response word holds."""
+    if k > MAX_REGIONS:
+        raise ValueError(f"the response word holds at most {MAX_REGIONS} regions, got k={k}")
+    for bit in bits_per_region:
+        if bit > CODE_FIELD_BITS:
+            raise ValueError(
+                f"bits_per_region must be <= {CODE_FIELD_BITS}, the response word's code "
+                f"width, got {bit}"
+            )
 
 
 def default_regions() -> QuantizerSpec:
@@ -200,12 +223,14 @@ def lloyd_max(
     Runs the centroid/boundary alternation from a uniform initial
     partition until the largest boundary movement in one iteration falls
     below tol (or max_iter is hit).  bits_per_region defaults to 8 bits
-    everywhere; pass an explicit tuple to assign mixed precision.
+    everywhere; pass an explicit tuple to assign mixed precision.  A k or a
+    precision the response word cannot hold is refused before the fit.
     """
     if bits_per_region is None:
-        bits_per_region = (8,) * k
+        bits_per_region = (CODE_FIELD_BITS,) * k
     if len(bits_per_region) != k:
         raise ValueError(f"bits_per_region must have {k} entries")
+    _refuse_wider_than_the_word(k, bits_per_region)
     boundaries, centroids, _ = _lloyd_max_steps(dist, k, tol, max_iter, trace=False)
     # fitted interior boundaries can coincide only if two centroids collide,
     # which the empty-region rule prevents for sample sets with >= k distinct

@@ -111,6 +111,27 @@ def test_fit_quantizer_bits_mismatch_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_quantizer_wider_than_the_word_is_refused(tmp_path, capsys):
+    raw = tmp_path / "s.txt"
+    raw.write_text("\n".join(str(i * 1.8 / 200) for i in range(201)) + "\n")
+    wide = "bits_per_region must be <= 8, the response word's code width, got 9"
+    for option, message in (
+        (["--k", 8], "the response word holds at most 7 regions, got k=8"),
+        (["--k", 2, "--bits", "9,9"], wide),
+    ):
+        out = tmp_path / "q.json"
+        assert run("fit-quantizer", "--samples", raw, *option, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"boundaries": [0.0, 0.9, 1.8], "bits_per_region": [8, 9],
+                                "centroids": [0.45, 1.35]}))
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--quantizer", spec, "--out", ds) == 1
+    assert capsys.readouterr().err == f"error: {spec}: {wide}\n"
+    assert not ds.exists()
+
+
 def test_crps_csv_and_jsonl(tmp_path):
     csv_path = tmp_path / "ds.csv"
     assert run("crps", "--chips", 2, "--seed", 3, "--out", csv_path) == 0

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_empty_region_reseeded_not_stuck():
 def test_boundaries_pinned_and_increasing():
     rng = np.random.default_rng(4)
     samples = np.clip(rng.normal(0.9, 0.4, 5000), 0.0, VDD)
-    for k in (1, 2, 3, 5, 8):
+    for k in (1, 2, 3, 5, 7):
         spec = lloyd_max(EmpiricalDistribution(samples, VDD), k)
         assert spec.boundaries[0] == 0.0
         assert spec.boundaries[-1] == VDD
@@ -217,6 +218,30 @@ def test_spec_validation():
         QuantizerSpec(boundaries=(0.0, 1.8), bits_per_region=(0,), centroids=(0.9,))
 
 
+def test_a_spec_wider_than_the_word_is_refused(tmp_path):
+    # 3 region bits hold regions 1-7, and the code field 8 bits
+    b8 = tuple(i * VDD / 8 for i in range(9))
+    mids8 = tuple((lo + hi) / 2 for lo, hi in zip(b8[:-1], b8[1:]))
+    with pytest.raises(ValueError, match=r"^the response word holds at most 7 regions, got k=8$"):
+        QuantizerSpec(boundaries=b8, bits_per_region=(8,) * 8, centroids=mids8)
+    wide = "bits_per_region must be <= 8, the response word's code width, got 9"
+    with pytest.raises(ValueError, match=f"^{re.escape(wide)}$"):
+        QuantizerSpec(boundaries=(0.0, 0.9, VDD), bits_per_region=(8, 9), centroids=(0.45, 1.35))
+    b7 = b8[:7] + (VDD,)
+    widest = QuantizerSpec(boundaries=b7, bits_per_region=(8,) * 7, centroids=mids8[:6] + (1.7,))
+    assert widest.k == 7
+    # the fit refuses before it runs: one distinct sample would fail it otherwise
+    flat = EmpiricalDistribution(np.array([0.9]), VDD)
+    with pytest.raises(ValueError, match="at most 7 regions, got k=8"):
+        lloyd_max(flat, 8)
+    with pytest.raises(ValueError, match=re.escape(wide)):
+        lloyd_max(flat, 2, bits_per_region=(9, 8))
+    path = tmp_path / "k8.json"
+    path.write_text(json.dumps({"boundaries": b8, "bits_per_region": [8] * 8, "centroids": mids8}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the response word holds"):
+        load_spec(path)
+
+
 def test_lloyd_max_argument_validation():
     dist = EmpiricalDistribution(np.linspace(0.1, 1.7, 50), VDD)
     with pytest.raises(ValueError):
@@ -254,7 +279,8 @@ def test_region_of_total_and_consistent(v):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    cuts=st.lists(st.floats(0.01, VDD - 0.01), max_size=8, unique=True),
+    # up to 7 regions, the most a spec holds
+    cuts=st.lists(st.floats(0.01, VDD - 0.01), max_size=6, unique=True),
     volts=st.lists(st.one_of(st.floats(-0.5, VDD + 0.5), st.just(VDD)), max_size=20),
 )
 def test_region_index_array_equals_the_binary_search(cuts, volts):
