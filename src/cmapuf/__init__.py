@@ -28,7 +28,7 @@ from .analog import (
     transfer,
 )
 from .attack import EsHyper, FeatureEncoding, LrHyper, attack_report, es_fit, lr_train, split
-from .cellarray import CellAddress, Challenge, decode, evaluate
+from .cellarray import decode, evaluate
 from .crp import (
     CrpDataset,
     MetricsReport,
@@ -51,8 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdcConfig",
-    "CellAddress",
-    "Challenge",
     "ChipInstance",
     "Conditions",
     "CrpDataset",

@@ -34,7 +34,7 @@ import numpy as np
 
 from .adc import WORD_BITS, AdcConfig, response_bits
 from .analog import TransferModel, transfer_array
-from .cellarray import CHALLENGE_BITS
+from .cellarray import CHALLENGE_BITS, decode
 from .crp import CrpDataset, _refuse_repeated_reads, bits_matrix
 from .quantizer import QuantizerSpec
 
@@ -56,16 +56,20 @@ class FeatureEncoding(Enum):
 
 
 def features(encoding: FeatureEncoding, words: np.ndarray) -> np.ndarray:
-    """The (n, 8 | 32 | 256) feature matrix of an array of challenge words, by encoding."""
+    """The (n, 8 | 32 | 256) feature matrix of an array of challenge words, by encoding.
+
+    ``decode`` checks the words, so one outside [0, 255] raises.
+    """
     words = np.asarray(words, dtype=np.int64)
+    rows, cols = decode(words)
     n = words.shape[0]
     if encoding is FeatureEncoding.RAW_BITS:
         shifts = np.arange(CHALLENGE_BITS - 1, -1, -1)
         return ((words[:, None] >> shifts) & 1).astype(float)
     if encoding is FeatureEncoding.ONE_HOT_ROWCOL:
         out = np.zeros((n, 32))
-        out[np.arange(n), words >> 4] = 1.0
-        out[np.arange(n), 16 + (words & 0x0F)] = 1.0
+        out[np.arange(n), rows] = 1.0
+        out[np.arange(n), 16 + cols] = 1.0
         return out
     out = np.zeros((n, N_CELLS))
     out[np.arange(n), words] = 1.0

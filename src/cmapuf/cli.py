@@ -51,7 +51,6 @@ def _add_read_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temp-coeff", type=float, default=analog.DEFAULT_TEMP_COEFF)
     p.add_argument("--temp", type=float, default=25.0, help="read temperature in degC")
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--noise-seed", type=int, default=0)
 
 
 def _add_adc_args(p: argparse.ArgumentParser) -> None:
@@ -79,9 +78,9 @@ def _model(args: argparse.Namespace) -> analog.TransferModel:
     return analog.TransferModel(_mirror(args), switching, temp_coeff=args.temp_coeff)
 
 
-def _conditions(args: argparse.Namespace) -> analog.Conditions:
+def _conditions(args: argparse.Namespace, noise_seed: int = 0) -> analog.Conditions:
     return analog.Conditions(
-        temperature=args.temp, noise_sigma=args.noise_sigma, noise_seed=args.noise_seed
+        temperature=args.temp, noise_sigma=args.noise_sigma, noise_seed=noise_seed
     )
 
 
@@ -240,7 +239,7 @@ def cmd_crps(args: argparse.Namespace) -> int:
             quantizer.load_spec(args.quantizer) if args.quantizer else quantizer.default_regions()
         ),
         adc=_adc_config(args),
-        conditions=_conditions(args),
+        conditions=_conditions(args, args.noise_seed),
     )
     chips = variation.synth_population(params.variation, params.chips)
     words = list(range(params.challenges))
@@ -268,14 +267,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     ids = dataset.chip_ids
     multi = len(ids) >= 2
     uniq = crp.uniqueness(dataset) if multi else None
+    code_positions = list(range(adc.REGION_FIELD_BITS, adc.WORD_BITS))
+    uniq_code = crp.uniqueness(dataset, bit_positions=code_positions) if multi else None
     aliasing = tuple(crp.bit_aliasing(dataset).tolist()) if multi else None
     uniformities = {c: crp.uniformity(dataset, c) for c in ids}
 
     reliabilities: dict[str, float] = {}
-    extra: dict = {}
-    if multi:
-        code_positions = list(range(adc.REGION_FIELD_BITS, adc.WORD_BITS))
-        extra["uniqueness_code_bits"] = crp.uniqueness(dataset, bit_positions=code_positions)
     if args.temps:
         params = _crps_parameters(args.infile)
         chips = variation.synth_population(params.variation, params.chips)
@@ -292,9 +289,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         uniformity=uniformities,
         bit_aliasing=aliasing,
         reliability=reliabilities,
+        uniqueness_code_bits=uniq_code,
     )
     out = Path(args.out)
-    codec.write_json(out, codec.to_json(report) | extra)
+    codec.write_json(out, report)
     _write_manifest(out, "metrics", {"infile": str(args.infile), "temps": args.temps})
     if uniq is not None:
         print(f"uniqueness {uniq:.4f} over {len(ids)} chips")
@@ -458,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crps", help="generate a challenge-response dataset")
     _add_read_args(p)
+    p.add_argument("--noise-seed", type=int, default=0, help="base of every record's noise seed")
     _add_adc_args(p)
     p.add_argument("--quantizer", type=Path, default=None, help="quantizer spec JSON")
     p.add_argument("--chips", type=int, default=1)

@@ -14,9 +14,10 @@ condition.  It runs one kernel per stage: ``_record_seeds`` for the noise
 seeds, ``_record_noise`` for their draws, ``cellarray.evaluate_array`` for
 the voltages and ``adc.convert_array`` for the words.  The first two run
 numpy's seed-sequence mix elementwise over the whole batch
-(``_seed_sequence_state``), so no record builds a generator of its own.
-The scalar ``record_seed``, ``evaluate`` and ``convert`` are one element
-of those kernels.
+(``_seed_sequence_state``), so no record builds a generator of its own;
+``_record_noise`` is the one draw of a record's noise.  The scalar
+``record_seed``, ``cellarray.evaluate`` and ``adc.convert`` are one element
+of those kernels, and ``cellarray.decode`` is the one challenge check.
 
 Metrics follow the usual fractional-Hamming-distance conventions, and
 refuse a dataset with more than one read of a (chip, challenge):
@@ -51,7 +52,7 @@ from .adc import (
     word_strings,
 )
 from .analog import Conditions, TransferModel
-from .cellarray import CHALLENGE_BITS, Challenge, evaluate_array
+from .cellarray import CHALLENGE_BITS, decode, evaluate_array
 from .quantizer import QuantizerSpec
 from .variation import ChipInstance
 
@@ -73,8 +74,8 @@ class CrpDataset:
     """Reads as equal-length 1-D columns (see ``COLUMNS``) plus metadata.
 
     Columns are converted to their dtype and checked on construction: a
-    row that ``ResponseWord``, ``Conditions`` or ``Challenge`` rejects
-    makes this raise their error for the first such row, and a noise seed
+    row that ``ResponseWord``, ``Conditions`` or ``decode`` rejects makes
+    this raise their error for the first such row, and a noise seed
     outside [0, 2**64) is refused rather than wrapped.
     """
 
@@ -104,13 +105,13 @@ class CrpDataset:
         bad |= (self.bits < 1) | (self.bits > CODE_FIELD_BITS)
         bad |= (self.code < 0) | (self.code >= 1 << self.bits)
         bad |= ~((self.temperature >= -20.0) & (self.temperature <= 100.0) & (self.noise_sigma >= 0))
-        bad |= (self.challenge < 0) | (self.challenge >= 1 << CHALLENGE_BITS)
-        if bad.any():
-            # raise the scalar types' error, in the order a record was once built
-            i = int(np.argmax(bad))
+        # the first bad row raises, checked in the order a record was once
+        # built: its response word, its conditions, then its challenge
+        i = int(np.argmax(bad)) if bad.any() else len(bad)
+        decode(self.challenge[:i])
+        if i < len(bad):
             ResponseWord(self.region[i].item(), self.code[i].item(), self.bits[i].item())
             Conditions(self.temperature[i].item(), self.noise_sigma[i].item())
-            Challenge(self.challenge[i].item())
             raise AssertionError(f"row {i} is valid, but the column checks reject it")
 
     def __len__(self) -> int:
@@ -155,8 +156,8 @@ def _seed_column(values) -> np.ndarray:
 
 def record_seed(base_seed: int, chip_id: str, challenge: int) -> int:
     """Derived noise seed for one (chip, challenge) read: one element of ``_record_seeds``."""
-    word = Challenge(challenge).word
-    return int(_record_seeds(base_seed, [chip_id], np.array([word]))[0, 0])
+    decode(challenge)
+    return int(_record_seeds(base_seed, [chip_id], np.array([challenge]))[0, 0])
 
 
 # The hash constants of numpy's seed sequence, for ``_seed_sequence_state``.
@@ -235,7 +236,7 @@ def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.
     """Noise seeds of every (chip, word) pair at once, as (chips, words) uint64.
 
     Each is the first uint64 numpy's seed sequence draws from the entropy
-    ``[base_seed, crc32(chip_id), word]``.  Words are not range checked here.
+    ``[base_seed, crc32(chip_id), word]``.  The callers check the words.
     """
     crcs = np.array([zlib.crc32(c.encode()) for c in chip_ids], dtype=np.uint32)[:, None]
     entropy = [np.uint32(w) for w in _seed_words(base_seed)]
@@ -292,9 +293,10 @@ def generate(
     preserved within a chip.  The same arguments always produce the same
     dataset, noise included: each record's noise equals
     ``default_rng(seed).normal(0, sigma)`` of its own derived seed, drawn
-    for the whole batch by ``_record_noise``.  Bad input
-    raises for a negative noise seed, then for a challenge outside
-    [0, 255], then for the first voltage ``convert_array`` rejects.
+    for the whole batch by ``_record_noise``.  Bad input raises for a
+    negative noise seed, then for a challenge outside [0, 255]
+    (``evaluate_array``), then for the first voltage ``convert_array``
+    rejects.
     """
     if not chips:
         raise ValueError("need at least one chip")
@@ -302,15 +304,12 @@ def generate(
         raise ValueError("need at least one challenge")
     _seed_words(conditions.noise_seed)  # a negative seed fails, noisy or not
     words = np.asarray(challenges, dtype=np.int64).reshape(-1)
-    bad = (words < 0) | (words >= 1 << CHALLENGE_BITS)
-    if bad.any():
-        Challenge(int(words[np.argmax(bad)]))  # raises
     chip_ids = [c.chip_id for c in chips]
     seeds = _record_seeds(conditions.noise_seed, chip_ids, words)
     noise = None
     if conditions.noise_sigma > 0.0:
         noise = _record_noise(seeds, conditions.noise_sigma)
-    volts = evaluate_array(model, chips, words, conditions, noise)
+    volts = evaluate_array(model, chips, words, conditions.temperature, noise)
     region, code, bits = convert_array(adc_config, spec, volts)
     n = seeds.size
     meta = {
@@ -432,17 +431,23 @@ def reliability(
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Bundle of dataset metrics; reliability is per chip and optional."""
+    """Bundle of dataset metrics; reliability is per chip and optional.
+
+    ``uniqueness_code_bits`` is the uniqueness over the code bits alone;
+    it and ``uniqueness`` and ``bit_aliasing`` are None for one chip.
+    """
 
     uniqueness: float | None
     uniformity: dict[str, float]
     bit_aliasing: tuple[float, ...] | None
     reliability: dict[str, float] = field(default_factory=dict)
+    uniqueness_code_bits: float | None = None
 
     def __post_init__(self) -> None:
         vals = list(self.uniformity.values()) + list(self.reliability.values())
-        if self.uniqueness is not None:
-            vals.append(self.uniqueness)
+        for v in (self.uniqueness, self.uniqueness_code_bits):
+            if v is not None:
+                vals.append(v)
         if self.bit_aliasing is not None:
             vals.extend(self.bit_aliasing)
         for v in vals:

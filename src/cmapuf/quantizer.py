@@ -181,6 +181,8 @@ def _lloyd_max_steps(
         raise ValueError(f"k must be >= 1, got {k}")
     if not tol >= 0.0:  # a NaN tol would never stop the fit early
         raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:  # no iteration would leave the uniform start unfitted
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     samples = np.sort(dist.samples)
     distinct = 1 + int(np.count_nonzero(np.diff(samples)))
     if distinct < k:  # some region would hold no sample

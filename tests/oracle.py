@@ -7,23 +7,23 @@ is described, cell -> tanh -> Lloyd-Max region -> single-slope ADC ->
 11-bit word, with arithmetic of its own:
 
     record_seed  numpy's ``SeedSequence`` on (base seed, crc32 of the chip id, word)
-    evaluate     ``transfer`` of the selected cell's ``effective_mismatch``
+    evaluate     the word's range check and ``divmod(word, 16)`` to (row, column),
+                 then ``transfer`` of that cell's ``effective_mismatch``
     region_of    ``np.searchsorted`` over the boundaries
     convert      the comparator choice, then ``math.floor`` quantisation
     encode       the region and code formatted as binary strings
+    read         a generator per record, ``default_rng(seed).normal``, for its noise
 
 The tests hold every kernel to it value for value, errors included.
 """
 
 import math
 import zlib
-from dataclasses import replace
 
 import numpy as np
 
 from cmapuf.adc import CODE_FIELD_BITS, REGION_FIELD_BITS, AdcConfig, ResponseWord
 from cmapuf.analog import Conditions, TransferModel, effective_mismatch, transfer
-from cmapuf.cellarray import Challenge, decode
 from cmapuf.quantizer import QuantizerSpec
 from cmapuf.variation import ChipInstance
 
@@ -38,19 +38,16 @@ def evaluate(
     model: TransferModel,
     chip: ChipInstance,
     word: int,
-    conditions: Conditions,
-    rng: np.random.Generator | None = None,
+    temperature: float,
+    noise: float | None = None,
 ) -> float:
-    """Output voltage of the selected cell; noise from ``rng`` or the conditions' seed."""
-    addr = decode(Challenge(word))
-    noise = None
-    if conditions.noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(conditions.noise_seed)
-        noise = float(rng.normal(0.0, conditions.noise_sigma))
+    """Voltage of the cell the word selects: high nibble row, low nibble column."""
+    if not 0 <= word <= 255:
+        raise ValueError(f"challenge must be in [0, 255], got {word}")
+    row, col = divmod(word, 16)
     offset = model.switching.offset(chip.config.corner)
-    dvth = chip.mismatch[addr.row, addr.col]
-    return transfer(model, effective_mismatch(model, dvth, offset, conditions.temperature, noise))
+    dvth = chip.mismatch[row, col]
+    return transfer(model, effective_mismatch(model, dvth, offset, temperature, noise))
 
 
 def region_of(spec: QuantizerSpec, v: float) -> tuple[int, int]:
@@ -105,7 +102,10 @@ def read(
 ) -> tuple[int, ResponseWord]:
     """One record: its derived noise seed and its response word."""
     seed = record_seed(conditions.noise_seed, chip.chip_id, word)
-    v = evaluate(model, chip, word, replace(conditions, noise_seed=seed))
+    noise = None
+    if conditions.noise_sigma > 0.0:
+        noise = float(np.random.default_rng(seed).normal(0.0, conditions.noise_sigma))
+    v = evaluate(model, chip, word, conditions.temperature, noise)
     return seed, convert(adc_config, spec, v)
 
 

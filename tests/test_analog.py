@@ -23,7 +23,7 @@ from cmapuf.analog import (
     transfer_curve,
     wide_swing_mirror,
 )
-from cmapuf.cellarray import Challenge, evaluate
+from cmapuf.cellarray import evaluate
 from cmapuf.codec import from_json, to_json
 from cmapuf.variation import ProcessCorner, VariationConfig, synth_chip
 
@@ -203,16 +203,17 @@ def test_invalid_scalars_rejected():
 
 
 def test_cell_output_reproducible_with_noise():
+    # a read takes its noise pre-drawn, so the same noise gives the same
+    # voltage and another noise another voltage
     model = default_model()
     chip = synth_chip(VariationConfig(seed=5))
-    cond = Conditions(noise_sigma=0.005, noise_seed=11)
-    word = Challenge(0x39)
-    a = evaluate(model, chip, word, cond)
-    b = evaluate(model, chip, word, cond)
-    assert a == b
-    rng1 = np.random.default_rng(1)
-    rng2 = np.random.default_rng(2)
-    assert evaluate(model, chip, word, cond, rng=rng1) != evaluate(model, chip, word, cond, rng=rng2)
+    offset = model.switching.offset(chip.config.corner)
+    quiet = evaluate(model, chip, 0x39, 25.0)
+    for noise in (0.004, -0.002):
+        a = evaluate(model, chip, 0x39, 25.0, noise)
+        assert a == evaluate(model, chip, 0x39, 25.0, noise) != quiet
+        delta = effective_mismatch(model, chip.mismatch[3, 9], offset, 25.0, noise)
+        assert a == transfer(model, delta)
 
 
 def test_transfer_curve_endpoints_and_shape():

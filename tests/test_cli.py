@@ -197,6 +197,7 @@ def test_metrics_single_chip_still_reports_uniformity(tmp_path):
     assert run("metrics", "--in", ds, "--out", report_path) == 0
     report = json.loads(report_path.read_text())
     assert report["uniqueness"] is None
+    assert report["uniqueness_code_bits"] is None
     assert report["bit_aliasing"] is None
     assert set(report["uniformity"]) == {"chip000"}
 
@@ -459,6 +460,16 @@ def test_fit_quantizer_names_too_few_distinct_values(tmp_path, capsys):
     assert not (tmp_path / "q.json").exists()
 
 
+def test_fit_quantizer_refuses_a_fit_without_iterations(tmp_path, capsys):
+    raw = tmp_path / "samples.txt"
+    raw.write_text("\n".join(str(i * 1.8 / 200) for i in range(201)) + "\n")
+    for max_iter in (0, -3):
+        out = tmp_path / "q.json"
+        assert run("fit-quantizer", "--samples", raw, "--max-iter", max_iter, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: max_iter must be >= 1, got {max_iter}\n"
+        assert list(tmp_path.iterdir()) == [raw]
+
+
 def test_fit_quantizer_names_a_nan_sample(tmp_path, capsys):
     raw = tmp_path / "samples.txt"
     raw.write_text("0.1\n0.5\nnan\n1.7\n")
@@ -476,13 +487,14 @@ def test_mc_samples_are_chip_cell_voltages(tmp_path, seed):
     assert run("mc", "--seed", seed, "--samples", 256, "--out", out, "--samples-out", raw) == 0
     samples = [float(line) for line in raw.read_text().splitlines()]
     chip = synth_chip(VariationConfig(seed=seed))
-    volts = evaluate_array(default_model(), [chip], range(256), Conditions())[0]
+    volts = evaluate_array(default_model(), [chip], range(256), 25.0)[0]
     assert samples == volts.tolist()
 
 
 ATTACK = ("attack", "--in", "ds.csv", "--out", "a.csv")
 CURVE = ("curve", "--out", "c.csv")
 FIT = ("fit-quantizer", "--samples", "s.txt", "--out", "q.json")
+MC = ("mc", "--out", "h.csv")
 
 
 @pytest.mark.parametrize(
@@ -491,6 +503,8 @@ FIT = ("fit-quantizer", "--samples", "s.txt", "--out", "q.json")
         (ATTACK, ("--temp", "80")),
         (CURVE, ("--noise-sigma", "0.1")),
         (CURVE, ("--noise-seed", "3")),
+        # mc draws its noise from the --seed stream, so no noise seed changes it
+        (MC, ("--noise-seed", "3")),
         # attack --model es reads how the data was read from its manifest
         (ATTACK, ("--mirror", "reduced")),
         (ATTACK, ("--switching", "naive")),
@@ -506,9 +520,10 @@ FIT = ("fit-quantizer", "--samples", "s.txt", "--out", "q.json")
         (FIT, ("--vdd", "3.3")),
     ],
 )
-def test_read_conditions_belong_to_the_commands_that_read(capsys, argv, flag):
+def test_read_conditions_belong_to_the_commands_that_read(tmp_path, monkeypatch, capsys, argv, flag):
     # attack and curve read no cell, so they take no temperature or noise,
     # and an option that would change none of their output bytes is refused
+    monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
     build_parser().parse_args(argv)
     with pytest.raises(SystemExit) as exc:
         run(*argv, *flag)

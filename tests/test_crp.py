@@ -225,6 +225,8 @@ def test_metrics_report_validation():
         MetricsReport(uniqueness=1.5, uniformity={}, bit_aliasing=None)
     with pytest.raises(ValueError):
         MetricsReport(uniqueness=None, uniformity={"a": -0.1}, bit_aliasing=None)
+    with pytest.raises(ValueError, match="metric value 1.5 outside"):
+        MetricsReport(0.5, {"a": 0.5}, None, uniqueness_code_bits=1.5)
 
 
 def test_csv_round_trip(tmp_path, small_dataset):

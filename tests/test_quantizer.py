@@ -259,6 +259,16 @@ def test_lloyd_max_argument_validation():
         EmpiricalDistribution(np.array([0.5, 2.0]), VDD)
 
 
+def test_lloyd_max_needs_an_iteration():
+    # with no iteration the uniform start would come back as a fit
+    dist = EmpiricalDistribution(np.linspace(0.1, 1.7, 50), VDD)
+    for max_iter in (0, -3):
+        for fit in (lloyd_max, lloyd_max_mse_trace):
+            with pytest.raises(ValueError, match=f"^max_iter must be >= 1, got {max_iter}$"):
+                fit(dist, 5, max_iter=max_iter)
+    assert len(lloyd_max_mse_trace(dist, 5, max_iter=1)) == 1
+
+
 def test_spec_json_round_trip(tmp_path):
     spec = default_regions()
     path = tmp_path / "spec.json"

@@ -28,7 +28,7 @@ from cmapuf.analog import (
     naive_switching,
     power_gated_switching,
 )
-from cmapuf.cellarray import Challenge, evaluate
+from cmapuf.cellarray import evaluate, evaluate_array
 from cmapuf.crp import _record_noise, bits_matrix, generate, record_seed, reliability
 from cmapuf.quantizer import QuantizerSpec, default_regions, region_of
 from cmapuf.variation import ProcessCorner, VariationConfig, synth_chip
@@ -174,7 +174,7 @@ def test_saturated_cells_read_the_rails_exactly():
     chip = synth_chip(VariationConfig(sigma_vth=0.3, seed=4))
     model, spec = default_model(), default_regions()
     cond = Conditions()
-    volts = [oracle.evaluate(model, chip, w, cond) for w in range(256)]
+    volts = [oracle.evaluate(model, chip, w, cond.temperature) for w in range(256)]
     assert 0.0 in volts and VDD in volts
     for offset in (0.0, 0.01, -0.01):
         adc_config = AdcConfig(comparator_residual_offset=offset)
@@ -238,26 +238,46 @@ def test_convert_array_equals_the_scalar_route(spec, offset, volts, shape):
 )
 def test_scalar_views_equal_the_scalar_route(base, chip_id, word, cond, chip_seed):
     # ``record_seed`` and ``evaluate`` are one element of their kernels
+    chip = synth_chip(VariationConfig(seed=chip_seed))
+    model = default_model()
+    noise = float(np.random.default_rng(chip_seed).normal(0.0, cond.noise_sigma))
     if 0 <= word < 256 and base >= 0:
         assert record_seed(base, chip_id, word) == oracle.record_seed(base, chip_id, word)
-        chip = synth_chip(VariationConfig(seed=chip_seed))
-        model = default_model()
-        assert evaluate(model, chip, Challenge(word), cond) == oracle.evaluate(
-            model, chip, word, cond
-        )
-        rng, same = np.random.default_rng(chip_seed), np.random.default_rng(chip_seed)
-        assert evaluate(model, chip, Challenge(word), cond, rng=rng) == oracle.evaluate(
-            model, chip, word, cond, rng=same
-        )
+        for n in (None, noise):
+            assert evaluate(model, chip, word, cond.temperature, n) == oracle.evaluate(
+                model, chip, word, cond.temperature, n
+            )
     elif not 0 <= word < 256:
         message = re.escape(f"challenge must be in [0, 255], got {word}")
         with pytest.raises(ValueError, match=message):
             record_seed(base, chip_id, word)
+        for view in (evaluate, oracle.evaluate):
+            with pytest.raises(ValueError, match=message):
+                view(model, chip, word, cond.temperature, noise)
     else:
         with pytest.raises(ValueError, match="expected non-negative integer"):
             oracle.record_seed(base, chip_id, word)
         with pytest.raises(ValueError, match="expected non-negative integer"):
             record_seed(base, chip_id, word)
+
+
+def test_evaluate_is_one_element_of_the_noisy_read():
+    # a record's voltage is ``evaluate`` of its (chip, word) with that
+    # record's own ``_record_noise`` draw, which is the only noise draw
+    chips = [synth_chip(VariationConfig(seed=s)) for s in (2, 8)]
+    model, spec, cfg = default_model(), default_regions(), AdcConfig()
+    cond = Conditions(temperature=60.0, noise_sigma=0.05, noise_seed=9)
+    words = list(range(256))
+    ds = generate(chips, model, spec, cfg, words, cond)
+    noise = _record_noise(ds.noise_seed, cond.noise_sigma)
+    volts = evaluate_array(model, chips, words, cond.temperature, noise.reshape(2, -1)).ravel()
+    quiet = generate(chips, model, spec, cfg, words, Conditions(temperature=60.0))
+    assert (ds.code != quiet.code).mean() > 0.25  # the noise moves many words
+    records = [(chip, w) for chip in chips for w in words]
+    for i, (chip, w) in enumerate(records):
+        v = evaluate(model, chip, w, cond.temperature, noise=float(noise[i]))
+        assert v == volts[i]
+        assert convert(cfg, spec, v) == ResponseWord(ds.region[i], ds.code[i], ds.bits[i])
 
 
 def test_convert_array_raises_what_convert_raises():
@@ -284,7 +304,7 @@ def test_generate_raises_what_the_scalar_route_raises():
     # a model whose rail sits above the quantizer's range: the first
     # record past 1.8 V is the one reported
     high = TransferModel(mirror=model.mirror, switching=model.switching, vdd=2.0)
-    volts = (oracle.evaluate(high, chip, w, Conditions()) for w in range(256))
+    volts = (oracle.evaluate(high, chip, w, 25.0) for w in range(256))
     first = next(v for v in volts if v > VDD)
     with pytest.raises(ValueError, match=_scalar_error(cfg, spec, first)):
         generate([chip], high, spec, cfg, list(range(256)), Conditions())
