@@ -247,39 +247,36 @@ def cmd_crps(args: argparse.Namespace) -> int:
         chips, params.model, params.quantizer, params.adc, words, params.conditions
     )
     out = Path(args.out)
-    if out.suffix == ".jsonl":
-        crp.save_jsonl(dataset, out)
-    else:
-        crp.save_csv(dataset, out)
+    (crp.save_jsonl if out.suffix == ".jsonl" else crp.save_csv)(dataset, out)
     _write_manifest(out, "crps", params)
     print(f"wrote {len(dataset)} records ({args.chips} chips x {args.challenges} challenges)")
     return 0
 
 
 def _load_dataset(path: Path) -> crp.CrpDataset:
-    if path.suffix == ".jsonl":
-        return crp.load_jsonl(path)
-    return crp.load_csv(path)
+    return crp.load_jsonl(path) if path.suffix == ".jsonl" else crp.load_csv(path)
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    temps = None
+    if args.temps is not None:
+        try:
+            temps = [float(t) for t in args.temps.split(",")]
+        except ValueError:
+            raise ValueError(f"--temps needs comma-separated degC, got {args.temps!r}") from None
     dataset = _load_dataset(Path(args.infile))
-    ids = dataset.chip_ids
-    multi = len(ids) >= 2
+    multi = len(dataset.chip_ids) >= 2
     uniq = crp.uniqueness(dataset) if multi else None
     code_positions = list(range(adc.REGION_FIELD_BITS, adc.WORD_BITS))
     uniq_code = crp.uniqueness(dataset, bit_positions=code_positions) if multi else None
     aliasing = tuple(crp.bit_aliasing(dataset).tolist()) if multi else None
-    uniformities = {c: crp.uniformity(dataset, c) for c in ids}
+    uniformities = crp.uniformity(dataset)
 
     reliabilities: dict[str, float] = {}
-    if args.temps:
+    if temps is not None:
         params = _crps_parameters(args.infile)
         chips = variation.synth_population(params.variation, params.chips)
-        conds = [
-            replace(params.conditions, temperature=float(t), noise_seed=args.seed)
-            for t in args.temps.split(",")
-        ]
+        conds = [replace(params.conditions, temperature=t, noise_seed=args.seed) for t in temps]
         chips = [chip for chip in chips if chip.chip_id in uniformities]
         if chips:
             values = crp.reliability(chips, params.model, params.quantizer, params.adc, conds)
@@ -295,9 +292,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     codec.write_json(out, report)
     _write_manifest(out, "metrics", {"infile": str(args.infile), "temps": args.temps})
     if uniq is not None:
-        print(f"uniqueness {uniq:.4f} over {len(ids)} chips")
-    mean_unif = float(np.mean(list(uniformities.values())))
-    print(f"mean uniformity {mean_unif:.4f}")
+        print(f"uniqueness {uniq:.4f} over {len(uniformities)} chips")
+    print(f"mean uniformity {float(np.mean(list(uniformities.values()))):.4f}")
     if reliabilities:
         print(f"mean reliability {float(np.mean(list(reliabilities.values()))):.4f}")
     return 0
@@ -332,7 +328,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         if len(ids) != 1:
             raise ValueError(f"dataset has chips {ids}; pick one with --chip-id")
         chip_id = ids[0]
-    single = dataset.for_chip(chip_id)
+    single = dataset.take(dataset.chip_id == chip_id, dict(dataset.metadata))
+    if not len(single):
+        raise ValueError(f"no records for chip {chip_id!r}")
     train, test = attack.split(single, args.train_frac, seed=args.seed)
 
     if args.model == "lr":

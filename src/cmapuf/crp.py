@@ -24,7 +24,7 @@ refuse a dataset with more than one read of a (chip, challenge):
 
     uniqueness   mean pairwise HD between chips on shared challenges
                  (ideal 0.5 on unbiased bit positions)
-    uniformity   fraction of ones a single chip emits (ideal 0.5)
+    uniformity   fraction of ones in each chip's responses (ideal 0.5)
     reliability  1 - mean HD between a reference read and re-reads under
                  stress conditions (ideal 1.0)
     bit_aliasing per-position mean across chips (ideal 0.5 per bit)
@@ -36,7 +36,7 @@ import csv
 import json
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -134,13 +134,6 @@ class CrpDataset:
     def take(self, rows: np.ndarray, metadata: dict) -> CrpDataset:
         """The dataset of the selected rows (a mask or indices), order kept."""
         return CrpDataset(**{name: getattr(self, name)[rows] for name in COLUMNS}, metadata=metadata)
-
-    def for_chip(self, chip_id: str) -> CrpDataset:
-        """One chip's rows, metadata kept."""
-        ids, chip = self._chips
-        if chip_id not in ids:
-            raise ValueError(f"no records for chip {chip_id!r}")
-        return self.take(chip == ids.index(chip_id), dict(self.metadata))
 
 
 def _seed_column(values) -> np.ndarray:
@@ -381,11 +374,16 @@ def uniqueness(dataset: CrpDataset, bit_positions: list[int] | None = None) -> f
     return float(distance[np.triu_indices(len(ids), k=1)].mean())
 
 
-def uniformity(dataset: CrpDataset, chip_id: str) -> float:
-    """Fraction of ones across one chip's encoded responses."""
-    chip = dataset.for_chip(chip_id)
-    _refuse_repeated_reads(chip, "uniformity")
-    return float(bits_matrix(chip).mean())
+def uniformity(dataset: CrpDataset) -> dict[str, float]:
+    """Per chip, in first-appearance order: the fraction of ones in its encoded responses.
+
+    The counts are exact, so each is the float ``bits_matrix(chip_rows).mean()`` gives.
+    """
+    _refuse_repeated_reads(dataset, "uniformity")
+    ids, chip = dataset._chips
+    ones = np.bincount(chip, weights=bits_matrix(dataset).sum(axis=1), minlength=len(ids))
+    reads = np.bincount(chip, minlength=len(ids))
+    return dict(zip(ids, (ones / (reads * WORD_BITS)).tolist()))
 
 
 def bit_aliasing(dataset: CrpDataset) -> np.ndarray:
@@ -444,12 +442,8 @@ class MetricsReport:
     uniqueness_code_bits: float | None = None
 
     def __post_init__(self) -> None:
-        vals = list(self.uniformity.values()) + list(self.reliability.values())
-        for v in (self.uniqueness, self.uniqueness_code_bits):
-            if v is not None:
-                vals.append(v)
-        if self.bit_aliasing is not None:
-            vals.extend(self.bit_aliasing)
+        vals = [*self.uniformity.values(), *self.reliability.values(), *(self.bit_aliasing or ())]
+        vals += [v for v in (self.uniqueness, self.uniqueness_code_bits) if v is not None]
         for v in vals:
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"metric value {v} outside [0, 1]")
@@ -468,6 +462,9 @@ CSV_FIELDS = (
     "noise_sigma",
     "noise_seed",
 )
+# how a loaded field becomes its value: an int unless named here
+_PARSE = dict(chip_id=str, challenge=partial(int, base=16), encoded=str)
+_PARSE |= dict(temperature=float, noise_sigma=float)
 
 
 def _rows(dataset: CrpDataset):
@@ -485,18 +482,17 @@ def _rows(dataset: CrpDataset):
     )
 
 
-def _from_rows(path: str | Path, rows: list[dict], metadata: dict) -> CrpDataset:
-    """A dataset from the CSV or JSONL rows of ``path``; ``CrpDataset`` checks every column.
+def _from_columns(path: str | Path, columns: dict[str, list], metadata: dict) -> CrpDataset:
+    """A dataset from ``path``'s records, one list of values per ``CSV_FIELDS`` name.
 
-    A file without rows, and a row without a field, or with a null one, or
-    whose ``encoded`` field is not its (region, code), raise a ``ValueError``
-    naming it, rows counted from 1.
+    ``CrpDataset`` checks the columns.  No records, a None (missing or null) field and an
+    ``encoded`` field unlike the record's (region, code) raise, naming the record from 1.
     """
-    if not rows:
+    if not columns["chip_id"]:
         raise ValueError(f"{path} holds no records")
 
-    def column(name: str, parse=int) -> list:
-        values = [row.get(name) for row in rows]
+    def column(name: str) -> list:
+        values, parse = columns.pop(name), _PARSE.get(name, int)
         if None in values:
             raise ValueError(f"row {values.index(None) + 1} has no {name!r} field")
         try:
@@ -504,23 +500,14 @@ def _from_rows(path: str | Path, rows: list[dict], metadata: dict) -> CrpDataset
         except TypeError as exc:
             raise ValueError(f"{name}: {exc}") from None
 
-    dataset = CrpDataset(
-        chip_id=column("chip_id", str),
-        challenge=column("challenge", lambda s: int(s, 16)),
-        region=column("region"),
-        code=column("code"),
-        bits=column("bits"),
-        temperature=column("temperature", float),
-        noise_sigma=column("noise_sigma", float),
-        noise_seed=column("noise_seed"),
-        metadata=metadata,
-    )
+    dataset = CrpDataset(**{name: column(name) for name in COLUMNS}, metadata=metadata)
+    encoded = column("encoded")
     words = word_strings(dataset.region, dataset.code)
-    for i, (got, word) in enumerate(zip(column("encoded", str), words)):
-        if got != word:
-            raise ValueError(
-                f"row {i + 1} has encoded {got!r}, but its region and code are {word!r}"
-            )
+    if encoded != words:
+        i = next(i for i, (got, word) in enumerate(zip(encoded, words)) if got != word)
+        raise ValueError(
+            f"row {i + 1} has encoded {encoded[i]!r}, but its region and code are {words[i]!r}"
+        )
     return dataset
 
 
@@ -532,8 +519,17 @@ def save_csv(dataset: CrpDataset, path: str | Path) -> None:
 
 
 def load_csv(path: str | Path) -> CrpDataset:
+    """Read a ``save_csv`` file by header name: blank lines are skipped, a field the
+    header lacks or a short record stops before is missing, one past the header ignored."""
+    columns: dict[str, list] = {name: [] for name in CSV_FIELDS}
     with open(path, newline="") as fh:
-        return _from_rows(path, list(csv.DictReader(fh)), {})
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        slots = [(columns[name], index.get(name, -1)) for name in CSV_FIELDS]
+        for row in filter(None, reader):
+            for values, i in slots:
+                values.append(row[i] if 0 <= i < len(row) else None)
+    return _from_columns(path, columns, {})
 
 
 def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
@@ -545,15 +541,21 @@ def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
 
 
 def load_jsonl(path: str | Path) -> CrpDataset:
-    rows: list[dict] = []
+    """Read a ``save_jsonl`` file: a ``_meta`` line, then one JSON object per record."""
+    columns: dict[str, list] = {name: [] for name in CSV_FIELDS}
     metadata: dict = {}
     with open(path) as fh:
         for line in fh:
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except ValueError:
+                doc = None
             if not isinstance(doc, dict):
-                raise ValueError(f"row {len(rows) + 1} is not a JSON object: {line.strip()!r}")
+                n = len(columns["chip_id"])
+                raise ValueError(f"row {n + 1} is not a JSON object: {line.strip()!r}")
             if "_meta" in doc:
                 metadata = doc["_meta"]
             else:
-                rows.append(doc)
-    return _from_rows(path, rows, metadata)
+                for name, values in columns.items():
+                    values.append(doc.get(name))
+    return _from_columns(path, columns, metadata)

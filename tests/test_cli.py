@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cmapuf import codec
+from cmapuf import codec, crp
 from cmapuf.adc import AdcConfig
 from cmapuf.analog import (
     Conditions,
@@ -202,6 +202,31 @@ def test_metrics_single_chip_still_reports_uniformity(tmp_path):
     assert set(report["uniformity"]) == {"chip000"}
 
 
+def test_metrics_builds_one_dataset(tmp_path, monkeypatch):
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--chips", 5, "--challenges", 16, "--out", ds) == 0
+    built = []
+    check = crp.CrpDataset.__post_init__
+
+    def counted(dataset):
+        built.append(dataset)
+        check(dataset)
+
+    monkeypatch.setattr(crp.CrpDataset, "__post_init__", counted)
+    assert run("metrics", "--in", ds, "--out", tmp_path / "m.json") == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("temps", ["", "0,,30", "0,", "hot"])
+def test_metrics_refuses_a_bad_temperature_list(tmp_path, capsys, temps):
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--chips", 2, "--challenges", 8, "--out", ds) == 0
+    out = tmp_path / "m.json"
+    assert run("metrics", "--in", ds, "--temps", temps, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: --temps needs comma-separated degC, got {temps!r}\n"
+    assert not out.exists()
+
+
 def test_metrics_reliability_requires_manifest(tmp_path, capsys):
     ds = tmp_path / "ds.csv"
     run("crps", "--chips", 1, "--seed", 1, "--out", ds)
@@ -253,6 +278,8 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
          "row 2 has no 'bits' field"),
         (broken("keyless.jsonl", drop_code), "row 2 has no 'code' field"),
         (broken("array.jsonl", lambda line: "[1, 2]"), "row 2 is not a JSON object: '[1, 2]'"),
+        (broken("oops.jsonl", lambda line: "{oops"), "row 2 is not a JSON object: '{oops'"),
+        (broken("blank.jsonl", lambda line: ""), "row 2 is not a JSON object: ''"),
         (broken("listed.jsonl", lambda line: json.dumps(json.loads(line) | {"code": [1]})),
          "code: int() argument must be"),
         # a null field is a missing one, not the chip 'None'
@@ -405,6 +432,9 @@ def test_attack_multichip_needs_chip_id(tmp_path, capsys):
     assert run(
         "attack", "--in", ds, "--chip-id", "chip001", "--epochs", 50, "--out", tmp_path / "x.csv"
     ) == 0
+    assert run("attack", "--in", ds, "--chip-id", "chip009", "--out", tmp_path / "y.csv") == 1
+    assert capsys.readouterr().err == "error: no records for chip 'chip009'\n"
+    assert not (tmp_path / "y.csv").exists()
 
 
 def test_energy_table(tmp_path, capsys):

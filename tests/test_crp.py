@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmapuf.adc import AdcConfig, ResponseWord
 from cmapuf.analog import Conditions, default_model
@@ -92,11 +94,11 @@ def test_uniqueness_rejects_duplicate_reads():
         **{name: np.concatenate([getattr(cold, name), getattr(hot, name)]) for name in COLUMNS}
     )
     repeat = "needs one read per (chip, challenge), but chip 'chip000' has more than one read"
-    for metric in (uniqueness, bit_aliasing, lambda ds: uniformity(ds, "chip000")):
+    for metric in (uniqueness, bit_aliasing, uniformity):
         with pytest.raises(ValueError, match=re.escape(repeat) + " of challenge 0$"):
             metric(merged)
     assert 0.0 < uniqueness(cold) < 1.0
-    assert 0.0 < uniformity(cold, "chip000") < 1.0
+    assert 0.0 < uniformity(cold)["chip000"] < 1.0
     assert bit_aliasing(cold).shape == (11,)
 
 
@@ -174,11 +176,40 @@ def test_uniqueness_population_plausible(small_dataset):
 
 
 def test_uniformity_hand_computed():
-    # '00100010001' has 3 ones of 11; two such records average the same
-    ds = _dataset(("a", 0, 1, 0b00010001), ("a", 1, 1, 0b00010001))
-    assert uniformity(ds, "a") == pytest.approx(3 / 11)
-    with pytest.raises(ValueError):
-        uniformity(ds, "missing")
+    # '00100010001' has 3 ones of 11; two such records average the same.
+    # '00100000000' has 1; chips come in first-appearance order
+    ds = _dataset(("b", 0, 1, 0), ("a", 0, 1, 0b00010001), ("a", 1, 1, 0b00010001))
+    assert list(uniformity(ds)) == ["b", "a"]
+    assert uniformity(ds) == pytest.approx({"b": 1 / 11, "a": 3 / 11})
+
+
+@st.composite
+def datasets(draw, min_chips=1):
+    """Small datasets of valid reads, chip ids a CSV must quote, seeds and temperatures at limits."""
+    chip_ids = st.text(',"\n é中x', max_size=4)
+    ids = draw(st.lists(chip_ids, min_size=min_chips, max_size=4, unique=True))
+    reads = []
+    for chip_id in ids:
+        for word in draw(st.lists(st.integers(0, 255), min_size=1, max_size=5, unique=True)):
+            bits = draw(st.integers(1, 8))
+            reads.append((
+                chip_id, word, draw(st.integers(1, 7)), draw(st.integers(0, (1 << bits) - 1)), bits,
+                draw(st.sampled_from([-20.0, 100.0]) | st.floats(-20.0, 100.0)),
+                draw(st.floats(0.0, 1.0)),
+                draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)),
+            ))
+    # rows interleave chips, so a chip's rows are not one block
+    reads = draw(st.permutations(reads))
+    return CrpDataset(**dict(zip(COLUMNS, zip(*reads))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=datasets(min_chips=2))
+def test_uniformity_is_each_chips_mean_bit(ds):
+    got = uniformity(ds)
+    assert list(got) == ds.chip_ids
+    for chip_id in ds.chip_ids:
+        assert got[chip_id] == float(bits_matrix(ds.take(ds.chip_id == chip_id, {})).mean())
 
 
 def test_bit_aliasing_single_challenge_two_chips():
@@ -233,6 +264,28 @@ def test_csv_round_trip(tmp_path, small_dataset):
     path = tmp_path / "ds.csv"
     save_csv(small_dataset, path)
     assert_same_records(load_csv(path), small_dataset)
+    # blank lines hold no record, a trailing one included
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:5], "", *lines[5:], ""]) + "\n")
+    assert_same_records(load_csv(path), small_dataset)
+
+
+def test_csv_reads_fields_by_header_name(tmp_path, small_dataset):
+    path = tmp_path / "ds.csv"
+    save_csv(small_dataset.take(slice(0, 3), {}), path)
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    # columns in another order, each record with one field past the header
+    order = list(reversed(range(len(header))))
+    lines = [",".join(header[i] for i in order)]
+    lines += [",".join([*(r[i] for i in order), "extra"]) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
+    assert_same_records(load_csv(path), small_dataset.take(slice(0, 3), {}))
+    # a header without a field misses it in the first record, even one
+    # with a field past the header
+    lines = [",".join(name for name in header if name != "code"), *map(",".join, rows)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^row 1 has no 'code' field$"):
+        load_csv(path)
 
 
 def test_csv_challenge_column_is_two_digit_hex(tmp_path, small_dataset):
@@ -254,6 +307,22 @@ def test_csv_round_trip_with_noise_conditions(tmp_path):
     path = tmp_path / "noisy.csv"
     save_csv(ds, path)
     assert_same_records(load_csv(path), ds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ds=datasets(),
+    metadata=st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=3),
+)
+def test_loaders_round_trip_drawn_datasets(tmp_path_factory, ds, metadata):
+    ds = ds.take(slice(None), metadata)
+    path = tmp_path_factory.mktemp("round-trip")
+    save_csv(ds, path / "ds.csv")
+    assert_same_records(load_csv(path / "ds.csv"), ds)
+    save_jsonl(ds, path / "ds.jsonl")
+    loaded = load_jsonl(path / "ds.jsonl")
+    assert_same_records(loaded, ds)
+    assert loaded.metadata == metadata
 
 
 def test_jsonl_round_trip(tmp_path, small_dataset):
