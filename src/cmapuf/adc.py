@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import CODE_FIELD_BITS, REGION_FIELD_BITS, QuantizerSpec, region_index_array
+from .codec import check_range
+from .quantizer import CODE_FIELD_BITS, MAX_REGIONS, REGION_FIELD_BITS, QuantizerSpec
+from .quantizer import check_volts, region_index_array
 
 WORD_BITS = REGION_FIELD_BITS + CODE_FIELD_BITS
 
@@ -35,12 +37,8 @@ class AdcConfig:
     comparator_residual_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.vdd > 0.0:  # NaN fails too
-            raise ValueError(f"vdd must be > 0, got {self.vdd}")
-        if not self.clock_freq > 0.0:
-            raise ValueError(f"clock_freq must be > 0, got {self.clock_freq}")
-        if not self.power >= 0.0:
-            raise ValueError(f"power must be >= 0, got {self.power}")
+        check_range("vdd", self.vdd, 0, open_lo=True)
+        energy_per_cycle(self.power, self.clock_freq)  # the clock and power rules
 
 
 @dataclass(frozen=True)
@@ -52,16 +50,19 @@ class ResponseWord:
     bits: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.region < 1 << REGION_FIELD_BITS):
-            raise ValueError(f"region must be in [1, 7], got {self.region}")
-        if not (1 <= self.bits <= CODE_FIELD_BITS):
-            raise ValueError(f"bits must be in [1, 8], got {self.bits}")
-        if not (0 <= self.code < 1 << self.bits):
-            raise ValueError(f"code must fit in {self.bits} bits, got {self.code}")
+        check_words(self.region, self.code, self.bits)
 
     @property
     def encoded(self) -> str:
         return encode_word(self)
+
+
+def check_words(region, code, bits) -> None:
+    """The response-word rule, on one word or on columns: region, then precision, then code."""
+    check_range("region", region, 1, MAX_REGIONS, rule=f"be in [1, {MAX_REGIONS}]")
+    check_range("bits", bits, 1, CODE_FIELD_BITS, rule=f"be in [1, {CODE_FIELD_BITS}]")
+    bits = np.asarray(bits)
+    check_range("code", code, 0, (1 << bits) - 1, rule=lambda i: f"fit in {bits.flat[i]} bits")
 
 
 def encode_word(word: ResponseWord) -> str:
@@ -101,11 +102,8 @@ def convert_array(
     """
     v = np.asarray(v, dtype=float)
     bits_table = np.asarray(spec.bits_per_region, dtype=np.int64)
+    check_volts(spec, v)
     idx = region_index_array(spec.boundaries, v)
-    bad = ~((v >= 0.0) & (v <= spec.vdd))  # NaN too
-    if bad.any():
-        first = float(v.reshape(-1)[np.argmax(bad.reshape(-1))])
-        raise ValueError(f"v must be within [0, {spec.vdd}], got {first}")
     levels = 1 << bits_table
     shift = config.comparator_residual_offset
     v_eff = v + np.where(v > 0.5 * config.vdd + shift, shift, -shift)
@@ -144,16 +142,13 @@ def response_bits(config: AdcConfig, spec: QuantizerSpec, v: np.ndarray) -> np.n
 
 def conversion_cycles(bits: int) -> int:
     """Clock cycles a single-slope conversion takes at the given precision."""
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    check_range("bits", bits, 1)
     return 1 << bits
 
 
 def energy_per_cycle(power: float, clock_freq: float) -> float:
-    if power < 0.0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    if clock_freq <= 0.0:
-        raise ValueError(f"clock_freq must be > 0, got {clock_freq}")
+    check_range("clock_freq", clock_freq, 0, open_lo=True)
+    check_range("power", power, 0)
     return power / clock_freq
 
 

@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .codec import check_range
 from .variation import ProcessCorner
 
 VDD_DEFAULT = 1.8
@@ -66,10 +67,8 @@ class MirrorConfig:
     bias_current: float = 4.3e-6
 
     def __post_init__(self) -> None:
-        if not self.gain > 0.0:  # NaN fails too
-            raise ValueError(f"gain must be > 0, got {self.gain}")
-        if not self.bias_current > 0.0:
-            raise ValueError(f"bias_current must be > 0, got {self.bias_current}")
+        check_range("gain", self.gain, 0, open_lo=True)
+        check_range("bias_current", self.bias_current, 0, open_lo=True)
 
 
 def wide_swing_mirror() -> MirrorConfig:
@@ -159,12 +158,13 @@ class Conditions:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (-20.0 <= self.temperature <= 100.0):
-            raise ValueError(
-                f"temperature must be within [-20, 100] degC, got {self.temperature}"
-            )
-        if not self.noise_sigma >= 0.0:  # NaN fails too
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        check_conditions(self.temperature, self.noise_sigma)
+
+
+def check_conditions(temperature, noise_sigma) -> None:
+    """The read-condition rule, on one read or on columns: temperature, then noise sigma."""
+    check_range("temperature", temperature, -20, 100, rule="be within [-20, 100] degC")
+    check_range("noise_sigma", noise_sigma, 0)
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,8 @@ class TransferModel:
     temp_ref: float = TEMP_REF
 
     def __post_init__(self) -> None:
-        if not self.vdd > 0.0:  # NaN fails too
-            raise ValueError(f"vdd must be > 0, got {self.vdd}")
-        if not math.isfinite(self.temp_coeff):
-            raise ValueError(f"temp_coeff must be finite, got {self.temp_coeff}")
+        check_range("vdd", self.vdd, 0, open_lo=True)
+        check_range("temp_coeff", self.temp_coeff)
         if len(self.weights) != 4:
             raise ValueError("weights must have four entries (pm1, pm2, nm1, nm2)")
         w_pm1, w_pm2, w_nm1, w_nm2 = self.weights
@@ -259,8 +257,9 @@ def transfer_curve(
     model: TransferModel, lo: float, hi: float, n_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled transfer characteristic over [lo, hi] volts of imbalance."""
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    check_range("n_points", n_points, 2)
+    check_range("lo", lo)
+    check_range("hi", hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     deltas = np.linspace(lo, hi, n_points)

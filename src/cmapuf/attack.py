@@ -35,6 +35,7 @@ import numpy as np
 from .adc import WORD_BITS, AdcConfig, response_bits
 from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS, decode
+from .codec import check_range
 from .crp import CrpDataset, _refuse_repeated_reads, bits_matrix
 from .quantizer import QuantizerSpec
 
@@ -111,12 +112,9 @@ class LrHyper:
     epochs: int = 400
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0.0:  # NaN fails too
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.l2 >= 0.0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_range("learning_rate", self.learning_rate, 0, open_lo=True)
+        check_range("l2", self.l2, 0)
+        check_range("epochs", self.epochs, 1)
 
 
 @dataclass
@@ -179,9 +177,7 @@ class EsHyper:
     def __post_init__(self) -> None:
         if self.parents < 1 or self.population < self.parents:
             raise ValueError("need population >= parents >= 1")
-        if self.generations < 0:
-            # zero is allowed: the clone is then the best of the initial population
-            raise ValueError(f"generations must be >= 0, got {self.generations}")
+        check_range("generations", self.generations, 0)  # at 0 the clone is the initial best
 
 
 @dataclass
@@ -199,6 +195,7 @@ def clone_bits(
     words: np.ndarray,
 ) -> np.ndarray:
     """Responses (..., words, 11) of one clone's (256,) imbalances or a (..., 256) stack."""
+    decode(words)  # the one challenge check
     v = transfer_array(model, np.asarray(clone_params)[..., np.asarray(words, dtype=np.int64)])
     return response_bits(adc_config, spec, v)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analog import TransferModel, effective_mismatch, transfer_array
+from .codec import check_range
 from .variation import ChipInstance
 
 CHALLENGE_BITS = 8
@@ -24,10 +25,8 @@ def decode(words) -> tuple[np.ndarray, np.ndarray]:
     Raises for the first word outside [0, 255] in C order.
     """
     words = np.asarray(words, dtype=np.int64)
-    bad = (words < 0) | (words >= 1 << CHALLENGE_BITS)
-    if bad.any():
-        word = words.reshape(-1)[np.argmax(bad)]
-        raise ValueError(f"challenge must be in [0, 255], got {word}")
+    last = (1 << CHALLENGE_BITS) - 1
+    check_range("challenge", words, 0, last, rule=f"be in [0, {last}]")
     return words >> 4, words & 0x0F
 
 

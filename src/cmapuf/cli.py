@@ -117,6 +117,17 @@ class CrpsManifest:
     parameters: CrpsParameters
 
 
+def _split(text: str, parse, option: str, needs: str, count: int | None = None) -> list:
+    """``text``'s comma-separated values; a bad value or count raises naming ``option``."""
+    try:
+        values = [parse(x) for x in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count is not None and len(values) != count:
+        raise ValueError(f"{option} needs {needs}, got {text!r}")
+    return values
+
+
 def _write_manifest(out: Path, command: str, parameters: dict | CrpsParameters) -> None:
     target = out / "manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
     codec.write_json(target, {"command": command, "parameters": parameters})
@@ -200,10 +211,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     samples = np.loadtxt(args.samples, ndmin=1)
     dist = quantizer.EmpiricalDistribution(samples=samples, vdd=analog.VDD_DEFAULT)
-    if args.bits:
-        bits = tuple(int(b) for b in args.bits.split(","))
-        if len(bits) != args.k:
-            raise ValueError(f"--bits needs {args.k} comma-separated entries, got {args.bits!r}")
+    if args.bits is not None:
+        bits = tuple(_split(args.bits, int, "--bits", f"{args.k} comma-separated entries", args.k))
     else:
         bits = tuple(quantizer.DEFAULT_BITS) if args.k == 5 else None
     spec = quantizer.lloyd_max(
@@ -260,10 +269,7 @@ def _load_dataset(path: Path) -> crp.CrpDataset:
 def cmd_metrics(args: argparse.Namespace) -> int:
     temps = None
     if args.temps is not None:
-        try:
-            temps = [float(t) for t in args.temps.split(",")]
-        except ValueError:
-            raise ValueError(f"--temps needs comma-separated degC, got {args.temps!r}") from None
+        temps = _split(args.temps, float, "--temps", "comma-separated degC")
     dataset = _load_dataset(Path(args.infile))
     multi = len(dataset.chip_ids) >= 2
     uniq = crp.uniqueness(dataset) if multi else None
@@ -401,7 +407,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     model = replace(analog.default_model(), mirror=_mirror(args))
-    lo, hi = (float(x) for x in args.range.split(","))
+    lo, hi = _split(args.range, float, "--range", "lo,hi in volts", 2)
     deltas, volts = analog.transfer_curve(model, lo, hi, args.points)
     out = Path(args.out)
     with open(out, "w") as fh:

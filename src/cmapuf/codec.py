@@ -5,17 +5,19 @@ enums by value, tuples and arrays as lists; ``from_json`` reads them back,
 converting each value by its field's annotated type, and then the type's
 own checks run.  A missing or null field, or a value of the wrong JSON
 kind, raises a ``ValueError`` naming the type and the field; extra keys
-are ignored.  ``write_json`` is the one file format.
+are ignored.  ``write_json`` is the one file format; it refuses NaN and ±inf.
+``check_range`` is the one range check; NaN and ±inf break any range.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -71,9 +73,39 @@ def _kind(tp: type, doc: Any, where: str) -> Any:
     return doc
 
 
+def check_range(name: str, values: Any, lo: Any = -math.inf, hi: Any = math.inf, *,
+                open_lo: bool = False, rule: str | Callable[[int], str] | None = None) -> None:
+    """Refuse values outside [lo, hi], or (lo, hi] if ``open_lo``; NaN and ±inf always.
+
+    Raises ``{name} must {rule}, got {v}`` for the first such element in C
+    order.  The rule is ``be finite`` for a ±inf the bounds hold; else ``rule``,
+    text or a function of the flat index; else ``be within [lo, hi]``, ``be > lo``,
+    ``be >= lo`` or, with no bound, ``be finite``.
+    """
+    v = np.asarray(values)
+    inside = ((v > lo) if open_lo else (v >= lo)) & (v <= hi)  # NaN never is
+    # an int is finite, and np.isfinite cannot read one past int64
+    ok = inside & np.isfinite(v) if v.dtype.kind == "f" else inside
+    if not ok.all():
+        i = int(np.argmax(~ok.reshape(-1)))
+        if inside.flat[i]:
+            rule = "be finite"
+        elif callable(rule):
+            rule = rule(i)
+        elif rule is None:
+            rule = f"be {'>' if open_lo else '>='} {lo}" if lo > -math.inf else "be finite"
+            rule = f"be within [{lo}, {hi}]" if hi < math.inf else rule
+        raise ValueError(f"{name} must {rule}, got {v.item(i)}")
+
+
 def write_json(path: str | Path, obj: Any) -> None:
-    """Write ``to_json(obj)`` with sorted keys and a two-space indent."""
-    Path(path).write_text(json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n")
+    """Write ``to_json(obj)`` with sorted keys and a two-space indent; a NaN or ±inf
+    raises naming ``path``, and no file is written."""
+    try:
+        text = json.dumps(to_json(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path: str | Path, tp: Any) -> Any:

@@ -41,17 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adc import (
-    CODE_FIELD_BITS,
-    REGION_FIELD_BITS,
-    WORD_BITS,
-    AdcConfig,
-    ResponseWord,
-    convert_array,
-    word_bits,
-    word_strings,
-)
-from .analog import Conditions, TransferModel
+from .adc import WORD_BITS, AdcConfig, check_words, convert_array, word_bits, word_strings
+from .analog import Conditions, TransferModel, check_conditions
 from .cellarray import CHALLENGE_BITS, decode, evaluate_array
 from .quantizer import QuantizerSpec
 from .variation import ChipInstance
@@ -73,10 +64,10 @@ COLUMNS = {
 class CrpDataset:
     """Reads as equal-length 1-D columns (see ``COLUMNS``) plus metadata.
 
-    Columns are converted to their dtype and checked on construction: a
-    row that ``ResponseWord``, ``Conditions`` or ``decode`` rejects makes
-    this raise their error for the first such row, and a noise seed
-    outside [0, 2**64) is refused rather than wrapped.
+    Columns are converted to their dtype and checked on construction by the
+    record rules: ``check_words``, then ``check_conditions``, then ``decode``,
+    each raising for its first bad row; a noise seed outside [0, 2**64) is
+    refused rather than wrapped.
     """
 
     chip_id: np.ndarray
@@ -101,18 +92,9 @@ class CrpDataset:
         shapes = {name: getattr(self, name).shape for name in COLUMNS}
         if len(set(shapes.values())) != 1 or self.chip_id.ndim != 1:
             raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
-        bad = (self.region < 1) | (self.region >= 1 << REGION_FIELD_BITS)
-        bad |= (self.bits < 1) | (self.bits > CODE_FIELD_BITS)
-        bad |= (self.code < 0) | (self.code >= 1 << self.bits)
-        bad |= ~((self.temperature >= -20.0) & (self.temperature <= 100.0) & (self.noise_sigma >= 0))
-        # the first bad row raises, checked in the order a record was once
-        # built: its response word, its conditions, then its challenge
-        i = int(np.argmax(bad)) if bad.any() else len(bad)
-        decode(self.challenge[:i])
-        if i < len(bad):
-            ResponseWord(self.region[i].item(), self.code[i].item(), self.bits[i].item())
-            Conditions(self.temperature[i].item(), self.noise_sigma[i].item())
-            raise AssertionError(f"row {i} is valid, but the column checks reject it")
+        check_words(self.region, self.code, self.bits)
+        check_conditions(self.temperature, self.noise_sigma)
+        decode(self.challenge)
 
     def __len__(self) -> int:
         return len(self.chip_id)

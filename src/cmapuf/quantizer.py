@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import read_json, write_json
+from .codec import check_range, read_json, write_json
 
 DEFAULT_TOL = 1.0e-6
 DEFAULT_MAX_ITER = 1000
@@ -54,8 +54,7 @@ class EmpiricalDistribution:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        if not self.vdd > 0.0:  # NaN fails too
-            raise ValueError(f"vdd must be > 0, got {self.vdd}")
+        check_range("vdd", self.vdd, 0, open_lo=True)
         outside = ~((samples >= 0.0) & (samples <= self.vdd))  # NaN is outside too
         if outside.any():
             i = int(np.argmax(outside))
@@ -86,6 +85,7 @@ class QuantizerSpec:
         if k < 1:
             raise ValueError("need at least one region")
         _refuse_wider_than_the_word(k, self.bits_per_region)
+        check_range("bits_per_region", self.bits_per_region, 1)
         if len(self.boundaries) != k + 1:
             raise ValueError(
                 f"{k} regions need {k + 1} boundaries, got {len(self.boundaries)}"
@@ -97,14 +97,8 @@ class QuantizerSpec:
         b = np.asarray(self.boundaries)
         if not np.all(np.diff(b) > 0.0):
             raise ValueError(f"boundaries must be strictly increasing, got {self.boundaries}")
-        for i, (c, bit) in enumerate(zip(self.centroids, self.bits_per_region)):
-            if not (self.boundaries[i] <= c <= self.boundaries[i + 1]):
-                raise ValueError(
-                    f"centroid {c} of region {i + 1} outside "
-                    f"[{self.boundaries[i]}, {self.boundaries[i + 1]}]"
-                )
-            if bit < 1:
-                raise ValueError(f"bits_per_region must be >= 1, got {bit}")
+        region = lambda i: f"be within region {i + 1}'s [{b[i]}, {b[i + 1]}]"
+        check_range("centroids", self.centroids, b[:-1], b[1:], rule=region)
 
     @property
     def k(self) -> int:
@@ -119,12 +113,8 @@ def _refuse_wider_than_the_word(k: int, bits_per_region: tuple[int, ...]) -> Non
     """Raise for more regions, or a wider precision, than the response word holds."""
     if k > MAX_REGIONS:
         raise ValueError(f"the response word holds at most {MAX_REGIONS} regions, got k={k}")
-    for bit in bits_per_region:
-        if bit > CODE_FIELD_BITS:
-            raise ValueError(
-                f"bits_per_region must be <= {CODE_FIELD_BITS}, the response word's code "
-                f"width, got {bit}"
-            )
+    width = f"be <= {CODE_FIELD_BITS}, the response word's code width"
+    check_range("bits_per_region", bits_per_region, hi=CODE_FIELD_BITS, rule=width)
 
 
 def default_regions() -> QuantizerSpec:
@@ -141,13 +131,17 @@ def region_of(spec: QuantizerSpec, v: float) -> tuple[int, int]:
     """Map a voltage to its (region number, precision) pair.
 
     Region numbers are 1-based.  v == vdd folds into the last region, so
-    the mapping is total on [0, vdd]; anything outside raises.  Past the
-    range check this is one element of ``region_index_array``.
+    the mapping is total on [0, vdd]; anything outside raises.  Past
+    ``check_volts`` this is one element of ``region_index_array``.
     """
-    if not (0.0 <= v <= spec.vdd):
-        raise ValueError(f"v must be within [0, {spec.vdd}], got {v}")
+    check_volts(spec, v)
     idx = int(region_index_array(spec.boundaries, np.array([v]))[0])
     return idx + 1, spec.bits_per_region[idx]
+
+
+def check_volts(spec: QuantizerSpec, v: np.ndarray | float) -> None:
+    """The voltage rule of the region lookup and the converter: within [0, vdd]."""
+    check_range("v", v, 0, spec.vdd)
 
 
 def region_index_array(boundaries: tuple[float, ...] | np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -177,12 +171,9 @@ def _lloyd_max_steps(
     dist: EmpiricalDistribution, k: int, tol: float, max_iter: int, trace: bool
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """The fit: final boundaries and centroids, and the MSE of each iteration if ``trace``."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not tol >= 0.0:  # a NaN tol would never stop the fit early
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_iter < 1:  # no iteration would leave the uniform start unfitted
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_range("k", k, 1)
+    check_range("tol", tol, 0)  # a NaN tol would never stop the fit, an infinite one at once
+    check_range("max_iter", max_iter, 1)  # no iteration would leave the uniform start unfitted
     samples = np.sort(dist.samples)
     distinct = 1 + int(np.count_nonzero(np.diff(samples)))
     if distinct < k:  # some region would hold no sample

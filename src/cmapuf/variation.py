@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import read_json, write_json
+from .codec import check_range, read_json, write_json
 
 N_ROWS = 16
 N_COLS = 16
@@ -48,8 +48,7 @@ class VariationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sigma_vth >= 0.0:  # NaN fails too
-            raise ValueError(f"sigma_vth must be >= 0, got {self.sigma_vth}")
+        check_range("sigma_vth", self.sigma_vth, 0)
         if not isinstance(self.corner, ProcessCorner):
             raise TypeError("corner must be a ProcessCorner")
 
@@ -103,8 +102,7 @@ def synth_population(config: VariationConfig, n_chips: int) -> list[ChipInstance
     enrolment / verification splits) while a disjoint range is guaranteed
     to be independent.
     """
-    if n_chips < 1:
-        raise ValueError(f"n_chips must be >= 1, got {n_chips}")
+    check_range("n_chips", n_chips, 1)
     return [
         synth_chip(replace(config, seed=config.seed + i), chip_id=f"chip{i:03d}")
         for i in range(n_chips)

@@ -5,6 +5,7 @@ import pytest
 from cmapuf.adc import AdcConfig
 from cmapuf.analog import Conditions, default_model, transfer
 from cmapuf.attack import (
+    N_CELLS,
     AttackReport,
     EsHyper,
     FeatureEncoding,
@@ -188,6 +189,14 @@ def test_clone_bits_agrees_with_the_scalar_route(chip_dataset):
         response = oracle.convert(ADC, SPEC, transfer(MODEL, float(clone.params[word])))
         row = clone_bits(clone.params, MODEL, SPEC, ADC, np.array([word]))[0]
         assert [int(c) for c in oracle.encode(response)] == row.tolist()
+
+
+def test_clone_bits_checks_the_words():
+    # word -1 once read cell 255, and 256 raised IndexError
+    params = np.linspace(-0.05, 0.05, N_CELLS)
+    for word in (-1, 256):
+        with pytest.raises(ValueError, match=rf"^challenge must be in \[0, 255\], got {word}$"):
+            clone_bits(params, MODEL, SPEC, ADC, np.array([0, word]))
 
 
 def test_es_hyper_validation():

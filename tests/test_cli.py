@@ -1,19 +1,27 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmapuf import codec, crp
-from cmapuf.adc import AdcConfig
+from cmapuf.adc import AdcConfig, energy_per_cycle
 from cmapuf.analog import (
     Conditions,
     TransferModel,
     default_model,
     naive_switching,
     reduced_headroom_mirror,
+    transfer_curve,
     wide_swing_mirror,
 )
 from cmapuf.attack import EsHyper, LrHyper, attack_report, clone_bits, es_fit, split
@@ -106,9 +114,12 @@ def test_fit_quantizer_uniform_splits_at_midpoint(tmp_path):
 def test_fit_quantizer_bits_mismatch_errors(tmp_path, capsys):
     raw = tmp_path / "s.txt"
     raw.write_text("0.1\n0.9\n1.7\n")
-    code = run("fit-quantizer", "--samples", raw, "--k", 2, "--bits", "8,8,8", "--out", tmp_path / "x.json")
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "x.json"
+    # an empty list is a bad one, not the default table
+    for bits in ("8,8,8", "", "8,x"):
+        assert run("fit-quantizer", "--samples", raw, "--k", 2, "--bits", bits, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: --bits needs 2 comma-separated entries, got {bits!r}\n"
+        assert not out.exists()
 
 
 def test_a_quantizer_wider_than_the_word_is_refused(tmp_path, capsys):
@@ -459,6 +470,13 @@ def test_curve_output(tmp_path):
     assert float(rows[10]["v_out"]) == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("text", ["0,,1", "0", "1,2,3", ""])
+def test_curve_refuses_a_bad_range(tmp_path, capsys, text):
+    assert run("curve", f"--range={text}", "--out", tmp_path / "curve.csv") == 1
+    assert capsys.readouterr().err == f"error: --range needs lo,hi in volts, got {text!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_input_is_reported(tmp_path, capsys):
     assert run("metrics", "--in", tmp_path / "nope.csv", "--out", tmp_path / "r.json") == 1
     assert "error:" in capsys.readouterr().err
@@ -622,6 +640,7 @@ NAN_REFUSERS = {
     "AdcConfig.power": lambda v: AdcConfig(power=v),
     "MirrorConfig.gain": lambda v: replace(wide_swing_mirror(), gain=v),
     "MirrorConfig.bias_current": lambda v: replace(wide_swing_mirror(), bias_current=v),
+    "Conditions.temperature": lambda v: Conditions(temperature=v),
     "Conditions.noise_sigma": lambda v: Conditions(noise_sigma=v),
     "VariationConfig.sigma_vth": lambda v: VariationConfig(sigma_vth=v),
     "TransferModel.vdd": lambda v: replace(default_model(), vdd=v),
@@ -632,14 +651,20 @@ NAN_REFUSERS = {
     "lloyd_max.tol": lambda v: lloyd_max(
         EmpiricalDistribution(np.linspace(0.0, 1.8, 9), 1.8), 2, tol=v
     ),
+    "energy_per_cycle.power": lambda v: energy_per_cycle(v, 6.4e9),
+    "energy_per_cycle.clock_freq": lambda v: energy_per_cycle(306.54e-6, v),
+    "transfer_curve.lo": lambda v: transfer_curve(default_model(), v, 0.05, 11),
+    "transfer_curve.hi": lambda v: transfer_curve(default_model(), -0.05, v, 11),
 }
 
 
 @pytest.mark.parametrize("name", NAN_REFUSERS)
 def test_nan_is_refused_by_name(name):
+    # ±inf too: a +inf that only finiteness refuses reads "must be finite"
     field = name.split(".")[1]
-    with pytest.raises(ValueError, match=f"^{field} must be .*, got nan$"):
-        NAN_REFUSERS[name](math.nan)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
+            NAN_REFUSERS[name](value)
 
 
 @pytest.mark.parametrize(
@@ -649,12 +674,33 @@ def test_nan_is_refused_by_name(name):
         (("crps", "--gain", "nan"), "gain must be > 0, got nan"),
         (("energy", "--power", "nan"), "power must be >= 0, got nan"),
         (("mc", "--sigma-vth", "-0.01"), "sigma_vth must be >= 0, got -0.01"),
+        # each of these ran to exit 0 and wrote "Infinity" into its manifest
+        (("mc", "--sigma-vth", "inf"), "sigma_vth must be finite, got inf"),
+        (("crps", "--noise-sigma", "inf"), "noise_sigma must be finite, got inf"),
+        (("crps", "--gain", "inf"), "gain must be finite, got inf"),
+        (("crps", "--clock", "inf"), "clock_freq must be finite, got inf"),
+        (("energy", "--power", "inf"), "power must be finite, got inf"),
+        (("attack", "--in", "{inputs}/ds.csv", "--learning-rate", "inf"),
+         "learning_rate must be finite, got inf"),
+        (("attack", "--in", "{inputs}/ds.csv", "--l2", "inf"), "l2 must be finite, got inf"),
+        (("fit-quantizer", "--samples", "{inputs}/s.txt", "--tol", "inf"), "tol must be finite, got inf"),
+        (("curve", "--range=-inf,inf"), "lo must be finite, got -inf"),
     ],
 )
-def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, argv, message):
+def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, inputs, argv, message):
+    argv = [a.format(inputs=inputs) for a in argv]
     assert run(*argv, "--out", tmp_path / "out.csv") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding a one-chip dataset and a sample file, for the commands that read one."""
+    path = tmp_path_factory.mktemp("inputs")
+    assert run("crps", "--challenges", 32, "--out", path / "ds.csv") == 0
+    (path / "s.txt").write_text("\n".join(str(i * 1.8 / 20) for i in range(21)) + "\n")
+    return path
 
 
 @pytest.mark.parametrize(
@@ -684,3 +730,74 @@ def test_a_quantizer_spec_without_centroids_is_reported(tmp_path, capsys):
     assert run("crps", "--quantizer", spec, "--out", ds) == 1
     assert capsys.readouterr().err == f"error: {spec}: QuantizerSpec has no 'centroids' field\n"
     assert not ds.exists()
+
+
+# Adversarial option values: non-finite, zero, negative, empty or malformed
+# lists and wrong suffixes.  Sizes stay bounded: each run's base options cap
+# it at 16 challenges, 200 samples and 5 iterations, epochs or generations,
+# the drawn counts reach 3, and 300 challenges is drawn to be refused.  A
+# later option overrides an earlier one.
+NUMBER = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "0.5", ""])
+COUNT = st.sampled_from(["-1", "0", "1", "2", "3"])
+LIST = st.sampled_from(["", ",", "0,,1", "0", "0,60", "nan,1", "-inf,inf", "8,7,6,7,8", "x"])
+READ = {"--sigma-vth": NUMBER, "--gain": NUMBER, "--temp-coeff": NUMBER, "--temp": NUMBER,
+        "--noise-sigma": NUMBER}
+DATASET = ["--in", "{inputs}/ds.csv"]
+COMMANDS = [  # base argv, the options drawn from, output names
+    (["synth"], {"--chips": COUNT, "--sigma-vth": NUMBER}, ["chips"]),
+    (["mc", "--samples=200"], {"--samples": COUNT, "--bins": COUNT, **READ}, ["h.csv"]),
+    (["crps", "--challenges=16"],
+     {"--chips": COUNT, "--challenges": st.sampled_from(["0", "1", "300"]),
+      "--noise-seed": st.sampled_from(["-1", "5"]), "--clock": NUMBER, "--power": NUMBER, **READ},
+     ["d.csv", "d.jsonl", "d.txt"]),
+    (["energy"], {"--clock": NUMBER, "--power": NUMBER}, ["e.csv"]),
+    (["curve"], {"--range": LIST, "--points": COUNT, "--gain": NUMBER}, ["c.csv"]),
+    (["fit-quantizer", "--samples", "{inputs}/s.txt", "--max-iter=5"],
+     {"--k": COUNT, "--bits": LIST, "--tol": NUMBER, "--max-iter": COUNT}, ["q.json"]),
+    (["metrics", "--in", "{inputs}/ds.csv"], {"--temps": LIST}, ["m.json"]),
+    (["attack", "--model=lr", "--epochs=5", *DATASET],
+     {"--train-frac": NUMBER, "--learning-rate": NUMBER, "--l2": NUMBER, "--epochs": COUNT,
+      "--generations": COUNT}, ["a.csv"]),
+    (["attack", "--model=es", "--generations=5", *DATASET],
+     {"--train-frac": NUMBER, "--generations": COUNT, "--population": COUNT, "--parents": COUNT,
+      "--epochs": COUNT}, ["a.csv"]),
+]
+
+
+@st.composite
+def cli_runs(draw):
+    argv, options, outs = draw(st.sampled_from(COMMANDS))
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=2, unique=True)):
+        argv = [*argv, f"{flag}={draw(options[flag])}"]  # "=" keeps "-1" from reading as a flag
+    return argv, draw(st.sampled_from(outs))
+
+
+def _non_finite(path: Path) -> bool:
+    text = path.read_text()
+    if path.suffix == ".json":
+        tokens = []  # NaN, Infinity and -Infinity: Python's json reads and writes them
+        json.loads(text, parse_constant=tokens.append)
+        return bool(tokens)
+    return re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE) is not None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(run_=cli_runs())
+def test_every_command_exits_cleanly_and_writes_only_finite_values(inputs, run_):
+    argv, out = run_
+    argv = [a.format(inputs=inputs) for a in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([*argv, "--out", str(Path(tmp) / out)])
+            except SystemExit as exc:  # argparse refuses before the command runs
+                code = exc.code
+        lines = err.getvalue().splitlines()
+        written = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
+        if code == 0:
+            assert written and not [p.name for p in written if _non_finite(p)], argv
+        else:
+            assert code in (1, 2) and written == [], (argv, lines)
+            assert lines[-1].startswith("error: " if code == 1 else "cmapuf "), lines
+            assert sum("error:" in line for line in lines) == 1, lines

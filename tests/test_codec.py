@@ -1,6 +1,7 @@
 """The JSON codec: a config type's fields are its JSON schema."""
 
 import json
+import math
 import re
 from dataclasses import fields
 
@@ -19,7 +20,7 @@ from cmapuf.analog import (
     reduced_headroom_mirror,
 )
 from cmapuf.cli import CrpsParameters
-from cmapuf.codec import from_json, read_json, to_json, write_json
+from cmapuf.codec import check_range, from_json, read_json, to_json, write_json
 from cmapuf.quantizer import QuantizerSpec
 from cmapuf.variation import ProcessCorner, VariationConfig
 
@@ -134,3 +135,36 @@ def test_read_json_names_the_file(tmp_path):
     path.write_text(json.dumps({"boundaries": [0.0, 1.8], "bits_per_region": [8]}))
     with pytest.raises(ValueError, match=re.escape(f"{path}: QuantizerSpec has no 'centroids' field")):
         read_json(path, QuantizerSpec)
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "m.json"
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float values")):
+            write_json(path, {"sigma_vth": [0.03, value]})
+        assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        # the first bad element in C order, whatever breaks the rule after it
+        (("v", [[0.5, 2.0], [math.nan, -1.0]], 0, 1.8), {}, "v must be within [0, 1.8], got 2.0"),
+        # a +inf the bounds hold breaks finiteness only; a -inf breaks the bound
+        (("gain", [1.0, math.inf], 0), {"open_lo": True}, "gain must be finite, got inf"),
+        (("gain", -math.inf, 0), {"open_lo": True}, "gain must be > 0, got -inf"),
+        (("temp_coeff", math.nan), {}, "temp_coeff must be finite, got nan"),
+        # numpy holds an int past int64 as an object, which np.isfinite cannot read
+        (("bits", [1, 10**30], 1, 8), {}, f"bits must be within [1, 8], got {10**30}"),
+        (("code", [3, 64], 0, [7, 63]), {"rule": lambda i: f"fit in row {i}"}, "code must fit in row 1, got 64"),
+    ],
+)
+def test_check_range_names_the_first_bad_element(args, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_range(*args, **kwargs)
+
+
+def test_check_range_passes_what_keeps_the_rule():
+    check_range("v", [0.0, 0.9, 1.8], 0, 1.8)  # both ends are inside
+    check_range("epochs", 10**30, 1)
+    check_range("noise_sigma", np.array([]), 0)

@@ -212,7 +212,7 @@ def test_spec_validation():
         QuantizerSpec(boundaries=(0.1, 1.8), bits_per_region=(8,), centroids=(0.5,))
     with pytest.raises(ValueError):
         QuantizerSpec(boundaries=(0.0, 1.0, 0.9, 1.8), bits_per_region=(8, 8, 8), centroids=(0.5, 0.95, 1.2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("centroids must be within region 1's [0.0, 1.0], got 1.2")):
         QuantizerSpec(boundaries=(0.0, 1.0, 1.8), bits_per_region=(8, 8), centroids=(1.2, 1.5))
     with pytest.raises(ValueError):
         QuantizerSpec(boundaries=(0.0, 1.8), bits_per_region=(0,), centroids=(0.9,))
