@@ -19,7 +19,10 @@ lambda) elitist loop mutates a handful of coordinates per offspring;
 most mutations use an annealed step size (halved after stagnation), while
 a fixed fraction keep the original coarse step so late-stage search can
 still fix a badly wrong cell.  Fitness is the mean encoded Hamming
-distance to the training responses.  The step schedules are module
+distance to the training responses, carried as per-cell counts: an
+offspring re-reads only the trained cells it mutated, and the counts'
+sum over n * 11 is exactly that mean because each trained cell is read
+once (the refusal of repeated reads).  The step schedules are module
 constants; ``EsHyper`` and ``LrHyper`` hold only what a caller sets.
 ES uses the model, quantizer and converter the data was read with.  Both
 attackers refuse more than one read of a (chip, challenge), as the metrics do.
@@ -215,36 +218,59 @@ def es_fit(
     size anneals by halving whenever the best fitness stalls for
     STAGNATION_LIMIT generations, except a COARSE_FRACTION of offspring
     always mutate at SIGMA0.
+
+    Each member carries its per-cell Hamming counts: the encoded distance
+    of each trained cell's word to its target, 0 on untrained cells.  An
+    offspring inherits its parent's counts and re-reads only its mutated
+    trained cells.  The fitness is the counts' sum over n * 11, exactly
+    the mean encoded distance, because ``_targets`` refuses a repeated
+    read and so each trained cell stands for one record.
     """
     if hyper is None:
         hyper = EsHyper()
     words, y = _targets(dataset)
-    y = y.astype(np.int8)
+    trained = np.zeros(N_CELLS, dtype=bool)
+    trained[words] = True
+    target = np.zeros((N_CELLS, WORD_BITS), dtype=np.int8)
+    target[words] = y
+    n_bits = len(words) * WORD_BITS
 
-    def fitness(pop: np.ndarray) -> np.ndarray:
-        return (clone_bits(pop, model, spec, adc_config, words) != y).mean(axis=(1, 2))
+    def distances(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Encoded Hamming distance of each value, read as its cell, to the cell's target."""
+        bits = response_bits(adc_config, spec, transfer_array(model, values))
+        return (bits != target[cells]).sum(axis=-1)
 
     rng = np.random.default_rng(hyper.seed)
     mu, lam = hyper.parents, hyper.population
     sigma = SIGMA0
     pop = rng.normal(0.0, SIGMA0, size=(mu, N_CELLS))
-    fit = fitness(pop)
+    counts = np.zeros((mu, N_CELLS), dtype=np.int64)
+    counts[:, words] = distances(pop[:, words], words)
+    fit = counts.sum(axis=1) / n_bits
     order = np.argsort(fit, kind="stable")
-    pop, fit = pop[order], fit[order]
+    pop, counts, fit = pop[order], counts[order], fit[order]
     history = [float(fit[0])]
     stagnant = 0
     for _ in range(hyper.generations):
-        parents = pop[rng.integers(0, mu, size=lam)]
+        pick = rng.integers(0, mu, size=lam)
         mask = rng.random((lam, N_CELLS)) < MUTATION_RATE / N_CELLS
         silent = ~mask.any(axis=1)
         if silent.any():
             mask[np.flatnonzero(silent), rng.integers(0, N_CELLS, size=int(silent.sum()))] = True
         scale = np.where(rng.random((lam, 1)) < COARSE_FRACTION, SIGMA0, sigma)
-        offspring = parents + mask * rng.normal(0.0, 1.0, size=(lam, N_CELLS)) * scale
-        all_pop = np.vstack([pop, offspring])
-        all_fit = np.concatenate([fit, fitness(offspring)])
+        step = rng.standard_normal((lam, N_CELLS))
+        # flat (offspring, cell) positions of the mutations; the copies are contiguous
+        at = np.flatnonzero(mask)
+        offspring = pop[pick]
+        offspring.reshape(-1)[at] += step.reshape(-1)[at] * scale[at // N_CELLS, 0]
+        child_counts = counts[pick]
+        at = at[trained[at % N_CELLS]]
+        child_counts.reshape(-1)[at] = distances(offspring.reshape(-1)[at], at % N_CELLS)
+        all_fit = np.concatenate([fit, child_counts.sum(axis=1) / n_bits])
         order = np.argsort(all_fit, kind="stable")[:mu]
-        pop, fit = all_pop[order], all_fit[order]
+        pop = np.concatenate([pop, offspring])[order]
+        counts = np.concatenate([counts, child_counts])[order]
+        fit = all_fit[order]
         if fit[0] < history[-1] - 1.0e-15:
             stagnant = 0
         else:

@@ -172,8 +172,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
     if cond.noise_sigma > 0.0:
         noise = rng.normal(0.0, cond.noise_sigma, size=args.samples)
     offset = model.switching.offset(config.corner)
-    delta = analog.effective_mismatch(model, dvth, offset, cond.temperature, noise)
-    volts = analog.transfer_array(model, delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite option can still overflow
+        delta = analog.effective_mismatch(model, dvth, offset, cond.temperature, noise)
+        volts = analog.transfer_array(model, delta)
+    codec.check_range("v_out", volts)
 
     counts, edges = np.histogram(volts, bins=args.bins, range=(0.0, model.vdd))
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -408,7 +410,10 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     model = replace(analog.default_model(), mirror=_mirror(args))
     lo, hi = _split(args.range, float, "--range", "lo,hi in volts", 2)
-    deltas, volts = analog.transfer_curve(model, lo, hi, args.points)
+    # an overflowing hi - lo makes the first delta, and so its volts, NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas, volts = analog.transfer_curve(model, lo, hi, args.points)
+    codec.check_range("v_out", volts)
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("delta_v,v_out\n")

@@ -5,7 +5,8 @@ enums by value, tuples and arrays as lists; ``from_json`` reads them back,
 converting each value by its field's annotated type, and then the type's
 own checks run.  A missing or null field, or a value of the wrong JSON
 kind, raises a ``ValueError`` naming the type and the field; extra keys
-are ignored.  ``write_json`` is the one file format; it refuses NaN and ±inf.
+are ignored.  ``write_json`` is the one file format; it refuses NaN and ±inf,
+and ``read_json`` the tokens that would spell them.
 ``check_range`` is the one range check; NaN and ±inf break any range.
 """
 
@@ -108,9 +109,22 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(text + "\n")
 
 
+def _finite(token: str) -> float:
+    """A JSON number or constant token as a float; NaN and ±inf raise."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def read_json(path: str | Path, tp: Any) -> Any:
-    """Read a ``tp`` written by ``write_json``; an error names the file."""
+    """Read a ``tp`` written by ``write_json``; an error names the file.
+
+    The ``NaN``, ``Infinity`` and ``-Infinity`` tokens, which ``write_json``
+    never writes, are refused, and so is a number too large for a float.
+    """
     try:
-        return from_json(tp, json.loads(Path(path).read_text()))
+        doc = json.loads(Path(path).read_text(), parse_constant=_finite, parse_float=_finite)
+        return from_json(tp, doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -15,6 +15,11 @@ is described, cell -> tanh -> Lloyd-Max region -> single-slope ADC ->
     read         a generator per record, ``default_rng(seed).normal``, for its noise
 
 The tests hold every kernel to it value for value, errors included.
+
+``es_fit_dense`` is the evolution strategy as first written: every
+generation builds each offspring densely and re-reads the whole training
+set for every one of them.  ``attack.es_fit`` carries per-cell Hamming
+counts instead and is held to it array for array.
 """
 
 import math
@@ -24,6 +29,18 @@ import numpy as np
 
 from cmapuf.adc import CODE_FIELD_BITS, REGION_FIELD_BITS, AdcConfig, ResponseWord
 from cmapuf.analog import Conditions, TransferModel, effective_mismatch, transfer
+from cmapuf.attack import (
+    COARSE_FRACTION,
+    MUTATION_RATE,
+    N_CELLS,
+    SIGMA0,
+    SIGMA_FLOOR,
+    STAGNATION_LIMIT,
+    EsClone,
+    EsHyper,
+    clone_bits,
+)
+from cmapuf.crp import CrpDataset, bits_matrix
 from cmapuf.quantizer import QuantizerSpec
 from cmapuf.variation import ChipInstance
 
@@ -120,3 +137,48 @@ def read_bits(
     """(words, 11) response bits of one chip."""
     rows = [encode(read(chip, model, spec, adc_config, w, conditions)[1]) for w in words]
     return np.array([[int(ch) for ch in row] for row in rows], dtype=np.int8)
+
+
+def es_fit_dense(
+    dataset: CrpDataset,
+    model: TransferModel,
+    spec: QuantizerSpec,
+    adc_config: AdcConfig,
+    hyper: EsHyper,
+) -> EsClone:
+    """``attack.es_fit`` with the whole training set re-read for every offspring."""
+    words, y = dataset.challenge, bits_matrix(dataset)
+
+    def fitness(pop: np.ndarray) -> np.ndarray:
+        return (clone_bits(pop, model, spec, adc_config, words) != y).mean(axis=(1, 2))
+
+    rng = np.random.default_rng(hyper.seed)
+    mu, lam = hyper.parents, hyper.population
+    sigma = SIGMA0
+    pop = rng.normal(0.0, SIGMA0, size=(mu, N_CELLS))
+    fit = fitness(pop)
+    order = np.argsort(fit, kind="stable")
+    pop, fit = pop[order], fit[order]
+    history = [float(fit[0])]
+    stagnant = 0
+    for _ in range(hyper.generations):
+        parents = pop[rng.integers(0, mu, size=lam)]
+        mask = rng.random((lam, N_CELLS)) < MUTATION_RATE / N_CELLS
+        silent = ~mask.any(axis=1)
+        if silent.any():
+            mask[np.flatnonzero(silent), rng.integers(0, N_CELLS, size=int(silent.sum()))] = True
+        scale = np.where(rng.random((lam, 1)) < COARSE_FRACTION, SIGMA0, sigma)
+        offspring = parents + mask * rng.normal(0.0, 1.0, size=(lam, N_CELLS)) * scale
+        all_pop = np.vstack([pop, offspring])
+        all_fit = np.concatenate([fit, fitness(offspring)])
+        order = np.argsort(all_fit, kind="stable")[:mu]
+        pop, fit = all_pop[order], all_fit[order]
+        if fit[0] < history[-1] - 1.0e-15:
+            stagnant = 0
+        else:
+            stagnant += 1
+        if stagnant >= STAGNATION_LIMIT:
+            sigma = max(sigma * 0.5, SIGMA_FLOOR)
+            stagnant = 0
+        history.append(float(fit[0]))
+    return EsClone(params=pop[0], fitness=float(fit[0]), history=np.array(history))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import oracle
 import pytest
@@ -172,6 +174,35 @@ def test_es_zero_generations_returns_initial_best(chip_dataset):
     rng = np.random.default_rng(1)
     init = rng.normal(0.0, 0.03, size=(8, 256))
     assert any(np.array_equal(clone.params, row) for row in init)
+
+
+@pytest.mark.parametrize(
+    "fraction, hyper",
+    [
+        (0.75, EsHyper(generations=300, seed=0)),
+        (0.75, EsHyper(generations=300, seed=1)),
+        (0.75, EsHyper(generations=300, seed=2)),
+        (0.1, EsHyper(generations=300, seed=0)),  # most mutations land on untrained cells
+        (0.75, EsHyper(parents=8, population=8, generations=100, seed=0)),
+        (0.75, EsHyper(parents=1, population=1, generations=300, seed=0)),
+        (0.75, EsHyper(generations=0, seed=1)),
+    ],
+)
+def test_es_counts_replay_the_dense_fitness_exactly(chip_dataset, fraction, hyper):
+    train, _ = split(chip_dataset, fraction, seed=0)
+    clone = es_fit(train, MODEL, SPEC, ADC, hyper)
+    dense = oracle.es_fit_dense(train, MODEL, SPEC, ADC, hyper)
+    assert np.array_equal(clone.params, dense.params)
+    assert np.array_equal(clone.history, dense.history)
+    assert clone.fitness == dense.fitness
+
+
+def test_es_refuses_repeated_reads(chip_dataset):
+    # the per-cell counts stand for one record per trained cell
+    twice = chip_dataset.take([3, 9, 3], {})
+    repeat = "chip 'chip007' has more than one read of challenge 3"
+    with pytest.raises(ValueError, match=re.escape(repeat) + "$"):
+        es_fit(twice, MODEL, SPEC, ADC, EsHyper(generations=1))
 
 
 def test_es_fitness_matches_prediction_error(chip_dataset):

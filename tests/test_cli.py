@@ -603,7 +603,10 @@ def test_metrics_refuses_merged_temperatures(tmp_path, capsys):
     cold, hot = ((tmp_path / f"t{t}.csv").read_text().splitlines() for t in (0, 90))
     merged = tmp_path / "merged.csv"
     merged.write_text("\n".join(cold + hot[1:]) + "\n")
-    for command in ("metrics", "attack --chip-id chip000"):
+    # ES reads its model from the manifest; the cold file's lets it reach the refusal
+    manifest = (tmp_path / "t0.csv.manifest.json").read_text()
+    (tmp_path / "merged.csv.manifest.json").write_text(manifest)
+    for command in ("metrics", "attack --chip-id chip000", "attack --model es --chip-id chip000"):
         assert run(*command.split(), "--in", merged, "--out", tmp_path / "m.json") == 1
         err = capsys.readouterr().err
         assert "chip 'chip000' has more than one read of challenge 0" in err
@@ -685,10 +688,14 @@ def test_nan_is_refused_by_name(name):
         (("attack", "--in", "{inputs}/ds.csv", "--l2", "inf"), "l2 must be finite, got inf"),
         (("fit-quantizer", "--samples", "{inputs}/s.txt", "--tol", "inf"), "tol must be finite, got inf"),
         (("curve", "--range=-inf,inf"), "lo must be finite, got -inf"),
+        # finite options whose volts overflow: NaN samples, NaN and inf curve rows
+        (("mc", "--sigma-vth", "1e308", "--samples", "1000", "--samples-out", "{tmp}/s.txt"),
+         "v_out must be finite, got nan"),
+        (("curve", "--range=-1e308,1e308"), "v_out must be finite, got nan"),
     ],
 )
 def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, inputs, argv, message):
-    argv = [a.format(inputs=inputs) for a in argv]
+    argv = [a.format(inputs=inputs, tmp=tmp_path) for a in argv]
     assert run(*argv, "--out", tmp_path / "out.csv") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
@@ -721,6 +728,16 @@ def test_a_malformed_manifest_is_reported(tmp_path, capsys, edit, message):
     assert run("metrics", "--in", ds, "--temps", "0,60", "--out", tmp_path / "m.json") == 1
     assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
     assert not (tmp_path / "m.json").exists()
+
+
+def test_a_quantizer_spec_holding_infinity_is_refused(tmp_path, capsys):
+    spec = tmp_path / "q.json"
+    spec.write_text('{"boundaries": [0.0, 0.9, Infinity], "bits_per_region": [8, 8], '
+                    '"centroids": [0.45, 1.35]}')
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--quantizer", spec, "--out", ds) == 1
+    assert capsys.readouterr().err == f"error: {spec}: Infinity is not a finite number\n"
+    assert list(tmp_path.iterdir()) == [spec]
 
 
 def test_a_quantizer_spec_without_centroids_is_reported(tmp_path, capsys):

@@ -276,6 +276,18 @@ def test_spec_json_round_trip(tmp_path):
     assert load_spec(path) == spec
 
 
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_load_spec_refuses_non_finite_numbers(tmp_path, token):
+    # "Infinity" as the last boundary once loaded as a spec with vdd inf
+    path = tmp_path / "spec.json"
+    save_spec(default_regions(), path)
+    doc = json.loads(path.read_text())
+    doc["boundaries"][-1] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {token} is not a finite number')}$"):
+        load_spec(path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(v=st.floats(0.0, VDD))
 def test_region_of_total_and_consistent(v):
