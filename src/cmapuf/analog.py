@@ -159,6 +159,7 @@ class Conditions:
 
     def __post_init__(self) -> None:
         check_conditions(self.temperature, self.noise_sigma)
+        check_range("noise_seed", self.noise_seed, 0)
 
 
 def check_conditions(temperature, noise_sigma) -> None:

@@ -181,6 +181,7 @@ class EsHyper:
         if self.parents < 1 or self.population < self.parents:
             raise ValueError("need population >= parents >= 1")
         check_range("generations", self.generations, 0)  # at 0 the clone is the initial best
+        check_range("seed", self.seed, 0)
 
 
 @dataclass
@@ -291,6 +292,7 @@ def split(dataset: CrpDataset, train_fraction: float, seed: int = 0) -> tuple[Cr
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_range("seed", seed, 0)
     words = np.unique(dataset.challenge)
     if len(words) < 2:
         raise ValueError("need at least two distinct challenges to split")

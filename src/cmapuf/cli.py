@@ -28,13 +28,16 @@ MIRRORS = {
 
 
 def _add_variation_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma-vth", type=float, default=0.030, help="mismatch sigma in volts")
+    config = variation.VariationConfig
+    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument(
+        "--sigma-vth", type=float, default=config.sigma_vth, help="mismatch sigma in volts"
+    )
     p.add_argument(
         "--corner",
         type=str.lower,
         choices=[c.value.lower() for c in variation.ProcessCorner],
-        default="tt",
+        default=config.corner.value.lower(),
     )
 
 
@@ -49,13 +52,15 @@ def _add_read_args(p: argparse.ArgumentParser) -> None:
     _add_mirror_args(p)
     p.add_argument("--switching", choices=["gated", "naive"], default="gated")
     p.add_argument("--temp-coeff", type=float, default=analog.DEFAULT_TEMP_COEFF)
-    p.add_argument("--temp", type=float, default=25.0, help="read temperature in degC")
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    cond = analog.Conditions
+    p.add_argument("--temp", type=float, default=cond.temperature, help="read temperature in degC")
+    p.add_argument("--noise-sigma", type=float, default=cond.noise_sigma)
 
 
 def _add_adc_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--clock", type=float, default=6.4e9, help="converter clock in Hz")
-    p.add_argument("--power", type=float, default=306.54e-6, help="converter power in W")
+    config = adc.AdcConfig
+    p.add_argument("--clock", type=float, default=config.clock_freq, help="converter clock in Hz")
+    p.add_argument("--power", type=float, default=config.power, help="converter power in W")
 
 
 def _variation_config(args: argparse.Namespace) -> variation.VariationConfig:
@@ -216,7 +221,7 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     if args.bits is not None:
         bits = tuple(_split(args.bits, int, "--bits", f"{args.k} comma-separated entries", args.k))
     else:
-        bits = tuple(quantizer.DEFAULT_BITS) if args.k == 5 else None
+        bits = quantizer.DEFAULT_BITS if args.k == len(quantizer.DEFAULT_BITS) else None
     spec = quantizer.lloyd_max(
         dist, args.k, tol=args.tol, max_iter=args.max_iter, bits_per_region=bits
     )
@@ -451,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-quantizer", help="fit region boundaries to a sample file")
     p.add_argument("--samples", required=True, help="text file, one voltage per line")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=len(quantizer.DEFAULT_BITS))
     p.add_argument(
         "--bits",
         default=None,
@@ -465,7 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crps", help="generate a challenge-response dataset")
     _add_read_args(p)
-    p.add_argument("--noise-seed", type=int, default=0, help="base of every record's noise seed")
+    noise_seed = analog.Conditions.noise_seed
+    p.add_argument(
+        "--noise-seed", type=int, default=noise_seed, help="base of every record's noise seed"
+    )
     _add_adc_args(p)
     p.add_argument("--quantizer", type=Path, default=None, help="quantizer spec JSON")
     p.add_argument("--chips", type=int, default=1)
@@ -476,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="quality metrics of a dataset")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--temps", default=None, help="comma-separated degC for reliability")
-    p.add_argument("--seed", type=int, default=0, help="noise seed for reliability re-reads")
+    p.add_argument(
+        "--seed", type=int, default=noise_seed, help="noise seed for reliability re-reads"
+    )
     p.add_argument("--out", required=True, help="report JSON")
     p.set_defaults(func=cmd_metrics)
 

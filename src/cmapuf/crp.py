@@ -14,7 +14,8 @@ condition.  It runs one kernel per stage: ``_record_seeds`` for the noise
 seeds, ``_record_noise`` for their draws, ``cellarray.evaluate_array`` for
 the voltages and ``adc.convert_array`` for the words.  The first two run
 numpy's seed-sequence mix elementwise over the whole batch
-(``_seed_sequence_state``), so no record builds a generator of its own;
+(``_seed_sequence_state``), so no record runs a seed sequence of its own;
+each record's PCG64 seeds itself from its four words, and
 ``_record_noise`` is the one draw of a record's noise.  The scalar
 ``record_seed``, ``cellarray.evaluate`` and ``adc.convert`` are one element
 of those kernels, and ``cellarray.decode`` is the one challenge check.
@@ -141,9 +142,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier, for ``_record_noise``.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _seed_words(n: int) -> list[int]:
@@ -177,14 +175,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _seed_sequence_state(entropy: list, n_words: int) -> list[np.ndarray]:
+def _seed_sequence_state(entropy: list, n_words: int) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(n_words, np.uint64)``, elementwise.
 
     ``entropy`` is the uint32 words, each an array (or scalar) broadcast to
-    one shape; the result is ``n_words`` uint64 arrays of that shape.  The
-    pool mix is a fixed sequence of uint32 operations with data-independent
-    constants, so it runs over every element at once.  An entropy shorter
-    than the pool is padded with zero words, as numpy pads it.
+    one shape; the result is uint64 of that shape plus a last axis of
+    ``n_words``.  The pool mix is a fixed sequence of uint32 operations with
+    data-independent constants, so it runs over every element at once.  An
+    entropy shorter than the pool is padded with zero words, as numpy pads it.
     """
     shape = np.broadcast_shapes(*(np.shape(e) for e in entropy))
     entropy = [np.broadcast_to(e, shape) for e in entropy]
@@ -201,10 +199,8 @@ def _seed_sequence_state(entropy: list, n_words: int) -> list[np.ndarray]:
     # the output cycles through the pool; each uint64 is two uint32 words, low word first
     consts = _hash_consts(_INIT_B, _MULT_B)
     words = [_hashmix(pool[i % _POOL_SIZE], consts) for i in range(2 * n_words)]
-    return [
-        low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
-        for low, high in zip(words[::2], words[1::2])
-    ]
+    low, high = np.stack(words[::2], -1), np.stack(words[1::2], -1)
+    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
 
 
 def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.ndarray:
@@ -216,7 +212,7 @@ def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.
     crcs = np.array([zlib.crc32(c.encode()) for c in chip_ids], dtype=np.uint32)[:, None]
     entropy = [np.uint32(w) for w in _seed_words(base_seed)]
     entropy += [crcs, np.asarray(words).astype(np.uint32)[None, :]]
-    return _seed_sequence_state(entropy, 1)[0]
+    return _seed_sequence_state(entropy, 1)[..., 0]
 
 
 def _record_noise(seeds: np.ndarray, sigma: float) -> np.ndarray:
@@ -225,32 +221,22 @@ def _record_noise(seeds: np.ndarray, sigma: float) -> np.ndarray:
     ``default_rng(seed)`` seeds PCG64 from ``SeedSequence(seed).generate_state(4,
     np.uint64)``, which ``_seed_sequence_state`` gives for all seeds at once
     (a seed below 2**32 is one entropy word; the zero high word mixes in as
-    the pool's padding does).  The first pair of words, high word first, is
-    the LCG's initial state, the second its stream.  PCG64's own seeding, two
-    LCG steps, runs here in Python ints, and one reused generator draws each
-    record's normal from the state it leaves.
+    the pool's padding does).  Each record's PCG64 then seeds itself from its
+    own four words, handed over through numpy's ``ISeedSequence`` interface.
     """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
     seeds = np.asarray(seeds, dtype=np.uint64)
     entropy = [(seeds >> np.uint64(shift)).astype(np.uint32) for shift in (0, 32)]
-    init_hi, init_lo, seq_hi, seq_lo = (
-        w.ravel().tolist() for w in _seed_sequence_state(entropy, 4)
-    )
-    # PCG64's seeding: inc = initseq << 1 | 1, then from state 0 an LCG step,
-    # + initstate, and a second step
-    incs = [((hi << 65) | (lo << 1) | 1) & _MASK128 for hi, lo in zip(seq_hi, seq_lo)]
-    states = [
-        ((inc + ((hi << 64) | lo)) * _PCG64_MULT + inc) & _MASK128
-        for inc, hi, lo in zip(incs, init_hi, init_lo)
-    ]
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    bit_generator = np.random.PCG64(0)
-    normal = np.random.Generator(bit_generator).normal
-    noise = []
-    for state, inc in zip(states, incs):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_generator.state = full
-        noise.append(normal(0.0, sigma))
+    rows = _seed_sequence_state(entropy, 4).reshape(-1, 4)
+    noise = [np.random.Generator(np.random.PCG64(_Words(w))).normal(0.0, sigma) for w in rows]
     return np.array(noise, dtype=np.float64).reshape(seeds.shape)
 
 
@@ -269,15 +255,14 @@ def generate(
     dataset, noise included: each record's noise equals
     ``default_rng(seed).normal(0, sigma)`` of its own derived seed, drawn
     for the whole batch by ``_record_noise``.  Bad input raises for a
-    negative noise seed, then for a challenge outside [0, 255]
-    (``evaluate_array``), then for the first voltage ``convert_array``
-    rejects.
+    challenge outside [0, 255] (``evaluate_array``), then for the first
+    voltage ``convert_array`` rejects; ``Conditions`` refuses a negative
+    noise seed.
     """
     if not chips:
         raise ValueError("need at least one chip")
     if not challenges:
         raise ValueError("need at least one challenge")
-    _seed_words(conditions.noise_seed)  # a negative seed fails, noisy or not
     words = np.asarray(challenges, dtype=np.int64).reshape(-1)
     chip_ids = [c.chip_id for c in chips]
     seeds = _record_seeds(conditions.noise_seed, chip_ids, words)

@@ -49,6 +49,7 @@ class VariationConfig:
 
     def __post_init__(self) -> None:
         check_range("sigma_vth", self.sigma_vth, 0)
+        check_range("seed", self.seed, 0)
         if not isinstance(self.corner, ProcessCorner):
             raise TypeError("corner must be a ProcessCorner")
 

@@ -587,11 +587,11 @@ def test_crps_rejects_a_challenge_past_the_array(tmp_path, capsys):
 def test_negative_noise_seed_fails_even_without_noise(tmp_path, capsys):
     ds = tmp_path / "ds.csv"
     assert run("crps", "--chips", 1, "--noise-seed", -1, "--out", ds) == 1
-    assert "error: expected non-negative integer" in capsys.readouterr().err
+    assert "error: noise_seed must be >= 0, got -1" in capsys.readouterr().err
     assert run("crps", "--chips", 2, "--out", ds) == 0
     args = ("metrics", "--in", ds, "--temps", "0", "--seed", -1, "--out", tmp_path / "m.json")
     assert run(*args) == 1
-    assert "error: expected non-negative integer" in capsys.readouterr().err
+    assert "error: noise_seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_metrics_refuses_merged_temperatures(tmp_path, capsys):
@@ -692,12 +692,21 @@ def test_nan_is_refused_by_name(name):
         (("mc", "--sigma-vth", "1e308", "--samples", "1000", "--samples-out", "{tmp}/s.txt"),
          "v_out must be finite, got nan"),
         (("curve", "--range=-1e308,1e308"), "v_out must be finite, got nan"),
+        # a negative seed is refused by the field it enters
+        (("crps", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("crps", "--noise-seed", "-1"), "noise_seed must be >= 0, got -1"),
+        (("mc", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("synth", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("metrics", "--in", "{inputs}/ds.csv", "--temps", "0", "--seed", "-1"),
+         "noise_seed must be >= 0, got -1"),
+        (("attack", "--in", "{inputs}/ds.csv", "--seed", "-1"), "seed must be >= 0, got -1"),
     ],
 )
 def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, inputs, argv, message):
     argv = [a.format(inputs=inputs, tmp=tmp_path) for a in argv]
     assert run(*argv, "--out", tmp_path / "out.csv") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
     assert list(tmp_path.iterdir()) == []
 
 

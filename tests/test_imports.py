@@ -1,9 +1,13 @@
-"""Every module-level import in the package, its tests and the bench is used.
+"""Every module-level import in the package, its tests and the bench is used,
+and importing the package leaves ``numpy.random`` unloaded.
 
 No linter is installed, so this scan stands in for one.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,12 @@ def test_every_module_level_import_is_used(path):
 def test_the_scan_names_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport os.path\nfrom . import a, b as c\n"
     assert unused_imports(source + "os.path.join(a)\n") == ["json (line 2)", "c (line 4)"]
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy.random costs about 6 MB and some startup; only the callers that draw load it
+    code = "import sys, cmapuf, cmapuf.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(cmapuf.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "False\n", out.stderr

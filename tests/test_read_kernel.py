@@ -297,10 +297,12 @@ def test_generate_raises_what_the_scalar_route_raises():
     model = default_model()
     with pytest.raises(ValueError, match=re.escape("challenge must be in [0, 255], got 256")):
         generate([chip], model, spec, cfg, [0, 256, 300], Conditions())
+    # generate and reliability never see a negative noise seed: Conditions
+    # refuses one, and record_seed's raw base seed is checked as numpy checks it
+    with pytest.raises(ValueError, match=re.escape("noise_seed must be >= 0, got -1")):
+        Conditions(noise_seed=-1)
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        generate([chip], model, spec, cfg, [0], Conditions(noise_seed=-1))
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        reliability([chip], model, spec, cfg, [Conditions(noise_seed=-1)])
+        record_seed(-1, chip.chip_id, 0)
     # a model whose rail sits above the quantizer's range: the first
     # record past 1.8 V is the one reported
     high = TransferModel(mirror=model.mirror, switching=model.switching, vdd=2.0)
