@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,19 @@ def _record_noise(seeds: np.ndarray, sigma: float) -> np.ndarray:
     return np.array(noise, dtype=np.float64).reshape(seeds.shape)
 
 
+@lru_cache(maxsize=1)
+def _shared_noise(seeds: bytes, shape: tuple[int, ...], sigma: float) -> np.ndarray:
+    """``_record_noise`` of the uint64 seeds in ``seeds``, read-only and kept for the next read.
+
+    A record's noise seed comes from (noise seed, chip id, challenge) alone,
+    so ``reliability``'s stress reads at one noise seed draw the same noise:
+    the first read draws it, the others reuse it.
+    """
+    noise = _record_noise(np.frombuffer(seeds, dtype=np.uint64).reshape(shape), sigma)
+    noise.flags.writeable = False
+    return noise
+
+
 def generate(
     chips: list[ChipInstance],
     model: TransferModel,
@@ -254,10 +269,11 @@ def generate(
     preserved within a chip.  The same arguments always produce the same
     dataset, noise included: each record's noise equals
     ``default_rng(seed).normal(0, sigma)`` of its own derived seed, drawn
-    for the whole batch by ``_record_noise``.  Bad input raises for a
-    challenge outside [0, 255] (``evaluate_array``), then for the first
-    voltage ``convert_array`` rejects; ``Conditions`` refuses a negative
-    noise seed.
+    for the whole batch by ``_record_noise`` and kept by ``_shared_noise``,
+    so a read of the same seeds at another temperature reuses it.  Bad input
+    raises for a challenge outside [0, 255] (``evaluate_array``), then for
+    the first voltage ``convert_array`` rejects; ``Conditions`` refuses a
+    negative noise seed.
     """
     if not chips:
         raise ValueError("need at least one chip")
@@ -268,7 +284,7 @@ def generate(
     seeds = _record_seeds(conditions.noise_seed, chip_ids, words)
     noise = None
     if conditions.noise_sigma > 0.0:
-        noise = _record_noise(seeds, conditions.noise_sigma)
+        noise = _shared_noise(seeds.tobytes(), seeds.shape, conditions.noise_sigma)
     volts = evaluate_array(model, chips, words, conditions.temperature, noise)
     region, code, bits = convert_array(adc_config, spec, volts)
     n = seeds.size
@@ -429,46 +445,74 @@ CSV_FIELDS = (
     "noise_sigma",
     "noise_seed",
 )
-# how a loaded field becomes its value: an int unless named here
-_PARSE = dict(chip_id=str, challenge=partial(int, base=16), encoded=str)
-_PARSE |= dict(temperature=float, noise_sigma=float)
+# how a loaded field becomes its value: an int unless named here.  A file repeats
+# a chip id in every record of the chip, so a loaded id is interned: one str per id.
+_PARSE = dict(chip_id=lambda value: sys.intern(str(value)), challenge=partial(int, base=16))
+_PARSE |= dict(encoded=str, temperature=float, noise_sigma=float)
+# A ``save_jsonl`` record line is ``json.dumps(record, sort_keys=True)`` as a template over
+# the record's fields in sorted order: the chip id comes escaped by ``json.dumps``, the
+# challenge and encoded word are hex and binary digits, and numbers print as their repr.
+_JSONL_RECORD = "{" + ", ".join(
+    f'"{name}": ' + {"chip_id": "%s", "challenge": '"%s"', "encoded": '"%s"'}.get(name, "%r")
+    for name in sorted(CSV_FIELDS)
+) + "}\n"
+# records a loader holds as raw fields at once; on a 6,400-record JSONL file 512 loaded
+# no faster and held about 0.35 MB more of decoded records
+_CHUNK = 64
+_scan_once = json.JSONDecoder().scan_once
+_space = json.decoder.WHITESPACE.match
 
 
-def _rows(dataset: CrpDataset):
-    """Each record's ``CSV_FIELDS`` values as Python scalars, so floats print as repr."""
-    return zip(
-        dataset.chip_id.tolist(),
-        [format(c, "02x") for c in dataset.challenge.tolist()],
-        dataset.region.tolist(),
-        dataset.code.tolist(),
-        dataset.bits.tolist(),
-        word_strings(dataset.region, dataset.code),
-        dataset.temperature.tolist(),
-        dataset.noise_sigma.tolist(),
-        dataset.noise_seed.tolist(),
-    )
+def _columns(dataset: CrpDataset) -> dict[str, list]:
+    """Each ``CSV_FIELDS`` column as Python scalars, so floats print as repr."""
+    return {
+        "chip_id": dataset.chip_id.tolist(),
+        "challenge": [format(c, "02x") for c in dataset.challenge.tolist()],
+        "region": dataset.region.tolist(),
+        "code": dataset.code.tolist(),
+        "bits": dataset.bits.tolist(),
+        "encoded": word_strings(dataset.region, dataset.code),
+        "temperature": dataset.temperature.tolist(),
+        "noise_sigma": dataset.noise_sigma.tolist(),
+        "noise_seed": dataset.noise_seed.tolist(),
+    }
+
+
+def _parse(name: str, values: list, start: int = 0) -> list:
+    """A field's raw values as its column's values; a None (missing or null) field
+    raises naming its record, counted from ``start + 1``."""
+    if None in values:
+        raise ValueError(f"row {start + values.index(None) + 1} has no {name!r} field")
+    parse = _PARSE.get(name, int)
+    try:
+        return [parse(value) for value in values]
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _extend(columns: dict[str, list], chunk: dict[str, list]) -> None:
+    """Append a chunk of records' raw fields, one list per ``CSV_FIELDS`` name, to ``columns``.
+
+    The ``COLUMNS`` fields are parsed here, so a loader holds at most one chunk of
+    raw fields; ``encoded`` is kept as read for ``_from_columns`` to check.
+    """
+    start = len(columns["chip_id"])
+    for name in COLUMNS:
+        columns[name] += _parse(name, chunk[name], start)
+    columns["encoded"] += chunk["encoded"]
 
 
 def _from_columns(path: str | Path, columns: dict[str, list], metadata: dict) -> CrpDataset:
-    """A dataset from ``path``'s records, one list of values per ``CSV_FIELDS`` name.
+    """A dataset from ``path``'s records, as ``_extend`` collected them.
 
-    ``CrpDataset`` checks the columns.  No records, a None (missing or null) field and an
-    ``encoded`` field unlike the record's (region, code) raise, naming the record from 1.
+    ``CrpDataset`` checks the columns.  No records, and a missing ``encoded`` field or
+    one unlike the record's (region, code), raise, naming the record from 1.
     """
     if not columns["chip_id"]:
         raise ValueError(f"{path} holds no records")
-
-    def column(name: str) -> list:
-        values, parse = columns.pop(name), _PARSE.get(name, int)
-        if None in values:
-            raise ValueError(f"row {values.index(None) + 1} has no {name!r} field")
-        try:
-            return [parse(value) for value in values]
-        except TypeError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-
-    dataset = CrpDataset(**{name: column(name) for name in COLUMNS}, metadata=metadata)
-    encoded = column("encoded")
+    encoded = columns.pop("encoded")
+    dataset = CrpDataset(**columns, metadata=metadata)
+    encoded = _parse("encoded", encoded)
     words = word_strings(dataset.region, dataset.code)
     if encoded != words:
         i = next(i for i, (got, word) in enumerate(zip(encoded, words)) if got != word)
@@ -478,11 +522,17 @@ def _from_columns(path: str | Path, columns: dict[str, list], metadata: dict) ->
     return dataset
 
 
+def _chunks(items):
+    """Lists of up to ``_CHUNK`` of an iterator's items, in order."""
+    return iter(lambda: list(islice(items, _CHUNK)), [])
+
+
 def save_csv(dataset: CrpDataset, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
-        writer.writerows(_rows(dataset))
+        columns = _columns(dataset)
+        writer.writerows(zip(*(columns[name] for name in CSV_FIELDS)))
 
 
 def load_csv(path: str | Path) -> CrpDataset:
@@ -492,19 +542,34 @@ def load_csv(path: str | Path) -> CrpDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         index = {name: i for i, name in enumerate(next(reader, []))}
-        slots = [(columns[name], index.get(name, -1)) for name in CSV_FIELDS]
-        for row in filter(None, reader):
-            for values, i in slots:
-                values.append(row[i] if 0 <= i < len(row) else None)
+        slots = {name: index.get(name, -1) for name in CSV_FIELDS}
+        for rows in _chunks(filter(None, reader)):
+            chunk = {
+                name: [row[i] if 0 <= i < len(row) else None for row in rows]
+                for name, i in slots.items()
+            }
+            _extend(columns, chunk)
     return _from_columns(path, columns, {})
 
 
 def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
+    columns = _columns(dataset)
+    escaped = {chip_id: json.dumps(chip_id) for chip_id in set(columns["chip_id"])}
+    columns["chip_id"] = [escaped[chip_id] for chip_id in columns["chip_id"]]
+    rows = zip(*(columns[name] for name in sorted(CSV_FIELDS)))
     with open(path, "w") as fh:
         if dataset.metadata:
             fh.write(json.dumps({"_meta": dataset.metadata}, sort_keys=True) + "\n")
-        for row in _rows(dataset):
-            fh.write(json.dumps(dict(zip(CSV_FIELDS, row)), sort_keys=True) + "\n")
+        fh.writelines(_JSONL_RECORD % row for row in rows)
+
+
+def _json_value(line: str):
+    """``json.loads(line)``, or None where that raises: one JSON value, whitespace around it."""
+    try:
+        value, end = _scan_once(line, _space(line).end())
+    except (StopIteration, ValueError):
+        return None
+    return value if _space(line, end).end() == len(line) else None
 
 
 def load_jsonl(path: str | Path) -> CrpDataset:
@@ -512,17 +577,16 @@ def load_jsonl(path: str | Path) -> CrpDataset:
     columns: dict[str, list] = {name: [] for name in CSV_FIELDS}
     metadata: dict = {}
     with open(path) as fh:
-        for line in fh:
-            try:
-                doc = json.loads(line)
-            except ValueError:
-                doc = None
-            if not isinstance(doc, dict):
-                n = len(columns["chip_id"])
-                raise ValueError(f"row {n + 1} is not a JSON object: {line.strip()!r}")
-            if "_meta" in doc:
-                metadata = doc["_meta"]
-            else:
-                for name, values in columns.items():
-                    values.append(doc.get(name))
+        for lines in _chunks(fh):
+            records = []
+            for line in lines:
+                doc = _json_value(line)
+                if not isinstance(doc, dict):
+                    n = len(columns["chip_id"]) + len(records)
+                    raise ValueError(f"row {n + 1} is not a JSON object: {line.strip()!r}")
+                if "_meta" in doc:
+                    metadata = doc["_meta"]
+                else:
+                    records.append(doc)
+            _extend(columns, {name: [doc.get(name) for doc in records] for name in CSV_FIELDS})
     return _from_columns(path, columns, metadata)

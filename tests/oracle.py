@@ -13,8 +13,11 @@ is described, cell -> tanh -> Lloyd-Max region -> single-slope ADC ->
     convert      the comparator choice, then ``math.floor`` quantisation
     encode       the region and code formatted as binary strings
     read         a generator per record, ``default_rng(seed).normal``, for its noise
+    reliability  every chip's reference and stressed reads, record by record
 
 The tests hold every kernel to it value for value, errors included.
+``save_jsonl`` writes each record with its own ``json.dumps`` call, and
+``crp.save_jsonl`` is held to it byte for byte.
 
 ``es_fit_dense`` is the evolution strategy as first written: every
 generation builds each offspring densely and re-reads the whole training
@@ -22,6 +25,7 @@ set for every one of them.  ``attack.es_fit`` carries per-cell Hamming
 counts instead and is held to it array for array.
 """
 
+import json
 import math
 import zlib
 
@@ -40,7 +44,7 @@ from cmapuf.attack import (
     EsHyper,
     clone_bits,
 )
-from cmapuf.crp import CrpDataset, bits_matrix
+from cmapuf.crp import CSV_FIELDS, CrpDataset, bits_matrix
 from cmapuf.quantizer import QuantizerSpec
 from cmapuf.variation import ChipInstance
 
@@ -137,6 +141,50 @@ def read_bits(
     """(words, 11) response bits of one chip."""
     rows = [encode(read(chip, model, spec, adc_config, w, conditions)[1]) for w in words]
     return np.array([[int(ch) for ch in row] for row in rows], dtype=np.int8)
+
+
+def reliability(
+    chips: list[ChipInstance],
+    model: TransferModel,
+    spec: QuantizerSpec,
+    adc_config: AdcConfig,
+    test_conditions: list[Conditions],
+) -> list[float]:
+    """Per chip: 1 - mean fractional HD between the noise-free 25 degC read and each stressed read."""
+    words = range(256)
+    ref = Conditions(temperature=25.0, noise_sigma=0.0)
+    values = []
+    for chip in chips:
+        ref_bits = read_bits(chip, model, spec, adc_config, words, ref)
+        total = 0.0
+        for cond in test_conditions:
+            got = read_bits(chip, model, spec, adc_config, words, cond)
+            total += float((got != ref_bits).mean())
+        values.append(1.0 - total / len(test_conditions))
+    return values
+
+
+def save_jsonl(dataset: CrpDataset, path) -> None:
+    """A ``_meta`` line if there is metadata, then ``json.dumps(record, sort_keys=True)`` per record."""
+    with open(path, "w") as fh:
+        if dataset.metadata:
+            fh.write(json.dumps({"_meta": dataset.metadata}, sort_keys=True) + "\n")
+        for i in range(len(dataset)):
+            word = ResponseWord(
+                int(dataset.region[i]), int(dataset.code[i]), int(dataset.bits[i])
+            )
+            values = (
+                str(dataset.chip_id[i]),
+                format(int(dataset.challenge[i]), "02x"),
+                word.region,
+                word.code,
+                word.bits,
+                encode(word),
+                float(dataset.temperature[i]),
+                float(dataset.noise_sigma[i]),
+                int(dataset.noise_seed[i]),
+            )
+            fh.write(json.dumps(dict(zip(CSV_FIELDS, values)), sort_keys=True) + "\n")
 
 
 def es_fit_dense(

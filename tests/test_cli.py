@@ -291,6 +291,15 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
         (broken("array.jsonl", lambda line: "[1, 2]"), "row 2 is not a JSON object: '[1, 2]'"),
         (broken("oops.jsonl", lambda line: "{oops"), "row 2 is not a JSON object: '{oops'"),
         (broken("blank.jsonl", lambda line: ""), "row 2 is not a JSON object: ''"),
+        (broken("trailing.jsonl", lambda line: '{"a": 1} x'),
+         """row 2 is not a JSON object: '{"a": 1} x'"""),
+        (broken("two.jsonl", lambda line: '{"a": 1} {"b": 2}'),
+         """row 2 is not a JSON object: '{"a": 1} {"b": 2}'"""),
+        # a record split over two lines, its first half row 2
+        (broken("split.jsonl", lambda line: line.replace(", ", ",\n", 1)),
+         """row 2 is not a JSON object: '{"bits": 8,'"""),
+        (broken("bom.jsonl", lambda line: '\ufeff{"a": 1}'),
+         """row 2 is not a JSON object: '\\ufeff{"a": 1}'"""),
         (broken("listed.jsonl", lambda line: json.dumps(json.loads(line) | {"code": [1]})),
          "code: int() argument must be"),
         # a null field is a missing one, not the chip 'None'

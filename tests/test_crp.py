@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmapuf import crp
 from cmapuf.adc import AdcConfig, ResponseWord
 from cmapuf.analog import Conditions, default_model
 from cmapuf.crp import (
@@ -242,6 +243,40 @@ def test_reliability_degrades_with_stress():
     assert harsh > 0.5
 
 
+def test_reliability_draws_one_noise_for_its_stress_reads(monkeypatch):
+    draws = []
+    record_noise = crp._record_noise
+
+    def counted(seeds, sigma):
+        draws.append(sigma)
+        return record_noise(seeds, sigma)
+
+    monkeypatch.setattr(crp, "_record_noise", counted)
+    crp._shared_noise.cache_clear()
+    chips = [synth_chip(VariationConfig(seed=s)) for s in (50, 51)]
+
+    def stress(sigma=0.004, seed=5):
+        return [Conditions(temperature=t, noise_sigma=sigma, noise_seed=seed) for t in (0.0, 30.0, 60.0)]
+
+    # three temperatures at one noise seed draw once; another seed, sigma or
+    # population draws again, and every value stays the scalar route's
+    for population, conds, n_draws in [
+        (chips, stress(), 1),
+        (chips, stress(seed=6), 2),
+        (chips, stress(sigma=0.005), 3),
+        (chips[:1], stress(sigma=0.005), 4),
+        (chips[:1], stress(sigma=0.005), 4),
+    ]:
+        got = reliability(population, MODEL, SPEC, ADC, conds)
+        assert len(draws) == n_draws
+        assert got == oracle.reliability(population, MODEL, SPEC, ADC, conds)
+    seeds = np.array([[1, 2**64 - 1]], dtype=np.uint64)
+    noise = crp._shared_noise(seeds.tobytes(), seeds.shape, 0.004)
+    assert noise.tolist() == [[np.random.default_rng(s).normal(0.0, 0.004) for s in (1, 2**64 - 1)]]
+    with pytest.raises(ValueError, match="read-only"):
+        noise[0, 0] = 0.0
+
+
 def test_reliability_needs_conditions():
     chip = synth_chip(VariationConfig(seed=50))
     with pytest.raises(ValueError, match="test condition"):
@@ -323,6 +358,54 @@ def test_loaders_round_trip_drawn_datasets(tmp_path_factory, ds, metadata):
     loaded = load_jsonl(path / "ds.jsonl")
     assert_same_records(loaded, ds)
     assert loaded.metadata == metadata
+
+
+def test_save_jsonl_writes_the_oracles_bytes(tmp_path):
+    # chip ids json must escape, and floats and seeds at the edges of their repr
+    chip_ids = ['say "hi"', "back\\slash", "bell\x07", "é中", "chip000"]
+    temperatures = [5e-324, -0.0, 0.1 + 0.2, 100.0, -20.0]
+    sigmas = [1e16, 5e-324, 0.1 + 0.2, -0.0, 0.0]
+    seeds = [2**64 - 1, 0, 1, 2**63, 12345678901234567890]
+    ds = CrpDataset(
+        chip_id=chip_ids, challenge=[0, 10, 171, 255, 7], region=[1, 2, 3, 4, 5],
+        code=[0, 127, 1, 63, 255], bits=[8, 7, 2, 6, 8], temperature=temperatures,
+        noise_sigma=sigmas, noise_seed=seeds, metadata={"note": "é\x07", "n_chips": 5},
+    )
+    for dataset in (ds, ds.take(slice(None), {})):
+        save_jsonl(dataset, tmp_path / "got.jsonl")
+        oracle.save_jsonl(dataset, tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert_same_records(load_jsonl(tmp_path / "got.jsonl"), ds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=datasets(), metadata=st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2))
+def test_save_jsonl_writes_the_oracles_bytes_on_drawn_datasets(tmp_path_factory, ds, metadata):
+    ds = ds.take(slice(None), metadata)
+    path = tmp_path_factory.mktemp("jsonl")
+    save_jsonl(ds, path / "got.jsonl")
+    oracle.save_jsonl(ds, path / "want.jsonl")
+    assert (path / "got.jsonl").read_bytes() == (path / "want.jsonl").read_bytes()
+
+
+def test_jsonl_meta_between_records_is_not_a_row(tmp_path, small_dataset):
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(small_dataset.take(slice(0, 3), {"n_chips": 1}), path)
+    lines = path.read_text().splitlines()  # metadata, then records 1..3
+    lines.insert(2, json.dumps({"_meta": {"n_chips": 2}}))
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_jsonl(path)
+    assert_same_records(loaded, small_dataset.take(slice(0, 3), {}))
+    assert loaded.metadata == {"n_chips": 2}
+    # the record after it is still row 2, the one after that row 3
+    lines[3] = json.dumps({k: v for k, v in json.loads(lines[3]).items() if k != "code"})
+    lines[4] = "{oops"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^row 3 is not a JSON object: '{oops'$"):
+        load_jsonl(path)
+    path.write_text("\n".join(lines[:4]) + "\n")
+    with pytest.raises(ValueError, match="^row 2 has no 'code' field$"):
+        load_jsonl(path)
 
 
 def test_jsonl_round_trip(tmp_path, small_dataset):

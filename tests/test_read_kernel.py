@@ -112,16 +112,7 @@ def test_reliability_equals_the_scalar_route(corner, chip_seeds, spec, offset, t
     chips = [synth_chip(VariationConfig(corner=corner, seed=s)) for s in chip_seeds]
     model = TransferModel(mirror=default_model().mirror, switching=naive_switching())
     adc_config = AdcConfig(comparator_residual_offset=offset)
-    words = range(256)
-    ref = Conditions(temperature=25.0, noise_sigma=0.0)
-    expected = []
-    for chip in chips:
-        ref_bits = oracle.read_bits(chip, model, spec, adc_config, words, ref)
-        total = 0.0
-        for cond in tests:
-            got = oracle.read_bits(chip, model, spec, adc_config, words, cond)
-            total += float((got != ref_bits).mean())
-        expected.append(1.0 - total / len(tests))
+    expected = oracle.reliability(chips, model, spec, adc_config, tests)
     assert reliability(chips, model, spec, adc_config, tests) == expected
 
 
