@@ -2,23 +2,26 @@
 
 A dataset is a set of equal-length columns, one row per read: chip,
 challenge, the response (region, code, precision) and the conditions of
-the read.  Noise is reproducible per record: the generator seed is
-derived from (dataset noise seed, chip id, challenge word), and the
-record's noise is ``np.random.default_rng(seed).normal(0, sigma)``, so
-re-generating any single record gives the same bits without replaying
-the whole dataset.
+the read.  Noise is reproducible per record: the record's 64-bit seed is
+derived from (dataset noise seed, chip id, challenge word), and its noise
+is that seed's first two SplitMix64 outputs turned into one normal by
+Box-Muller (``_record_noise``), so re-generating any single record gives
+the same bits without replaying the whole dataset.  The rule is closed
+form and uses no numpy RNG stream, so no numpy release can move it
+(NumPy's NEP 19 does not promise ``Generator.normal`` across versions);
+only ``log`` and ``cos`` may round a last ulp differently on another CPU
+or libm, which moves a bit only for a voltage within an ulp of a boundary.
 
 ``generate`` is the one batched read, chips x challenge words straight
 to columns; ``reliability`` re-reads a population through it, once per
 condition.  It runs one kernel per stage: ``_record_seeds`` for the noise
 seeds, ``_record_noise`` for their draws, ``cellarray.evaluate_array`` for
-the voltages and ``adc.convert_array`` for the words.  The first two run
-numpy's seed-sequence mix elementwise over the whole batch
-(``_seed_sequence_state``), so no record runs a seed sequence of its own;
-each record's PCG64 seeds itself from its four words, and
-``_record_noise`` is the one draw of a record's noise.  The scalar
-``record_seed``, ``cellarray.evaluate`` and ``adc.convert`` are one element
-of those kernels, and ``cellarray.decode`` is the one challenge check.
+the voltages and ``adc.convert_array`` for the words.  ``_record_seeds``
+runs numpy's seed-sequence mix elementwise over the whole batch
+(``_seed_sequence_state``), so no record runs a seed sequence of its own.
+The scalar ``record_seed``, ``cellarray.evaluate`` and ``adc.convert`` are
+one element of those kernels, and ``cellarray.decode`` is the one
+challenge check.
 
 Metrics follow the usual fractional-Hamming-distance conventions, and
 refuse a dataset with more than one read of a (chip, challenge):
@@ -38,7 +41,7 @@ import json
 import sys
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import islice
 from pathlib import Path
 
@@ -177,14 +180,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _seed_sequence_state(entropy: list, n_words: int) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(n_words, np.uint64)``, elementwise.
+def _seed_sequence_state(entropy: list) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(1, np.uint64)[0]``, elementwise.
 
     ``entropy`` is the uint32 words, each an array (or scalar) broadcast to
-    one shape; the result is uint64 of that shape plus a last axis of
-    ``n_words``.  The pool mix is a fixed sequence of uint32 operations with
-    data-independent constants, so it runs over every element at once.  An
-    entropy shorter than the pool is padded with zero words, as numpy pads it.
+    one shape; the result is uint64 of that shape.  The pool mix is a fixed
+    sequence of uint32 operations with data-independent constants, so it
+    runs over every element at once.  An entropy shorter than the pool is
+    padded with zero words, as numpy pads it.
     """
     shape = np.broadcast_shapes(*(np.shape(e) for e in entropy))
     entropy = [np.broadcast_to(e, shape) for e in entropy]
@@ -198,11 +201,10 @@ def _seed_sequence_state(entropy: list, n_words: int) -> np.ndarray:
     for e in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(e, consts))
-    # the output cycles through the pool; each uint64 is two uint32 words, low word first
+    # the first output uint64 is the hashes of pool words 0 and 1, low word first
     consts = _hash_consts(_INIT_B, _MULT_B)
-    words = [_hashmix(pool[i % _POOL_SIZE], consts) for i in range(2 * n_words)]
-    low, high = np.stack(words[::2], -1), np.stack(words[1::2], -1)
-    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
+    low, high = (_hashmix(pool[i], consts).astype(np.uint64) for i in range(2))
+    return low | (high << np.uint64(32))
 
 
 def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.ndarray:
@@ -214,45 +216,34 @@ def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.
     crcs = np.array([zlib.crc32(c.encode()) for c in chip_ids], dtype=np.uint32)[:, None]
     entropy = [np.uint32(w) for w in _seed_words(base_seed)]
     entropy += [crcs, np.asarray(words).astype(np.uint32)[None, :]]
-    return _seed_sequence_state(entropy, 1)[..., 0]
+    return _seed_sequence_state(entropy)
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state increment and the mix multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_A, _SPLITMIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(state: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of each uint64 state, wrapping mod 2**64."""
+    z = (state ^ (state >> np.uint64(30))) * _SPLITMIX_A
+    z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_B
+    return z ^ (z >> np.uint64(31))
 
 
 def _record_noise(seeds: np.ndarray, sigma: float) -> np.ndarray:
-    """``np.random.default_rng(seed).normal(0.0, sigma)`` of every uint64 seed, same shape.
+    """Each uint64 record seed's normal of standard deviation sigma, same shape.
 
-    ``default_rng(seed)`` seeds PCG64 from ``SeedSequence(seed).generate_state(4,
-    np.uint64)``, which ``_seed_sequence_state`` gives for all seeds at once
-    (a seed below 2**32 is one entropy word; the zero high word mixes in as
-    the pool's padding does).  Each record's PCG64 then seeds itself from its
-    own four words, handed over through numpy's ``ISeedSequence`` interface.
+    The first two SplitMix64 outputs of the seed, ``z1`` and ``z2``, give
+    53-bit uniforms ``u1 = ((z1 >> 11) + 1) / 2**53`` in (0, 1], so the log
+    is finite, and ``u2 = (z2 >> 11) / 2**53`` in [0, 1); Box-Muller then
+    gives ``sigma * sqrt(-2 log u1) * cos(2 pi u2)``.
     """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _Words(ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words
-
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    entropy = [(seeds >> np.uint64(shift)).astype(np.uint32) for shift in (0, 32)]
-    rows = _seed_sequence_state(entropy, 4).reshape(-1, 4)
-    noise = [np.random.Generator(np.random.PCG64(_Words(w))).normal(0.0, sigma) for w in rows]
-    return np.array(noise, dtype=np.float64).reshape(seeds.shape)
-
-
-@lru_cache(maxsize=1)
-def _shared_noise(seeds: bytes, shape: tuple[int, ...], sigma: float) -> np.ndarray:
-    """``_record_noise`` of the uint64 seeds in ``seeds``, read-only and kept for the next read.
-
-    A record's noise seed comes from (noise seed, chip id, challenge) alone,
-    so ``reliability``'s stress reads at one noise seed draw the same noise:
-    the first read draws it, the others reuse it.
-    """
-    noise = _record_noise(np.frombuffer(seeds, dtype=np.uint64).reshape(shape), sigma)
-    noise.flags.writeable = False
-    return noise
+    state = np.asarray(seeds, dtype=np.uint64) + _GAMMA
+    z1, z2 = _splitmix64(state), _splitmix64(state + _GAMMA)
+    u1 = ((z1 >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    u2 = (z2 >> np.uint64(11)) * 2.0**-53
+    return sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def generate(
@@ -267,13 +258,12 @@ def generate(
 
     Records are emitted chip-major in the order given, challenge order
     preserved within a chip.  The same arguments always produce the same
-    dataset, noise included: each record's noise equals
-    ``default_rng(seed).normal(0, sigma)`` of its own derived seed, drawn
-    for the whole batch by ``_record_noise`` and kept by ``_shared_noise``,
-    so a read of the same seeds at another temperature reuses it.  Bad input
-    raises for a challenge outside [0, 255] (``evaluate_array``), then for
-    the first voltage ``convert_array`` rejects; ``Conditions`` refuses a
-    negative noise seed.
+    dataset, noise included: each record's noise is ``_record_noise`` of its
+    own derived seed, ``sigma * sqrt(-2 log u1) * cos(2 pi u2)`` with ``u1``
+    and ``u2`` the seed's first two SplitMix64 outputs as 53-bit uniforms,
+    drawn for the whole batch at once.  Bad input raises for a challenge
+    outside [0, 255] (``evaluate_array``), then for the first voltage
+    ``convert_array`` rejects; ``Conditions`` refuses a negative noise seed.
     """
     if not chips:
         raise ValueError("need at least one chip")
@@ -284,7 +274,7 @@ def generate(
     seeds = _record_seeds(conditions.noise_seed, chip_ids, words)
     noise = None
     if conditions.noise_sigma > 0.0:
-        noise = _shared_noise(seeds.tobytes(), seeds.shape, conditions.noise_sigma)
+        noise = _record_noise(seeds, conditions.noise_sigma)
     volts = evaluate_array(model, chips, words, conditions.temperature, noise)
     region, code, bits = convert_array(adc_config, spec, volts)
     n = seeds.size
@@ -334,8 +324,10 @@ def uniqueness(dataset: CrpDataset, bit_positions: list[int] | None = None) -> f
     bit_positions restricts the comparison to a subset of the 11 response
     bits (for example code bits only); default is all of them.  Pair
     distances come from one (chips x chips) product of the 0/1 response
-    matrix, so memory grows with chips, not with chip pairs; the counts
-    are exact in float64, so every pair's value is the exact fraction.
+    matrix, so memory grows with the square of the chip count: the
+    product, the distance matrix and its upper-triangle indices each hold
+    one entry per chip pair or more.  The counts are exact in float64, so
+    every pair's value is the exact fraction.
     """
     ids, chip = dataset._chips
     if len(ids) < 2:

@@ -12,10 +12,16 @@ is described, cell -> tanh -> Lloyd-Max region -> single-slope ADC ->
     region_of    ``np.searchsorted`` over the boundaries
     convert      the comparator choice, then ``math.floor`` quantisation
     encode       the region and code formatted as binary strings
-    read         a generator per record, ``default_rng(seed).normal``, for its noise
+    splitmix64   the standard SplitMix64 generator on Python integers
+    record_noise Box-Muller of a seed's first two ``splitmix64`` outputs, with
+                 ``math.log``, ``math.sqrt`` and ``math.cos``
+    read         one record, its noise from ``record_noise``
     reliability  every chip's reference and stressed reads, record by record
 
-The tests hold every kernel to it value for value, errors included.
+The tests hold every kernel to it value for value, errors included, with
+one exception: ``crp._record_noise`` takes numpy's ``log``, whose SIMD loop
+may round a last ulp apart from ``math.log``, so its noise is held to
+``record_noise`` within 2 ulp, while datasets and bits are held exactly.
 ``save_jsonl`` writes each record with its own ``json.dumps`` call, and
 ``crp.save_jsonl`` is held to it byte for byte.
 
@@ -53,6 +59,28 @@ def record_seed(base_seed: int, chip_id: str, word: int) -> int:
     """Derived noise seed for one (chip, challenge) read."""
     ss = np.random.SeedSequence([base_seed, zlib.crc32(chip_id.encode()), word])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int):
+    """SplitMix64's outputs from a 64-bit seed, one by one (Steele, Lea & Flood, 2014)."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def record_noise(seed: int, sigma: float) -> float:
+    """A record seed's normal: Box-Muller of two 53-bit uniforms, the first in (0, 1]."""
+    outputs = splitmix64(seed)
+    z1, z2 = next(outputs), next(outputs)
+    u1 = ((z1 >> 11) + 1) / 2**53
+    u2 = (z2 >> 11) / 2**53
+    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def evaluate(
@@ -125,7 +153,7 @@ def read(
     seed = record_seed(conditions.noise_seed, chip.chip_id, word)
     noise = None
     if conditions.noise_sigma > 0.0:
-        noise = float(np.random.default_rng(seed).normal(0.0, conditions.noise_sigma))
+        noise = record_noise(seed, conditions.noise_sigma)
     v = evaluate(model, chip, word, conditions.temperature, noise)
     return seed, convert(adc_config, spec, v)
 

@@ -6,10 +6,11 @@ equal what ``oracle.read`` gives for the same read (``record_seed`` ->
 ``evaluate`` -> ``convert`` -> ``encode``), errors included.  The
 package's scalar ``record_seed``, ``evaluate``, ``region_of`` and
 ``convert`` are one element of their kernels and are held to the oracle
-too, and the batched noise draw ``_record_noise`` is held bit for bit to
-a generator built per seed.
+too, and the batched noise draw ``_record_noise`` is held within 2 ulp to
+the oracle's scalar SplitMix64 and Box-Muller, and pinned to literal normals.
 """
 
+import math
 import re
 
 import numpy as np
@@ -29,11 +30,20 @@ from cmapuf.analog import (
     power_gated_switching,
 )
 from cmapuf.cellarray import evaluate, evaluate_array
-from cmapuf.crp import _record_noise, bits_matrix, generate, record_seed, reliability
+from cmapuf.crp import (
+    _record_noise,
+    _record_seeds,
+    _splitmix64,
+    bits_matrix,
+    generate,
+    record_seed,
+    reliability,
+)
 from cmapuf.quantizer import QuantizerSpec, default_regions, region_of
 from cmapuf.variation import ProcessCorner, VariationConfig, synth_chip
 
 VDD = 1.8
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 
 
 @st.composite
@@ -136,27 +146,92 @@ def test_record_seeds_match_record_seed(base):
 )
 @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1], sigma=0.002, rows=None)
 @example(seeds=[2**64 - 1, 0, 2**32, 1, 2**32 - 1], sigma=1.0, rows=1)
-def test_record_noise_is_each_seeds_default_rng_normal(seeds, sigma, rows):
-    # the batched draw against a generator built per seed, bit for bit and
-    # in the seeds' shape
+def test_record_noise_is_the_oracles_box_muller(seeds, sigma, rows):
+    # the batched draw against the scalar route, in the seeds' shape; numpy's
+    # SIMD log may round a last ulp apart from math.log
     shape = (len(seeds),) if rows is None else (rows, len(seeds))
     got = _record_noise(np.array(seeds, dtype=np.uint64).reshape(shape), sigma)
-    want = np.array([np.random.default_rng(s).normal(0.0, sigma) for s in seeds])
-    assert got.shape == shape
-    assert got.reshape(-1).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    want = np.array([oracle.record_noise(s, sigma) for s in seeds]).reshape(shape)
+    assert got.shape == shape and got.dtype == np.float64
+    np.testing.assert_array_max_ulp(got, want, maxulp=2)
 
 
-def test_record_noise_pins_numpys_pcg64_stream():
-    # literal draws: a numpy whose PCG64 seeding or normal sampler differs fails here
-    seeds = np.array([0, 1, 2**32, 2**64 - 1], dtype=np.uint64)
+def test_splitmix64_is_the_reference_generator():
+    # the reference generator gives the published SplitMix64 outputs, and the
+    # kernel's two outputs per seed are its first two, wrapping mod 2**64 included
+    outputs = oracle.splitmix64(0)
+    assert [next(outputs) for _ in range(2)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    outputs = oracle.splitmix64(1234567)
+    assert [next(outputs) for _ in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821,
+    ]
+    seeds = [0, 1, 2**32, 2**63, 2**64 - 2 * GAMMA % 2**64, 2**64 - 1]
+    state = np.array(seeds, dtype=np.uint64)
+    got = [_splitmix64(state + np.uint64(k * GAMMA % 2**64)).tolist() for k in (1, 2)]
+    generators = [oracle.splitmix64(seed) for seed in seeds]
+    assert got == [[next(g) for g in generators] for _ in range(2)]
+
+
+def test_record_noise_pins_literal_normals():
+    # a platform whose log, sqrt or cos strays beyond rounding fails here
+    seeds = np.array([0, 1, 2**32, 2**64 - 1, 12345678901234567890], dtype=np.uint64)
     pinned = [
         float.fromhex(h)
-        for h in ("0x1.017ed89db8441p-3", "0x1.61e0d28bbb3a1p-2",
-                  "0x1.a5c170234e89ep-4", "0x1.715303191d87bp-1")
+        for h in ("-0x1.cf9fb99cfab8fp-2", "-0x1.ced805e687295p-6", "0x1.2f1eb98ad46fep-3",
+                  "0x1.9d977b6e32444p-2", "-0x1.b6ce2b2e0acc2p-3")
     ]
-    assert [np.random.default_rng(s).normal() for s in seeds.tolist()] == pinned
-    assert _record_noise(seeds, 1.0).tolist() == pinned
-    assert _record_noise(seeds, 0.002).tolist() == [0.002 * z for z in pinned]
+    np.testing.assert_allclose(_record_noise(seeds, 1.0), pinned, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(_record_noise(seeds, 0.002), [0.002 * z for z in pinned],
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose([oracle.record_noise(s, 1.0) for s in seeds.tolist()], pinned,
+                               rtol=1e-15, atol=0)
+
+
+def _splitmix64_state(z: int) -> int:
+    """The state whose SplitMix64 output is z: each step of the mix undone."""
+
+    def unshift(x: int, shift: int) -> int:
+        y = x
+        for _ in range(64 // shift + 1):
+            y = x ^ (y >> shift)
+        return y
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def test_the_extreme_uniforms_give_finite_noise():
+    # z1 = 0 gives u1 = 2**-53, the largest |noise|; z1 = 2**64 - 1 gives u1 = 1.0,
+    # so log(u1) is 0 and the noise is zero
+    low = (_splitmix64_state(0) - GAMMA) % 2**64
+    high = (_splitmix64_state(2**64 - 1) - GAMMA) % 2**64
+    for seed, z1 in ((low, 0), (high, 2**64 - 1)):
+        outputs = oracle.splitmix64(seed)
+        assert next(outputs) == z1
+        u2 = (next(outputs) >> 11) / 2**53
+        noise = _record_noise(np.array([seed], dtype=np.uint64), 0.5)
+        assert np.isfinite(noise).all()
+        np.testing.assert_array_max_ulp(noise, [oracle.record_noise(seed, 0.5)], maxulp=2)
+        if z1 == 0:
+            peak = math.sqrt(-2.0 * math.log(2.0**-53))
+            np.testing.assert_array_max_ulp(noise, [0.5 * peak * math.cos(2.0 * math.pi * u2)],
+                                            maxulp=2)
+            assert abs(noise[0]) <= 0.5 * peak
+        else:
+            assert noise.tolist() == [0.0]
+
+
+def test_record_noise_is_normal_over_record_seeds():
+    # 102,400 record seeds of 400 chips: mean within 4 standard errors of 0 and
+    # standard deviation within 1% of sigma
+    sigma = 0.003
+    seeds = _record_seeds(7, [f"chip-{i}" for i in range(400)], np.arange(256))
+    noise = _record_noise(seeds, sigma).ravel()
+    assert noise.size >= 100_000
+    assert abs(noise.mean()) < 4.0 * sigma / math.sqrt(noise.size)
+    assert abs(noise.std() / sigma - 1.0) < 0.01
 
 
 def test_saturated_cells_read_the_rails_exactly():
