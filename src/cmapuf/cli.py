@@ -26,6 +26,9 @@ MIRRORS = {
     "simple": analog.simple_cascode_mirror,
 }
 
+# ``mc --samples-out`` formats this many voltages per write, so memory stays bounded.
+SAMPLES_CHUNK = 8192
+
 
 def _add_variation_args(p: argparse.ArgumentParser) -> None:
     config = variation.VariationConfig
@@ -191,8 +194,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
             fh.write(f"{float(c)!r},{int(n)}\n")
     if args.samples_out:
         with open(args.samples_out, "w") as fh:
-            for v in volts:
-                fh.write(f"{float(v)!r}\n")
+            for start in range(0, volts.size, SAMPLES_CHUNK):
+                chunk = volts[start : start + SAMPLES_CHUNK].tolist()
+                fh.write("\n".join(map(repr, chunk)) + "\n")
     _write_manifest(
         out,
         "mc",

@@ -237,13 +237,17 @@ def _record_noise(seeds: np.ndarray, sigma: float) -> np.ndarray:
     The first two SplitMix64 outputs of the seed, ``z1`` and ``z2``, give
     53-bit uniforms ``u1 = ((z1 >> 11) + 1) / 2**53`` in (0, 1], so the log
     is finite, and ``u2 = (z2 >> 11) / 2**53`` in [0, 1); Box-Muller then
-    gives ``sigma * sqrt(-2 log u1) * cos(2 pi u2)``.
+    gives ``sigma * sqrt(-2 log u1) * cos(2 pi u2)``.  The steps run on the
+    seeds as a 1-D array: a 0-d seed would take numpy's scalar arithmetic,
+    which warns when a multiply wraps.
     """
-    state = np.asarray(seeds, dtype=np.uint64) + _GAMMA
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    state = seeds.reshape(-1) + _GAMMA
     z1, z2 = _splitmix64(state), _splitmix64(state + _GAMMA)
     u1 = ((z1 >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
     u2 = (z2 >> np.uint64(11)) * 2.0**-53
-    return sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    noise = sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return noise.reshape(seeds.shape)
 
 
 def generate(

@@ -149,8 +149,9 @@ def region_index_array(boundaries: tuple[float, ...] | np.ndarray, v: np.ndarray
 
     Counts the interior boundaries at or below each voltage, so vdd falls in
     the last region and voltages beyond the rails clamp to the outer ones.  A
-    comparison per boundary beats a binary search on both ES's small batches
-    and the Lloyd-Max samples.
+    comparison per boundary beats a binary search on ES's small batches.  The
+    Lloyd-Max fit reads its regions as runs of its sorted samples, cut by the
+    same rule, and a test holds the fit to this lookup's route.
     """
     v = np.asarray(v, dtype=float)
     idx = np.zeros(v.shape, dtype=np.int64)
@@ -165,6 +166,11 @@ def quantization_mse(
     """Mean squared error of representing each sample by its region centroid."""
     err = samples - centroids[region_index_array(boundaries, samples)]
     return float(np.mean(err * err))
+
+
+def _run_sum(run: np.ndarray) -> float:
+    """A run's left-to-right sum from 0.0, the order and the signed zero of ``np.bincount``."""
+    return float(np.add.accumulate(run)[-1]) + 0.0 if run.size else 0.0
 
 
 def _lloyd_max_steps(
@@ -184,10 +190,13 @@ def _lloyd_max_steps(
     for _ in range(max_iter):
         # centroid step: region means, with empty regions re-seeded at the
         # midpoint of the currently most populous region so they can claim
-        # a share of its mass next round
-        idx = region_index_array(boundaries, samples)
-        counts = np.bincount(idx, minlength=k)
-        sums = np.bincount(idx, weights=samples, minlength=k)
+        # a share of its mass next round.  Each region is one run of the
+        # sorted samples, cut by region_index_array's rule: a run starts at
+        # the first sample at or above its interior boundary.
+        edges = np.searchsorted(samples, boundaries[1:-1], "left")
+        edges = np.concatenate(([0], edges, [samples.size]))
+        counts = np.diff(edges)
+        sums = np.array([_run_sum(samples[a:b]) for a, b in zip(edges[:-1], edges[1:])])
         busiest = int(np.argmax(counts))
         fallback = 0.5 * (boundaries[busiest] + boundaries[busiest + 1])
         centroids = np.where(counts > 0, sums / np.maximum(counts, 1), fallback)

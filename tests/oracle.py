@@ -25,6 +25,12 @@ may round a last ulp apart from ``math.log``, so its noise is held to
 ``save_jsonl`` writes each record with its own ``json.dumps`` call, and
 ``crp.save_jsonl`` is held to it byte for byte.
 
+``lloyd_max_steps`` is the Lloyd-Max fit as first written: every
+iteration looks up each sample's region with ``region_index_array`` and
+takes counts and sums with ``np.bincount``.  ``quantizer._lloyd_max_steps``
+reads regions as runs of its sorted samples instead and is held to it bit
+for bit.
+
 ``es_fit_dense`` is the evolution strategy as first written: every
 generation builds each offspring densely and re-reads the whole training
 set for every one of them.  ``attack.es_fit`` carries per-cell Hamming
@@ -51,7 +57,12 @@ from cmapuf.attack import (
     clone_bits,
 )
 from cmapuf.crp import CSV_FIELDS, CrpDataset, bits_matrix
-from cmapuf.quantizer import QuantizerSpec
+from cmapuf.quantizer import (
+    EmpiricalDistribution,
+    QuantizerSpec,
+    quantization_mse,
+    region_index_array,
+)
 from cmapuf.variation import ChipInstance
 
 
@@ -213,6 +224,33 @@ def save_jsonl(dataset: CrpDataset, path) -> None:
                 int(dataset.noise_seed[i]),
             )
             fh.write(json.dumps(dict(zip(CSV_FIELDS, values)), sort_keys=True) + "\n")
+
+
+def lloyd_max_steps(
+    dist: EmpiricalDistribution, k: int, tol: float, max_iter: int, trace: bool
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """``quantizer._lloyd_max_steps`` with a region lookup and two bincounts per iteration."""
+    samples = np.sort(dist.samples)
+    boundaries = np.linspace(0.0, dist.vdd, k + 1)
+    centroids = 0.5 * (boundaries[:-1] + boundaries[1:])
+    mse_trace: list[float] = []
+    for _ in range(max_iter):
+        idx = region_index_array(boundaries, samples)
+        counts = np.bincount(idx, minlength=k)
+        sums = np.bincount(idx, weights=samples, minlength=k)
+        busiest = int(np.argmax(counts))
+        fallback = 0.5 * (boundaries[busiest] + boundaries[busiest + 1])
+        centroids = np.where(counts > 0, sums / np.maximum(counts, 1), fallback)
+        centroids = np.sort(centroids)
+        new_boundaries = boundaries.copy()
+        new_boundaries[1:-1] = 0.5 * (centroids[:-1] + centroids[1:])
+        moved = float(np.max(np.abs(new_boundaries - boundaries)))
+        boundaries = new_boundaries
+        if trace:
+            mse_trace.append(quantization_mse(boundaries, centroids, samples))
+        if moved < tol:
+            break
+    return boundaries, centroids, mse_trace
 
 
 def es_fit_dense(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmapuf import codec, crp
+from cmapuf import analog, codec, crp
 from cmapuf.adc import AdcConfig, energy_per_cycle
 from cmapuf.analog import (
     Conditions,
@@ -26,9 +26,10 @@ from cmapuf.analog import (
 )
 from cmapuf.attack import EsHyper, LrHyper, attack_report, clone_bits, es_fit, split
 from cmapuf.cellarray import evaluate_array
-from cmapuf.cli import build_parser, main
+from cmapuf.cli import SAMPLES_CHUNK, build_parser, main
 from cmapuf.crp import generate, load_csv, reliability, save_csv
 from cmapuf.quantizer import (
+    DEFAULT_BITS,
     EmpiricalDistribution,
     default_regions,
     lloyd_max,
@@ -546,6 +547,28 @@ def test_mc_samples_are_chip_cell_voltages(tmp_path, seed):
     chip = synth_chip(VariationConfig(seed=seed))
     volts = evaluate_array(default_model(), [chip], range(256), 25.0)[0]
     assert samples == volts.tolist()
+
+
+@pytest.mark.parametrize("n", [1, SAMPLES_CHUNK - 1, SAMPLES_CHUNK, SAMPLES_CHUNK + 1])
+def test_mc_samples_out_is_one_repr_per_line(tmp_path, monkeypatch, n):
+    # the chunked writer gives the bytes of one f"{v!r}\n" per voltage, and
+    # fit-quantizer reads them back to the spec of the voltages themselves
+    made, transfer = [], analog.transfer_array
+
+    def kept_transfer(*args):
+        made.append(transfer(*args))
+        return made[-1]
+
+    monkeypatch.setattr(analog, "transfer_array", kept_transfer)
+    raw = tmp_path / "samples.txt"
+    assert run("mc", "--seed", 4, "--samples", n, "--out", tmp_path / "h.csv", "--samples-out", raw) == 0
+    (volts,) = made
+    assert raw.read_text() == "".join(f"{v!r}\n" for v in volts.tolist())
+    k = min(n, 5)
+    spec_path = tmp_path / "q.json"
+    assert run("fit-quantizer", "--samples", raw, "--k", k, "--out", spec_path) == 0
+    bits = DEFAULT_BITS if k == len(DEFAULT_BITS) else None
+    assert load_spec(spec_path) == lloyd_max(EmpiricalDistribution(volts, 1.8), k, bits_per_region=bits)
 
 
 ATTACK = ("attack", "--in", "ds.csv", "--out", "a.csv")

@@ -4,14 +4,16 @@ import re
 import numpy as np
 import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmapuf.quantizer import (
     DEFAULT_BITS,
     DEFAULT_BOUNDARIES,
+    MAX_REGIONS,
     EmpiricalDistribution,
     QuantizerSpec,
+    _lloyd_max_steps,
     default_regions,
     lloyd_max,
     lloyd_max_mse_trace,
@@ -326,3 +328,36 @@ def test_region_index_array_equals_the_binary_search(cuts, volts):
         for lookup in (region_of, oracle.region_of):
             with pytest.raises(ValueError, match=message):
                 lookup(spec, v)
+
+
+@st.composite
+def fit_cases(draw):
+    """A region count and a sample set that crowds the fit's corner cases."""
+    k = draw(st.integers(1, MAX_REGIONS))
+    value = st.one_of(
+        st.floats(0.0, VDD),
+        st.floats(0.0, 0.2),  # crowds the first regions, leaving the others empty
+        # on a boundary of the uniform start, at either rail, and a signed zero
+        st.sampled_from([*np.linspace(0.0, VDD, k + 1).tolist(), -0.0]),
+    )
+    samples = draw(st.lists(value, min_size=1, max_size=40))
+    samples += draw(st.lists(st.sampled_from(samples), max_size=40))  # duplicates
+    return np.array(samples), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fit_cases())
+# regions 2-5 of the uniform start are empty, so the busiest region re-seeds them
+@example(case=(np.linspace(0.0, 0.2, 11), 5))
+# a sample on the start's boundary 0.9, and a first region of signed zeros only
+@example(case=(np.array([-0.0, -0.0, 0.9, 0.9, 1.8]), 2))
+@example(case=(np.array([0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8] * 3), MAX_REGIONS))
+def test_the_fit_equals_the_comparison_route_bit_for_bit(case):
+    samples, k = case
+    assume(np.unique(samples).size >= k)
+    dist = EmpiricalDistribution(samples, VDD)
+    got = _lloyd_max_steps(dist, k, 1.0e-6, 1000, trace=True)
+    want = oracle.lloyd_max_steps(dist, k, 1.0e-6, 1000, trace=True)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert lloyd_max_mse_trace(dist, k) == want[2]

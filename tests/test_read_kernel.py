@@ -156,6 +156,15 @@ def test_record_noise_is_the_oracles_box_muller(seeds, sigma, rows):
     np.testing.assert_array_max_ulp(got, want, maxulp=2)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+@pytest.mark.parametrize("wrap", [np.uint64, lambda s: np.array(s, dtype=np.uint64), int])
+def test_record_noise_of_a_zero_d_seed_is_its_one_element_draw(seed, wrap):
+    # a 0-d seed must wrap like an array, without numpy's scalar-overflow warning
+    got = _record_noise(wrap(seed), 0.002)
+    assert got.shape == ()
+    assert got == _record_noise(np.array([seed], dtype=np.uint64), 0.002)[0]
+
+
 def test_splitmix64_is_the_reference_generator():
     # the reference generator gives the published SplitMix64 outputs, and the
     # kernel's two outputs per seed are its first two, wrapping mod 2**64 included
