@@ -25,7 +25,6 @@ from .analog import (
     TransferModel,
     default_model,
     effective_mismatch,
-    transfer,
 )
 from .attack import EsHyper, FeatureEncoding, LrHyper, attack_report, es_fit, lr_train, split
 from .cellarray import decode, evaluate
@@ -87,7 +86,6 @@ __all__ = [
     "split",
     "synth_chip",
     "synth_population",
-    "transfer",
     "uniformity",
     "uniqueness",
     "__version__",

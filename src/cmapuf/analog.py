@@ -236,21 +236,16 @@ def effective_mismatch(
     return delta
 
 
-def transfer(model: TransferModel, delta: float) -> float:
-    """Saturating stage: imbalance (volts) to output voltage in [0, vdd].
+def transfer_array(model: TransferModel, delta: np.ndarray | float) -> np.ndarray:
+    """The one saturating stage every read uses: imbalance (volts) to output voltage in [0, vdd].
 
-    v = (vdd / 2) * (1 + tanh(gain * delta / vdd))
+    v = (vdd / 2) * (1 + tanh(gain * delta / vdd)), elementwise with ``np.tanh``
 
     Strictly increasing in delta and odd-symmetric about (0, vdd / 2).
     Mathematically the output never reaches a rail for finite delta; in
     float64 the tanh saturates once gain * |delta| / vdd exceeds about 19,
-    so far-rail outputs land exactly on 0 or vdd.  One element of ``transfer_array``.
+    so far-rail outputs land exactly on 0 or vdd.
     """
-    return float(transfer_array(model, delta))
-
-
-def transfer_array(model: TransferModel, delta: np.ndarray | float) -> np.ndarray:
-    """``transfer`` elementwise: the one tanh stage (``np.tanh``) every read uses."""
     return 0.5 * model.vdd * (1.0 + np.tanh(model.mirror.gain * np.asarray(delta) / model.vdd))
 
 

@@ -157,7 +157,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     names = []
     for chip in chips:
         name = f"{chip.chip_id}.json"
-        variation.save_chip(chip, out / name)
+        codec.write_json(out / name, chip)
         names.append(name)
     _write_manifest(
         out, "synth", {"variation": config, "chips": args.chips, "files": names}
@@ -188,10 +188,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     counts, edges = np.histogram(volts, bins=args.bins, range=(0.0, model.vdd))
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = Path(args.out)
-    with open(out, "w") as fh:
-        fh.write("bin_center,count\n")
-        for c, n in zip(centers, counts):
-            fh.write(f"{float(c)!r},{int(n)}\n")
+    codec.write_csv(out, ("bin_center", "count"), zip(centers.tolist(), counts.tolist()))
     if args.samples_out:
         with open(args.samples_out, "w") as fh:
             for start in range(0, volts.size, SAMPLES_CHUNK):
@@ -230,7 +227,7 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
         dist, args.k, tol=args.tol, max_iter=args.max_iter, bits_per_region=bits
     )
     out = Path(args.out)
-    quantizer.save_spec(spec, out)
+    codec.write_json(out, spec)
     _write_manifest(
         out,
         "fit-quantizer",
@@ -256,7 +253,9 @@ def cmd_crps(args: argparse.Namespace) -> int:
         challenges=args.challenges,
         model=_model(args),
         quantizer=(
-            quantizer.load_spec(args.quantizer) if args.quantizer else quantizer.default_regions()
+            codec.read_json(args.quantizer, quantizer.QuantizerSpec)
+            if args.quantizer
+            else quantizer.default_regions()
         ),
         adc=_adc_config(args),
         conditions=_conditions(args, args.noise_seed),
@@ -366,12 +365,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     report = attack.attack_report(train, test, predict)
 
     out = Path(args.out)
-    with open(out, "w") as fh:
-        fh.write("bit_index,train_acc,test_acc,chance\n")
-        for i, (tr, te, ch) in enumerate(
-            zip(report.train_bit_accuracy, report.test_bit_accuracy, report.chance_bit_accuracy)
-        ):
-            fh.write(f"{i},{tr!r},{te!r},{ch!r}\n")
+    accuracies = (report.train_bit_accuracy, report.test_bit_accuracy, report.chance_bit_accuracy)
+    rows = ((i, *row) for i, row in enumerate(zip(*accuracies)))
+    codec.write_csv(out, ("bit_index", "train_acc", "test_acc", "chance"), rows)
     _write_manifest(
         out,
         "attack",
@@ -399,13 +395,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     adc_config = _adc_config(args)
     out = Path(args.out)
-    with open(out, "w") as fh:
-        fh.write("name,power_w,clock_hz,quoted_energy_j,computed_energy_j,consistent\n")
-        for row in adc.COMPARISON_ROWS:
-            fh.write(
-                f"{row.name},{row.power_w!r},{row.clock_hz!r},{row.quoted_energy_j!r},"
-                f"{row.computed_energy_j!r},{str(row.consistent).lower()}\n"
-            )
+    header = ("name", "power_w", "clock_hz", "quoted_energy_j", "computed_energy_j", "consistent")
+    rows = [
+        (row.name, row.power_w, row.clock_hz, row.quoted_energy_j, row.computed_energy_j,
+         "true" if row.consistent else "false")
+        for row in adc.COMPARISON_ROWS
+    ]
+    codec.write_csv(out, header, rows)
     _write_manifest(out, "energy", {"clock": args.clock, "power": args.power})
     for bits in sorted(set(quantizer.DEFAULT_BITS)):
         e = adc.conversion_energy(adc_config, bits)
@@ -424,10 +420,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         deltas, volts = analog.transfer_curve(model, lo, hi, args.points)
     codec.check_range("v_out", volts)
     out = Path(args.out)
-    with open(out, "w") as fh:
-        fh.write("delta_v,v_out\n")
-        for d, v in zip(deltas, volts):
-            fh.write(f"{float(d)!r},{float(v)!r}\n")
+    codec.write_csv(out, ("delta_v", "v_out"), zip(deltas.tolist(), volts.tolist()))
     _write_manifest(
         out,
         "curve",

@@ -1,4 +1,4 @@
-"""The one JSON form of every config, spec, chip, report and manifest.
+"""The one JSON form of every config, spec, chip, report and manifest, and the CSV writer.
 
 A dataclass's fields are its schema.  ``to_json`` writes them by name,
 enums by value, tuples and arrays as lists; ``from_json`` reads them back,
@@ -7,18 +7,21 @@ own checks run.  A missing or null field, or a value of the wrong JSON
 kind, raises a ``ValueError`` naming the type and the field; extra keys
 are ignored.  ``write_json`` is the one file format; it refuses NaN and ±inf,
 and ``read_json`` the tokens that would spell them.
+``write_csv`` writes every CSV table, a dataset's included: a header, then
+rows of Python scalars, so a float prints as its ``repr``.
 ``check_range`` is the one range check; NaN and ±inf break any range.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
 import typing
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -107,6 +110,18 @@ def write_json(path: str | Path, obj: Any) -> None:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     Path(path).write_text(text + "\n")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write ``header`` and then ``rows`` as CSV lines ending in ``\\n``.
+
+    A value prints as ``str`` does, so a Python float, as ``.tolist()`` gives
+    it, prints as its ``repr``.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _finite(token: str) -> float:

@@ -50,6 +50,7 @@ import numpy as np
 from .adc import WORD_BITS, AdcConfig, check_words, convert_array, word_bits, word_strings
 from .analog import Conditions, TransferModel, check_conditions
 from .cellarray import CHALLENGE_BITS, decode, evaluate_array
+from .codec import write_csv
 from .quantizer import QuantizerSpec
 from .variation import ChipInstance
 
@@ -475,15 +476,28 @@ def _columns(dataset: CrpDataset) -> dict[str, list]:
 
 
 def _parse(name: str, values: list, start: int = 0) -> list:
-    """A field's raw values as its column's values; a None (missing or null) field
-    raises naming its record, counted from ``start + 1``."""
+    """A field's raw values as its column's values; a None (missing or null) field, or
+    one its parser refuses, raises naming its record, counted from ``start + 1``.
+
+    An integer column takes an int (JSONL) or a string ``int`` parses (CSV); a bool
+    or a float is neither, so it is refused rather than truncated.
+    """
     if None in values:
         raise ValueError(f"row {start + values.index(None) + 1} has no {name!r} field")
     parse = _PARSE.get(name, int)
+    kinds = set(map(type, values)) if parse is int else set()
+    if kinds == {int}:
+        return values  # a JSONL integer is its own value
     try:
+        if not kinds <= {int, str}:
+            raise TypeError("a bool or a float in an integer column")
         return [parse(value) for value in values]
-    except TypeError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    except (TypeError, ValueError, OverflowError):
+        if len(values) == 1:
+            raise ValueError(f"row {start + 1} has a bad {name!r} field: {values[0]!r}") from None
+        for i, value in enumerate(values):  # the first value refused on its own raises
+            _parse(name, [value], start + i)
+        raise
 
 
 def _extend(columns: dict[str, list], chunk: dict[str, list]) -> None:
@@ -524,11 +538,8 @@ def _chunks(items):
 
 
 def save_csv(dataset: CrpDataset, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        columns = _columns(dataset)
-        writer.writerows(zip(*(columns[name] for name in CSV_FIELDS)))
+    columns = _columns(dataset)
+    write_csv(path, CSV_FIELDS, zip(*(columns[name] for name in CSV_FIELDS)))
 
 
 def load_csv(path: str | Path) -> CrpDataset:

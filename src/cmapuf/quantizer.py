@@ -21,11 +21,10 @@ field widths are defined here, and ``adc`` packs the word from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .codec import check_range, read_json, write_json
+from .codec import check_range
 
 DEFAULT_TOL = 1.0e-6
 DEFAULT_MAX_ITER = 1000
@@ -147,17 +146,14 @@ def check_volts(spec: QuantizerSpec, v: np.ndarray | float) -> None:
 def region_index_array(boundaries: tuple[float, ...] | np.ndarray, v: np.ndarray) -> np.ndarray:
     """The region lookup: 0-based region index over sorted boundaries (no range checking).
 
-    Counts the interior boundaries at or below each voltage, so vdd falls in
-    the last region and voltages beyond the rails clamp to the outer ones.  A
-    comparison per boundary beats a binary search on ES's small batches.  The
-    Lloyd-Max fit reads its regions as runs of its sorted samples, cut by the
-    same rule, and a test holds the fit to this lookup's route.
+    Counts the interior boundaries at or below each voltage, one binary search
+    per voltage, so vdd falls in the last region and voltages beyond the rails
+    clamp to the outer ones.  A NaN would land in the last region: every caller
+    refuses it first.  The Lloyd-Max fit reads its regions as runs of its
+    sorted samples, cut by the same rule, and a test holds the fit to this
+    lookup's route.
     """
-    v = np.asarray(v, dtype=float)
-    idx = np.zeros(v.shape, dtype=np.int64)
-    for b in boundaries[1:-1]:
-        idx += v >= b
-    return idx
+    return np.searchsorted(np.asarray(boundaries)[1:-1], np.asarray(v, dtype=float), "right")
 
 
 def quantization_mse(
@@ -253,11 +249,3 @@ def lloyd_max_mse_trace(
     """Per-iteration quantization MSE of the fit, for convergence checks."""
     _, _, trace = _lloyd_max_steps(dist, k, tol, max_iter, trace=True)
     return trace
-
-
-def save_spec(spec: QuantizerSpec, path: str | Path) -> None:
-    write_json(path, spec)
-
-
-def load_spec(path: str | Path) -> QuantizerSpec:
-    return read_json(path, QuantizerSpec)

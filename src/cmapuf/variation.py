@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .codec import check_range, read_json, write_json
+from .codec import check_range
 
 N_ROWS = 16
 N_COLS = 16
@@ -108,11 +107,3 @@ def synth_population(config: VariationConfig, n_chips: int) -> list[ChipInstance
         synth_chip(replace(config, seed=config.seed + i), chip_id=f"chip{i:03d}")
         for i in range(n_chips)
     ]
-
-
-def save_chip(chip: ChipInstance, path: str | Path) -> None:
-    write_json(path, chip)
-
-
-def load_chip(path: str | Path) -> ChipInstance:
-    return read_json(path, ChipInstance)

@@ -8,7 +8,7 @@ is described, cell -> tanh -> Lloyd-Max region -> single-slope ADC ->
 
     record_seed  numpy's ``SeedSequence`` on (base seed, crc32 of the chip id, word)
     evaluate     the word's range check and ``divmod(word, 16)`` to (row, column),
-                 then ``transfer`` of that cell's ``effective_mismatch``
+                 then ``transfer_array`` of that cell's ``effective_mismatch``
     region_of    ``np.searchsorted`` over the boundaries
     convert      the comparator choice, then ``math.floor`` quantisation
     encode       the region and code formatted as binary strings
@@ -44,7 +44,7 @@ import zlib
 import numpy as np
 
 from cmapuf.adc import CODE_FIELD_BITS, REGION_FIELD_BITS, AdcConfig, ResponseWord
-from cmapuf.analog import Conditions, TransferModel, effective_mismatch, transfer
+from cmapuf.analog import Conditions, TransferModel, effective_mismatch, transfer_array
 from cmapuf.attack import (
     COARSE_FRACTION,
     MUTATION_RATE,
@@ -107,7 +107,8 @@ def evaluate(
     row, col = divmod(word, 16)
     offset = model.switching.offset(chip.config.corner)
     dvth = chip.mismatch[row, col]
-    return transfer(model, effective_mismatch(model, dvth, offset, temperature, noise))
+    delta = effective_mismatch(model, dvth, offset, temperature, noise)
+    return float(transfer_array(model, delta))
 
 
 def region_of(spec: QuantizerSpec, v: float) -> tuple[int, int]:

@@ -21,7 +21,6 @@ from cmapuf.analog import (
     effective_mismatch,
     naive_switching,
     power_gated_switching,
-    transfer,
     transfer_array,
 )
 from cmapuf.attack import (
@@ -185,23 +184,22 @@ def test_criterion_3_lloyd_max():
 def test_criterion_4_analog_core():
     deltas = np.linspace(-0.2, 0.2, 1000)
     symmetry = max(
-        abs(transfer(MODEL, float(d)) + transfer(MODEL, float(-d)) - 1.8) for d in deltas
+        abs(float(transfer_array(MODEL, float(d))) + float(transfer_array(MODEL, float(-d))) - 1.8)
+        for d in deltas
     )
     # strictness is checked where float64 can still resolve the slope; past
     # |delta| ~ 0.11 V the tanh saturates to exactly 1.0 at this gain
     strict_grid = np.linspace(-0.08, 0.08, 1000)
     monotone = bool(np.all(np.diff(transfer_array(MODEL, strict_grid)) > 0.0))
     monotone &= bool(np.all(np.diff(transfer_array(MODEL, deltas)) >= 0.0))
-    zero_mismatch = transfer(
-        MODEL,
-        effective_mismatch(MODEL, np.zeros(4), MODEL.switching.offset(ProcessCorner.TT), 25.0),
+    zero_delta = effective_mismatch(
+        MODEL, np.zeros(4), MODEL.switching.offset(ProcessCorner.TT), 25.0
     )
+    zero_mismatch = float(transfer_array(MODEL, zero_delta))
     gated, naive = power_gated_switching(), naive_switching()
 
     def corner_spread(switching):
-        outs = [
-            transfer(MODEL, switching.offset(c)) for c in ProcessCorner
-        ]
+        outs = [float(transfer_array(MODEL, switching.offset(c))) for c in ProcessCorner]
         return max(outs) - min(outs)
 
     spread_ok = corner_spread(naive) > corner_spread(gated)

@@ -18,7 +18,6 @@ from cmapuf.analog import (
     power_gated_switching,
     reduced_headroom_mirror,
     simple_cascode_mirror,
-    transfer,
     transfer_array,
     transfer_curve,
     wide_swing_mirror,
@@ -100,13 +99,14 @@ def test_effective_mismatch_sums_in_the_pinned_order():
 
 def test_transfer_midpoint_exact():
     model = default_model()
-    assert transfer(model, 0.0) == 0.9
+    assert float(transfer_array(model, 0.0)) == 0.9
 
 
 def test_transfer_symmetry():
     model = default_model()
     for d in np.linspace(-0.2, 0.2, 1001):
-        assert abs(transfer(model, d) + transfer(model, -d) - model.vdd) < 1e-12
+        v = float(transfer_array(model, d))
+        assert abs(v + float(transfer_array(model, -d)) - model.vdd) < 1e-12
 
 
 def test_transfer_strictly_monotone_and_bounded():
@@ -122,23 +122,23 @@ def test_transfer_strictly_monotone_and_bounded():
 
 
 def test_transfer_array_matches_scalar():
-    # one tanh stage: the scalar is exactly one element of the array, from
-    # mid-range out into the saturated rails
+    # one tanh stage: a scalar delta gives exactly one element of the array,
+    # from mid-range out into the saturated rails
     model = default_model()
     deltas = np.linspace(-0.5, 0.5, 2001)
     vec = transfer_array(model, deltas)
-    scalar = [transfer(model, float(d)) for d in deltas]
+    scalar = [float(transfer_array(model, float(d))) for d in deltas]
     assert vec.tolist() == scalar
     assert scalar[0] == 0.0 and scalar[-1] == model.vdd
     for d in deltas[::50]:
-        assert transfer(model, float(d)) == transfer_array(model, np.array([d]))[0]
+        assert transfer_array(model, float(d)) == transfer_array(model, np.array([d]))[0]
 
 
 def test_higher_gain_saturates_harder():
     lo = TransferModel(mirror=simple_cascode_mirror(), switching=power_gated_switching())
     hi = default_model()
     assert hi.mirror.gain > lo.mirror.gain
-    assert transfer(hi, 0.02) > transfer(lo, 0.02)
+    assert float(transfer_array(hi, 0.02)) > float(transfer_array(lo, 0.02))
 
 
 def test_mirror_presets():
@@ -213,7 +213,7 @@ def test_cell_output_reproducible_with_noise():
         a = evaluate(model, chip, 0x39, 25.0, noise)
         assert a == evaluate(model, chip, 0x39, 25.0, noise) != quiet
         delta = effective_mismatch(model, chip.mismatch[3, 9], offset, 25.0, noise)
-        assert a == transfer(model, delta)
+        assert a == float(transfer_array(model, delta))
 
 
 def test_transfer_curve_endpoints_and_shape():
@@ -242,10 +242,10 @@ def test_model_dict_round_trip():
 def test_transfer_properties_hold_for_any_gain(delta, gain):
     mirror = MirrorConfig(kind=MirrorKind.WIDE_SWING_CASCODE, gain=gain)
     model = TransferModel(mirror=mirror, switching=power_gated_switching())
-    v = transfer(model, delta)
+    v = float(transfer_array(model, delta))
     assert 0.0 < v < model.vdd
-    assert abs(v + transfer(model, -delta) - model.vdd) < 1e-12
+    assert abs(v + float(transfer_array(model, -delta)) - model.vdd) < 1e-12
     eps = 1e-9
-    assert transfer(model, delta + eps) > v or math.isclose(
-        transfer(model, delta + eps), v, abs_tol=1e-15
+    assert float(transfer_array(model, delta + eps)) > v or math.isclose(
+        float(transfer_array(model, delta + eps)), v, abs_tol=1e-15
     )

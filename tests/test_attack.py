@@ -5,7 +5,7 @@ import oracle
 import pytest
 
 from cmapuf.adc import AdcConfig
-from cmapuf.analog import Conditions, default_model, transfer
+from cmapuf.analog import Conditions, default_model, transfer_array
 from cmapuf.attack import (
     N_CELLS,
     AttackReport,
@@ -217,7 +217,8 @@ def test_clone_bits_agrees_with_the_scalar_route(chip_dataset):
     train, _ = split(chip_dataset, 0.75, seed=0)
     clone = es_fit(train, MODEL, SPEC, ADC, EsHyper(generations=50, seed=0))
     for word in (0, 100, 255):
-        response = oracle.convert(ADC, SPEC, transfer(MODEL, float(clone.params[word])))
+        volts = float(transfer_array(MODEL, float(clone.params[word])))
+        response = oracle.convert(ADC, SPEC, volts)
         row = clone_bits(clone.params, MODEL, SPEC, ADC, np.array([word]))[0]
         assert [int(c) for c in oracle.encode(response)] == row.tolist()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmapuf.analog import Conditions, default_model, effective_mismatch, transfer
+from cmapuf.analog import Conditions, default_model, effective_mismatch, transfer_array
 from cmapuf.cellarray import (
     decode,
     evaluate,
@@ -75,7 +75,8 @@ def test_evaluate_matches_direct_cell_readout():
     offset = model.switching.offset(chip.config.corner)
     for word in (0x00, 0x5C, 0xFF):
         dvth = chip.mismatch[word // 16, word % 16]
-        direct = transfer(model, effective_mismatch(model, dvth, offset, cond.temperature))
+        delta = effective_mismatch(model, dvth, offset, cond.temperature)
+        direct = float(transfer_array(model, delta))
         assert evaluate(model, chip, word, cond.temperature) == direct
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmapuf import analog, codec, crp
-from cmapuf.adc import AdcConfig, energy_per_cycle
+from cmapuf.adc import COMPARISON_ROWS, AdcConfig, energy_per_cycle
 from cmapuf.analog import (
     Conditions,
     TransferModel,
@@ -31,12 +31,11 @@ from cmapuf.crp import generate, load_csv, reliability, save_csv
 from cmapuf.quantizer import (
     DEFAULT_BITS,
     EmpiricalDistribution,
+    QuantizerSpec,
     default_regions,
     lloyd_max,
-    load_spec,
-    save_spec,
 )
-from cmapuf.variation import VariationConfig, load_chip, synth_chip, synth_population
+from cmapuf.variation import ChipInstance, VariationConfig, synth_chip, synth_population
 
 
 def run(*argv):
@@ -48,6 +47,19 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+@pytest.fixture
+def made_volts(monkeypatch):
+    """Every voltage array ``analog.transfer_array`` returns while the test runs."""
+    made, transfer = [], analog.transfer_array
+
+    def kept_transfer(*args):
+        made.append(transfer(*args))
+        return made[-1]
+
+    monkeypatch.setattr(analog, "transfer_array", kept_transfer)
+    return made
+
+
 def test_synth_writes_chips_and_manifest(tmp_path):
     out = tmp_path / "chips"
     assert run("synth", "--chips", 3, "--seed", 5, "--corner", "SF", "--out", out) == 0
@@ -56,7 +68,7 @@ def test_synth_writes_chips_and_manifest(tmp_path):
     assert manifest["parameters"]["variation"]["corner"] == "SF"
     files = sorted(p.name for p in out.glob("chip*.json"))
     assert files == ["chip000.json", "chip001.json", "chip002.json"]
-    chip = load_chip(out / "chip001.json")
+    chip = codec.read_json(out / "chip001.json", ChipInstance)
     assert chip.config.seed == 6  # base seed 5 + index 1
     assert chip.config.corner.value == "SF"
 
@@ -94,7 +106,7 @@ def test_fit_quantizer_from_samples_file(tmp_path):
     run("mc", "--samples", 20000, "--seed", 2, "--out", tmp_path / "h.csv", "--samples-out", raw)
     spec_path = tmp_path / "spec.json"
     assert run("fit-quantizer", "--samples", raw, "--k", 5, "--out", spec_path) == 0
-    spec = load_spec(spec_path)
+    spec = codec.read_json(spec_path, QuantizerSpec)
     assert spec.k == 5
     assert spec.bits_per_region == (8, 7, 6, 7, 8)
     manifest = json.loads((tmp_path / "spec.json.manifest.json").read_text())
@@ -106,7 +118,7 @@ def test_fit_quantizer_uniform_splits_at_midpoint(tmp_path):
     raw.write_text("\n".join(str(i * 1.8 / 2000) for i in range(2001)) + "\n")
     spec_path = tmp_path / "k2.json"
     assert run("fit-quantizer", "--samples", raw, "--k", 2, "--out", spec_path) == 0
-    spec = load_spec(spec_path)
+    spec = codec.read_json(spec_path, QuantizerSpec)
     assert spec.k == 2
     assert spec.bits_per_region == (8, 8)
     assert abs(spec.boundaries[1] - 0.9) < 1e-3
@@ -302,7 +314,7 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
         (broken("bom.jsonl", lambda line: '\ufeff{"a": 1}'),
          """row 2 is not a JSON object: '\\ufeff{"a": 1}'"""),
         (broken("listed.jsonl", lambda line: json.dumps(json.loads(line) | {"code": [1]})),
-         "code: int() argument must be"),
+         "row 2 has a bad 'code' field: [1]"),
         # a null field is a missing one, not the chip 'None'
         (broken("null.jsonl", lambda line: json.dumps(json.loads(line) | {"chip_id": None})),
          "row 2 has no 'chip_id' field"),
@@ -311,6 +323,43 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
         assert run(command, "--in", path, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "suffix, field, token",
+    [
+        # a number an integer column would once have truncated or re-rounded
+        (".jsonl", "region", "{v}.9"),
+        (".jsonl", "bits", "{v}.5"),
+        (".jsonl", "noise_seed", "{v:.17g}"),
+        (".jsonl", "region", "true"),
+        # ... or died on with an unnamed error or an OverflowError traceback
+        (".jsonl", "region", "NaN"),
+        (".jsonl", "region", "Infinity"),
+        (".jsonl", "code", "1e400"),
+        (".jsonl", "noise_seed", "-Infinity"),
+        (".jsonl", "noise_seed", "NaN"),
+        (".csv", "region", "{v}.9"),
+        (".csv", "noise_seed", "1e3"),
+    ],
+)
+def test_a_bad_number_in_an_integer_column_is_refused_by_name(tmp_path, capsys, suffix, field, token):
+    ds = tmp_path / f"ds{suffix}"
+    assert run("crps", "--chips", 1, "--challenges", 4, "--out", ds) == 0
+    lines = ds.read_text().splitlines()  # header or metadata, then records 1..4
+    if suffix == ".jsonl":
+        record = json.loads(lines[2])
+        lines[2] = json.dumps(record | {field: "@"}).replace('"@"', token.format(v=record[field]))
+    else:
+        fields = lines[2].split(",")
+        i = crp.CSV_FIELDS.index(field)
+        fields[i] = token.format(v=int(fields[i]))
+        lines[2] = ",".join(fields)
+    ds.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.json"
+    assert run("metrics", "--in", ds, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: row 2 has a bad {field!r} field: ")
+    assert not out.exists()
 
 
 def test_attack_lr_report(tmp_path, capsys):
@@ -361,7 +410,7 @@ def test_attack_es_attacks_with_what_the_manifest_records(tmp_path):
     assert run("attack", "--in", ds, "--model", "es", "--generations", 200, "--out", out) == 0
 
     model = TransferModel(reduced_headroom_mirror(), naive_switching())
-    spec, adc_config = load_spec(spec_path), AdcConfig()
+    spec, adc_config = codec.read_json(spec_path, QuantizerSpec), AdcConfig()
     recorded = json.loads((tmp_path / "ds.csv.manifest.json").read_text())["parameters"]
     assert recorded["model"] == codec.to_json(model)
     assert recorded["quantizer"] == codec.to_json(spec)
@@ -480,6 +529,42 @@ def test_curve_output(tmp_path):
     assert float(rows[10]["v_out"]) == pytest.approx(0.9)
 
 
+def test_the_mc_histogram_is_pinned_byte_for_byte(tmp_path, made_volts):
+    # each row is f"{center!r},{count}": a float as its repr, a count bare
+    out = tmp_path / "hist.csv"
+    assert run("mc", "--seed", 3, "--samples", 2000, "--bins", 16, "--out", out) == 0
+    (volts,) = made_volts
+    counts, edges = np.histogram(volts, bins=16, range=(0.0, 1.8))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    assert out.read_text() == "bin_center,count\n" + "".join(
+        f"{float(c)!r},{int(n)}\n" for c, n in zip(centers, counts)
+    )
+
+
+def test_the_energy_table_is_pinned_byte_for_byte(tmp_path):
+    # floats as their repr and the consistency flag as true or false
+    out = tmp_path / "energy.csv"
+    assert run("energy", "--clock", 1e9, "--power", 1e-4, "--out", out) == 0
+    assert out.read_text() == (
+        "name,power_w,clock_hz,quoted_energy_j,computed_energy_j,consistent\n"
+    ) + "".join(
+        f"{row.name},{row.power_w!r},{row.clock_hz!r},{row.quoted_energy_j!r},"
+        f"{row.computed_energy_j!r},{str(row.consistent).lower()}\n"
+        for row in COMPARISON_ROWS
+    )
+
+
+def test_the_transfer_curve_is_pinned_byte_for_byte(tmp_path):
+    out = tmp_path / "curve.csv"
+    argv = ("curve", "--range=-0.05,0.07", "--points", 33, "--gain", 75, "--out", out)
+    assert run(*argv) == 0
+    model = replace(default_model(), mirror=replace(wide_swing_mirror(), gain=75.0))
+    deltas, volts = transfer_curve(model, -0.05, 0.07, 33)
+    assert out.read_text() == "delta_v,v_out\n" + "".join(
+        f"{float(d)!r},{float(v)!r}\n" for d, v in zip(deltas, volts)
+    )
+
+
 @pytest.mark.parametrize("text", ["0,,1", "0", "1,2,3", ""])
 def test_curve_refuses_a_bad_range(tmp_path, capsys, text):
     assert run("curve", f"--range={text}", "--out", tmp_path / "curve.csv") == 1
@@ -550,25 +635,19 @@ def test_mc_samples_are_chip_cell_voltages(tmp_path, seed):
 
 
 @pytest.mark.parametrize("n", [1, SAMPLES_CHUNK - 1, SAMPLES_CHUNK, SAMPLES_CHUNK + 1])
-def test_mc_samples_out_is_one_repr_per_line(tmp_path, monkeypatch, n):
+def test_mc_samples_out_is_one_repr_per_line(tmp_path, made_volts, n):
     # the chunked writer gives the bytes of one f"{v!r}\n" per voltage, and
     # fit-quantizer reads them back to the spec of the voltages themselves
-    made, transfer = [], analog.transfer_array
-
-    def kept_transfer(*args):
-        made.append(transfer(*args))
-        return made[-1]
-
-    monkeypatch.setattr(analog, "transfer_array", kept_transfer)
     raw = tmp_path / "samples.txt"
     assert run("mc", "--seed", 4, "--samples", n, "--out", tmp_path / "h.csv", "--samples-out", raw) == 0
-    (volts,) = made
+    (volts,) = made_volts
     assert raw.read_text() == "".join(f"{v!r}\n" for v in volts.tolist())
     k = min(n, 5)
     spec_path = tmp_path / "q.json"
     assert run("fit-quantizer", "--samples", raw, "--k", k, "--out", spec_path) == 0
     bits = DEFAULT_BITS if k == len(DEFAULT_BITS) else None
-    assert load_spec(spec_path) == lloyd_max(EmpiricalDistribution(volts, 1.8), k, bits_per_region=bits)
+    fitted = lloyd_max(EmpiricalDistribution(volts, 1.8), k, bits_per_region=bits)
+    assert codec.read_json(spec_path, QuantizerSpec) == fitted
 
 
 ATTACK = ("attack", "--in", "ds.csv", "--out", "a.csv")
@@ -648,7 +727,7 @@ def test_metrics_refuses_merged_temperatures(tmp_path, capsys):
 @pytest.mark.parametrize("vdd", [3.3, 1.2])
 def test_quantizer_for_another_vdd_is_refused(tmp_path, capsys, vdd):
     spec = tmp_path / "q.json"
-    save_spec(lloyd_max(EmpiricalDistribution(np.linspace(0.0, vdd, 2001), vdd), 2), spec)
+    codec.write_json(spec, lloyd_max(EmpiricalDistribution(np.linspace(0.0, vdd, 2001), vdd), 2))
     ds = tmp_path / "ds.csv"
     assert run("crps", "--quantizer", spec, "--out", ds) == 1
     err = capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Every module-level import in the package, its tests and the bench is used,
-and importing the package, or drawing a record's noise, leaves ``numpy.random``
-unloaded.
+importing the package, or drawing a record's noise, leaves ``numpy.random``
+unloaded, and the model layers do no file I/O.
 
 No linter is installed, so this scan stands in for one.
 """
@@ -49,6 +49,48 @@ def test_every_module_level_import_is_used(path):
 def test_the_scan_names_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport os.path\nfrom . import a, b as c\n"
     assert unused_imports(source + "os.path.join(a)\n") == ["json (line 2)", "c (line 4)"]
+
+
+# the modules that model the chip and attack it; files are the codec's, crp's and cli's
+MODEL_LAYERS = ("variation", "analog", "cellarray", "quantizer", "adc", "attack")
+FILE_MODULES = {"csv", "io", "json", "os", "pathlib", "shutil"}
+
+
+def file_access(source: str) -> list[str]:
+    """What a module takes for file I/O: a name from ``codec`` other than ``check_range``,
+    ``codec`` itself, a file module, or a call of ``open``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("codec", "cmapuf.codec"):
+            found += [f"codec.{a.name}" for a in node.names if a.name != "check_range"]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "cmapuf"):
+            found += [a.name for a in node.names if a.name == "codec"]
+        elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] in FILE_MODULES:
+            found.append(node.module)
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.partition(".")[0] in FILE_MODULES]
+            found += [a.name for a in node.names if a.name == "cmapuf.codec"]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            found.append("open")
+    return found
+
+
+@pytest.mark.parametrize("name", MODEL_LAYERS)
+def test_the_model_layers_do_no_file_io(name):
+    # a spec or chip file is read and written with codec.read_json/write_json,
+    # not through a wrapper in the layer that defines the type
+    path = Path(cmapuf.__file__).parent / f"{name}.py"
+    assert file_access(path.read_text()) == []
+
+
+def test_the_layering_scan_names_each_way_into_a_file():
+    source = (
+        "from .codec import check_range, read_json\nfrom . import codec\nimport cmapuf.codec\n"
+        "import json\nfrom pathlib import Path\nopen('x').read()\n"
+    )
+    assert file_access(source) == [
+        "codec.read_json", "codec", "cmapuf.codec", "json", "pathlib", "open"
+    ]
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():

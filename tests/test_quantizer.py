@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cmapuf.codec import read_json, write_json
 from cmapuf.quantizer import (
     DEFAULT_BITS,
     DEFAULT_BOUNDARIES,
@@ -17,11 +18,9 @@ from cmapuf.quantizer import (
     default_regions,
     lloyd_max,
     lloyd_max_mse_trace,
-    load_spec,
     quantization_mse,
     region_index_array,
     region_of,
-    save_spec,
 )
 
 VDD = 1.8
@@ -241,7 +240,7 @@ def test_a_spec_wider_than_the_word_is_refused(tmp_path):
     path = tmp_path / "k8.json"
     path.write_text(json.dumps({"boundaries": b8, "bits_per_region": [8] * 8, "centroids": mids8}))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the response word holds"):
-        load_spec(path)
+        read_json(path, QuantizerSpec)
 
 
 def test_lloyd_max_argument_validation():
@@ -274,20 +273,20 @@ def test_lloyd_max_needs_an_iteration():
 def test_spec_json_round_trip(tmp_path):
     spec = default_regions()
     path = tmp_path / "spec.json"
-    save_spec(spec, path)
-    assert load_spec(path) == spec
+    write_json(path, spec)
+    assert read_json(path, QuantizerSpec) == spec
 
 
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])
 def test_load_spec_refuses_non_finite_numbers(tmp_path, token):
     # "Infinity" as the last boundary once loaded as a spec with vdd inf
     path = tmp_path / "spec.json"
-    save_spec(default_regions(), path)
+    write_json(path, default_regions())
     doc = json.loads(path.read_text())
     doc["boundaries"][-1] = "@"
     path.write_text(json.dumps(doc).replace('"@"', token))
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {token} is not a finite number')}$"):
-        load_spec(path)
+        read_json(path, QuantizerSpec)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmapuf.codec import read_json, write_json
 from cmapuf.variation import (
     N_COLS,
     N_ROWS,
@@ -10,10 +11,8 @@ from cmapuf.variation import (
     ChipInstance,
     ProcessCorner,
     VariationConfig,
-    load_chip,
     sample_mismatch,
     synth_population,
-    save_chip,
     synth_chip,
 )
 
@@ -111,8 +110,8 @@ def test_wrong_shape_rejected():
 def test_chip_json_round_trip(tmp_path):
     chip = synth_chip(VariationConfig(sigma_vth=0.02, corner=ProcessCorner.FS, seed=77))
     path = tmp_path / "chip.json"
-    save_chip(chip, path)
-    loaded = load_chip(path)
+    write_json(path, chip)
+    loaded = read_json(path, ChipInstance)
     assert loaded.chip_id == chip.chip_id
     assert loaded.config == chip.config
     assert np.array_equal(loaded.mismatch, chip.mismatch)
