@@ -64,8 +64,8 @@ def features(encoding: FeatureEncoding, words: np.ndarray) -> np.ndarray:
 
     ``decode`` checks the words, so one outside [0, 255] raises.
     """
-    words = np.asarray(words, dtype=np.int64)
     rows, cols = decode(words)
+    words = np.asarray(words, dtype=np.int64)
     n = words.shape[0]
     if encoding is FeatureEncoding.RAW_BITS:
         shifts = np.arange(CHALLENGE_BITS - 1, -1, -1)

@@ -2,9 +2,9 @@
 
 An 8-bit challenge selects exactly one cell: the high nibble drives the
 row decoder, the low nibble the column decoder.  ``decode`` is the one
-statement of that rule and of the word's range; every read goes through
-it.  Unselected cells are power gated, so the array's static draw is one
-cell's bias current.  ``evaluate_array`` reads chips x words at once, and
+statement of that rule and of the word's kind and range; every read goes
+through it.  Unselected cells are power gated, so the array's static draw
+is one cell's bias current.  ``evaluate_array`` reads chips x words at once, and
 ``evaluate`` is one element of it.
 """
 
@@ -22,11 +22,15 @@ CHALLENGE_BITS = 8
 def decode(words) -> tuple[np.ndarray, np.ndarray]:
     """Challenge words to the (rows, cols) of their cells: high nibble row, low nibble column.
 
-    Raises for the first word outside [0, 255] in C order.
+    Words of a non-integer dtype, bool included, raise, and so does the first
+    word outside [0, 255] in C order; no word is rounded or wrapped.
     """
-    words = np.asarray(words, dtype=np.int64)
+    words = np.asarray(words)
+    if words.size and words.dtype.kind not in "iu":
+        raise ValueError(f"challenge must be an integer, got dtype {words.dtype}")
     last = (1 << CHALLENGE_BITS) - 1
     check_range("challenge", words, 0, last, rule=f"be in [0, {last}]")
+    words = words.astype(np.int64, copy=False)
     return words >> 4, words & 0x0F
 
 

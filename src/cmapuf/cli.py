@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -217,7 +218,11 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_quantizer(args: argparse.Namespace) -> int:
-    samples = np.loadtxt(args.samples, ndmin=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data": refused below
+        samples = np.loadtxt(args.samples, ndmin=1)
+    if not samples.size:
+        raise ValueError(f"{args.samples} holds no samples")
     dist = quantizer.EmpiricalDistribution(samples=samples, vdd=analog.VDD_DEFAULT)
     if args.bits is not None:
         bits = tuple(_split(args.bits, int, "--bits", f"{args.k} comma-separated entries", args.k))

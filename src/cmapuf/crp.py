@@ -50,7 +50,7 @@ import numpy as np
 from .adc import WORD_BITS, AdcConfig, check_words, convert_array, word_bits, word_strings
 from .analog import Conditions, TransferModel, check_conditions
 from .cellarray import CHALLENGE_BITS, decode, evaluate_array
-from .codec import write_csv
+from .codec import check_range, write_csv
 from .quantizer import QuantizerSpec
 from .variation import ChipInstance
 
@@ -71,10 +71,9 @@ COLUMNS = {
 class CrpDataset:
     """Reads as equal-length 1-D columns (see ``COLUMNS``) plus metadata.
 
-    Columns are converted to their dtype and checked on construction by the
-    record rules: ``check_words``, then ``check_conditions``, then ``decode``,
-    each raising for its first bad row; a noise seed outside [0, 2**64) is
-    refused rather than wrapped.
+    Every column, built, taken or loaded, is converted by ``_column``, then
+    checked by the record rules: ``check_words``, then ``check_conditions``,
+    then ``decode``, each raising for its first bad row.
     """
 
     chip_id: np.ndarray
@@ -89,13 +88,7 @@ class CrpDataset:
 
     def __post_init__(self) -> None:
         for name, dtype in COLUMNS.items():
-            values = getattr(self, name)
-            if name == "noise_seed":
-                values = _seed_column(values)
-            try:
-                object.__setattr__(self, name, np.asarray(values, dtype=dtype))
-            except OverflowError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+            object.__setattr__(self, name, _column(name, getattr(self, name), dtype))
         shapes = {name: getattr(self, name).shape for name in COLUMNS}
         if len(set(shapes.values())) != 1 or self.chip_id.ndim != 1:
             raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
@@ -125,15 +118,31 @@ class CrpDataset:
         return CrpDataset(**{name: getattr(self, name)[rows] for name in COLUMNS}, metadata=metadata)
 
 
-def _seed_column(values) -> np.ndarray:
-    """Noise seeds as uint64; numpy would wrap or overflow on one outside [0, 2**64)."""
-    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
-        return values
-    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    for seed in values:
-        if not 0 <= seed < 1 << 64:
-            raise ValueError(f"noise_seed must be in [0, 2**64), got {seed}")
-    return np.array(values, dtype=np.uint64)
+def _column(name: str, values, dtype, start: int = 0) -> np.ndarray:
+    """``values`` as a ``dtype`` column: a list judged by its values' types, anything else by
+    its array's dtype.  A value of the wrong kind, or one the dtype cannot hold, raises naming
+    its row from ``start + 1``; a bool is never a number, and a seed is never wrapped."""
+    kind = np.dtype(dtype).kind
+    takes = set({"U": "U", "f": "iuf"}.get(kind, "iu"))
+    if isinstance(values, (list, tuple)):
+        kinds = {np.dtype(t).kind for t in set(map(type, values))}
+    else:
+        values = np.asarray(values)
+        kinds = {values.dtype.kind}
+    try:
+        if not kinds <= takes:
+            raise TypeError
+        if kind == "u":  # the seeds; a list as Python ints, which mixed signs keep exact
+            exact = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+            check_range(name, exact, 0, 2**64 - 1, rule="be in [0, 2**64)")
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, OverflowError):
+        rows = values.reshape(-1).tolist() if isinstance(values, np.ndarray) else values
+        if len(rows) == 1:
+            raise ValueError(f"row {start + 1} has a bad {name!r} field: {rows[0]!r}") from None
+        for i, value in enumerate(rows):  # the first value refused on its own raises
+            _column(name, [value], dtype, start + i)
+        raise
 
 
 def record_seed(base_seed: int, chip_id: str, challenge: int) -> int:
@@ -274,6 +283,7 @@ def generate(
         raise ValueError("need at least one chip")
     if not challenges:
         raise ValueError("need at least one challenge")
+    decode(challenges)  # before the seeds read the words
     words = np.asarray(challenges, dtype=np.int64).reshape(-1)
     chip_ids = [c.chip_id for c in chips]
     seeds = _record_seeds(conditions.noise_seed, chip_ids, words)
@@ -442,10 +452,12 @@ CSV_FIELDS = (
     "noise_sigma",
     "noise_seed",
 )
-# how a loaded field becomes its value: an int unless named here.  A file repeats
-# a chip id in every record of the chip, so a loaded id is interned: one str per id.
-_PARSE = dict(chip_id=lambda value: sys.intern(str(value)), challenge=partial(int, base=16))
-_PARSE |= dict(encoded=str, temperature=float, noise_sigma=float)
+# How a loader parses a field: a CSV field is text, a JSONL field its own JSON value,
+# the challenge hex in both.  A file repeats a chip id in every record of the chip,
+# so a loaded id is interned: one str per id.  ``CrpDataset`` checks the values.
+_CSV_PARSE = dict(chip_id=sys.intern, challenge=partial(int, base=16), region=int, code=int)
+_CSV_PARSE |= dict(bits=int, temperature=float, noise_sigma=float, noise_seed=int)
+_JSONL_PARSE = dict(chip_id=sys.intern, challenge=partial(int, base=16))
 # A ``save_jsonl`` record line is ``json.dumps(record, sort_keys=True)`` as a template over
 # the record's fields in sorted order: the chip id comes escaped by ``json.dumps``, the
 # challenge and encoded word are hex and binary digits, and numbers print as their repr.
@@ -475,54 +487,42 @@ def _columns(dataset: CrpDataset) -> dict[str, list]:
     }
 
 
-def _parse(name: str, values: list, start: int = 0) -> list:
-    """A field's raw values as its column's values; a None (missing or null) field, or
-    one its parser refuses, raises naming its record, counted from ``start + 1``.
-
-    An integer column takes an int (JSONL) or a string ``int`` parses (CSV); a bool
-    or a float is neither, so it is refused rather than truncated.
-    """
+def _parse(parsers: dict, name: str, values: list, start: int = 0) -> list:
+    """A field's raw values through its parser in ``parsers``, if any; a None (missing or null)
+    field, or one its parser refuses, raises naming its record, counted from ``start + 1``."""
     if None in values:
         raise ValueError(f"row {start + values.index(None) + 1} has no {name!r} field")
-    parse = _PARSE.get(name, int)
-    kinds = set(map(type, values)) if parse is int else set()
-    if kinds == {int}:
-        return values  # a JSONL integer is its own value
+    parse = parsers.get(name)
+    if parse is None:
+        return values
     try:
-        if not kinds <= {int, str}:
-            raise TypeError("a bool or a float in an integer column")
         return [parse(value) for value in values]
     except (TypeError, ValueError, OverflowError):
         if len(values) == 1:
             raise ValueError(f"row {start + 1} has a bad {name!r} field: {values[0]!r}") from None
         for i, value in enumerate(values):  # the first value refused on its own raises
-            _parse(name, [value], start + i)
+            _parse(parsers, name, [value], start + i)
         raise
 
 
-def _extend(columns: dict[str, list], chunk: dict[str, list]) -> None:
-    """Append a chunk of records' raw fields, one list per ``CSV_FIELDS`` name, to ``columns``.
-
-    The ``COLUMNS`` fields are parsed here, so a loader holds at most one chunk of
-    raw fields; ``encoded`` is kept as read for ``_from_columns`` to check.
-    """
+def _extend(columns: dict[str, list], chunk: dict[str, list], parsers: dict) -> None:
+    """Parse a chunk of records' raw fields, one list per ``CSV_FIELDS`` name, onto
+    ``columns``, so a loader holds at most one chunk of raw fields."""
     start = len(columns["chip_id"])
-    for name in COLUMNS:
-        columns[name] += _parse(name, chunk[name], start)
-    columns["encoded"] += chunk["encoded"]
+    for name in CSV_FIELDS:
+        columns[name] += _parse(parsers, name, chunk[name], start)
 
 
 def _from_columns(path: str | Path, columns: dict[str, list], metadata: dict) -> CrpDataset:
     """A dataset from ``path``'s records, as ``_extend`` collected them.
 
-    ``CrpDataset`` checks the columns.  No records, and a missing ``encoded`` field or
-    one unlike the record's (region, code), raise, naming the record from 1.
+    ``CrpDataset`` checks the columns.  No records, and an ``encoded`` field unlike the
+    record's (region, code), raise, the latter naming the record from 1.
     """
     if not columns["chip_id"]:
         raise ValueError(f"{path} holds no records")
     encoded = columns.pop("encoded")
     dataset = CrpDataset(**columns, metadata=metadata)
-    encoded = _parse("encoded", encoded)
     words = word_strings(dataset.region, dataset.code)
     if encoded != words:
         i = next(i for i, (got, word) in enumerate(zip(encoded, words)) if got != word)
@@ -555,7 +555,7 @@ def load_csv(path: str | Path) -> CrpDataset:
                 name: [row[i] if 0 <= i < len(row) else None for row in rows]
                 for name, i in slots.items()
             }
-            _extend(columns, chunk)
+            _extend(columns, chunk, _CSV_PARSE)
     return _from_columns(path, columns, {})
 
 
@@ -593,7 +593,10 @@ def load_jsonl(path: str | Path) -> CrpDataset:
                     raise ValueError(f"row {n + 1} is not a JSON object: {line.strip()!r}")
                 if "_meta" in doc:
                     metadata = doc["_meta"]
+                    if not isinstance(metadata, dict):
+                        raise ValueError(f"_meta must be a JSON object, got {json.dumps(metadata)}")
                 else:
                     records.append(doc)
-            _extend(columns, {name: [doc.get(name) for doc in records] for name in CSV_FIELDS})
+            chunk = {name: [doc.get(name) for doc in records] for name in CSV_FIELDS}
+            _extend(columns, chunk, _JSONL_PARSE)
     return _from_columns(path, columns, metadata)

@@ -224,6 +224,7 @@ def lloyd_max(
     everywhere; pass an explicit tuple to assign mixed precision.  A k or a
     precision the response word cannot hold is refused before the fit.
     """
+    check_range("k", k, 1)
     if bits_per_region is None:
         bits_per_region = (CODE_FIELD_BITS,) * k
     if len(bits_per_region) != k:

@@ -78,6 +78,13 @@ def test_feature_encodings():
     assert [features(e, words).shape[1] for e in FeatureEncoding] == [8, 32, 256]
 
 
+@pytest.mark.parametrize("words", [2.7, True, np.array([1.5])])
+def test_features_refuse_a_word_that_is_not_an_integer(words):
+    for encoding in FeatureEncoding:
+        with pytest.raises(ValueError, match="^challenge must be an integer, got dtype "):
+            features(encoding, np.atleast_1d(words))
+
+
 def test_lr_loss_history_non_increasing(chip_dataset):
     train, _ = split(chip_dataset, 0.75, seed=0)
     model = lr_train(train, FeatureEncoding.RAW_BITS, LrHyper(epochs=150))

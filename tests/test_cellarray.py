@@ -51,6 +51,25 @@ def test_challenge_range_checked():
             static_power(default_model(), bad)
 
 
+@pytest.mark.parametrize(
+    "words, dtype",
+    [(2.7, "float64"), (True, "bool"), (np.array([1.5]), "float64"), ([True, 255.9], "float64")],
+)
+def test_a_word_that_is_not_an_integer_is_refused(words, dtype):
+    # rather than truncated to a cell: 2.7 once read cell (0, 2), [True, 255.9] cells 1 and 255
+    chip = synth_chip(VariationConfig(seed=1))
+    message = f"^challenge must be an integer, got dtype {dtype}$"
+    with pytest.raises(ValueError, match=message):
+        decode(words)
+    with pytest.raises(ValueError, match=message):
+        evaluate_array(default_model(), [chip], words, 25.0)
+    if np.ndim(words) == 0:
+        with pytest.raises(ValueError, match=message):
+            static_power(default_model(), words)
+    # no word selects no cell
+    assert [a.tolist() for a in decode([])] == [[], []]
+
+
 def test_exactly_one_cell_active():
     # whichever cell a challenge selects, the array draws one cell's bias
     model = default_model()

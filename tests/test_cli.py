@@ -285,11 +285,11 @@ def test_metrics_reliability_equals_per_chip_reads(tmp_path):
 
 @pytest.mark.parametrize("command", ["metrics", "attack"])
 def test_a_malformed_record_is_reported(tmp_path, capsys, command):
-    def broken(name, edit):
+    def broken(name, edit, line=2):
         path = tmp_path / name
         assert run("crps", "--chips", 1, "--challenges", 4, "--out", path) == 0
         lines = path.read_text().splitlines()  # header or metadata, then records 1..4
-        lines[2] = edit(lines[2])
+        lines[line] = edit(lines[line])
         path.write_text("\n".join(lines) + "\n")
         return path
 
@@ -318,6 +318,13 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
         # a null field is a missing one, not the chip 'None'
         (broken("null.jsonl", lambda line: json.dumps(json.loads(line) | {"chip_id": None})),
          "row 2 has no 'chip_id' field"),
+        # metadata that is not an object, which attack once died on with a TypeError
+        (broken("meta5.jsonl", lambda line: '{"_meta": 5}', 0),
+         "_meta must be a JSON object, got 5"),
+        (broken("metanull.jsonl", lambda line: '{"_meta": null}', 0),
+         "_meta must be a JSON object, got null"),
+        (broken("metalist.jsonl", lambda line: '{"_meta": [1, 2]}', 0),
+         "_meta must be a JSON object, got [1, 2]"),
     ]
     for path, message in cases:
         assert run(command, "--in", path, "--out", tmp_path / "out") == 1
@@ -341,6 +348,13 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
         (".jsonl", "noise_seed", "NaN"),
         (".csv", "region", "{v}.9"),
         (".csv", "noise_seed", "1e3"),
+        # a JSONL field keeps its JSON kind: a bool is no number, and a string no number or id
+        (".jsonl", "temperature", "true"),
+        (".jsonl", "noise_sigma", "false"),
+        (".jsonl", "temperature", '"25"'),
+        (".jsonl", "region", '"5"'),
+        (".jsonl", "noise_seed", '"12"'),
+        (".jsonl", "chip_id", "7"),
     ],
 )
 def test_a_bad_number_in_an_integer_column_is_refused_by_name(tmp_path, capsys, suffix, field, token):
@@ -611,6 +625,26 @@ def test_fit_quantizer_refuses_a_fit_without_iterations(tmp_path, capsys):
         assert run("fit-quantizer", "--samples", raw, "--max-iter", max_iter, "--out", out) == 1
         assert capsys.readouterr().err == f"error: max_iter must be >= 1, got {max_iter}\n"
         assert list(tmp_path.iterdir()) == [raw]
+
+
+def test_fit_quantizer_names_a_bad_k(tmp_path, capsys):
+    raw = tmp_path / "samples.txt"
+    raw.write_text("0.1\n0.5\n1.7\n")
+    for k in (0, -1):
+        assert run("fit-quantizer", "--samples", raw, "--k", k, "--out", tmp_path / "q.json") == 1
+        assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+    assert list(tmp_path.iterdir()) == [raw]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n  \n"])
+def test_fit_quantizer_refuses_a_file_without_samples(tmp_path, capsys, text):
+    # by name and without numpy's "input contained no data" warning, which the
+    # suite turns into an error
+    raw = tmp_path / "samples.txt"
+    raw.write_text(text)
+    assert run("fit-quantizer", "--samples", raw, "--out", tmp_path / "q.json") == 1
+    assert capsys.readouterr().err == f"error: {raw} holds no samples\n"
+    assert list(tmp_path.iterdir()) == [raw]
 
 
 def test_fit_quantizer_names_a_nan_sample(tmp_path, capsys):
@@ -938,3 +972,52 @@ def test_every_command_exits_cleanly_and_writes_only_finite_values(inputs, run_)
             assert code in (1, 2) and written == [], (argv, lines)
             assert lines[-1].startswith("error: " if code == 1 else "cmapuf "), lines
             assert sum("error:" in line for line in lines) == 1, lines
+
+
+# Tokens a dataset file may hold where a field or the JSONL metadata belongs: JSON
+# kinds a column does not take, numbers past a column's range and non-finite ones.
+TOKENS = ["true", "false", "null", '"3"', "2.9", "-1", "NaN", "Infinity", "1e400",
+          "18446744073709551616", "[1]", "{}"]
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    """A directory holding a one-chip, four-challenge dataset as CSV and as JSONL."""
+    path = tmp_path_factory.mktemp("datasets")
+    for suffix in (".csv", ".jsonl"):
+        assert run("crps", "--chips", 1, "--challenges", 4, "--out", path / f"ds{suffix}") == 0
+    return path
+
+
+@st.composite
+def broken_datasets(draw):
+    """A dataset's suffix, the field (or ``_meta``) to replace, the record and the token."""
+    suffix = draw(st.sampled_from([".csv", ".jsonl"]))
+    field = draw(st.sampled_from([*crp.CSV_FIELDS, *(["_meta"] if suffix == ".jsonl" else [])]))
+    row, token = draw(st.integers(1, 4)), draw(st.sampled_from(TOKENS))
+    return suffix, field, row, token
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=broken_datasets(),
+       command=st.sampled_from([["metrics"], ["attack", "--model=lr", "--epochs=5"]]))
+def test_every_reader_of_a_dataset_exits_cleanly_on_a_bad_field(datasets, case, command):
+    suffix, field, row, token = case
+    lines = (datasets / f"ds{suffix}").read_text().splitlines()  # header or metadata, then records
+    if field == "_meta":
+        lines[0] = '{"_meta": %s}' % token
+    elif suffix == ".jsonl":
+        lines[row] = json.dumps(json.loads(lines[row]) | {field: "@"}).replace('"@"', token)
+    else:
+        fields = lines[row].split(",")
+        fields[crp.CSV_FIELDS.index(field)] = token
+        lines[row] = ",".join(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        ds, out = Path(tmp) / f"ds{suffix}", Path(tmp) / "out.csv"
+        ds.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*command, "--in", str(ds), "--out", str(out)])
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert code in (0, 1) and len(errors) == code, (case, err.getvalue())
+        assert out.exists() == (code == 0), case

@@ -421,6 +421,61 @@ def test_generate_validates_inputs():
         generate([chip], MODEL, SPEC, ADC, [], Conditions())
     with pytest.raises(ValueError, match=re.escape("challenge must be in [0, 255], got 300")):
         _dataset(("a", 300, 1, 0))
+    # a word of a non-integer dtype is refused, not truncated: [1.5, 2.9] once read 1 and 2
+    for words in ([2.7], [True], np.array([1.5]), [1.5, 2.9]):
+        cond = Conditions(noise_sigma=0.01, noise_seed=3)
+        with pytest.raises(ValueError, match="^challenge must be an integer, got dtype "):
+            generate([chip], MODEL, SPEC, ADC, words, cond)
+        with pytest.raises(ValueError, match="^challenge must be an integer, got dtype "):
+            record_seed(3, chip.chip_id, words[0])
+
+
+def _reads(n=1, **columns):
+    """n valid reads of chip 'a' at challenge 1, with ``columns`` in place of theirs."""
+    read = dict(chip_id="a", challenge=1, region=2, code=3, bits=8, temperature=25.0,
+                noise_sigma=0.0, noise_seed=5)
+    return CrpDataset(**{name: [value] * n for name, value in read.items()} | columns)
+
+
+@pytest.mark.parametrize(
+    "name, values",
+    [
+        ("challenge", [True]),
+        ("region", [2.9]),
+        ("code", np.array([3.5])),
+        ("bits", ["8"]),
+        ("noise_seed", [5.5]),
+        ("noise_sigma", [False]),
+        ("temperature", ["25"]),
+        ("chip_id", [7]),
+        ("chip_id", np.array([7])),
+        ("region", np.array([True])),
+    ],
+)
+def test_a_built_dataset_refuses_a_value_of_the_wrong_kind(name, values):
+    # rather than converting it: each of these once read as 1, 2, 3, 8, 5, 0.0, 25.0 or '7'
+    bad = np.asarray(values).tolist()[0]
+    message = f"row 1 has a bad {name!r} field: {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        _reads(**{name: values})
+
+
+def test_a_built_dataset_names_the_first_bad_row():
+    with pytest.raises(ValueError, match=re.escape("row 2 has a bad 'region' field: 2.5") + "$"):
+        _reads(3, region=[2, 2.5, 3.5])
+    # a value of the right kind that the dtype cannot hold is named as well
+    with pytest.raises(ValueError, match=re.escape(f"row 1 has a bad 'region' field: {2**70}")):
+        _reads(region=[2**70])
+    # an integer temperature is a number, read as a float
+    assert _reads(temperature=[25]).temperature.tolist() == [25.0]
+
+
+@pytest.mark.parametrize("seeds", [[-1], [2**64], np.array([-1]), [2**63, -1]])
+def test_a_built_dataset_refuses_a_seed_outside_64_bits(seeds):
+    bad = next(s for s in np.asarray(seeds, dtype=object).tolist() if not 0 <= s < 2**64)
+    message = f"noise_seed must be in [0, 2**64), got {bad}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        _reads(len(seeds), noise_seed=seeds)
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
