@@ -14,6 +14,9 @@ of the converter is power / clock, and a handful of published reference
 points are kept here for the energy comparison command.
 
 ``convert_array`` is the one converter; ``convert`` is one element of it.
+Its tables (levels, top codes, boundaries, precisions) are built from the
+configuration and spec by ``_Converter``, which a caller converting many
+small batches, as the ES fitness does, builds once and reads through.
 """
 
 from __future__ import annotations
@@ -100,16 +103,36 @@ def convert_array(
     raises a ``ValueError`` for the first such voltage in C order; the spec
     itself fits the word.
     """
-    v = np.asarray(v, dtype=float)
-    bits_table = np.asarray(spec.bits_per_region, dtype=np.int64)
-    check_volts(spec, v)
-    idx = region_index_array(spec.boundaries, v)
-    levels = 1 << bits_table
-    shift = config.comparator_residual_offset
-    v_eff = v + np.where(v > 0.5 * config.vdd + shift, shift, -shift)
-    v_eff = np.minimum(np.maximum(v_eff, 0.0), config.vdd)
-    code = np.floor(v_eff / config.vdd * np.take(levels.astype(float), idx)).astype(np.int64)
-    return idx + 1, np.minimum(code, np.take(levels - 1, idx)), np.take(bits_table, idx)
+    converter = _Converter(config, spec)
+    idx, code = converter.read(v)
+    return idx + 1, code, converter.bits[idx]
+
+
+class _Converter:
+    """``convert_array``'s tables for one (config, spec), built once; every read is checked."""
+
+    __slots__ = ("spec", "vdd", "shift", "split", "boundaries", "levels", "top", "bits")
+
+    def __init__(self, config: AdcConfig, spec: QuantizerSpec) -> None:
+        self.spec = spec
+        self.vdd = config.vdd
+        self.shift = config.comparator_residual_offset
+        self.split = 0.5 * config.vdd + self.shift  # comparator A above, B at and below
+        self.boundaries = np.asarray(spec.boundaries, dtype=float)
+        self.bits = np.asarray(spec.bits_per_region, dtype=np.int64)
+        self.levels = (1 << self.bits).astype(float)
+        self.top = (1 << self.bits) - 1
+
+    def read(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """0-based region index and code of each voltage."""
+        v = np.asarray(v, dtype=float)
+        check_volts(self.spec, v)
+        idx = region_index_array(self.boundaries, v)
+        v = v + np.where(v > self.split, self.shift, -self.shift)
+        v = np.minimum(np.maximum(v, 0.0), self.vdd)
+        # the clamped voltage is >= 0, so truncation is the floor
+        code = (v / self.vdd * self.levels[idx]).astype(np.int64)
+        return idx, np.minimum(code, self.top[idx])
 
 
 # String and bit row of every 11-bit word, indexed by ``region << 8 | code``,

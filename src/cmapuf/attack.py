@@ -20,9 +20,12 @@ most mutations use an annealed step size (halved after stagnation), while
 a fixed fraction keep the original coarse step so late-stage search can
 still fix a badly wrong cell.  Fitness is the mean encoded Hamming
 distance to the training responses, carried as per-cell counts: an
-offspring re-reads only the trained cells it mutated, and the counts'
-sum over n * 11 is exactly that mean because each trained cell is read
-once (the refusal of repeated reads).  The step schedules are module
+offspring re-reads only the trained cells it mutated, each count being
+the popcount of the read's 11-bit word index XOR the cell's target word,
+and the counts' sum over n * 11 is exactly that mean because each
+trained cell is read once (the refusal of repeated reads).  An offspring
+is held as its parent and its mutations; only the survivors of selection
+are copied into rows.  The step schedules are module
 constants; ``EsHyper`` and ``LrHyper`` hold only what a caller sets.
 ES uses the model, quantizer and converter the data was read with.  Both
 attackers refuse more than one read of a (chip, challenge), as the metrics do.
@@ -35,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adc import WORD_BITS, AdcConfig, response_bits
+from .adc import _WORD_BIT_ROWS, WORD_BITS, AdcConfig, _Converter, _word_index, response_bits
 from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS, decode
 from .codec import check_range
@@ -49,6 +52,7 @@ SIGMA_FLOOR = 1.0e-5  # ES annealed step never falls below this
 MUTATION_RATE = 2.0  # expected mutated coordinates per offspring
 COARSE_FRACTION = 0.1  # offspring that mutate at SIGMA0 regardless of annealing
 STAGNATION_LIMIT = 15  # generations without a better fitness before the step halves
+_WORD_WEIGHT = _WORD_BIT_ROWS.sum(axis=1)  # set bits of each 11-bit word index
 
 
 class FeatureEncoding(Enum):
@@ -80,32 +84,18 @@ def features(encoding: FeatureEncoding, words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def bce_loss(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
-    """Per-bit binary cross-entropy plus L2 on the non-bias rows.
+def _bce(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
+    """Per-bit binary cross-entropy plus L2 on the non-bias rows, with its z and exp(-|z|).
 
     weights is (n_features + 1, n_bits) with the bias in the last row and
     x carries a trailing column of ones.  Uses the overflow-free form
-    max(z, 0) - z * y + log1p(exp(-|z|)).
+    max(z, 0) - z * y + log1p(exp(-|z|)) of z = x @ weights; the gradient
+    at these weights reuses z and exp(-|z|).
     """
     z = x @ weights
-    per_sample = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return per_sample.mean(axis=0) + 0.5 * l2 * np.sum(weights[:-1] ** 2, axis=0)
-
-
-def bce_gradient(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
-    """Exact gradient of ``bce_loss`` in each bit's weight column."""
-    grad = x.T @ (_sigmoid(x @ weights) - y) / x.shape[0]
-    grad[:-1] += l2 * weights[:-1]
-    return grad
+    e = np.exp(-np.abs(z))
+    per_sample = np.maximum(z, 0.0) - z * y + np.log1p(e)
+    return per_sample.mean(axis=0) + 0.5 * l2 * np.sum(weights[:-1] ** 2, axis=0), z, e
 
 
 @dataclass(frozen=True)
@@ -143,21 +133,26 @@ def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper | No
     x = np.hstack([features(encoding, words), np.ones((len(words), 1))])
     weights = np.zeros((x.shape[1], WORD_BITS))
     lr = np.full(WORD_BITS, hyper.learning_rate)
-    loss = bce_loss(weights, x, y, hyper.l2)
+    loss, z, e = _bce(weights, x, y, hyper.l2)
     history = [loss]
     for _ in range(hyper.epochs):
-        grad = bce_gradient(weights, x, y, hyper.l2)
+        # the sigmoid of z, as 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below
+        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        grad = x.T @ (p - y) / x.shape[0]
+        grad[:-1] += hyper.l2 * weights[:-1]
         trial = weights - lr * grad
-        trial_loss = bce_loss(trial, x, y, hyper.l2)
+        trial_loss, trial_z, trial_e = _bce(trial, x, y, hyper.l2)
         for _ in range(MAX_BACKTRACKS):
             worse = trial_loss > loss + 1.0e-12
             if not worse.any():
                 break
             lr = np.where(worse, lr * 0.5, lr)
             trial = weights - lr * grad
-            trial_loss = bce_loss(trial, x, y, hyper.l2)
+            trial_loss, trial_z, trial_e = _bce(trial, x, y, hyper.l2)
         accepted = trial_loss <= loss + 1.0e-12
         weights = np.where(accepted, trial, weights)
+        z = np.where(accepted, trial_z, z)
+        e = np.where(accepted, trial_e, e)
         loss = np.where(accepted, trial_loss, loss)
         lr = np.where(accepted, np.minimum(lr * 1.2, 1.0e6), lr)
         history.append(loss)
@@ -204,6 +199,12 @@ def clone_bits(
     return response_bits(adc_config, spec, v)
 
 
+def _distance(converter: _Converter, volts: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Encoded Hamming distance of each voltage's word to a target word index."""
+    idx, code = converter.read(volts)
+    return _WORD_WEIGHT[_word_index(idx + 1, code) ^ target]
+
+
 def es_fit(
     dataset: CrpDataset,
     model: TransferModel,
@@ -221,25 +222,27 @@ def es_fit(
     always mutate at SIGMA0.
 
     Each member carries its per-cell Hamming counts: the encoded distance
-    of each trained cell's word to its target, 0 on untrained cells.  An
-    offspring inherits its parent's counts and re-reads only its mutated
-    trained cells.  The fitness is the counts' sum over n * 11, exactly
-    the mean encoded distance, because ``_targets`` refuses a repeated
-    read and so each trained cell stands for one record.
+    of each trained cell's word to its target, 0 on untrained cells, and
+    their total.  An offspring is its parent plus its mutations (cell, new
+    value, new count), and only its mutated trained cells are re-read,
+    through one ``adc._Converter`` per fit; its total is the parent's plus
+    the count changes.  The fitness is the total over n * 11, exactly the
+    mean encoded distance, because ``_targets`` refuses a repeated read and
+    so each trained cell stands for one record.
     """
     if hyper is None:
         hyper = EsHyper()
-    words, y = _targets(dataset)
+    words, _ = _targets(dataset)
     trained = np.zeros(N_CELLS, dtype=bool)
     trained[words] = True
-    target = np.zeros((N_CELLS, WORD_BITS), dtype=np.int8)
-    target[words] = y
+    target = np.zeros(N_CELLS, dtype=np.int64)
+    target[words] = _word_index(dataset.region, dataset.code)
     n_bits = len(words) * WORD_BITS
+    converter = _Converter(adc_config, spec)
 
     def distances(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Encoded Hamming distance of each value, read as its cell, to the cell's target."""
-        bits = response_bits(adc_config, spec, transfer_array(model, values))
-        return (bits != target[cells]).sum(axis=-1)
+        return _distance(converter, transfer_array(model, values), target[cells])
 
     rng = np.random.default_rng(hyper.seed)
     mu, lam = hyper.parents, hyper.population
@@ -247,40 +250,57 @@ def es_fit(
     pop = rng.normal(0.0, SIGMA0, size=(mu, N_CELLS))
     counts = np.zeros((mu, N_CELLS), dtype=np.int64)
     counts[:, words] = distances(pop[:, words], words)
-    fit = counts.sum(axis=1) / n_bits
-    order = np.argsort(fit, kind="stable")
-    pop, counts, fit = pop[order], counts[order], fit[order]
-    history = [float(fit[0])]
+    # whole-number totals, exact in float, sort as their fitness totals / n_bits does
+    totals = counts.sum(axis=1).astype(float)
+    order = np.argsort(totals, kind="stable")
+    pop, counts, totals = pop[order], counts[order], totals[order]
+    history = [float(totals[0] / n_bits)]
     stagnant = 0
+    places = np.arange(mu)
+    source = np.arange(mu + lam)  # the row each candidate copies: its own, or its parent's
+    rank = np.full(mu + lam, -1)  # each candidate's place among the survivors, or -1
     for _ in range(hyper.generations):
         pick = rng.integers(0, mu, size=lam)
         mask = rng.random((lam, N_CELLS)) < MUTATION_RATE / N_CELLS
-        silent = ~mask.any(axis=1)
-        if silent.any():
-            mask[np.flatnonzero(silent), rng.integers(0, N_CELLS, size=int(silent.sum()))] = True
+        silent = np.flatnonzero(~mask.any(axis=1))
+        if silent.size:
+            mask[silent, rng.integers(0, N_CELLS, size=silent.size)] = True
         scale = np.where(rng.random((lam, 1)) < COARSE_FRACTION, SIGMA0, sigma)
         step = rng.standard_normal((lam, N_CELLS))
-        # flat (offspring, cell) positions of the mutations; the copies are contiguous
-        at = np.flatnonzero(mask)
-        offspring = pop[pick]
-        offspring.reshape(-1)[at] += step.reshape(-1)[at] * scale[at // N_CELLS, 0]
-        child_counts = counts[pick]
-        at = at[trained[at % N_CELLS]]
-        child_counts.reshape(-1)[at] = distances(offspring.reshape(-1)[at], at % N_CELLS)
-        all_fit = np.concatenate([fit, child_counts.sum(axis=1) / n_bits])
-        order = np.argsort(all_fit, kind="stable")[:mu]
-        pop = np.concatenate([pop, offspring])[order]
-        counts = np.concatenate([counts, child_counts])[order]
-        fit = all_fit[order]
-        if fit[0] < history[-1] - 1.0e-15:
+        # each mutation: its offspring, its cell, the new value and the new count
+        at = mask.reshape(-1).nonzero()[0]  # flat (offspring, cell) positions
+        child, cell = np.divmod(at, N_CELLS)
+        parent = pick[child]
+        value = pop[parent, cell] + step.reshape(-1)[at] * scale[child, 0]
+        count = counts[parent, cell]
+        hit = trained[cell].nonzero()[0]
+        before = count[hit]
+        count[hit] = distances(value[hit], cell[hit])
+        gain = np.bincount(child[hit], weights=count[hit] - before, minlength=lam)
+        all_totals = np.concatenate([totals, totals[pick] + gain])
+        survivors = np.argsort(all_totals, kind="stable")[:mu]
+        # survivors copy their source row; surviving offspring then take their mutations
+        source[mu:] = pick
+        rows = source[survivors]
+        pop, counts, totals = pop[rows], counts[rows], all_totals[survivors]
+        rank[survivors] = places
+        kept = rank[mu:][child]
+        rank[survivors] = -1
+        keep = (kept >= 0).nonzero()[0]
+        if keep.size:
+            at = kept[keep], cell[keep]
+            pop[at] = value[keep]
+            counts[at] = count[keep]
+        best = totals[0] / n_bits
+        if best < history[-1] - 1.0e-15:
             stagnant = 0
         else:
             stagnant += 1
         if stagnant >= STAGNATION_LIMIT:
             sigma = max(sigma * 0.5, SIGMA_FLOOR)
             stagnant = 0
-        history.append(float(fit[0]))
-    return EsClone(params=pop[0], fitness=float(fit[0]), history=np.array(history))
+        history.append(float(best))
+    return EsClone(params=pop[0], fitness=history[-1], history=np.array(history))
 
 
 def split(dataset: CrpDataset, train_fraction: float, seed: int = 0) -> tuple[CrpDataset, CrpDataset]:

@@ -224,6 +224,8 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     if not samples.size:
         raise ValueError(f"{args.samples} holds no samples")
     dist = quantizer.EmpiricalDistribution(samples=samples, vdd=analog.VDD_DEFAULT)
+    codec.check_range("k", args.k, 1)  # k is named before --bits is split into k entries
+    quantizer._refuse_wider_than_the_word(args.k, ())
     if args.bits is not None:
         bits = tuple(_split(args.bits, int, "--bits", f"{args.k} comma-separated entries", args.k))
     else:

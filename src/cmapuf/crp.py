@@ -281,7 +281,7 @@ def generate(
     """
     if not chips:
         raise ValueError("need at least one chip")
-    if not challenges:
+    if len(challenges) == 0:
         raise ValueError("need at least one challenge")
     decode(challenges)  # before the seeds read the words
     words = np.asarray(challenges, dtype=np.int64).reshape(-1)

@@ -34,7 +34,14 @@ for bit.
 ``es_fit_dense`` is the evolution strategy as first written: every
 generation builds each offspring densely and re-reads the whole training
 set for every one of them.  ``attack.es_fit`` carries per-cell Hamming
-counts instead and is held to it array for array.
+counts, scores a read as a word-XOR popcount and copies only survivors
+instead, and is held to it array for array.
+
+``lr_train`` is the logistic attacker as first written: every epoch's
+gradient recomputes ``x @ weights`` and its sigmoid with ``bce_gradient``
+and ``_sigmoid``.  ``attack.lr_train`` reuses the accepted step's logits
+and is held to it bit for bit; ``bce_loss`` and ``bce_gradient`` are also
+what the finite-difference tests check.
 """
 
 import json
@@ -43,10 +50,11 @@ import zlib
 
 import numpy as np
 
-from cmapuf.adc import CODE_FIELD_BITS, REGION_FIELD_BITS, AdcConfig, ResponseWord
+from cmapuf.adc import CODE_FIELD_BITS, REGION_FIELD_BITS, WORD_BITS, AdcConfig, ResponseWord
 from cmapuf.analog import Conditions, TransferModel, effective_mismatch, transfer_array
 from cmapuf.attack import (
     COARSE_FRACTION,
+    MAX_BACKTRACKS,
     MUTATION_RATE,
     N_CELLS,
     SIGMA0,
@@ -54,7 +62,12 @@ from cmapuf.attack import (
     STAGNATION_LIMIT,
     EsClone,
     EsHyper,
+    FeatureEncoding,
+    LrHyper,
+    LrModel,
+    _targets,
     clone_bits,
+    features,
 )
 from cmapuf.crp import CSV_FIELDS, CrpDataset, bits_matrix
 from cmapuf.quantizer import (
@@ -297,3 +310,58 @@ def es_fit_dense(
             stagnant = 0
         history.append(float(fit[0]))
     return EsClone(params=pop[0], fitness=float(fit[0]), history=np.array(history))
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def bce_loss(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
+    """Per-bit binary cross-entropy plus L2 on the non-bias rows.
+
+    weights is (n_features + 1, n_bits) with the bias in the last row and
+    x carries a trailing column of ones.  Uses the overflow-free form
+    max(z, 0) - z * y + log1p(exp(-|z|)).
+    """
+    z = x @ weights
+    per_sample = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    return per_sample.mean(axis=0) + 0.5 * l2 * np.sum(weights[:-1] ** 2, axis=0)
+
+
+def bce_gradient(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
+    """Exact gradient of ``bce_loss`` in each bit's weight column."""
+    grad = x.T @ (_sigmoid(x @ weights) - y) / x.shape[0]
+    grad[:-1] += l2 * weights[:-1]
+    return grad
+
+
+def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper) -> LrModel:
+    """``attack.lr_train`` with the loss and the gradient each computed from the weights."""
+    words, y = _targets(dataset)
+    x = np.hstack([features(encoding, words), np.ones((len(words), 1))])
+    weights = np.zeros((x.shape[1], WORD_BITS))
+    lr = np.full(WORD_BITS, hyper.learning_rate)
+    loss = bce_loss(weights, x, y, hyper.l2)
+    history = [loss]
+    for _ in range(hyper.epochs):
+        grad = bce_gradient(weights, x, y, hyper.l2)
+        trial = weights - lr * grad
+        trial_loss = bce_loss(trial, x, y, hyper.l2)
+        for _ in range(MAX_BACKTRACKS):
+            worse = trial_loss > loss + 1.0e-12
+            if not worse.any():
+                break
+            lr = np.where(worse, lr * 0.5, lr)
+            trial = weights - lr * grad
+            trial_loss = bce_loss(trial, x, y, hyper.l2)
+        accepted = trial_loss <= loss + 1.0e-12
+        weights = np.where(accepted, trial, weights)
+        loss = np.where(accepted, trial_loss, loss)
+        lr = np.where(accepted, np.minimum(lr * 1.2, 1.0e6), lr)
+        history.append(loss)
+    return LrModel(encoding=encoding, weights=weights, loss_history=np.array(history))

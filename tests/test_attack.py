@@ -3,18 +3,19 @@ import re
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmapuf.adc import AdcConfig
+from cmapuf.adc import AdcConfig, _Converter, response_bits, word_bits
 from cmapuf.analog import Conditions, default_model, transfer_array
 from cmapuf.attack import (
     N_CELLS,
     AttackReport,
+    _distance,
     EsHyper,
     FeatureEncoding,
     LrHyper,
     attack_report,
-    bce_gradient,
-    bce_loss,
     clone_bits,
     es_fit,
     features,
@@ -23,12 +24,23 @@ from cmapuf.attack import (
     split,
 )
 from cmapuf.crp import COLUMNS, CrpDataset, bits_matrix, generate
-from cmapuf.quantizer import default_regions
+from cmapuf.quantizer import QuantizerSpec, default_regions
 from cmapuf.variation import VariationConfig, synth_population, synth_chip
 
 MODEL = default_model()
 SPEC = default_regions()
 ADC = AdcConfig()
+# a reading other than the default: four regions with their own precisions,
+# another clock and power, and the comparator offset at 0 and away from it
+SPEC_K4 = QuantizerSpec(
+    boundaries=(0.0, 0.55, 0.9, 1.25, 1.8),
+    bits_per_region=(6, 4, 5, 7),
+    centroids=(0.3, 0.7, 1.1, 1.5),
+)
+OTHER_ADCS = [
+    AdcConfig(clock_freq=3.2e9, power=150.0e-6, comparator_residual_offset=offset)
+    for offset in (0.0, 0.013)
+]
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +58,8 @@ def finite_difference_gradient(weights, x, y, l2, eps=1e-6):
             plus[i, j] += eps
             minus = weights.copy()
             minus[i, j] -= eps
-            grad[i, j] = (bce_loss(plus, x, y, l2)[j] - bce_loss(minus, x, y, l2)[j]) / (2 * eps)
+            loss = oracle.bce_loss(plus, x, y, l2)[j] - oracle.bce_loss(minus, x, y, l2)[j]
+            grad[i, j] = loss / (2 * eps)
     return grad
 
 
@@ -56,7 +69,7 @@ def test_gradient_matches_finite_differences():
     y = rng.integers(0, 2, size=(20, 3)).astype(float)
     weights = rng.normal(scale=0.5, size=(6, 3))
     for l2 in (0.0, 1e-3):
-        analytic = bce_gradient(weights, x, y, l2)
+        analytic = oracle.bce_gradient(weights, x, y, l2)
         numeric = finite_difference_gradient(weights, x, y, l2)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() < 1e-5
@@ -99,6 +112,32 @@ def test_lr_loss_non_increasing_with_tiny_fixed_rate(chip_dataset):
     train, _ = split(chip_dataset, 0.75, seed=0)
     model = lr_train(train, FeatureEncoding.RAW_BITS, LrHyper(learning_rate=0.01, epochs=60))
     assert np.all(np.diff(model.loss_history, axis=0) <= 1e-12)
+
+
+LARGE_RATE = LrHyper(learning_rate=1.0e5, epochs=60)
+
+
+@pytest.mark.parametrize("hyper", [LrHyper(), LARGE_RATE], ids=["default", "large-rate"])
+@pytest.mark.parametrize("encoding", list(FeatureEncoding), ids=lambda e: e.value)
+def test_lr_replays_the_recomputed_route_bit_for_bit(chip_dataset, encoding, hyper):
+    # the gradient from the accepted step's logits is the gradient from the weights
+    train, _ = split(chip_dataset, 0.75, seed=0)
+    got = lr_train(train, encoding, hyper)
+    want = oracle.lr_train(train, encoding, hyper)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.loss_history.tobytes() == want.loss_history.tobytes()
+
+
+def test_the_large_rate_forces_backtracking(chip_dataset):
+    # the first full step at LARGE_RATE raises a bit's loss, so it is halved
+    train, _ = split(chip_dataset, 0.75, seed=0)
+    for encoding in FeatureEncoding:
+        x = np.hstack([features(encoding, train.challenge), np.ones((len(train), 1))])
+        y = bits_matrix(train).astype(float)
+        w = np.zeros((x.shape[1], 11))
+        step = w - LARGE_RATE.learning_rate * oracle.bce_gradient(w, x, y, LARGE_RATE.l2)
+        raised = oracle.bce_loss(step, x, y, LARGE_RATE.l2) > oracle.bce_loss(w, x, y, LARGE_RATE.l2)
+        assert raised.any()
 
 
 def test_lr_fits_constant_bits():
@@ -202,6 +241,48 @@ def test_es_counts_replay_the_dense_fitness_exactly(chip_dataset, fraction, hype
     assert np.array_equal(clone.params, dense.params)
     assert np.array_equal(clone.history, dense.history)
     assert clone.fitness == dense.fitness
+
+
+@pytest.mark.parametrize("adc", OTHER_ADCS, ids=["offset0", "offset13mV"])
+def test_es_counts_replay_the_dense_fitness_under_another_reading(adc):
+    # the counts, the popcount distance and the survivor copies under a
+    # non-default converter and a four-region spec, with data read under them
+    chip = synth_chip(VariationConfig(seed=7))
+    data = generate([chip], MODEL, SPEC_K4, adc, list(range(256)), Conditions())
+    train, _ = split(data, 0.75, seed=0)
+    hyper = EsHyper(generations=300, seed=4)
+    clone = es_fit(train, MODEL, SPEC_K4, adc, hyper)
+    dense = oracle.es_fit_dense(train, MODEL, SPEC_K4, adc, hyper)
+    assert np.array_equal(clone.params, dense.params)
+    assert np.array_equal(clone.history, dense.history)
+    assert clone.fitness == dense.fitness
+
+
+def _edges(spec, adc):
+    """0, vdd, every boundary and the comparator split, with their float neighbours."""
+    points = [*spec.boundaries, 0.5 * adc.vdd + adc.comparator_residual_offset]
+    near = [float(np.nextafter(p, d)) for p in points for d in (-np.inf, np.inf)]
+    return [v for v in points + near if 0.0 <= v <= spec.vdd]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from([SPEC, SPEC_K4]),
+    adc=st.sampled_from(OTHER_ADCS),
+    volts=st.lists(st.floats(0.0, 1.8), max_size=16),
+    data=st.data(),
+)
+def test_the_popcount_distance_is_the_bit_row_distance(spec, adc, volts, data):
+    # the ES's distance, popcount(word ^ target), against the converter's
+    # bit rows and against the scalar route's encoded strings
+    v = np.array([*volts, *_edges(spec, adc)])
+    words = st.integers(0, (1 << 11) - 1)
+    target = np.array(data.draw(st.lists(words, min_size=len(v), max_size=len(v))))
+    target_bits = word_bits(target >> 8, target & 0xFF)
+    got = _distance(_Converter(adc, spec), v, target).tolist()
+    assert got == (response_bits(adc, spec, v) != target_bits).sum(-1).tolist()
+    scalar = [[int(c) for c in oracle.encode(oracle.convert(adc, spec, x))] for x in v]
+    assert got == (np.array(scalar) != target_bits).sum(-1).tolist()
 
 
 def test_es_refuses_repeated_reads(chip_dataset):

@@ -630,9 +630,13 @@ def test_fit_quantizer_refuses_a_fit_without_iterations(tmp_path, capsys):
 def test_fit_quantizer_names_a_bad_k(tmp_path, capsys):
     raw = tmp_path / "samples.txt"
     raw.write_text("0.1\n0.5\n1.7\n")
-    for k in (0, -1):
-        assert run("fit-quantizer", "--samples", raw, "--k", k, "--out", tmp_path / "q.json") == 1
-        assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+    out = tmp_path / "q.json"
+    too_many = "the response word holds at most 7 regions, got k=8"
+    # k is named before --bits is split into k entries
+    for k, message in ((0, "k must be >= 1, got 0"), (-1, "k must be >= 1, got -1"), (8, too_many)):
+        for bits in ([], ["--bits", 8]):
+            assert run("fit-quantizer", "--samples", raw, "--k", k, *bits, "--out", out) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [raw]
 
 

@@ -417,8 +417,14 @@ def test_generate_validates_inputs():
     chip = synth_chip(VariationConfig(seed=50))
     with pytest.raises(ValueError):
         generate([], MODEL, SPEC, ADC, [0], Conditions())
-    with pytest.raises(ValueError):
-        generate([chip], MODEL, SPEC, ADC, [], Conditions())
+    for empty in ([], np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="^need at least one challenge$"):
+            generate([chip], MODEL, SPEC, ADC, empty, Conditions())
+    # an array of several words is read like the list of them, not tested for truth
+    words = generate([chip], MODEL, SPEC, ADC, np.arange(4), Conditions())
+    listed = generate([chip], MODEL, SPEC, ADC, [0, 1, 2, 3], Conditions())
+    for name in COLUMNS:
+        assert np.array_equal(getattr(words, name), getattr(listed, name))
     with pytest.raises(ValueError, match=re.escape("challenge must be in [0, 255], got 300")):
         _dataset(("a", 300, 1, 0))
     # a word of a non-integer dtype is refused, not truncated: [1.5, 2.9] once read 1 and 2
