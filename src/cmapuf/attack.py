@@ -320,11 +320,7 @@ def split(dataset: CrpDataset, train_fraction: float, seed: int = 0) -> tuple[Cr
     n_train = min(max(n_train, 1), len(words) - 1)
     perm = np.random.default_rng(seed).permutation(len(words))
     train = np.isin(dataset.challenge, words[perm[:n_train]])
-    meta = dict(dataset.metadata)
-    return (
-        dataset.take(train, {**meta, "split": "train"}),
-        dataset.take(~train, {**meta, "split": "test"}),
-    )
+    return dataset.take(train), dataset.take(~train)
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         if len(ids) != 1:
             raise ValueError(f"dataset has chips {ids}; pick one with --chip-id")
         chip_id = ids[0]
-    single = dataset.take(dataset.chip_id == chip_id, dict(dataset.metadata))
+    single = dataset.take(dataset.chip_id == chip_id)
     if not len(single):
         raise ValueError(f"no records for chip {chip_id!r}")
     train, test = attack.split(single, args.train_frac, seed=args.seed)

@@ -69,7 +69,8 @@ COLUMNS = {
 
 @dataclass(frozen=True, eq=False)
 class CrpDataset:
-    """Reads as equal-length 1-D columns (see ``COLUMNS``) plus metadata.
+    """Reads as equal-length 1-D columns (see ``COLUMNS``) and nothing else: how the
+    records were read is the ``crps`` manifest's, not the dataset's.
 
     Every column, built, taken or loaded, is converted by ``_column``, then
     checked by the record rules: ``check_words``, then ``check_conditions``,
@@ -84,7 +85,6 @@ class CrpDataset:
     temperature: np.ndarray
     noise_sigma: np.ndarray
     noise_seed: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name, dtype in COLUMNS.items():
@@ -113,9 +113,9 @@ class CrpDataset:
         """Distinct chip ids in first-appearance order."""
         return list(self._chips[0])
 
-    def take(self, rows: np.ndarray, metadata: dict) -> CrpDataset:
+    def take(self, rows: np.ndarray) -> CrpDataset:
         """The dataset of the selected rows (a mask or indices), order kept."""
-        return CrpDataset(**{name: getattr(self, name)[rows] for name in COLUMNS}, metadata=metadata)
+        return CrpDataset(**{name: getattr(self, name)[rows] for name in COLUMNS})
 
 
 def _column(name: str, values, dtype, start: int = 0) -> np.ndarray:
@@ -293,13 +293,6 @@ def generate(
     volts = evaluate_array(model, chips, words, conditions.temperature, noise)
     region, code, bits = convert_array(adc_config, spec, volts)
     n = seeds.size
-    meta = {
-        "temperature": conditions.temperature,
-        "noise_sigma": conditions.noise_sigma,
-        "noise_seed": conditions.noise_seed,
-        "n_chips": len(chips),
-        "n_challenges": len(challenges),
-    }
     return CrpDataset(
         chip_id=np.repeat(chip_ids, len(words)),
         challenge=np.tile(words, len(chips)),
@@ -309,7 +302,6 @@ def generate(
         temperature=np.full(n, conditions.temperature),
         noise_sigma=np.full(n, conditions.noise_sigma),
         noise_seed=seeds.ravel(),
-        metadata=meta,
     )
 
 
@@ -513,7 +505,7 @@ def _extend(columns: dict[str, list], chunk: dict[str, list], parsers: dict) -> 
         columns[name] += _parse(parsers, name, chunk[name], start)
 
 
-def _from_columns(path: str | Path, columns: dict[str, list], metadata: dict) -> CrpDataset:
+def _from_columns(path: str | Path, columns: dict[str, list]) -> CrpDataset:
     """A dataset from ``path``'s records, as ``_extend`` collected them.
 
     ``CrpDataset`` checks the columns.  No records, and an ``encoded`` field unlike the
@@ -522,7 +514,7 @@ def _from_columns(path: str | Path, columns: dict[str, list], metadata: dict) ->
     if not columns["chip_id"]:
         raise ValueError(f"{path} holds no records")
     encoded = columns.pop("encoded")
-    dataset = CrpDataset(**columns, metadata=metadata)
+    dataset = CrpDataset(**columns)
     words = word_strings(dataset.region, dataset.code)
     if encoded != words:
         i = next(i for i, (got, word) in enumerate(zip(encoded, words)) if got != word)
@@ -556,7 +548,7 @@ def load_csv(path: str | Path) -> CrpDataset:
                 for name, i in slots.items()
             }
             _extend(columns, chunk, _CSV_PARSE)
-    return _from_columns(path, columns, {})
+    return _from_columns(path, columns)
 
 
 def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
@@ -565,8 +557,6 @@ def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
     columns["chip_id"] = [escaped[chip_id] for chip_id in columns["chip_id"]]
     rows = zip(*(columns[name] for name in sorted(CSV_FIELDS)))
     with open(path, "w") as fh:
-        if dataset.metadata:
-            fh.write(json.dumps({"_meta": dataset.metadata}, sort_keys=True) + "\n")
         fh.writelines(_JSONL_RECORD % row for row in rows)
 
 
@@ -580,9 +570,9 @@ def _json_value(line: str):
 
 
 def load_jsonl(path: str | Path) -> CrpDataset:
-    """Read a ``save_jsonl`` file: a ``_meta`` line, then one JSON object per record."""
+    """Read a ``save_jsonl`` file: one JSON object per record.  A line whose only key is
+    ``_meta``, which older files led with, is skipped unread; it is not a record."""
     columns: dict[str, list] = {name: [] for name in CSV_FIELDS}
-    metadata: dict = {}
     with open(path) as fh:
         for lines in _chunks(fh):
             records = []
@@ -591,12 +581,8 @@ def load_jsonl(path: str | Path) -> CrpDataset:
                 if not isinstance(doc, dict):
                     n = len(columns["chip_id"]) + len(records)
                     raise ValueError(f"row {n + 1} is not a JSON object: {line.strip()!r}")
-                if "_meta" in doc:
-                    metadata = doc["_meta"]
-                    if not isinstance(metadata, dict):
-                        raise ValueError(f"_meta must be a JSON object, got {json.dumps(metadata)}")
-                else:
+                if doc.keys() != {"_meta"}:
                     records.append(doc)
             chunk = {name: [doc.get(name) for doc in records] for name in CSV_FIELDS}
             _extend(columns, chunk, _JSONL_PARSE)
-    return _from_columns(path, columns, metadata)
+    return _from_columns(path, columns)

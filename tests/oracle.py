@@ -218,10 +218,8 @@ def reliability(
 
 
 def save_jsonl(dataset: CrpDataset, path) -> None:
-    """A ``_meta`` line if there is metadata, then ``json.dumps(record, sort_keys=True)`` per record."""
+    """``json.dumps(record, sort_keys=True)`` per record."""
     with open(path, "w") as fh:
-        if dataset.metadata:
-            fh.write(json.dumps({"_meta": dataset.metadata}, sort_keys=True) + "\n")
         for i in range(len(dataset)):
             word = ResponseWord(
                 int(dataset.region[i]), int(dataset.code[i]), int(dataset.bits[i])

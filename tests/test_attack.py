@@ -287,7 +287,7 @@ def test_the_popcount_distance_is_the_bit_row_distance(spec, adc, volts, data):
 
 def test_es_refuses_repeated_reads(chip_dataset):
     # the per-cell counts stand for one record per trained cell
-    twice = chip_dataset.take([3, 9, 3], {})
+    twice = chip_dataset.take([3, 9, 3])
     repeat = "chip 'chip007' has more than one read of challenge 3"
     with pytest.raises(ValueError, match=re.escape(repeat) + "$"):
         es_fit(twice, MODEL, SPEC, ADC, EsHyper(generations=1))

@@ -47,6 +47,12 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def record_line(suffix, r):
+    """The index among a dataset file's lines of record ``r`` (from 1): a CSV leads with its
+    header, a JSONL file with record 1."""
+    return r if suffix == ".csv" else r - 1
+
+
 @pytest.fixture
 def made_volts(monkeypatch):
     """Every voltage array ``analog.transfer_array`` returns while the test runs."""
@@ -165,7 +171,7 @@ def test_crps_csv_and_jsonl(tmp_path):
     jsonl_path = tmp_path / "ds.jsonl"
     assert run("crps", "--chips", 1, "--challenges", 16, "--out", jsonl_path) == 0
     lines = jsonl_path.read_text().splitlines()
-    assert len(lines) == 17  # metadata line plus 16 records
+    assert len(lines) == 16  # one line per record
     manifest = json.loads((tmp_path / "ds.csv.manifest.json").read_text())
     assert manifest["parameters"]["quantizer"]["bits_per_region"] == [8, 7, 6, 7, 8]
 
@@ -285,10 +291,11 @@ def test_metrics_reliability_equals_per_chip_reads(tmp_path):
 
 @pytest.mark.parametrize("command", ["metrics", "attack"])
 def test_a_malformed_record_is_reported(tmp_path, capsys, command):
-    def broken(name, edit, line=2):
+    def broken(name, edit):
         path = tmp_path / name
         assert run("crps", "--chips", 1, "--challenges", 4, "--out", path) == 0
-        lines = path.read_text().splitlines()  # header or metadata, then records 1..4
+        lines = path.read_text().splitlines()
+        line = record_line(path.suffix, 2)
         lines[line] = edit(lines[line])
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -318,13 +325,6 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
         # a null field is a missing one, not the chip 'None'
         (broken("null.jsonl", lambda line: json.dumps(json.loads(line) | {"chip_id": None})),
          "row 2 has no 'chip_id' field"),
-        # metadata that is not an object, which attack once died on with a TypeError
-        (broken("meta5.jsonl", lambda line: '{"_meta": 5}', 0),
-         "_meta must be a JSON object, got 5"),
-        (broken("metanull.jsonl", lambda line: '{"_meta": null}', 0),
-         "_meta must be a JSON object, got null"),
-        (broken("metalist.jsonl", lambda line: '{"_meta": [1, 2]}', 0),
-         "_meta must be a JSON object, got [1, 2]"),
     ]
     for path, message in cases:
         assert run(command, "--in", path, "--out", tmp_path / "out") == 1
@@ -360,15 +360,16 @@ def test_a_malformed_record_is_reported(tmp_path, capsys, command):
 def test_a_bad_number_in_an_integer_column_is_refused_by_name(tmp_path, capsys, suffix, field, token):
     ds = tmp_path / f"ds{suffix}"
     assert run("crps", "--chips", 1, "--challenges", 4, "--out", ds) == 0
-    lines = ds.read_text().splitlines()  # header or metadata, then records 1..4
+    lines = ds.read_text().splitlines()
+    line = record_line(suffix, 2)
     if suffix == ".jsonl":
-        record = json.loads(lines[2])
-        lines[2] = json.dumps(record | {field: "@"}).replace('"@"', token.format(v=record[field]))
+        record = json.loads(lines[line])
+        lines[line] = json.dumps(record | {field: "@"}).replace('"@"', token.format(v=record[field]))
     else:
-        fields = lines[2].split(",")
+        fields = lines[line].split(",")
         i = crp.CSV_FIELDS.index(field)
         fields[i] = token.format(v=int(fields[i]))
-        lines[2] = ",".join(fields)
+        lines[line] = ",".join(fields)
     ds.write_text("\n".join(lines) + "\n")
     out = tmp_path / "m.json"
     assert run("metrics", "--in", ds, "--out", out) == 1
@@ -497,15 +498,21 @@ def test_attack_takes_unset_hyperparameters_from_their_defaults(tmp_path):
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
 def test_a_dataset_without_records_is_refused(tmp_path, capsys, suffix):
-    # a header-only CSV, or a JSONL file holding only its metadata, with a manifest
+    # a header-only CSV; an empty JSONL file, or one holding only an older file's metadata
+    # line; each with a manifest
     ds = tmp_path / f"ds{suffix}"
     assert run("crps", "--chips", 2, "--challenges", 4, "--out", ds) == 0
-    ds.write_text(ds.read_text().splitlines()[0] + "\n")
+    if suffix == ".csv":
+        texts = [ds.read_text().splitlines()[0] + "\n"]
+    else:
+        texts = ["", '{"_meta": {"n_chips": 2}}\n']
     out = tmp_path / "out"
-    for command in ("metrics", "metrics --temps 0", "attack --model lr", "attack --model es"):
-        assert run(*command.split(), "--in", ds, "--out", out) == 1
-        assert capsys.readouterr().err == f"error: {ds} holds no records\n"
-        assert not out.exists()
+    for text in texts:
+        ds.write_text(text)
+        for command in ("metrics", "metrics --temps 0", "attack --model lr", "attack --model es"):
+            assert run(*command.split(), "--in", ds, "--out", out) == 1
+            assert capsys.readouterr().err == f"error: {ds} holds no records\n"
+            assert not out.exists()
 
 
 def test_attack_multichip_needs_chip_id(tmp_path, capsys):
@@ -978,7 +985,7 @@ def test_every_command_exits_cleanly_and_writes_only_finite_values(inputs, run_)
             assert sum("error:" in line for line in lines) == 1, lines
 
 
-# Tokens a dataset file may hold where a field or the JSONL metadata belongs: JSON
+# Tokens a dataset file may hold where a field or an older JSONL file's metadata belongs: JSON
 # kinds a column does not take, numbers past a column's range and non-finite ones.
 TOKENS = ["true", "false", "null", '"3"', "2.9", "-1", "NaN", "Infinity", "1e400",
           "18446744073709551616", "[1]", "{}"]
@@ -995,7 +1002,8 @@ def datasets(tmp_path_factory):
 
 @st.composite
 def broken_datasets(draw):
-    """A dataset's suffix, the field (or ``_meta``) to replace, the record and the token."""
+    """A dataset's suffix, the field to replace (or ``_meta``, for a leading ``{"_meta": token}``
+    line), the record and the token."""
     suffix = draw(st.sampled_from([".csv", ".jsonl"]))
     field = draw(st.sampled_from([*crp.CSV_FIELDS, *(["_meta"] if suffix == ".jsonl" else [])]))
     row, token = draw(st.integers(1, 4)), draw(st.sampled_from(TOKENS))
@@ -1007,15 +1015,16 @@ def broken_datasets(draw):
        command=st.sampled_from([["metrics"], ["attack", "--model=lr", "--epochs=5"]]))
 def test_every_reader_of_a_dataset_exits_cleanly_on_a_bad_field(datasets, case, command):
     suffix, field, row, token = case
-    lines = (datasets / f"ds{suffix}").read_text().splitlines()  # header or metadata, then records
+    lines = (datasets / f"ds{suffix}").read_text().splitlines()
+    line = record_line(suffix, row)
     if field == "_meta":
-        lines[0] = '{"_meta": %s}' % token
+        lines.insert(0, '{"_meta": %s}' % token)
     elif suffix == ".jsonl":
-        lines[row] = json.dumps(json.loads(lines[row]) | {field: "@"}).replace('"@"', token)
+        lines[line] = json.dumps(json.loads(lines[line]) | {field: "@"}).replace('"@"', token)
     else:
-        fields = lines[row].split(",")
+        fields = lines[line].split(",")
         fields[crp.CSV_FIELDS.index(field)] = token
-        lines[row] = ",".join(fields)
+        lines[line] = ",".join(fields)
     with tempfile.TemporaryDirectory() as tmp:
         ds, out = Path(tmp) / f"ds{suffix}", Path(tmp) / "out.csv"
         ds.write_text("\n".join(lines) + "\n")
