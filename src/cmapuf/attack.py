@@ -19,13 +19,14 @@ lambda) elitist loop mutates a handful of coordinates per offspring;
 most mutations use an annealed step size (halved after stagnation), while
 a fixed fraction keep the original coarse step so late-stage search can
 still fix a badly wrong cell.  Fitness is the mean encoded Hamming
-distance to the training responses, carried as per-cell counts: an
-offspring re-reads only the trained cells it mutated, each count being
-the popcount of the read's 11-bit word index XOR the cell's target word,
-and the counts' sum over n * 11 is exactly that mean because each
-trained cell is read once (the refusal of repeated reads).  An offspring
-is held as its parent and its mutations; only the survivors of selection
-are copied into rows.  The step schedules are module
+distance to the training responses, the popcount of each read's 11-bit
+word index XOR its cell's target word.  A member carries only its values
+and their total distance; an offspring re-reads each trained cell it
+mutated at the parent's value and at the new one, and its total is the
+parent's plus the differences.  That total over n * 11 is exactly the
+mean because each trained cell is read once (the refusal of repeated
+reads).  An offspring is held as its parent and its mutations; only the
+survivors of selection are copied into rows.  The step schedules are module
 constants; ``EsHyper`` and ``LrHyper`` hold only what a caller sets.
 ES uses the model, quantizer and converter the data was read with.  Both
 attackers refuse more than one read of a (chip, challenge), as the metrics do.
@@ -221,14 +222,15 @@ def es_fit(
     STAGNATION_LIMIT generations, except a COARSE_FRACTION of offspring
     always mutate at SIGMA0.
 
-    Each member carries its per-cell Hamming counts: the encoded distance
-    of each trained cell's word to its target, 0 on untrained cells, and
-    their total.  An offspring is its parent plus its mutations (cell, new
-    value, new count), and only its mutated trained cells are re-read,
-    through one ``adc._Converter`` per fit; its total is the parent's plus
-    the count changes.  The fitness is the total over n * 11, exactly the
-    mean encoded distance, because ``_targets`` refuses a repeated read and
-    so each trained cell stands for one record.
+    Each member is its (256,) values and their total: the sum over trained
+    cells of the encoded distance of each cell's word to its target.  An
+    offspring is its parent plus its mutations (cell, new value); each
+    mutated trained cell is read twice, at the parent's value and at the
+    new one, in the generation's one read through the fit's
+    ``adc._Converter``, and the offspring's total is the parent's plus the
+    differences.  The fitness is the total over n * 11, exactly the mean
+    encoded distance, because ``_targets`` refuses a repeated read and so
+    each trained cell stands for one record.
     """
     if hyper is None:
         hyper = EsHyper()
@@ -248,12 +250,10 @@ def es_fit(
     mu, lam = hyper.parents, hyper.population
     sigma = SIGMA0
     pop = rng.normal(0.0, SIGMA0, size=(mu, N_CELLS))
-    counts = np.zeros((mu, N_CELLS), dtype=np.int64)
-    counts[:, words] = distances(pop[:, words], words)
     # whole-number totals, exact in float, sort as their fitness totals / n_bits does
-    totals = counts.sum(axis=1).astype(float)
+    totals = distances(pop[:, words], words).sum(axis=1).astype(float)
     order = np.argsort(totals, kind="stable")
-    pop, counts, totals = pop[order], counts[order], totals[order]
+    pop, totals = pop[order], totals[order]
     history = [float(totals[0] / n_bits)]
     stagnant = 0
     places = np.arange(mu)
@@ -267,30 +267,25 @@ def es_fit(
             mask[silent, rng.integers(0, N_CELLS, size=silent.size)] = True
         scale = np.where(rng.random((lam, 1)) < COARSE_FRACTION, SIGMA0, sigma)
         step = rng.standard_normal((lam, N_CELLS))
-        # each mutation: its offspring, its cell, the new value and the new count
+        # each mutation: its offspring, its cell and the new value
         at = mask.reshape(-1).nonzero()[0]  # flat (offspring, cell) positions
         child, cell = np.divmod(at, N_CELLS)
-        parent = pick[child]
-        value = pop[parent, cell] + step.reshape(-1)[at] * scale[child, 0]
-        count = counts[parent, cell]
+        old = pop[pick[child], cell]
+        value = old + step.reshape(-1)[at] * scale[child, 0]
+        # a mutated trained cell is read at its parent's value, then at its new one
         hit = trained[cell].nonzero()[0]
-        before = count[hit]
-        count[hit] = distances(value[hit], cell[hit])
-        gain = np.bincount(child[hit], weights=count[hit] - before, minlength=lam)
+        read = distances(np.concatenate((old[hit], value[hit])), cell[np.concatenate((hit, hit))])
+        gain = np.bincount(child[hit], weights=read[hit.size :] - read[: hit.size], minlength=lam)
         all_totals = np.concatenate([totals, totals[pick] + gain])
         survivors = np.argsort(all_totals, kind="stable")[:mu]
         # survivors copy their source row; surviving offspring then take their mutations
         source[mu:] = pick
-        rows = source[survivors]
-        pop, counts, totals = pop[rows], counts[rows], all_totals[survivors]
+        pop, totals = pop[source[survivors]], all_totals[survivors]
         rank[survivors] = places
         kept = rank[mu:][child]
         rank[survivors] = -1
         keep = (kept >= 0).nonzero()[0]
-        if keep.size:
-            at = kept[keep], cell[keep]
-            pop[at] = value[keep]
-            counts[at] = count[keep]
+        pop[kept[keep], cell[keep]] = value[keep]
         best = totals[0] / n_bits
         if best < history[-1] - 1.0e-15:
             stagnant = 0

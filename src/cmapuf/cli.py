@@ -290,8 +290,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     dataset = _load_dataset(Path(args.infile))
     multi = len(dataset.chip_ids) >= 2
     uniq = crp.uniqueness(dataset) if multi else None
-    code_positions = list(range(adc.REGION_FIELD_BITS, adc.WORD_BITS))
-    uniq_code = crp.uniqueness(dataset, bit_positions=code_positions) if multi else None
+    uniq_code = crp.uniqueness(dataset, code_bits=True) if multi else None
     aliasing = tuple(crp.bit_aliasing(dataset).tolist()) if multi else None
     uniformities = crp.uniformity(dataset)
 

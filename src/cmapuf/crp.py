@@ -51,7 +51,7 @@ from .adc import WORD_BITS, AdcConfig, check_words, convert_array, word_bits, wo
 from .analog import Conditions, TransferModel, check_conditions
 from .cellarray import CHALLENGE_BITS, decode, evaluate_array
 from .codec import check_range, write_csv
-from .quantizer import QuantizerSpec
+from .quantizer import REGION_FIELD_BITS, QuantizerSpec
 from .variation import ChipInstance
 
 # A dataset's columns and their dtypes.
@@ -325,16 +325,15 @@ def _refuse_repeated_reads(dataset: CrpDataset, metric: str) -> None:
         )
 
 
-def uniqueness(dataset: CrpDataset, bit_positions: list[int] | None = None) -> float:
+def uniqueness(dataset: CrpDataset, code_bits: bool = False) -> float:
     """Mean pairwise fractional HD between chips over shared challenges.
 
-    bit_positions restricts the comparison to a subset of the 11 response
-    bits (for example code bits only); default is all of them.  Pair
-    distances come from one (chips x chips) product of the 0/1 response
-    matrix, so memory grows with the square of the chip count: the
-    product, the distance matrix and its upper-triangle indices each hold
-    one entry per chip pair or more.  The counts are exact in float64, so
-    every pair's value is the exact fraction.
+    Over all 11 response bits, or with code_bits over the eight code bits
+    alone, the region field left out.  Pair distances come from one (chips
+    x chips) product of the 0/1 response matrix, so memory grows with the
+    square of the chip count: the product, the distance matrix and its
+    upper-triangle indices each hold one entry per chip pair or more.  The
+    counts are exact in float64, so every pair's value is the exact fraction.
     """
     ids, chip = dataset._chips
     if len(ids) < 2:
@@ -348,8 +347,8 @@ def uniqueness(dataset: CrpDataset, bit_positions: list[int] | None = None) -> f
     table = np.zeros((len(ids), 1 << CHALLENGE_BITS, WORD_BITS), dtype=np.int8)
     table[chip, dataset.challenge] = bits_matrix(dataset)
     x = table[:, common]  # (chips, common challenges, 11)
-    if bit_positions is not None:
-        x = x[:, :, bit_positions]
+    if code_bits:
+        x = x[:, :, REGION_FIELD_BITS:]
     x = x.reshape(len(ids), -1).astype(np.float64)
     ones = x.sum(axis=1)
     distance = (ones[:, None] + ones[None, :] - 2.0 * (x @ x.T)) / x.shape[1]
@@ -536,11 +535,16 @@ def save_csv(dataset: CrpDataset, path: str | Path) -> None:
 
 def load_csv(path: str | Path) -> CrpDataset:
     """Read a ``save_csv`` file by header name: blank lines are skipped, a field the
-    header lacks or a short record stops before is missing, one past the header ignored."""
+    header lacks or a short record stops before is missing, one past the header ignored.
+    A header that names a field twice is refused."""
     columns: dict[str, list] = {name: [] for name in CSV_FIELDS}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        index = {name: i for i, name in enumerate(next(reader, []))}
+        header = next(reader, [])
+        for name in CSV_FIELDS:
+            if header.count(name) > 1:
+                raise ValueError(f"{path} has more than one {name!r} column")
+        index = {name: i for i, name in enumerate(header)}
         slots = {name: index.get(name, -1) for name in CSV_FIELDS}
         for rows in _chunks(filter(None, reader)):
             chunk = {

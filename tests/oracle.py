@@ -33,9 +33,10 @@ for bit.
 
 ``es_fit_dense`` is the evolution strategy as first written: every
 generation builds each offspring densely and re-reads the whole training
-set for every one of them.  ``attack.es_fit`` carries per-cell Hamming
-counts, scores a read as a word-XOR popcount and copies only survivors
-instead, and is held to it array for array.
+set for every one of them.  ``attack.es_fit`` re-reads only each
+offspring's mutated trained cells, at the parent's value and the new one,
+scores a read as a word-XOR popcount and copies only survivors instead,
+and is held to it array for array.
 
 ``lr_train`` is the logistic attacker as first written: every epoch's
 gradient recomputes ``x @ weights`` and its sigmoid with ``bce_gradient``

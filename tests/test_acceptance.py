@@ -47,7 +47,6 @@ from cmapuf.variation import ProcessCorner, VariationConfig, synth_population
 MODEL = default_model()
 SPEC = default_regions()
 ADC = AdcConfig()
-CODE_BITS = list(range(3, 11))
 
 
 def report(criterion, passed, detail=""):
@@ -256,7 +255,7 @@ def test_criterion_6_adc():
 
 
 def test_criterion_7_metrics(population, population_dataset):
-    uniq = uniqueness(population_dataset, bit_positions=CODE_BITS)
+    uniq = uniqueness(population_dataset, code_bits=True)
     uniq_ok = 0.45 <= uniq <= 0.55
     temps = [Conditions(temperature=t) for t in (0.0, 30.0, 60.0)]
     rels = reliability(population[:5], MODEL, SPEC, ADC, temps)

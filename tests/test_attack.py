@@ -245,8 +245,9 @@ def test_es_counts_replay_the_dense_fitness_exactly(chip_dataset, fraction, hype
 
 @pytest.mark.parametrize("adc", OTHER_ADCS, ids=["offset0", "offset13mV"])
 def test_es_counts_replay_the_dense_fitness_under_another_reading(adc):
-    # the counts, the popcount distance and the survivor copies under a
-    # non-default converter and a four-region spec, with data read under them
+    # the before/after reads, the popcount distance and the survivor copies
+    # under a non-default converter and a four-region spec, with data read
+    # under them
     chip = synth_chip(VariationConfig(seed=7))
     data = generate([chip], MODEL, SPEC_K4, adc, list(range(256)), Conditions())
     train, _ = split(data, 0.75, seed=0)
@@ -286,7 +287,7 @@ def test_the_popcount_distance_is_the_bit_row_distance(spec, adc, volts, data):
 
 
 def test_es_refuses_repeated_reads(chip_dataset):
-    # the per-cell counts stand for one record per trained cell
+    # the total distance counts each trained cell once, as one record
     twice = chip_dataset.take([3, 9, 3])
     repeat = "chip 'chip007' has more than one read of challenge 3"
     with pytest.raises(ValueError, match=re.escape(repeat) + "$"):

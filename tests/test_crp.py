@@ -136,7 +136,7 @@ def test_uniqueness_identical_chips_is_zero():
 
 def test_uniqueness_complementary_codes_is_one_on_code_bits():
     ds = _dataset(("a", 0, 1, 0b10101010), ("b", 0, 1, 0b01010101))
-    assert uniqueness(ds, bit_positions=list(range(3, 11))) == 1.0
+    assert uniqueness(ds, code_bits=True) == 1.0
     # region bits agree, so over all 11 positions the distance dilutes to 8/11
     assert uniqueness(ds) == pytest.approx(8 / 11)
 
@@ -180,7 +180,7 @@ def test_uniqueness_requires_two_chips_and_overlap():
 
 
 def test_uniqueness_population_plausible(small_dataset):
-    u = uniqueness(small_dataset, bit_positions=list(range(3, 11)))
+    u = uniqueness(small_dataset, code_bits=True)
     assert 0.4 < u < 0.6
 
 
@@ -325,6 +325,20 @@ def test_csv_reads_fields_by_header_name(tmp_path, small_dataset):
     lines = [",".join(name for name in header if name != "code"), *map(",".join, rows)]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="^row 1 has no 'code' field$"):
+        load_csv(path)
+
+
+def test_csv_refuses_a_header_that_repeats_a_field(tmp_path, small_dataset):
+    path = tmp_path / "ds.csv"
+    save_csv(small_dataset.take(slice(0, 3)), path)
+    header, *rows = path.read_text().splitlines()
+    # two columns past the header's fields that share a name are ignored
+    path.write_text("\n".join([f"{header},note,note", *(f"{r},a,b" for r in rows)]) + "\n")
+    assert_same_records(load_csv(path), small_dataset.take(slice(0, 3)))
+    # a field named twice is refused before either column is read
+    path.write_text("\n".join([f"{header},region", *(f"{r},9" for r in rows)]) + "\n")
+    refusal = f"{path} has more than one 'region' column"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         load_csv(path)
 
 
