@@ -14,7 +14,6 @@ from .adc import (
     ResponseWord,
     conversion_cycles,
     conversion_energy,
-    convert,
     encode_word,
     energy_per_cycle,
 )
@@ -27,7 +26,7 @@ from .analog import (
     effective_mismatch,
 )
 from .attack import EsHyper, FeatureEncoding, LrHyper, attack_report, es_fit, lr_train, split
-from .cellarray import decode, evaluate
+from .cellarray import decode
 from .crp import (
     CrpDataset,
     MetricsReport,
@@ -37,7 +36,7 @@ from .crp import (
     uniformity,
     uniqueness,
 )
-from .quantizer import EmpiricalDistribution, QuantizerSpec, default_regions, lloyd_max, region_of
+from .quantizer import EmpiricalDistribution, QuantizerSpec, default_regions, lloyd_max
 from .variation import (
     ChipInstance,
     ProcessCorner,
@@ -69,7 +68,6 @@ __all__ = [
     "bit_aliasing",
     "conversion_cycles",
     "conversion_energy",
-    "convert",
     "decode",
     "default_model",
     "default_regions",
@@ -77,11 +75,9 @@ __all__ = [
     "encode_word",
     "energy_per_cycle",
     "es_fit",
-    "evaluate",
     "generate",
     "lloyd_max",
     "lr_train",
-    "region_of",
     "reliability",
     "split",
     "synth_chip",

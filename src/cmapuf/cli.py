@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every writing command drops a manifest next to its output (``<out>.manifest.json``,
-or ``manifest.json`` inside a directory) holding the fully resolved
-parameters, so any output file can be regenerated from its manifest alone.
-``codec`` writes and reads them field by field.  Manifests and outputs
+or ``manifest.json`` inside a directory) holding the parameters it ran with, except
+``metrics --seed`` (the reliability re-reads' noise seed) and the attacker's options
+(``--epochs``, ``--learning-rate``, ``--l2``, ``--generations``, ``--population``,
+``--parents``).  ``codec`` writes and reads them field by field.  Manifests and outputs
 contain no timestamps; the same invocation produces byte-identical files.
 ``metrics --temps`` and ``attack --model es`` take how a dataset was read
 from its ``crps`` manifest, not from options of their own.
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adc, analog, attack, codec, crp, quantizer, variation
+from . import adc, analog, attack, cellarray, codec, crp, quantizer, variation
 
 MIRRORS = {
     "wide": analog.wide_swing_mirror,
@@ -101,7 +102,8 @@ def _adc_config(args: argparse.Namespace) -> adc.AdcConfig:
 class CrpsParameters:
     """How every record of a ``crps`` dataset was read, as its manifest records it.
 
-    The quantizer must span the [0, vdd] the cell and converter run at.
+    The challenge words are [0, challenges), within the array's 256 cells, and the
+    quantizer must span the [0, vdd] the cell and converter run at.
     """
 
     variation: variation.VariationConfig
@@ -113,6 +115,7 @@ class CrpsParameters:
     conditions: analog.Conditions
 
     def __post_init__(self) -> None:
+        codec.check_range("challenges", self.challenges, 1, 1 << cellarray.CHALLENGE_BITS)
         if not self.quantizer.vdd == self.model.vdd == self.adc.vdd:
             raise ValueError(
                 f"the quantizer spans [0, {self.quantizer.vdd}] V, but the cell runs at "

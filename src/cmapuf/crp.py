@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -444,11 +443,10 @@ CSV_FIELDS = (
     "noise_seed",
 )
 # How a loader parses a field: a CSV field is text, a JSONL field its own JSON value,
-# the challenge hex in both.  A file repeats a chip id in every record of the chip,
-# so a loaded id is interned: one str per id.  ``CrpDataset`` checks the values.
-_CSV_PARSE = dict(chip_id=sys.intern, challenge=partial(int, base=16), region=int, code=int)
-_CSV_PARSE |= dict(bits=int, temperature=float, noise_sigma=float, noise_seed=int)
-_JSONL_PARSE = dict(chip_id=sys.intern, challenge=partial(int, base=16))
+# the challenge hex in both.  ``_column`` then checks each parsed value's kind.
+_CSV_PARSE = dict(challenge=partial(int, base=16), region=int, code=int, bits=int)
+_CSV_PARSE |= dict(temperature=float, noise_sigma=float, noise_seed=int)
+_JSONL_PARSE = dict(challenge=partial(int, base=16))
 # A ``save_jsonl`` record line is ``json.dumps(record, sort_keys=True)`` as a template over
 # the record's fields in sorted order: the chip id comes escaped by ``json.dumps``, the
 # challenge and encoded word are hex and binary digits, and numbers print as their repr.
@@ -456,29 +454,23 @@ _JSONL_RECORD = "{" + ", ".join(
     f'"{name}": ' + {"chip_id": "%s", "challenge": '"%s"', "encoded": '"%s"'}.get(name, "%r")
     for name in sorted(CSV_FIELDS)
 ) + "}\n"
-# records a loader holds as raw fields at once; on a 6,400-record JSONL file 512 loaded
-# no faster and held about 0.35 MB more of decoded records
-_CHUNK = 64
+# records a loader holds as raw fields at once; each chunk pays eight ``_column`` calls: on
+# 6,400-record files (2-vCPU x86_64, best of 40 loads) 64 loaded 1-4 ms slower than 256, and
+# 512 or 1,024 no faster
+_CHUNK = 256
 _scan_once = json.JSONDecoder().scan_once
 _space = json.decoder.WHITESPACE.match
 
 
 def _columns(dataset: CrpDataset) -> dict[str, list]:
     """Each ``CSV_FIELDS`` column as Python scalars, so floats print as repr."""
-    return {
-        "chip_id": dataset.chip_id.tolist(),
-        "challenge": [format(c, "02x") for c in dataset.challenge.tolist()],
-        "region": dataset.region.tolist(),
-        "code": dataset.code.tolist(),
-        "bits": dataset.bits.tolist(),
-        "encoded": word_strings(dataset.region, dataset.code),
-        "temperature": dataset.temperature.tolist(),
-        "noise_sigma": dataset.noise_sigma.tolist(),
-        "noise_seed": dataset.noise_seed.tolist(),
-    }
+    columns = {name: getattr(dataset, name).tolist() for name in COLUMNS}
+    columns["challenge"] = [format(c, "02x") for c in columns["challenge"]]
+    columns["encoded"] = word_strings(dataset.region, dataset.code)
+    return columns
 
 
-def _parse(parsers: dict, name: str, values: list, start: int = 0) -> list:
+def _parse(parsers: dict, name: str, values: list, start: int) -> list:
     """A field's raw values through its parser in ``parsers``, if any; a None (missing or null)
     field, or one its parser refuses, raises naming its record, counted from ``start + 1``."""
     if None in values:
@@ -496,24 +488,28 @@ def _parse(parsers: dict, name: str, values: list, start: int = 0) -> list:
         raise
 
 
-def _extend(columns: dict[str, list], chunk: dict[str, list], parsers: dict) -> None:
-    """Parse a chunk of records' raw fields, one list per ``CSV_FIELDS`` name, onto
-    ``columns``, so a loader holds at most one chunk of raw fields."""
-    start = len(columns["chip_id"])
-    for name in CSV_FIELDS:
-        columns[name] += _parse(parsers, name, chunk[name], start)
+def _load(path: str | Path, chunks, parsers: dict) -> CrpDataset:
+    """A dataset from ``path``'s records, given as chunks of raw fields, one list per
+    ``CSV_FIELDS`` name.
 
-
-def _from_columns(path: str | Path, columns: dict[str, list]) -> CrpDataset:
-    """A dataset from ``path``'s records, as ``_extend`` collected them.
-
-    ``CrpDataset`` checks the columns.  No records, and an ``encoded`` field unlike the
-    record's (region, code), raise, the latter naming the record from 1.
+    Each chunk's fields go through ``_parse`` and ``_column`` before the next chunk is read,
+    so the first fault in (chunk, field, row) order raises; ``CrpDataset`` then checks the
+    joined columns.  No records, and an ``encoded`` field unlike the record's (region, code),
+    raise, the latter naming the record from 1.
     """
-    if not columns["chip_id"]:
+    parts: dict[str, list] = {name: [] for name in CSV_FIELDS}
+    start = 0
+    for chunk in chunks:
+        for name in CSV_FIELDS:
+            values = _parse(parsers, name, chunk[name], start)
+            if name != "encoded":
+                values = _column(name, values, COLUMNS[name], start)
+            parts[name].append(values)
+        start += len(chunk["chip_id"])
+    if not start:
         raise ValueError(f"{path} holds no records")
-    encoded = columns.pop("encoded")
-    dataset = CrpDataset(**columns)
+    encoded = list(chain.from_iterable(parts.pop("encoded")))
+    dataset = CrpDataset(**{name: np.concatenate(parts.pop(name)) for name in COLUMNS})
     words = word_strings(dataset.region, dataset.code)
     if encoded != words:
         i = next(i for i, (got, word) in enumerate(zip(encoded, words)) if got != word)
@@ -537,22 +533,21 @@ def load_csv(path: str | Path) -> CrpDataset:
     """Read a ``save_csv`` file by header name: blank lines are skipped, a field the
     header lacks or a short record stops before is missing, one past the header ignored.
     A header that names a field twice is refused."""
-    columns: dict[str, list] = {name: [] for name in CSV_FIELDS}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for name in CSV_FIELDS:
             if header.count(name) > 1:
                 raise ValueError(f"{path} has more than one {name!r} column")
-        index = {name: i for i, name in enumerate(header)}
-        slots = {name: index.get(name, -1) for name in CSV_FIELDS}
-        for rows in _chunks(filter(None, reader)):
-            chunk = {
-                name: [row[i] if 0 <= i < len(row) else None for row in rows]
-                for name, i in slots.items()
-            }
-            _extend(columns, chunk, _CSV_PARSE)
-    return _from_columns(path, columns)
+        # each chunk transposed with every row behind a None and padded with Nones, so
+        # slot 0 stands for a field the header lacks and a short row's missing fields are None
+        index = {name: i + 1 for i, name in enumerate(header)}
+        slots = {name: index.get(name, 0) for name in CSV_FIELDS}
+        pad = [None] * len(header)
+        transposed = (list(zip(*([None, *row, *pad] for row in rows)))
+                      for rows in _chunks(filter(None, reader)))
+        chunks = ({name: fields[i] for name, i in slots.items()} for fields in transposed)
+        return _load(path, chunks, _CSV_PARSE)
 
 
 def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
@@ -576,17 +571,21 @@ def _json_value(line: str):
 def load_jsonl(path: str | Path) -> CrpDataset:
     """Read a ``save_jsonl`` file: one JSON object per record.  A line whose only key is
     ``_meta``, which older files led with, is skipped unread; it is not a record."""
-    columns: dict[str, list] = {name: [] for name in CSV_FIELDS}
-    with open(path) as fh:
+
+    def chunks(fh):
+        n = 0
         for lines in _chunks(fh):
             records = []
             for line in lines:
                 doc = _json_value(line)
                 if not isinstance(doc, dict):
-                    n = len(columns["chip_id"]) + len(records)
-                    raise ValueError(f"row {n + 1} is not a JSON object: {line.strip()!r}")
+                    raise ValueError(
+                        f"row {n + len(records) + 1} is not a JSON object: {line.strip()!r}"
+                    )
                 if doc.keys() != {"_meta"}:
                     records.append(doc)
-            chunk = {name: [doc.get(name) for doc in records] for name in CSV_FIELDS}
-            _extend(columns, chunk, _JSONL_PARSE)
-    return _from_columns(path, columns)
+            n += len(records)
+            yield {name: [doc.get(name) for doc in records] for name in CSV_FIELDS}
+
+    with open(path) as fh:
+        return _load(path, chunks(fh), _JSONL_PARSE)

@@ -736,8 +736,10 @@ def test_read_conditions_belong_to_the_commands_that_read(tmp_path, monkeypatch,
 
 
 def test_crps_rejects_a_challenge_past_the_array(tmp_path, capsys):
+    # named by the option, before any chip is synthesized
     assert run("crps", "--chips", 2, "--challenges", 300, "--out", tmp_path / "ds.csv") == 1
-    assert "error: challenge must be in [0, 255], got 256" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: challenges must be within [1, 256], got 300\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_noise_seed_fails_even_without_noise(tmp_path, capsys):
@@ -856,6 +858,10 @@ def test_nan_is_refused_by_name(name):
         (("metrics", "--in", "{inputs}/ds.csv", "--temps", "0", "--seed", "-1"),
          "noise_seed must be >= 0, got -1"),
         (("attack", "--in", "{inputs}/ds.csv", "--seed", "-1"), "seed must be >= 0, got -1"),
+        # the challenge words are [0, N) of the array's 256
+        (("crps", "--challenges", "0"), "challenges must be within [1, 256], got 0"),
+        (("crps", "--challenges", "-3"), "challenges must be within [1, 256], got -3"),
+        (("crps", "--challenges", "257"), "challenges must be within [1, 256], got 257"),
     ],
 )
 def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, inputs, argv, message):
@@ -881,6 +887,7 @@ def inputs(tmp_path_factory):
         (lambda p: p["model"]["mirror"].pop("gain"), "MirrorConfig has no 'gain' field"),
         # a null field is a missing one
         (lambda p: p["conditions"].update(noise_sigma=None), "Conditions has no 'noise_sigma' field"),
+        (lambda p: p.update(challenges=300), "challenges must be within [1, 256], got 300"),
     ],
 )
 def test_a_malformed_manifest_is_reported(tmp_path, capsys, edit, message):

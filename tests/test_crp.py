@@ -451,6 +451,82 @@ def test_jsonl_round_trip(tmp_path, small_dataset):
     assert_same_records(load_jsonl(path), small_dataset)
 
 
+LOADERS = {".csv": (save_csv, load_csv), ".jsonl": (save_jsonl, load_jsonl)}
+
+
+def _edit_record(path, suffix, row, edit):
+    """Rewrite record ``row`` (counted from 1) of a saved file with the fields in ``edit``."""
+    lines = path.read_text().splitlines()
+    if suffix == ".csv":  # record r is line r, after the header
+        header = lines[0].split(",")
+        fields = dict(zip(header, lines[row].split(","))) | edit
+        lines[row] = ",".join(str(fields[name]) for name in header)
+    else:
+        lines[row - 1] = json.dumps(json.loads(lines[row - 1]) | edit)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("suffix", LOADERS)
+def test_loaders_hand_the_column_rule_one_chunk_at_a_time(tmp_path, monkeypatch, small_dataset,
+                                                          suffix):
+    save, load = LOADERS[suffix]
+    ds = small_dataset.take(slice(0, 2 * crp._CHUNK + 1))
+    save(ds, tmp_path / f"ds{suffix}")
+    sizes = []
+
+    def column(name, values, *args):
+        if isinstance(values, (list, tuple)):  # the parsed fields, not the joined arrays
+            sizes.append(len(values))
+        return column_rule(name, values, *args)
+
+    column_rule = crp._column
+    monkeypatch.setattr(crp, "_column", column)
+    assert_same_records(load(tmp_path / f"ds{suffix}"), ds)
+    assert sizes == [crp._CHUNK] * (2 * len(COLUMNS)) + [1] * len(COLUMNS)
+
+
+@pytest.mark.parametrize("suffix", LOADERS)
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_loaders_round_trip_across_a_chunk_edge(tmp_path, small_dataset, suffix, offset):
+    save, load = LOADERS[suffix]
+    ds = small_dataset.take(slice(0, crp._CHUNK + offset))
+    save(ds, tmp_path / f"ds{suffix}")
+    assert_same_records(load(tmp_path / f"ds{suffix}"), ds)
+
+
+@pytest.mark.parametrize("suffix", LOADERS)
+def test_a_fault_past_the_first_chunk_is_named_by_its_row(tmp_path, small_dataset, suffix):
+    save, load = LOADERS[suffix]
+    path = tmp_path / f"ds{suffix}"
+    save(small_dataset.take(slice(0, 2 * crp._CHUNK + 1)), path)
+    _edit_record(path, suffix, crp._CHUNK + 1, {"region": "x"})
+    with pytest.raises(ValueError, match=f"^row {crp._CHUNK + 1} has a bad 'region' field: 'x'$"):
+        load(path)
+    # faults are found chunk by chunk, each chunk field by field: a fault in the first
+    # chunk's last field is named before one in the next chunk's first field
+    _edit_record(path, suffix, crp._CHUNK, {"noise_seed": "" if suffix == ".csv" else "7"})
+    with pytest.raises(ValueError, match=f"^row {crp._CHUNK} has a bad 'noise_seed' field: "):
+        load(path)
+
+
+@pytest.mark.parametrize("row", [crp._CHUNK - 1, crp._CHUNK, crp._CHUNK + 1])
+def test_a_jsonl_meta_line_at_a_chunk_edge_is_skipped(tmp_path, small_dataset, row):
+    # the _meta line becomes line ``row + 1``: the last line of the first chunk, the first
+    # line of the second, or the one after
+    path = tmp_path / "ds.jsonl"
+    ds = small_dataset.take(slice(0, 2 * crp._CHUNK))
+    save_jsonl(ds, path)
+    lines = path.read_text().splitlines()
+    lines.insert(row, json.dumps({"_meta": {"n_chips": 3}}))
+    path.write_text("\n".join(lines) + "\n")
+    assert_same_records(load_jsonl(path), ds)
+    # the record after it keeps its number
+    lines[row + 1] = "{oops"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^row {row + 1} is not a JSON object: '{{oops'$"):
+        load_jsonl(path)
+
+
 def test_generate_validates_inputs():
     chip = synth_chip(VariationConfig(seed=50))
     with pytest.raises(ValueError):
@@ -548,17 +624,10 @@ def test_loaders_refuse_bad_rows(tmp_path, suffix, edit, message):
     chip = synth_chip(VariationConfig(seed=50))
     ds = generate([chip], MODEL, SPEC, ADC, [0, 1, 2], Conditions())
     path = tmp_path / f"ds{suffix}"
-    save, load = (save_csv, load_csv) if suffix == ".csv" else (save_jsonl, load_jsonl)
+    save, load = LOADERS[suffix]
     save(ds, path)
     load(path)  # the file as written loads
-    lines = path.read_text().splitlines()
-    if suffix == ".csv":
-        header = lines[0].split(",")
-        row = dict(zip(header, lines[-1].split(","))) | {k: str(v) for k, v in edit.items()}
-        lines[-1] = ",".join(row[name] for name in header)
-    else:
-        lines[-1] = json.dumps(json.loads(lines[-1]) | edit)
-    path.write_text("\n".join(lines) + "\n")
+    _edit_record(path, suffix, 3, edit)
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         load(path)
 

@@ -51,6 +51,13 @@ def test_the_scan_names_an_unused_import():
     assert unused_imports(source + "os.path.join(a)\n") == ["json (line 2)", "c (line 4)"]
 
 
+def test_the_package_imports_exactly_the_names_it_exports():
+    # a name __init__.py imports but __all__ leaves out would be a re-export nobody listed
+    tree = ast.parse(Path(cmapuf.__file__).read_text())
+    imported = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert sorted(imported) == sorted(set(cmapuf.__all__) - {"__version__"})
+
+
 # the modules that model the chip and attack it; files are the codec's, crp's and cli's
 MODEL_LAYERS = ("variation", "analog", "cellarray", "quantizer", "adc", "attack")
 FILE_MODULES = {"csv", "io", "json", "os", "pathlib", "shutil"}
