@@ -13,6 +13,7 @@ from its ``crps`` manifest, not from options of their own.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -194,7 +195,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     out = Path(args.out)
     codec.write_csv(out, ("bin_center", "count"), zip(centers.tolist(), counts.tolist()))
     if args.samples_out:
-        with open(args.samples_out, "w") as fh:
+        with open(args.samples_out, "w", encoding="utf-8") as fh:
             for start in range(0, volts.size, SAMPLES_CHUNK):
                 chunk = volts[start : start + SAMPLES_CHUNK].tolist()
                 fh.write("\n".join(map(repr, chunk)) + "\n")
@@ -223,7 +224,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data": refused below
-        samples = np.loadtxt(args.samples, ndmin=1)
+        samples = np.loadtxt(args.samples, ndmin=1, encoding="utf-8")
     if not samples.size:
         raise ValueError(f"{args.samples} holds no samples")
     dist = quantizer.EmpiricalDistribution(samples=samples, vdd=analog.VDD_DEFAULT)
@@ -439,6 +440,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process: each parse starts from a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmapuf",

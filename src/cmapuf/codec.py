@@ -109,7 +109,7 @@ def write_json(path: str | Path, obj: Any) -> None:
         text = json.dumps(to_json(obj), sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -118,7 +118,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
     A value prints as ``str`` does, so a Python float, as ``.tolist()`` gives
     it, prints as its ``repr``.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -139,7 +139,8 @@ def read_json(path: str | Path, tp: Any) -> Any:
     never writes, are refused, and so is a number too large for a float.
     """
     try:
-        doc = json.loads(Path(path).read_text(), parse_constant=_finite, parse_float=_finite)
+        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
         return from_json(tp, doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -40,8 +40,9 @@ import csv
 import json
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import chain, islice
+from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import itemgetter, sub
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,9 @@ def _column(name: str, values, dtype, start: int = 0) -> np.ndarray:
     try:
         if not kinds <= takes:
             raise TypeError
-        if kind == "u":  # the seeds; a list as Python ints, which mixed signs keep exact
+        # the seeds; a list's extremes first, then its values as exact Python ints
+        if kind == "u" and (isinstance(values, np.ndarray) or min(values, default=0) < 0
+                            or max(values, default=0) >= 2**64):
             exact = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
             check_range(name, exact, 0, 2**64 - 1, rule="be in [0, 2**64)")
         return np.asarray(values, dtype=dtype)
@@ -442,11 +445,24 @@ CSV_FIELDS = (
     "noise_sigma",
     "noise_seed",
 )
+# Each challenge word's two hex digits, as the savers write them.
+_HEX = [format(c, "02x") for c in range(1 << CHALLENGE_BITS)]
+
+
+class _HexWords(dict):
+    """The challenge words by their saved hex; any other value as ``int(value, 16)``
+    reads it, or refuses it."""
+
+    def __missing__(self, value):
+        return int(value, 16)
+
+
 # How a loader parses a field: a CSV field is text, a JSONL field its own JSON value,
 # the challenge hex in both.  ``_column`` then checks each parsed value's kind.
-_CSV_PARSE = dict(challenge=partial(int, base=16), region=int, code=int, bits=int)
-_CSV_PARSE |= dict(temperature=float, noise_sigma=float, noise_seed=int)
-_JSONL_PARSE = dict(challenge=partial(int, base=16))
+_CSV_PARSE = dict(challenge=_HexWords(zip(_HEX, range(len(_HEX)))).__getitem__)
+_CSV_PARSE |= dict(region=int, code=int, bits=int, temperature=float, noise_sigma=float,
+                   noise_seed=int)
+_JSONL_PARSE = dict(challenge=_CSV_PARSE["challenge"])
 # A ``save_jsonl`` record line is ``json.dumps(record, sort_keys=True)`` as a template over
 # the record's fields in sorted order: the chip id comes escaped by ``json.dumps``, the
 # challenge and encoded word are hex and binary digits, and numbers print as their repr.
@@ -454,10 +470,12 @@ _JSONL_RECORD = "{" + ", ".join(
     f'"{name}": ' + {"chip_id": "%s", "challenge": '"%s"', "encoded": '"%s"'}.get(name, "%r")
     for name in sorted(CSV_FIELDS)
 ) + "}\n"
-# records a loader holds as raw fields at once; each chunk pays eight ``_column`` calls: on
-# 6,400-record files (2-vCPU x86_64, best of 40 loads) 64 loaded 1-4 ms slower than 256, and
-# 512 or 1,024 no faster
+# records a loader holds as raw fields at once; each chunk pays eight ``_column`` calls.  On
+# 6,400-record files (2-vCPU x86_64, best of 40 interleaved loads, two runs) 256 loaded
+# fastest in both formats: JSONL 25.0-25.4 ms against 25.4-28.5 at 64, 512 or 1,024, and
+# CSV 18.9-19.9 ms against 20.3-23.0
 _CHUNK = 256
+_FIELD_GETTERS = [itemgetter(name) for name in CSV_FIELDS]
 _scan_once = json.JSONDecoder().scan_once
 _space = json.decoder.WHITESPACE.match
 
@@ -465,45 +483,53 @@ _space = json.decoder.WHITESPACE.match
 def _columns(dataset: CrpDataset) -> dict[str, list]:
     """Each ``CSV_FIELDS`` column as Python scalars, so floats print as repr."""
     columns = {name: getattr(dataset, name).tolist() for name in COLUMNS}
-    columns["challenge"] = [format(c, "02x") for c in columns["challenge"]]
+    columns["challenge"] = list(map(_HEX.__getitem__, columns["challenge"]))
     columns["encoded"] = word_strings(dataset.region, dataset.code)
     return columns
 
 
-def _parse(parsers: dict, name: str, values: list, start: int) -> list:
-    """A field's raw values through its parser in ``parsers``, if any; a None (missing or null)
-    field, or one its parser refuses, raises naming its record, counted from ``start + 1``."""
-    if None in values:
-        raise ValueError(f"row {start + values.index(None) + 1} has no {name!r} field")
-    parse = parsers.get(name)
-    if parse is None:
-        return values
+def _parse(parse, name: str, values, start: int) -> list:
+    """A field's raw values through ``parse``; the first one it refuses raises naming its
+    record, counted from ``start + 1``."""
     try:
-        return [parse(value) for value in values]
+        return list(map(parse, values))
     except (TypeError, ValueError, OverflowError):
         if len(values) == 1:
             raise ValueError(f"row {start + 1} has a bad {name!r} field: {values[0]!r}") from None
         for i, value in enumerate(values):  # the first value refused on its own raises
-            _parse(parsers, name, [value], start + i)
+            _parse(parse, name, [value], start + i)
         raise
 
 
 def _load(path: str | Path, chunks, parsers: dict) -> CrpDataset:
-    """A dataset from ``path``'s records, given as chunks of raw fields, one list per
-    ``CSV_FIELDS`` name.
+    """A dataset from ``path``'s records, given as chunks of raw fields, one sequence per
+    ``CSV_FIELDS`` name, None where a record lacks the field.
 
-    Each chunk's fields go through ``_parse`` and ``_column`` before the next chunk is read,
-    so the first fault in (chunk, field, row) order raises; ``CrpDataset`` then checks the
-    joined columns.  No records, and an ``encoded`` field unlike the record's (region, code),
-    raise, the latter naming the record from 1.
+    Each chunk's fields go through their parser in ``parsers``, if any, and ``_column``
+    before the next chunk is read, so the first fault in (chunk, field, row) order raises;
+    ``CrpDataset`` then checks the joined columns.  Within a field the first None is named
+    before any other fault, but looked for only once the field's parse or column rule has
+    failed; ``encoded`` has neither, so its Nones are looked for in every chunk.  No records,
+    and an ``encoded`` field unlike the record's (region, code), raise, the latter naming the
+    record from 1.
     """
     parts: dict[str, list] = {name: [] for name in CSV_FIELDS}
     start = 0
     for chunk in chunks:
         for name in CSV_FIELDS:
-            values = _parse(parsers, name, chunk[name], start)
-            if name != "encoded":
-                values = _column(name, values, COLUMNS[name], start)
+            values = raw = chunk[name]
+            try:
+                if name in parsers:
+                    values = _parse(parsers[name], name, values, start)
+                if name != "encoded":
+                    values = _column(name, values, COLUMNS[name], start)
+                elif None in values:
+                    raise ValueError
+            except ValueError:
+                if None in raw:
+                    row = start + raw.index(None) + 1
+                    raise ValueError(f"row {row} has no {name!r} field") from None
+                raise
             parts[name].append(values)
         start += len(chunk["chip_id"])
     if not start:
@@ -533,7 +559,7 @@ def load_csv(path: str | Path) -> CrpDataset:
     """Read a ``save_csv`` file by header name: blank lines are skipped, a field the
     header lacks or a short record stops before is missing, one past the header ignored.
     A header that names a field twice is refused."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for name in CSV_FIELDS:
@@ -553,10 +579,11 @@ def load_csv(path: str | Path) -> CrpDataset:
 def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
     columns = _columns(dataset)
     escaped = {chip_id: json.dumps(chip_id) for chip_id in set(columns["chip_id"])}
-    columns["chip_id"] = [escaped[chip_id] for chip_id in columns["chip_id"]]
+    columns["chip_id"] = list(map(escaped.__getitem__, columns["chip_id"]))
     rows = zip(*(columns[name] for name in sorted(CSV_FIELDS)))
-    with open(path, "w") as fh:
-        fh.writelines(_JSONL_RECORD % row for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        for chunk in _chunks(rows):  # one format call per chunk
+            fh.write(_JSONL_RECORD * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 def _json_value(line: str):
@@ -568,13 +595,38 @@ def _json_value(line: str):
     return value if _space(line, end).end() == len(line) else None
 
 
+def _jsonl_fields(lines: list[str]) -> list[list] | None:
+    """A chunk's ``CSV_FIELDS`` columns when each of its lines, each ending in a newline, is
+    one JSON object from its first character to that newline, holding every field; else None."""
+    try:  # a line the scanner finds no value in ends its map early, so ``ends`` comes up short
+        docs, ends = zip(*map(_scan_once, lines, repeat(0)))
+        fields = [list(map(field, docs)) for field in _FIELD_GETTERS]
+    except (ValueError, KeyError, TypeError):
+        return None
+    if len(ends) == len(lines) and set(map(sub, map(len, lines), ends)) == {1}:
+        return fields
+    return None
+
+
 def load_jsonl(path: str | Path) -> CrpDataset:
     """Read a ``save_jsonl`` file: one JSON object per record.  A line whose only key is
-    ``_meta``, which older files led with, is skipped unread; it is not a record."""
+    ``_meta``, which older files led with, is skipped unread; it is not a record.
+
+    A chunk's lines are decoded by json's C scanner in one pass, each from its first
+    character, and transposed by one ``itemgetter`` map per field; a chunk where that fails
+    for any line (space around a value, a line that is not an object, a missing field, a
+    ``_meta`` line) is read again line by line, each line as ``json.loads`` would read it."""
 
     def chunks(fh):
         n = 0
         for lines in _chunks(fh):
+            if not lines[-1].endswith("\n"):  # the file's last line reads alike with one
+                lines[-1] += "\n"
+            fields = _jsonl_fields(lines)
+            if fields is not None:
+                n += len(lines)
+                yield dict(zip(CSV_FIELDS, fields))
+                continue
             records = []
             for line in lines:
                 doc = _json_value(line)
@@ -587,5 +639,5 @@ def load_jsonl(path: str | Path) -> CrpDataset:
             n += len(records)
             yield {name: [doc.get(name) for doc in records] for name in CSV_FIELDS}
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return _load(path, chunks(fh), _JSONL_PARSE)

@@ -187,6 +187,18 @@ def test_crps_byte_identical_reruns(tmp_path):
     ).read_bytes()
 
 
+def test_main_calls_in_one_process_share_no_options(tmp_path):
+    # the parser is built once per process; a run's options must not leak into the next
+    assert build_parser() is build_parser()
+    noisy, default = tmp_path / "noisy.csv", tmp_path / "default.csv"
+    assert run("crps", "--noise-sigma", 0.002, "--noise-seed", 7, "--temp", 60,
+               "--out", noisy) == 0
+    assert run("crps", "--out", default) == 0
+    manifest = json.loads((tmp_path / "default.csv.manifest.json").read_text())
+    assert manifest["parameters"]["conditions"] == codec.to_json(Conditions())
+    assert load_csv(default).noise_sigma.tolist() == [0.0] * 256
+
+
 def test_metrics_report(tmp_path):
     ds = tmp_path / "ds.csv"
     run("crps", "--chips", 3, "--seed", 1, "--out", ds)

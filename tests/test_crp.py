@@ -1,8 +1,12 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracle
@@ -454,6 +458,30 @@ def test_jsonl_round_trip(tmp_path, small_dataset):
 LOADERS = {".csv": (save_csv, load_csv), ".jsonl": (save_jsonl, load_jsonl)}
 
 
+def test_dataset_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # under LC_ALL=C without UTF-8 mode the locale's encoding is ASCII; a dataset file is
+    # UTF-8 whatever the locale: one written here is read there and written back alike
+    ds = _dataset(("chip\u00e9", 3, 1, 0), ("\u4e2d", 4, 2, 5))
+    for suffix, (save, _) in LOADERS.items():
+        save(ds, tmp_path / f"utf8{suffix}")
+    code = (
+        "import codecs, locale, sys; from pathlib import Path; from cmapuf import crp\n"
+        "assert codecs.lookup(locale.getpreferredencoding(False)).name != 'utf-8'\n"
+        "for suffix in ('.csv', '.jsonl'):\n"
+        "    save, load = getattr(crp, 'save_' + suffix[1:]), getattr(crp, 'load_' + suffix[1:])\n"
+        "    save(load(Path(sys.argv[1], 'utf8' + suffix)), Path(sys.argv[1], 'c' + suffix))\n"
+    )
+    src = str(Path(crp.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    for suffix, (_, load) in LOADERS.items():
+        written = (tmp_path / f"c{suffix}").read_bytes()
+        assert written == (tmp_path / f"utf8{suffix}").read_bytes()
+        assert_same_records(load(tmp_path / f"c{suffix}"), ds)
+
+
 def _edit_record(path, suffix, row, edit):
     """Rewrite record ``row`` (counted from 1) of a saved file with the fields in ``edit``."""
     lines = path.read_text().splitlines()
@@ -509,6 +537,24 @@ def test_a_fault_past_the_first_chunk_is_named_by_its_row(tmp_path, small_datase
         load(path)
 
 
+@pytest.mark.parametrize("suffix", LOADERS)
+def test_a_missing_encoded_field_is_named_in_field_order(tmp_path, small_dataset, suffix):
+    # a record without its encoded word is named where the field falls in the CSV's order:
+    # before the chunk's temperatures are judged, not at the word check after the last chunk
+    save, load = LOADERS[suffix]
+    path = tmp_path / f"ds{suffix}"
+    save(small_dataset.take(slice(0, 4)), path)
+    _edit_record(path, suffix, 2, {"temperature": "x"})
+    lines = path.read_text().splitlines()
+    if suffix == ".csv":  # record 3 stops after its bits
+        lines[3] = ",".join(lines[3].split(",")[: CSV_FIELDS.index("encoded")])
+    else:
+        lines[2] = json.dumps({k: v for k, v in json.loads(lines[2]).items() if k != "encoded"})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^row 3 has no 'encoded' field$"):
+        load(path)
+
+
 @pytest.mark.parametrize("row", [crp._CHUNK - 1, crp._CHUNK, crp._CHUNK + 1])
 def test_a_jsonl_meta_line_at_a_chunk_edge_is_skipped(tmp_path, small_dataset, row):
     # the _meta line becomes line ``row + 1``: the last line of the first chunk, the first
@@ -525,6 +571,83 @@ def test_a_jsonl_meta_line_at_a_chunk_edge_is_skipped(tmp_path, small_dataset, r
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^row {row + 1} is not a JSON object: '{{oops'$"):
         load_jsonl(path)
+
+
+def _loaded_or_refused(path):
+    """``load_jsonl(path)``'s columns, or the message of the ``ValueError`` it raises."""
+    try:
+        ds = load_jsonl(path)
+    except ValueError as exc:
+        return str(exc)
+    return {name: getattr(ds, name) for name in COLUMNS}
+
+
+def _json_loads_or_none(line):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
+_META = json.dumps({"_meta": {"n_chips": 3}})
+# what each shape makes of a record line, given without its newline
+LINE_SHAPES = {
+    "unchanged": lambda line: line,
+    "leading space": lambda line: " " + line,
+    "leading tab": lambda line: "\t" + line,
+    "trailing space": lambda line: line + " ",
+    "trailing tab": lambda line: line + "\t",
+    "trailing junk": lambda line: line + "x",
+    "blank": lambda line: "",
+    "spaces only": lambda line: " \t ",
+    "two objects": lambda line: line + line,
+    "two objects spaced": lambda line: line + " " + line,
+    "nested extra key": lambda line: json.dumps(
+        json.loads(line) | {"extra": {"a": [1, {"b": None}], "c": "}"}}
+    ),
+    "null field": lambda line: json.dumps(json.loads(line) | {"code": None}),
+    "missing field": lambda line: json.dumps(
+        {k: v for k, v in json.loads(line).items() if k != "code"}
+    ),
+    "spaced meta line": lambda line: f" {_META}\t\n{line}",
+    # a chunk's worth of _meta lines in front of the record
+    "meta lines": lambda line: "\n".join([_META] * crp._CHUNK + [line]),
+}
+
+
+@pytest.mark.parametrize("last_newline", [True, False])
+@pytest.mark.parametrize("row", [1, crp._CHUNK - 1, crp._CHUNK, crp._CHUNK + 1, 2 * crp._CHUNK + 1])
+@pytest.mark.parametrize("shape", LINE_SHAPES)
+def test_load_jsonl_reads_each_line_as_json_loads_does(tmp_path, monkeypatch, small_dataset,
+                                                        shape, row, last_newline):
+    # the reference reads line by line, each line through json.loads; the loader must give
+    # the same columns or the same first error, record ``row`` reshaped at or near a chunk edge
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(small_dataset.take(slice(0, 2 * crp._CHUNK + 1)), path)
+    lines = path.read_text().splitlines()
+    lines[row - 1] = LINE_SHAPES[shape](lines[row - 1])
+    path.write_text("\n".join(lines) + ("\n" if last_newline else ""))
+    got = _loaded_or_refused(path)
+    monkeypatch.setattr(crp, "_jsonl_fields", lambda lines: None)
+    monkeypatch.setattr(crp, "_json_value", _json_loads_or_none)
+    want = _loaded_or_refused(path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for name, dtype in COLUMNS.items():
+            assert got[name].dtype.type is dtype and np.array_equal(got[name], want[name]), name
+
+
+def test_a_clean_jsonl_file_is_read_without_the_line_by_line_route(tmp_path, monkeypatch,
+                                                                  small_dataset):
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(small_dataset, path)
+    text = path.read_text()
+    monkeypatch.setattr(crp, "_json_value", None)  # a call would raise
+    for body in (text, text[:-1]):  # the last line with and without its newline
+        path.write_text(body)
+        assert_same_records(load_jsonl(path), small_dataset)
 
 
 def test_generate_validates_inputs():
