@@ -138,7 +138,7 @@ def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper | No
     history = [loss]
     for _ in range(hyper.epochs):
         # the sigmoid of z, as 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below
-        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        p = np.where(z >= 0, 1.0, e) / (1.0 + e)
         grad = x.T @ (p - y) / x.shape[0]
         grad[:-1] += hyper.l2 * weights[:-1]
         trial = weights - lr * grad

@@ -41,13 +41,14 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import itemgetter, sub
+from itertools import chain, islice, repeat, zip_longest
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .adc import WORD_BITS, AdcConfig, check_words, convert_array, word_bits, word_strings
+from .adc import _WORD_STRINGS, _word_index
 from .analog import Conditions, TransferModel, check_conditions
 from .cellarray import CHALLENGE_BITS, decode, evaluate_array
 from .codec import check_range, write_csv
@@ -457,12 +458,14 @@ class _HexWords(dict):
         return int(value, 16)
 
 
-# How a loader parses a field: a CSV field is text, a JSONL field its own JSON value,
-# the challenge hex in both.  ``_column`` then checks each parsed value's kind.
-_CSV_PARSE = dict(challenge=_HexWords(zip(_HEX, range(len(_HEX)))).__getitem__)
+# How a loader parses a field: a CSV field is text, a JSONL field its own JSON value, the
+# challenge hex and the encoded word its 11-bit string, read as ``region << 8 | code``, in both.
+# ``_column`` then checks each parsed value's kind.
+_CSV_PARSE = dict(challenge=_HexWords(zip(_HEX, range(len(_HEX)))).__getitem__,
+                  encoded=dict(zip(_WORD_STRINGS, range(len(_WORD_STRINGS)))).__getitem__)
+_JSONL_PARSE = dict(_CSV_PARSE)
 _CSV_PARSE |= dict(region=int, code=int, bits=int, temperature=float, noise_sigma=float,
                    noise_seed=int)
-_JSONL_PARSE = dict(challenge=_CSV_PARSE["challenge"])
 # A ``save_jsonl`` record line is ``json.dumps(record, sort_keys=True)`` as a template over
 # the record's fields in sorted order: the chip id comes escaped by ``json.dumps``, the
 # challenge and encoded word are hex and binary digits, and numbers print as their repr.
@@ -477,6 +480,7 @@ _JSONL_RECORD = "{" + ", ".join(
 _CHUNK = 256
 _FIELD_GETTERS = [itemgetter(name) for name in CSV_FIELDS]
 _scan_once = json.JSONDecoder().scan_once
+_scan_pairs = json.JSONDecoder(object_pairs_hook=list).scan_once
 _space = json.decoder.WHITESPACE.match
 
 
@@ -493,7 +497,7 @@ def _parse(parse, name: str, values, start: int) -> list:
     record, counted from ``start + 1``."""
     try:
         return list(map(parse, values))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, KeyError, OverflowError):
         if len(values) == 1:
             raise ValueError(f"row {start + 1} has a bad {name!r} field: {values[0]!r}") from None
         for i, value in enumerate(values):  # the first value refused on its own raises
@@ -505,12 +509,12 @@ def _load(path: str | Path, chunks, parsers: dict) -> CrpDataset:
     """A dataset from ``path``'s records, given as chunks of raw fields, one sequence per
     ``CSV_FIELDS`` name, None where a record lacks the field.
 
-    Each chunk's fields go through their parser in ``parsers``, if any, and ``_column``
-    before the next chunk is read, so the first fault in (chunk, field, row) order raises;
-    ``CrpDataset`` then checks the joined columns.  Within a field the first None is named
-    before any other fault, but looked for only once the field's parse or column rule has
-    failed; ``encoded`` has neither, so its Nones are looked for in every chunk.  No records,
-    and an ``encoded`` field unlike the record's (region, code), raise, the latter naming the
+    Each chunk's fields go through their parser in ``parsers``, if any, and then into an
+    array, by ``_column`` for a dataset column and as word indices for ``encoded``, before the
+    next chunk is read, so the first fault in (chunk, field, row) order raises; ``CrpDataset``
+    then checks the joined columns.  Within a field the first None is named before any other
+    fault, but looked for only once the field's parse or column rule has failed.  No records,
+    and an ``encoded`` word unlike the record's (region, code), raise, the latter naming the
     record from 1.
     """
     parts: dict[str, list] = {name: [] for name in CSV_FIELDS}
@@ -521,10 +525,8 @@ def _load(path: str | Path, chunks, parsers: dict) -> CrpDataset:
             try:
                 if name in parsers:
                     values = _parse(parsers[name], name, values, start)
-                if name != "encoded":
-                    values = _column(name, values, COLUMNS[name], start)
-                elif None in values:
-                    raise ValueError
+                values = (_column(name, values, COLUMNS[name], start) if name in COLUMNS
+                          else np.array(values, dtype=np.int64))  # the encoded word indices
             except ValueError:
                 if None in raw:
                     row = start + raw.index(None) + 1
@@ -534,14 +536,13 @@ def _load(path: str | Path, chunks, parsers: dict) -> CrpDataset:
         start += len(chunk["chip_id"])
     if not start:
         raise ValueError(f"{path} holds no records")
-    encoded = list(chain.from_iterable(parts.pop("encoded")))
+    encoded = np.concatenate(parts.pop("encoded"))
     dataset = CrpDataset(**{name: np.concatenate(parts.pop(name)) for name in COLUMNS})
-    words = word_strings(dataset.region, dataset.code)
-    if encoded != words:
-        i = next(i for i, (got, word) in enumerate(zip(encoded, words)) if got != word)
-        raise ValueError(
-            f"row {i + 1} has encoded {encoded[i]!r}, but its region and code are {words[i]!r}"
-        )
+    words = _word_index(dataset.region, dataset.code)
+    if (encoded != words).any():
+        i = int(np.argmax(encoded != words))
+        raise ValueError(f"row {i + 1} has encoded {_WORD_STRINGS[encoded[i]]!r}, but its "
+                         f"region and code are {_WORD_STRINGS[words[i]]!r}")
     return dataset
 
 
@@ -556,24 +557,27 @@ def save_csv(dataset: CrpDataset, path: str | Path) -> None:
 
 
 def load_csv(path: str | Path) -> CrpDataset:
-    """Read a ``save_csv`` file by header name: blank lines are skipped, a field the
-    header lacks or a short record stops before is missing, one past the header ignored.
-    A header that names a field twice is refused."""
+    """Read a ``save_csv`` file by header name, a chunk of records per ``zip_longest``: blank
+    lines are skipped, a field the header lacks or a short record stops before is missing, one
+    past the header ignored.  A header that names a field twice is refused."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for name in CSV_FIELDS:
             if header.count(name) > 1:
                 raise ValueError(f"{path} has more than one {name!r} column")
-        # each chunk transposed with every row behind a None and padded with Nones, so
-        # slot 0 stands for a field the header lacks and a short row's missing fields are None
-        index = {name: i + 1 for i, name in enumerate(header)}
-        slots = {name: index.get(name, 0) for name in CSV_FIELDS}
-        pad = [None] * len(header)
-        transposed = (list(zip(*([None, *row, *pad] for row in rows)))
-                      for rows in _chunks(filter(None, reader)))
-        chunks = ({name: fields[i] for name, i in slots.items()} for fields in transposed)
-        return _load(path, chunks, _CSV_PARSE)
+        # fields past the header are cut, so slot len(header), for a field the header lacks,
+        # reads all None, as does every slot that all of a chunk's records stop before
+        index = {name: i for i, name in enumerate(header)}
+        slots = {name: index.get(name, len(header)) for name in CSV_FIELDS}
+
+        def chunks():
+            for rows in _chunks(filter(None, reader)):
+                fields = list(islice(zip_longest(*rows), len(header)))
+                fields += [(None,) * len(rows)] * (len(header) + 1 - len(fields))
+                yield {name: fields[i] for name, i in slots.items()}
+
+        return _load(path, chunks(), _CSV_PARSE)
 
 
 def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
@@ -597,14 +601,32 @@ def _json_value(line: str):
 
 def _jsonl_fields(lines: list[str]) -> list[list] | None:
     """A chunk's ``CSV_FIELDS`` columns when each of its lines, each ending in a newline, is
-    one JSON object from its first character to that newline, holding every field; else None."""
+    one JSON object from its first character to that newline, holding every field and no more
+    colons than keys; else None.  A line's object ends at least one character before its end,
+    and every key has a colon of its own, so the chunk's totals match only when every line's
+    do: a line that matches repeats no key."""
     try:  # a line the scanner finds no value in ends its map early, so ``ends`` comes up short
         docs, ends = zip(*map(_scan_once, lines, repeat(0)))
         fields = [list(map(field, docs)) for field in _FIELD_GETTERS]
     except (ValueError, KeyError, TypeError):
         return None
-    if len(ends) == len(lines) and set(map(sub, map(len, lines), ends)) == {1}:
+    text = "".join(lines)
+    if (len(ends) == len(lines) and len(text) - sum(ends) == len(lines)
+            and text.count(":") == sum(map(len, docs))):
         return fields
+    return None
+
+
+def _repeated_key(line: str, doc: dict):
+    """The first key the JSON object ``line``, read as ``doc``, names a second time, or None:
+    every key has a colon of its own, so a line with as many colons as keys repeats none."""
+    if line.count(":") == len(doc):
+        return None
+    seen = set()
+    for key, _ in _scan_pairs(line, _space(line).end())[0]:
+        if key in seen:
+            return key
+        seen.add(key)
     return None
 
 
@@ -612,10 +634,13 @@ def load_jsonl(path: str | Path) -> CrpDataset:
     """Read a ``save_jsonl`` file: one JSON object per record.  A line whose only key is
     ``_meta``, which older files led with, is skipped unread; it is not a record.
 
-    A chunk's lines are decoded by json's C scanner in one pass, each from its first
+    A record that names a key twice is refused, where ``json.loads`` keeps the last value.  A
+    chunk's lines are decoded by json's C scanner in one pass, each from its first
     character, and transposed by one ``itemgetter`` map per field; a chunk where that fails
     for any line (space around a value, a line that is not an object, a missing field, a
-    ``_meta`` line) is read again line by line, each line as ``json.loads`` would read it."""
+    ``_meta`` line, more colons than keys) is read again line by line, each line as
+    ``json.loads`` would read it and, where it has more colons than keys, once more as its
+    list of (key, value) pairs."""
 
     def chunks(fh):
         n = 0
@@ -635,6 +660,9 @@ def load_jsonl(path: str | Path) -> CrpDataset:
                         f"row {n + len(records) + 1} is not a JSON object: {line.strip()!r}"
                     )
                 if doc.keys() != {"_meta"}:
+                    key = _repeated_key(line, doc)
+                    if key is not None:
+                        raise ValueError(f"row {n + len(records) + 1} repeats the {key!r} key")
                     records.append(doc)
             n += len(records)
             yield {name: [doc.get(name) for doc in records] for name in CSV_FIELDS}

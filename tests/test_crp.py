@@ -330,6 +330,11 @@ def test_csv_reads_fields_by_header_name(tmp_path, small_dataset):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="^row 1 has no 'code' field$"):
         load_csv(path)
+    # a field that every record of a chunk stops before is missing from its first record
+    lines = [",".join(header), *(",".join(r[: CSV_FIELDS.index("noise_sigma")]) for r in rows)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^row 1 has no 'noise_sigma' field$"):
+        load_csv(path)
 
 
 def test_csv_refuses_a_header_that_repeats_a_field(tmp_path, small_dataset):
@@ -741,6 +746,9 @@ def test_a_built_dataset_refuses_a_seed_outside_64_bits(seeds):
         # the last row reads region 5, code 255
         ({"encoded": "11111111111"},
          "row 3 has encoded '11111111111', but its region and code are '10111111111'"),
+        # not an 11-bit word at all
+        ({"encoded": "1011"}, "row 3 has a bad 'encoded' field: '1011'"),
+        ({"encoded": "1x111111111"}, "row 3 has a bad 'encoded' field: '1x111111111'"),
     ],
 )
 def test_loaders_refuse_bad_rows(tmp_path, suffix, edit, message):
@@ -753,6 +761,83 @@ def test_loaders_refuse_bad_rows(tmp_path, suffix, edit, message):
     _edit_record(path, suffix, 3, edit)
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         load(path)
+
+
+@pytest.mark.parametrize("value", [5, 1471, 5.0, True, ["10111111111"], {"a": 1}])
+def test_load_jsonl_refuses_an_encoded_word_that_is_not_a_string(tmp_path, value):
+    # 1471 is the index of '10111111111', the word's string
+    ds = generate([synth_chip(VariationConfig(seed=50))], MODEL, SPEC, ADC, [0, 1, 2], Conditions())
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(ds, path)
+    _edit_record(path, ".jsonl", 3, {"encoded": value})
+    with pytest.raises(ValueError, match=re.escape(f"row 3 has a bad 'encoded' field: {value!r}")):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("suffix", LOADERS)
+def test_a_malformed_encoded_field_is_named_at_its_chunk(tmp_path, small_dataset, suffix):
+    # in (chunk, field, row) order: before a later chunk's bad region and before its own
+    # chunk's bad temperature in an earlier row, not after the record rules of the whole file
+    save, load = LOADERS[suffix]
+    path = tmp_path / f"ds{suffix}"
+    save(small_dataset.take(slice(0, 2 * crp._CHUNK)), path)
+    _edit_record(path, suffix, 1, {"temperature": "x"})
+    _edit_record(path, suffix, 2, {"encoded": "1011"})
+    _edit_record(path, suffix, crp._CHUNK + 1, {"region": 9})
+    with pytest.raises(ValueError, match="^row 2 has a bad 'encoded' field: '1011'$"):
+        load(path)
+
+
+@pytest.mark.parametrize("row", [1, 2, crp._CHUNK, crp._CHUNK + 1])
+@pytest.mark.parametrize("spaced", [False, True])
+def test_load_jsonl_refuses_a_repeated_key(tmp_path, small_dataset, row, spaced):
+    # json.loads keeps a repeated key's last value: record ``row`` would load as challenge 7;
+    # the record is refused whether its chunk is read in one scan or line by line
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(small_dataset.take(slice(0, 2 * crp._CHUNK)), path)
+    lines = path.read_text().splitlines()
+    lines[row - 1] = (" " if spaced else "") + lines[row - 1][:-1] + ', "challenge": "07"}'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^row {row} repeats the 'challenge' key$"):
+        load_jsonl(path)
+    # the key named first is the first one seen a second time
+    lines[row - 1] = '{"region": 1, "code": 2, "code": 3, "region": 4}'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^row {row} repeats the 'code' key$"):
+        load_jsonl(path)
+
+
+def test_load_jsonl_reads_colons_that_repeat_no_key(tmp_path, small_dataset):
+    # a colon inside a string or a nested object makes a line's colons outnumber its keys;
+    # such a record repeats no key of its own and loads, a repeat inside an extra key included
+    ds = small_dataset.take(slice(0, 3))
+    ds = CrpDataset(**{name: getattr(ds, name) for name in COLUMNS} | {"chip_id": ["a:b"] * 3})
+    path = tmp_path / "ds.jsonl"
+    save_jsonl(ds, path)
+    assert_same_records(load_jsonl(path), ds)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:-1] + ', "extra": {"x": 1, "x": 2}}'
+    path.write_text("\n".join(lines) + "\n")
+    assert_same_records(load_jsonl(path), ds)
+
+
+def test_loaders_hold_little_more_than_their_columns(tmp_path):
+    # a 100-chip x 256-challenge noisy file: no record's raw fields outlive their chunk, the
+    # encoded words included, so the traced peak stays under twice the loaded columns' bytes
+    chips = synth_population(VariationConfig(seed=7), 100)
+    cond = Conditions(temperature=60.0, noise_sigma=0.002, noise_seed=7)
+    ds = generate(chips, MODEL, SPEC, ADC, list(range(256)), cond)
+    for suffix, (save, load) in LOADERS.items():
+        save(ds, tmp_path / f"ds{suffix}")
+        tracemalloc.start()
+        try:
+            loaded = load(tmp_path / f"ds{suffix}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_records(loaded, ds)
+        columns = sum(getattr(loaded, name).nbytes for name in COLUMNS)
+        assert peak < 2 * columns, (suffix, peak / columns)
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
