@@ -250,13 +250,13 @@ def transfer_array(model: TransferModel, delta: np.ndarray | float) -> np.ndarra
 
 
 def transfer_curve(
-    model: TransferModel, lo: float, hi: float, n_points: int
+    model: TransferModel, lo: float, hi: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled transfer characteristic over [lo, hi] volts of imbalance."""
-    check_range("n_points", n_points, 2)
+    check_range("points", points, 2)
     check_range("lo", lo)
     check_range("hi", hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    deltas = np.linspace(lo, hi, n_points)
+    deltas = np.linspace(lo, hi, points)
     return deltas, transfer_array(model, deltas)

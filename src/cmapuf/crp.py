@@ -480,8 +480,6 @@ _JSONL_RECORD = "{" + ", ".join(
 _CHUNK = 256
 _FIELD_GETTERS = [itemgetter(name) for name in CSV_FIELDS]
 _scan_once = json.JSONDecoder().scan_once
-_scan_pairs = json.JSONDecoder(object_pairs_hook=list).scan_once
-_space = json.decoder.WHITESPACE.match
 
 
 def _columns(dataset: CrpDataset) -> dict[str, list]:
@@ -559,8 +557,9 @@ def save_csv(dataset: CrpDataset, path: str | Path) -> None:
 def load_csv(path: str | Path) -> CrpDataset:
     """Read a ``save_csv`` file by header name, a chunk of records per ``zip_longest``: blank
     lines are skipped, a field the header lacks or a short record stops before is missing, one
-    past the header ignored.  A header that names a field twice is refused."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    past the header ignored.  A header that names a field twice is refused, and a byte-order
+    mark that starts the file is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for name in CSV_FIELDS:
@@ -590,15 +589,6 @@ def save_jsonl(dataset: CrpDataset, path: str | Path) -> None:
             fh.write(_JSONL_RECORD * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
-def _json_value(line: str):
-    """``json.loads(line)``, or None where that raises: one JSON value, whitespace around it."""
-    try:
-        value, end = _scan_once(line, _space(line).end())
-    except (StopIteration, ValueError):
-        return None
-    return value if _space(line, end).end() == len(line) else None
-
-
 def _jsonl_fields(lines: list[str]) -> list[list] | None:
     """A chunk's ``CSV_FIELDS`` columns when each of its lines, each ending in a newline, is
     one JSON object from its first character to that newline, holding every field and no more
@@ -619,11 +609,12 @@ def _jsonl_fields(lines: list[str]) -> list[list] | None:
 
 def _repeated_key(line: str, doc: dict):
     """The first key the JSON object ``line``, read as ``doc``, names a second time, or None:
-    every key has a colon of its own, so a line with as many colons as keys repeats none."""
+    every key has a colon of its own, so a line with as many colons as keys repeats none, and
+    any other is read once more by ``json.loads`` as its list of (key, value) pairs."""
     if line.count(":") == len(doc):
         return None
     seen = set()
-    for key, _ in _scan_pairs(line, _space(line).end())[0]:
+    for key, _ in json.loads(line, object_pairs_hook=list):
         if key in seen:
             return key
         seen.add(key)
@@ -638,9 +629,9 @@ def load_jsonl(path: str | Path) -> CrpDataset:
     chunk's lines are decoded by json's C scanner in one pass, each from its first
     character, and transposed by one ``itemgetter`` map per field; a chunk where that fails
     for any line (space around a value, a line that is not an object, a missing field, a
-    ``_meta`` line, more colons than keys) is read again line by line, each line as
-    ``json.loads`` would read it and, where it has more colons than keys, once more as its
-    list of (key, value) pairs."""
+    ``_meta`` line, more colons than keys) is read again line by line, each line by
+    ``json.loads`` and checked by ``_repeated_key``.  A byte-order mark that starts the file
+    is skipped."""
 
     def chunks(fh):
         n = 0
@@ -654,7 +645,10 @@ def load_jsonl(path: str | Path) -> CrpDataset:
                 continue
             records = []
             for line in lines:
-                doc = _json_value(line)
+                try:
+                    doc = json.loads(line)
+                except ValueError:
+                    doc = None
                 if not isinstance(doc, dict):
                     raise ValueError(
                         f"row {n + len(records) + 1} is not a JSON object: {line.strip()!r}"
@@ -667,5 +661,5 @@ def load_jsonl(path: str | Path) -> CrpDataset:
             n += len(records)
             yield {name: [doc.get(name) for doc in records] for name in CSV_FIELDS}
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return _load(path, chunks(fh), _JSONL_PARSE)

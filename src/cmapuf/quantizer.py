@@ -20,6 +20,7 @@ field widths are defined here, and ``adc`` packs the word from them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +171,9 @@ def _run_sum(run: np.ndarray) -> float:
 
 
 def _lloyd_max_steps(
-    dist: EmpiricalDistribution, k: int, tol: float, max_iter: int, trace: bool
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """The fit: final boundaries and centroids, and the MSE of each iteration if ``trace``."""
+    dist: EmpiricalDistribution, k: int, tol: float, max_iter: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The fit as it goes: each iteration's boundaries and centroids, the last the fitted ones."""
     check_range("k", k, 1)
     check_range("tol", tol, 0)  # a NaN tol would never stop the fit, an infinite one at once
     check_range("max_iter", max_iter, 1)  # no iteration would leave the uniform start unfitted
@@ -181,8 +182,6 @@ def _lloyd_max_steps(
     if distinct < k:  # some region would hold no sample
         raise ValueError(f"samples hold {distinct} distinct value(s), too few for k={k} regions")
     boundaries = np.linspace(0.0, dist.vdd, k + 1)
-    centroids = 0.5 * (boundaries[:-1] + boundaries[1:])
-    mse_trace: list[float] = []
     for _ in range(max_iter):
         # centroid step: region means, with empty regions re-seeded at the
         # midpoint of the currently most populous region so they can claim
@@ -202,11 +201,9 @@ def _lloyd_max_steps(
         new_boundaries[1:-1] = 0.5 * (centroids[:-1] + centroids[1:])
         moved = float(np.max(np.abs(new_boundaries - boundaries)))
         boundaries = new_boundaries
-        if trace:
-            mse_trace.append(quantization_mse(boundaries, centroids, samples))
+        yield boundaries, centroids
         if moved < tol:
-            break
-    return boundaries, centroids, mse_trace
+            return
 
 
 def lloyd_max(
@@ -230,7 +227,7 @@ def lloyd_max(
     if len(bits_per_region) != k:
         raise ValueError(f"bits_per_region must have {k} entries")
     _refuse_wider_than_the_word(k, bits_per_region)
-    boundaries, centroids, _ = _lloyd_max_steps(dist, k, tol, max_iter, trace=False)
+    *_, (boundaries, centroids) = _lloyd_max_steps(dist, k, tol, max_iter)
     # fitted interior boundaries can coincide only if two centroids collide,
     # which the empty-region rule prevents for sample sets with >= k distinct
     # values; the spec constructor still checks monotonicity
@@ -247,6 +244,6 @@ def lloyd_max_mse_trace(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[float]:
-    """Per-iteration quantization MSE of the fit, for convergence checks."""
-    _, _, trace = _lloyd_max_steps(dist, k, tol, max_iter, trace=True)
-    return trace
+    """Per-iteration quantization MSE of the fit on its sorted samples, for convergence checks."""
+    samples = np.sort(dist.samples)
+    return [quantization_mse(b, c, samples) for b, c in _lloyd_max_steps(dist, k, tol, max_iter)]

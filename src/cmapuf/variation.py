@@ -94,16 +94,16 @@ def synth_chip(config: VariationConfig, chip_id: str | None = None) -> ChipInsta
     return ChipInstance(chip_id=chip_id, config=config, mismatch=sample_mismatch(config))
 
 
-def synth_population(config: VariationConfig, n_chips: int) -> list[ChipInstance]:
-    """Synthesize ``n_chips`` independent chips.
+def synth_population(config: VariationConfig, chips: int) -> list[ChipInstance]:
+    """Synthesize ``chips`` independent chips.
 
     Chip ``i`` uses seed ``config.seed + i``, so populations with different
     base seeds but overlapping ranges share chips on purpose (useful for
     enrolment / verification splits) while a disjoint range is guaranteed
     to be independent.
     """
-    check_range("n_chips", n_chips, 1)
+    check_range("chips", chips, 1)
     return [
         synth_chip(replace(config, seed=config.seed + i), chip_id=f"chip{i:03d}")
-        for i in range(n_chips)
+        for i in range(chips)
     ]

@@ -240,9 +240,10 @@ def save_jsonl(dataset: CrpDataset, path) -> None:
 
 
 def lloyd_max_steps(
-    dist: EmpiricalDistribution, k: int, tol: float, max_iter: int, trace: bool
+    dist: EmpiricalDistribution, k: int, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """``quantizer._lloyd_max_steps`` with a region lookup and two bincounts per iteration."""
+    """``quantizer._lloyd_max_steps`` with a region lookup and two bincounts per iteration:
+    its last boundaries and centroids, and the MSE of each iteration on the sorted samples."""
     samples = np.sort(dist.samples)
     boundaries = np.linspace(0.0, dist.vdd, k + 1)
     centroids = 0.5 * (boundaries[:-1] + boundaries[1:])
@@ -259,8 +260,7 @@ def lloyd_max_steps(
         new_boundaries[1:-1] = 0.5 * (centroids[:-1] + centroids[1:])
         moved = float(np.max(np.abs(new_boundaries - boundaries)))
         boundaries = new_boundaries
-        if trace:
-            mse_trace.append(quantization_mse(boundaries, centroids, samples))
+        mse_trace.append(quantization_mse(boundaries, centroids, samples))
         if moved < tol:
             break
     return boundaries, centroids, mse_trace

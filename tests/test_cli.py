@@ -874,6 +874,10 @@ def test_nan_is_refused_by_name(name):
         (("crps", "--challenges", "0"), "challenges must be within [1, 256], got 0"),
         (("crps", "--challenges", "-3"), "challenges must be within [1, 256], got -3"),
         (("crps", "--challenges", "257"), "challenges must be within [1, 256], got 257"),
+        # a count is refused by its option's name
+        (("crps", "--chips", "0"), "chips must be >= 1, got 0"),
+        (("synth", "--chips", "0"), "chips must be >= 1, got 0"),
+        (("curve", "--points", "1"), "points must be >= 2, got 1"),
     ],
 )
 def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, inputs, argv, message):

@@ -9,6 +9,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,54 @@ def test_every_module_level_import_is_used(path):
 def test_the_scan_names_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport os.path\nfrom . import a, b as c\n"
     assert unused_imports(source + "os.path.join(a)\n") == ["json (line 2)", "c (line 4)"]
+
+
+def read_names(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a bare name or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    )
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and assignments named with one leading ``_`` that no
+    code of ``sources`` reads outside the name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum(map(read_names, trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            own = read_names(node)
+            unused += [
+                f"{module}.{name} (line {node.lineno})" for name in names
+                if name[:1] == "_" and name[:2] != "__" and reads[name] == own[name]
+            ]
+    return unused
+
+
+def test_every_private_module_level_name_is_used():
+    # a private helper whose last caller went is dead code that no import check sees
+    package = Path(cmapuf.__file__).parent.glob("*.py")
+    assert unused_private_names({path.stem: path.read_text() for path in package}) == []
+
+
+def test_the_scan_names_an_unused_private_name():
+    sources = {
+        "a": "_space = 1\n_used = 2\nclass _Gone: pass\ndef _self(n): return _self(n - 1)\n",
+        "b": "from .a import _used\nimport a\na._used, _used\n_dead: int = 0\n__all__ = []\n",
+    }
+    assert unused_private_names(sources) == [
+        "a._space (line 1)", "a._Gone (line 3)", "a._self (line 4)", "b._dead (line 4)"
+    ]
 
 
 def test_the_package_imports_exactly_the_names_it_exports():
