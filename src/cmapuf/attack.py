@@ -174,8 +174,8 @@ class EsHyper:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.parents < 1 or self.population < self.parents:
-            raise ValueError("need population >= parents >= 1")
+        check_range("parents", self.parents, 1)
+        check_range("population", self.population, self.parents)
         check_range("generations", self.generations, 0)  # at 0 the clone is the initial best
         check_range("seed", self.seed, 0)
 
@@ -298,20 +298,20 @@ def es_fit(
     return EsClone(params=pop[0], fitness=history[-1], history=np.array(history))
 
 
-def split(dataset: CrpDataset, train_fraction: float, seed: int = 0) -> tuple[CrpDataset, CrpDataset]:
+def split(dataset: CrpDataset, train_frac: float, seed: int = 0) -> tuple[CrpDataset, CrpDataset]:
     """Challenge-disjoint train/test split.
 
     Splitting is by challenge word so a held-out record's cell was never
     seen in training, which is the setting that matters for an attacker.
     Record order within each side follows the original dataset.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if not (0.0 < train_frac < 1.0):
+        raise ValueError(f"train_frac must be in (0, 1), got {train_frac}")
     check_range("seed", seed, 0)
     words = np.unique(dataset.challenge)
     if len(words) < 2:
         raise ValueError("need at least two distinct challenges to split")
-    n_train = int(round(train_fraction * len(words)))
+    n_train = int(round(train_frac * len(words)))
     n_train = min(max(n_train, 1), len(words) - 1)
     perm = np.random.default_rng(seed).permutation(len(words))
     train = np.isin(dataset.challenge, words[perm[:n_train]])

@@ -172,10 +172,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ValueError(f"need at least 1 Monte Carlo sample, got {args.samples}")
-    if args.bins < 2:
-        raise ValueError(f"need at least 2 histogram bins, got {args.bins}")
+    codec.check_range("samples", args.samples, 1)
+    codec.check_range("bins", args.bins, 2)
     config = _variation_config(args)
     model = _model(args)
     cond = _conditions(args)
@@ -224,7 +222,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
 def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data": refused below
-        samples = np.loadtxt(args.samples, ndmin=1, encoding="utf-8")
+        try:
+            samples = np.loadtxt(args.samples, ndmin=1, encoding="utf-8")
+        except ValueError as exc:  # numpy's message names the row, not the file
+            raise ValueError(f"{args.samples}: {exc}") from None
     if not samples.size:
         raise ValueError(f"{args.samples} holds no samples")
     dist = quantizer.EmpiricalDistribution(samples=samples, vdd=analog.VDD_DEFAULT)

@@ -51,7 +51,7 @@ from .adc import WORD_BITS, AdcConfig, check_words, convert_array, word_bits, wo
 from .adc import _WORD_STRINGS, _word_index
 from .analog import Conditions, TransferModel, check_conditions
 from .cellarray import CHALLENGE_BITS, decode, evaluate_array
-from .codec import check_range, write_csv
+from .codec import write_csv
 from .quantizer import REGION_FIELD_BITS, QuantizerSpec
 from .variation import ChipInstance
 
@@ -73,9 +73,10 @@ class CrpDataset:
     """Reads as equal-length 1-D columns (see ``COLUMNS``) and nothing else: how the
     records were read is the ``crps`` manifest's, not the dataset's.
 
-    Every column, built, taken or loaded, is converted by ``_column``, then
-    checked by the record rules: ``check_words``, then ``check_conditions``,
-    then ``decode``, each raising for its first bad row.
+    Every column, built, taken or loaded, is converted by ``_column``, which
+    names the column's first missing or bad row, then checked by the record
+    rules: ``check_words``, then ``check_conditions``, then ``decode``, each
+    raising for its first bad row.
     """
 
     chip_id: np.ndarray
@@ -119,32 +120,34 @@ class CrpDataset:
         return CrpDataset(**{name: getattr(self, name)[rows] for name in COLUMNS})
 
 
-def _column(name: str, values, dtype, start: int = 0) -> np.ndarray:
-    """``values`` as a ``dtype`` column: a list judged by its values' types, anything else by
-    its array's dtype.  A value of the wrong kind, or one the dtype cannot hold, raises naming
-    its row from ``start + 1``; a bool is never a number, and a seed is never wrapped."""
+def _column(name: str, values, dtype, start: int = 0, parse=None) -> np.ndarray:
+    """``values``, each through ``parse`` if given, as a ``dtype`` column: a list judged by its
+    values' types, anything else by its array's dtype; a bool is never a number, and a negative
+    seed is refused before the unsigned cast, which numpy 1.x would let wrap it.  On any fault,
+    one replay over the values as given raises for the first row refused on its own, counted
+    from ``start + 1``: a None as a missing field, any other value as a bad one."""
     kind = np.dtype(dtype).kind
     takes = set({"U": "U", "f": "iuf"}.get(kind, "iu"))
-    if isinstance(values, (list, tuple)):
-        kinds = {np.dtype(t).kind for t in set(map(type, values))}
-    else:
-        values = np.asarray(values)
-        kinds = {values.dtype.kind}
     try:
-        if not kinds <= takes:
+        parsed = values if parse is None else list(map(parse, values))
+        if isinstance(parsed, (list, tuple)):
+            kinds = {np.dtype(t).kind for t in set(map(type, parsed))}
+            low = min(parsed, default=0) if kind == "u" else 0
+        else:
+            parsed = np.asarray(parsed)
+            kinds = {parsed.dtype.kind}
+            low = parsed.min(initial=0) if kind == "u" else 0
+        if not kinds <= takes or low < 0:
             raise TypeError
-        # the seeds; a list's extremes first, then its values as exact Python ints
-        if kind == "u" and (isinstance(values, np.ndarray) or min(values, default=0) < 0
-                            or max(values, default=0) >= 2**64):
-            exact = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-            check_range(name, exact, 0, 2**64 - 1, rule="be in [0, 2**64)")
-        return np.asarray(values, dtype=dtype)
-    except (TypeError, OverflowError):
+        return np.asarray(parsed, dtype=dtype)
+    except (TypeError, ValueError, KeyError, OverflowError):
         rows = values.reshape(-1).tolist() if isinstance(values, np.ndarray) else values
         if len(rows) == 1:
-            raise ValueError(f"row {start + 1} has a bad {name!r} field: {rows[0]!r}") from None
+            value = rows[0]
+            fault = f"no {name!r} field" if value is None else f"a bad {name!r} field: {value!r}"
+            raise ValueError(f"row {start + 1} has {fault}") from None
         for i, value in enumerate(rows):  # the first value refused on its own raises
-            _column(name, [value], dtype, start + i)
+            _column(name, [value], dtype, start + i, parse)
         raise
 
 
@@ -473,7 +476,7 @@ _JSONL_RECORD = "{" + ", ".join(
     f'"{name}": ' + {"chip_id": "%s", "challenge": '"%s"', "encoded": '"%s"'}.get(name, "%r")
     for name in sorted(CSV_FIELDS)
 ) + "}\n"
-# records a loader holds as raw fields at once; each chunk pays eight ``_column`` calls.  On
+# records a loader holds as raw fields at once; each chunk pays nine ``_column`` calls.  On
 # 6,400-record files (2-vCPU x86_64, best of 40 interleaved loads, two runs) 256 loaded
 # fastest in both formats: JSONL 25.0-25.4 ms against 25.4-28.5 at 64, 512 or 1,024, and
 # CSV 18.9-19.9 ms against 20.3-23.0
@@ -490,47 +493,22 @@ def _columns(dataset: CrpDataset) -> dict[str, list]:
     return columns
 
 
-def _parse(parse, name: str, values, start: int) -> list:
-    """A field's raw values through ``parse``; the first one it refuses raises naming its
-    record, counted from ``start + 1``."""
-    try:
-        return list(map(parse, values))
-    except (TypeError, ValueError, KeyError, OverflowError):
-        if len(values) == 1:
-            raise ValueError(f"row {start + 1} has a bad {name!r} field: {values[0]!r}") from None
-        for i, value in enumerate(values):  # the first value refused on its own raises
-            _parse(parse, name, [value], start + i)
-        raise
-
-
 def _load(path: str | Path, chunks, parsers: dict) -> CrpDataset:
     """A dataset from ``path``'s records, given as chunks of raw fields, one sequence per
     ``CSV_FIELDS`` name, None where a record lacks the field.
 
-    Each chunk's fields go through their parser in ``parsers``, if any, and then into an
-    array, by ``_column`` for a dataset column and as word indices for ``encoded``, before the
-    next chunk is read, so the first fault in (chunk, field, row) order raises; ``CrpDataset``
-    then checks the joined columns.  Within a field the first None is named before any other
-    fault, but looked for only once the field's parse or column rule has failed.  No records,
-    and an ``encoded`` word unlike the record's (region, code), raise, the latter naming the
-    record from 1.
+    Each chunk's fields go through ``_column`` with their parser in ``parsers``, if any, the
+    ``encoded`` word as its index, before the next chunk is read, so the first fault in
+    (chunk, field, row) order raises; ``CrpDataset`` then checks the joined columns.  No
+    records, and an ``encoded`` word unlike the record's (region, code), raise, the latter
+    naming the record from 1.
     """
     parts: dict[str, list] = {name: [] for name in CSV_FIELDS}
     start = 0
     for chunk in chunks:
         for name in CSV_FIELDS:
-            values = raw = chunk[name]
-            try:
-                if name in parsers:
-                    values = _parse(parsers[name], name, values, start)
-                values = (_column(name, values, COLUMNS[name], start) if name in COLUMNS
-                          else np.array(values, dtype=np.int64))  # the encoded word indices
-            except ValueError:
-                if None in raw:
-                    row = start + raw.index(None) + 1
-                    raise ValueError(f"row {row} has no {name!r} field") from None
-                raise
-            parts[name].append(values)
+            dtype = COLUMNS.get(name, np.int64)
+            parts[name].append(_column(name, chunk[name], dtype, start, parsers.get(name)))
         start += len(chunk["chip_id"])
     if not start:
         raise ValueError(f"{path} holds no records")

@@ -165,11 +165,6 @@ def quantization_mse(
     return float(np.mean(err * err))
 
 
-def _run_sum(run: np.ndarray) -> float:
-    """A run's left-to-right sum from 0.0, the order and the signed zero of ``np.bincount``."""
-    return float(np.add.accumulate(run)[-1]) + 0.0 if run.size else 0.0
-
-
 def _lloyd_max_steps(
     dist: EmpiricalDistribution, k: int, tol: float, max_iter: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -191,7 +186,7 @@ def _lloyd_max_steps(
         edges = np.searchsorted(samples, boundaries[1:-1], "left")
         edges = np.concatenate(([0], edges, [samples.size]))
         counts = np.diff(edges)
-        sums = np.array([_run_sum(samples[a:b]) for a, b in zip(edges[:-1], edges[1:])])
+        sums = np.bincount(np.repeat(np.arange(k), counts), weights=samples, minlength=k)
         busiest = int(np.argmax(counts))
         fallback = 0.5 * (boundaries[busiest] + boundaries[busiest + 1])
         centroids = np.where(counts > 0, sums / np.maximum(counts, 1), fallback)

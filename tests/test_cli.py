@@ -621,7 +621,7 @@ def test_manifests_have_no_timestamps(tmp_path):
 def test_mc_rejects_an_empty_sample_set(tmp_path, capsys):
     for n in (0, -3):
         assert run("mc", "--samples", n, "--out", tmp_path / "h.csv") == 1
-        assert f"need at least 1 Monte Carlo sample, got {n}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: samples must be >= 1, got {n}\n"
     assert not (tmp_path / "h.csv").exists()
 
 
@@ -668,6 +668,16 @@ def test_fit_quantizer_refuses_a_file_without_samples(tmp_path, capsys, text):
     assert run("fit-quantizer", "--samples", raw, "--out", tmp_path / "q.json") == 1
     assert capsys.readouterr().err == f"error: {raw} holds no samples\n"
     assert list(tmp_path.iterdir()) == [raw]
+
+
+def test_fit_quantizer_names_a_samples_file_it_cannot_parse(tmp_path, capsys):
+    # a dataset CSV handed over as samples: numpy's message names a row, not the file
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--challenges", 4, "--out", ds) == 0
+    capsys.readouterr()
+    assert run("fit-quantizer", "--samples", ds, "--out", tmp_path / "q.json") == 1
+    assert capsys.readouterr().err.startswith(f"error: {ds}: could not convert string ")
+    assert not (tmp_path / "q.json").exists()
 
 
 def test_fit_quantizer_names_a_nan_sample(tmp_path, capsys):
@@ -878,6 +888,13 @@ def test_nan_is_refused_by_name(name):
         (("crps", "--chips", "0"), "chips must be >= 1, got 0"),
         (("synth", "--chips", "0"), "chips must be >= 1, got 0"),
         (("curve", "--points", "1"), "points must be >= 2, got 1"),
+        (("mc", "--bins", "1"), "bins must be >= 2, got 1"),
+        (("attack", "--in", "{inputs}/ds.csv", "--model", "es", "--parents", "0"),
+         "parents must be >= 1, got 0"),
+        (("attack", "--in", "{inputs}/ds.csv", "--model", "es", "--population", "4"),
+         "population must be >= 8, got 4"),
+        (("attack", "--in", "{inputs}/ds.csv", "--train-frac", "1.5"),
+         "train_frac must be in (0, 1), got 1.5"),
     ],
 )
 def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, inputs, argv, message):

@@ -521,14 +521,15 @@ def test_loaders_hand_the_column_rule_one_chunk_at_a_time(tmp_path, monkeypatch,
     sizes = []
 
     def column(name, values, *args):
-        if isinstance(values, (list, tuple)):  # the parsed fields, not the joined arrays
+        if isinstance(values, (list, tuple)):  # the raw fields, not the joined arrays
             sizes.append(len(values))
         return column_rule(name, values, *args)
 
     column_rule = crp._column
     monkeypatch.setattr(crp, "_column", column)
     assert_same_records(load(tmp_path / f"ds{suffix}"), ds)
-    assert sizes == [crp._CHUNK] * (2 * len(COLUMNS)) + [1] * len(COLUMNS)
+    # every field, the encoded word included
+    assert sizes == [crp._CHUNK] * (2 * len(CSV_FIELDS)) + [1] * len(CSV_FIELDS)
 
 
 @pytest.mark.parametrize("suffix", LOADERS)
@@ -725,10 +726,69 @@ def test_a_built_dataset_names_the_first_bad_row():
 
 @pytest.mark.parametrize("seeds", [[-1], [2**64], np.array([-1]), [2**63, -1]])
 def test_a_built_dataset_refuses_a_seed_outside_64_bits(seeds):
-    bad = next(s for s in np.asarray(seeds, dtype=object).tolist() if not 0 <= s < 2**64)
-    message = f"noise_seed must be in [0, 2**64), got {bad}"
+    row, bad = next((i, s) for i, s in enumerate(np.asarray(seeds, dtype=object).tolist(), 1)
+                    if not 0 <= s < 2**64)
+    message = f"row {row} has a bad 'noise_seed' field: {bad}"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         _reads(len(seeds), noise_seed=seeds)
+
+
+# Per column: values ``_reads`` takes in any row, and values a column refuses on its own,
+# a missing one, one of the wrong kind or an integer its dtype cannot hold.
+_TEMPERATURES = st.floats(-20.0, 100.0) | st.integers(-20, 100)
+_VALID = dict(chip_id=st.text(max_size=3), challenge=st.integers(0, 255),
+              region=st.integers(1, 7), code=st.integers(0, 255), bits=st.integers(2, 8),
+              temperature=_TEMPERATURES, noise_sigma=st.floats(0.0, 1.0),
+              noise_seed=st.integers(0, 2**64 - 1))
+_NOT_A_FLOAT = st.integers(2**1024, 2**1030) | st.text()
+_NOT_A_WORD = dict(chip_id=st.integers() | st.floats(), temperature=_NOT_A_FLOAT,
+                   noise_sigma=_NOT_A_FLOAT,
+                   noise_seed=st.integers(2**64, 2**70) | st.integers(-(2**70), -1) | st.floats())
+_NOT_AN_INT64 = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63) - 1) | st.floats()
+_REFUSED = {name: st.none() | st.booleans() | _NOT_A_WORD.get(name, _NOT_AN_INT64 | st.text())
+            for name in COLUMNS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(list(COLUMNS)))
+def test_a_built_dataset_names_the_first_row_refused_on_its_own(data, name):
+    bad = data.draw(st.lists(st.booleans(), min_size=1, max_size=6), label="refused")
+    values = [data.draw(_REFUSED[name] if b else _VALID[name]) for b in bad]
+    if not any(bad):
+        assert getattr(_reads(len(values), **{name: values}), name).tolist() == values
+        return
+    row = bad.index(True)
+    value = values[row]
+    fault = f"no {name!r} field" if value is None else f"a bad {name!r} field: {value!r}"
+    with pytest.raises(ValueError, match=re.escape(f"row {row + 1} has {fault}") + "$"):
+        _reads(len(values), **{name: values})
+
+
+@pytest.mark.parametrize("suffix", LOADERS)
+def test_a_loaders_first_bad_row_is_named_whatever_its_fault(tmp_path, small_dataset, suffix):
+    # row 1's region is bad and row 2 has none: the earlier row is named
+    save, load = LOADERS[suffix]
+    path = tmp_path / f"ds{suffix}"
+    save(small_dataset.take(slice(0, 3)), path)
+    _edit_record(path, suffix, 1, {"region": "x"})
+    lines = path.read_text().splitlines()
+    if suffix == ".csv":  # record 2 stops after its challenge
+        lines[2] = ",".join(lines[2].split(",")[: CSV_FIELDS.index("region")])
+    else:
+        lines[1] = json.dumps({k: v for k, v in json.loads(lines[1]).items() if k != "region"})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^row 1 has a bad 'region' field: 'x'$"):
+        load(path)
+
+
+def test_a_csv_challenge_past_64_bits_is_named_as_the_file_holds_it(tmp_path, small_dataset):
+    # the hex parses, to an integer no int64 holds; the row is named with its text, which the
+    # hex parser would refuse if it were handed the parsed integer instead
+    path = tmp_path / "ds.csv"
+    save_csv(small_dataset.take(slice(0, 4)), path)
+    _edit_record(path, ".csv", 3, {"challenge": "f" * 21})
+    with pytest.raises(ValueError, match=f"^row 3 has a bad 'challenge' field: '{'f' * 21}'$"):
+        load_csv(path)
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
@@ -746,8 +806,8 @@ def test_a_built_dataset_refuses_a_seed_outside_64_bits(seeds):
         ({"temperature": -20.5}, "temperature must be within [-20, 100] degC, got -20.5"),
         ({"temperature": float("nan")}, "temperature must be within [-20, 100] degC, got nan"),
         ({"noise_sigma": -0.001}, "noise_sigma must be >= 0, got -0.001"),
-        ({"noise_seed": -1}, "noise_seed must be in [0, 2**64), got -1"),
-        ({"noise_seed": 2**64}, f"noise_seed must be in [0, 2**64), got {2**64}"),
+        ({"noise_seed": -1}, "row 3 has a bad 'noise_seed' field: -1"),
+        ({"noise_seed": 2**64}, f"row 3 has a bad 'noise_seed' field: {2**64}"),
         # the last row reads region 5, code 255
         ({"encoded": "11111111111"},
          "row 3 has encoded '11111111111', but its region and code are '10111111111'"),
@@ -764,6 +824,8 @@ def test_loaders_refuse_bad_rows(tmp_path, suffix, edit, message):
     save(ds, path)
     load(path)  # the file as written loads
     _edit_record(path, suffix, 3, edit)
+    if suffix == ".csv" and "noise_seed" in edit:  # a CSV field is named as its text
+        message = message.replace(f": {edit['noise_seed']}", f": '{edit['noise_seed']}'")
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         load(path)
 
