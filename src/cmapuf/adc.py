@@ -172,7 +172,9 @@ def conversion_cycles(bits: int) -> int:
 def energy_per_cycle(power: float, clock_freq: float) -> float:
     check_range("clock_freq", clock_freq, 0, open_lo=True)
     check_range("power", power, 0)
-    return power / clock_freq
+    energy = power / clock_freq
+    check_range("power / clock_freq", energy)  # a finite quotient can still overflow
+    return energy
 
 
 def conversion_energy(config: AdcConfig, bits: int) -> float:

@@ -14,13 +14,14 @@ The model collapses all of that into two steps:
 Every read, batched or not, runs these two array stages.
 
 The tanh stage is what produces the bimodal, rail-heavy output histogram
-that the multi-bit quantizer downstream is shaped around.
+that the multi-bit quantizer downstream is shaped around.  The presets,
+by their CLI names, are the tables ``MIRRORS`` and ``SWITCHING``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -71,17 +72,12 @@ class MirrorConfig:
         check_range("bias_current", self.bias_current, 0, open_lo=True)
 
 
-def wide_swing_mirror() -> MirrorConfig:
-    """Reference topology: highest gain, no systematic asymmetry."""
-    return MirrorConfig(kind=MirrorKind.WIDE_SWING_CASCODE, gain=300.0, asymmetry_offset=0.0)
-
-
-def reduced_headroom_mirror() -> MirrorConfig:
-    return MirrorConfig(kind=MirrorKind.REDUCED_HEADROOM, gain=180.0, asymmetry_offset=0.05)
-
-
-def simple_cascode_mirror() -> MirrorConfig:
-    return MirrorConfig(kind=MirrorKind.SIMPLE_CASCODE, gain=120.0, asymmetry_offset=-0.08)
+# The wide-swing cascode is the reference topology: highest gain, no asymmetry.
+MIRRORS = {
+    "wide": MirrorConfig(kind=MirrorKind.WIDE_SWING_CASCODE, gain=300.0, asymmetry_offset=0.0),
+    "reduced": MirrorConfig(kind=MirrorKind.REDUCED_HEADROOM, gain=180.0, asymmetry_offset=0.05),
+    "simple": MirrorConfig(kind=MirrorKind.SIMPLE_CASCODE, gain=120.0, asymmetry_offset=-0.08),
+}
 
 
 @dataclass(frozen=True)
@@ -91,11 +87,13 @@ class SwitchingConfig:
     corner_offsets maps each process corner to a systematic shift (volts)
     the switching network injects into the cell imbalance.  A power-gated
     scheme keeps every offset at or below 1 mV; that bound is enforced
-    here because it is what the scheme's name promises.
+    here because it is what the scheme's name promises.  ``SWITCHING``'s
+    instances are shared, so nothing mutates corner_offsets; it stays a
+    plain dict, since a read-only mapping proxy cannot be pickled.
     """
 
     kind: SwitchingKind
-    corner_offsets: dict[ProcessCorner, float] = field(default_factory=dict)
+    corner_offsets: dict[ProcessCorner, float]
 
     def __post_init__(self) -> None:
         for c in ProcessCorner:
@@ -112,36 +110,24 @@ class SwitchingConfig:
         return self.corner_offsets[corner]
 
 
-def power_gated_switching() -> SwitchingConfig:
-    """Switching network that is cut off when a cell is idle.
-
-    Only the skewed corners (SF, FS) leave a residual imbalance and it is
-    held under a millivolt, small against typical mismatch.
-    """
-    return SwitchingConfig(
-        kind=SwitchingKind.POWER_GATED,
-        corner_offsets={
-            ProcessCorner.TT: 0.0,
-            ProcessCorner.SS: 0.0,
-            ProcessCorner.FF: 0.0,
-            ProcessCorner.SF: 5.0e-4,
-            ProcessCorner.FS: -5.0e-4,
-        },
-    )
-
-
-def naive_switching() -> SwitchingConfig:
-    """Always-on switching: skewed corners push tens of millivolts."""
-    return SwitchingConfig(
-        kind=SwitchingKind.NAIVE,
-        corner_offsets={
-            ProcessCorner.TT: 0.0,
-            ProcessCorner.SS: 0.0,
-            ProcessCorner.FF: 0.0,
-            ProcessCorner.SF: 0.04,
-            ProcessCorner.FS: -0.04,
-        },
-    )
+SWITCHING = {
+    # cut off when a cell is idle: only the skewed corners leave an offset, under a millivolt
+    "gated": SwitchingConfig(SwitchingKind.POWER_GATED, {
+        ProcessCorner.TT: 0.0,
+        ProcessCorner.SS: 0.0,
+        ProcessCorner.FF: 0.0,
+        ProcessCorner.SF: 5.0e-4,
+        ProcessCorner.FS: -5.0e-4,
+    }),
+    # always on: the skewed corners push tens of millivolts
+    "naive": SwitchingConfig(SwitchingKind.NAIVE, {
+        ProcessCorner.TT: 0.0,
+        ProcessCorner.SS: 0.0,
+        ProcessCorner.FF: 0.0,
+        ProcessCorner.SF: 0.04,
+        ProcessCorner.FS: -0.04,
+    }),
+}
 
 
 @dataclass(frozen=True)
@@ -201,7 +187,7 @@ class TransferModel:
 
 def default_model() -> TransferModel:
     """Wide-swing mirror with power-gated switching, the reference design."""
-    return TransferModel(mirror=wide_swing_mirror(), switching=power_gated_switching())
+    return TransferModel(mirror=MIRRORS["wide"], switching=SWITCHING["gated"])
 
 
 def effective_mismatch(

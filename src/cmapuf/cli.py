@@ -23,12 +23,6 @@ import numpy as np
 
 from . import adc, analog, attack, cellarray, codec, crp, quantizer, variation
 
-MIRRORS = {
-    "wide": analog.wide_swing_mirror,
-    "reduced": analog.reduced_headroom_mirror,
-    "simple": analog.simple_cascode_mirror,
-}
-
 # ``mc --samples-out`` formats this many voltages per write, so memory stays bounded.
 SAMPLES_CHUNK = 8192
 
@@ -48,7 +42,7 @@ def _add_variation_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mirror_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mirror", choices=sorted(MIRRORS), default="wide")
+    p.add_argument("--mirror", choices=sorted(analog.MIRRORS), default="wide")
     p.add_argument("--gain", type=float, default=None, help="override the mirror preset gain")
 
 
@@ -56,7 +50,7 @@ def _add_read_args(p: argparse.ArgumentParser) -> None:
     """Chips, cell model and conditions: what ``mc`` and ``crps`` read cells with."""
     _add_variation_args(p)
     _add_mirror_args(p)
-    p.add_argument("--switching", choices=["gated", "naive"], default="gated")
+    p.add_argument("--switching", choices=sorted(analog.SWITCHING), default="gated")
     p.add_argument("--temp-coeff", type=float, default=analog.DEFAULT_TEMP_COEFF)
     cond = analog.Conditions
     p.add_argument("--temp", type=float, default=cond.temperature, help="read temperature in degC")
@@ -78,14 +72,12 @@ def _variation_config(args: argparse.Namespace) -> variation.VariationConfig:
 
 
 def _mirror(args: argparse.Namespace) -> analog.MirrorConfig:
-    mirror = MIRRORS[args.mirror]()
+    mirror = analog.MIRRORS[args.mirror]
     return mirror if args.gain is None else replace(mirror, gain=args.gain)
 
 
 def _model(args: argparse.Namespace) -> analog.TransferModel:
-    switching = (
-        analog.naive_switching() if args.switching == "naive" else analog.power_gated_switching()
-    )
+    switching = analog.SWITCHING[args.switching]
     return analog.TransferModel(_mirror(args), switching, temp_coeff=args.temp_coeff)
 
 
@@ -130,8 +122,10 @@ class CrpsManifest:
     parameters: CrpsParameters
 
 
-def _split(text: str, parse, option: str, needs: str, count: int | None = None) -> list:
-    """``text``'s comma-separated values; a bad value or count raises naming ``option``."""
+def _split(text: str | None, parse, option: str, needs: str, count: int | None = None):
+    """``text``'s comma-separated values, or None for None; a bad one or count names ``option``."""
+    if text is None:
+        return None
     try:
         values = [parse(x) for x in text.split(",")]
     except ValueError:
@@ -229,12 +223,7 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     if not samples.size:
         raise ValueError(f"{args.samples} holds no samples")
     dist = quantizer.EmpiricalDistribution(samples=samples, vdd=analog.VDD_DEFAULT)
-    codec.check_range("k", args.k, 1)  # k is named before --bits is split into k entries
-    quantizer._refuse_wider_than_the_word(args.k, ())
-    if args.bits is not None:
-        bits = tuple(_split(args.bits, int, "--bits", f"{args.k} comma-separated entries", args.k))
-    else:
-        bits = quantizer.DEFAULT_BITS if args.k == len(quantizer.DEFAULT_BITS) else None
+    bits = _split(args.bits, int, "--bits", "comma-separated integers")
     spec = quantizer.lloyd_max(
         dist, args.k, tol=args.tol, max_iter=args.max_iter, bits_per_region=bits
     )
@@ -289,9 +278,7 @@ def _load_dataset(path: Path) -> crp.CrpDataset:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    temps = None
-    if args.temps is not None:
-        temps = _split(args.temps, float, "--temps", "comma-separated degC")
+    temps = _split(args.temps, float, "--temps", "comma-separated degC")
     dataset = _load_dataset(Path(args.infile))
     multi = len(dataset.chip_ids) >= 2
     uniq = crp.uniqueness(dataset) if multi else None

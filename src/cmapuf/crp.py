@@ -137,6 +137,8 @@ def _column(name: str, values, dtype, start: int = 0, parse=None) -> np.ndarray:
             parsed = np.asarray(parsed)
             kinds = {parsed.dtype.kind}
             low = parsed.min(initial=0) if kind == "u" else 0
+            if kind + parsed.dtype.kind == "iu" and parsed.max(initial=0) > np.uint64(2**63 - 1):
+                raise TypeError  # the int64 cast would wrap it; compared in uint64 for numpy 1.x
         if not kinds <= takes or low < 0:
             raise TypeError
         return np.asarray(parsed, dtype=dtype)

@@ -20,7 +20,7 @@ field widths are defined here, and ``adc`` packs the word from them.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,22 +206,22 @@ def lloyd_max(
     k: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    bits_per_region: tuple[int, ...] | None = None,
+    bits_per_region: Sequence[int] | None = None,
 ) -> QuantizerSpec:
     """Fit a k-region quantizer to an empirical distribution.
 
     Runs the centroid/boundary alternation from a uniform initial
     partition until the largest boundary movement in one iteration falls
-    below tol (or max_iter is hit).  bits_per_region defaults to 8 bits
-    everywhere; pass an explicit tuple to assign mixed precision.  A k or a
-    precision the response word cannot hold is refused before the fit.
+    below tol (or max_iter is hit).  bits_per_region defaults to the paper's
+    ``DEFAULT_BITS`` at k=5, else 8 bits everywhere.  A bad k, then a k or a precision
+    the response word cannot hold, then a table not of k entries is refused before the fit.
     """
     check_range("k", k, 1)
     if bits_per_region is None:
-        bits_per_region = (CODE_FIELD_BITS,) * k
-    if len(bits_per_region) != k:
-        raise ValueError(f"bits_per_region must have {k} entries")
+        bits_per_region = DEFAULT_BITS if k == len(DEFAULT_BITS) else (CODE_FIELD_BITS,) * k
     _refuse_wider_than_the_word(k, bits_per_region)
+    if len(bits_per_region) != k:
+        raise ValueError(f"bits_per_region must have {k} entries, got {len(bits_per_region)}")
     *_, (boundaries, centroids) = _lloyd_max_steps(dist, k, tol, max_iter)
     # fitted interior boundaries can coincide only if two centroids collide,
     # which the empty-region rule prevents for sample sets with >= k distinct

@@ -18,10 +18,9 @@ from cmapuf.adc import (
 )
 from cmapuf.analog import (
     Conditions,
+    SWITCHING,
     default_model,
     effective_mismatch,
-    naive_switching,
-    power_gated_switching,
     transfer_array,
 )
 from cmapuf.attack import (
@@ -194,7 +193,7 @@ def test_criterion_4_analog_core():
         MODEL, np.zeros(4), MODEL.switching.offset(ProcessCorner.TT), 25.0
     )
     zero_mismatch = float(transfer_array(MODEL, zero_delta))
-    gated, naive = power_gated_switching(), naive_switching()
+    gated, naive = SWITCHING["gated"], SWITCHING["naive"]
 
     def corner_spread(switching):
         outs = [float(transfer_array(MODEL, switching.offset(c))) for c in ProcessCorner]

@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 
 from cmapuf.analog import (
     Conditions,
+    MIRRORS,
     MirrorConfig,
     MirrorKind,
+    SWITCHING,
     SwitchingConfig,
     SwitchingKind,
     TransferModel,
     default_model,
     effective_mismatch,
-    naive_switching,
-    power_gated_switching,
-    reduced_headroom_mirror,
-    simple_cascode_mirror,
     transfer_array,
     transfer_curve,
-    wide_swing_mirror,
 )
 from cmapuf.cellarray import evaluate
 from cmapuf.codec import from_json, to_json
@@ -44,14 +41,14 @@ def test_effective_mismatch_hand_computed():
 def test_temperature_drift_term():
     # an explicit 5e-4 V/degC coefficient at T=35 adds exactly 5 mV
     model = TransferModel(
-        mirror=wide_swing_mirror(), switching=power_gated_switching(), temp_coeff=5.0e-4
+        mirror=MIRRORS["wide"], switching=SWITCHING["gated"], temp_coeff=5.0e-4
     )
     delta = effective_mismatch(model, ZERO, model.switching.offset(ProcessCorner.TT), 35.0)
     assert delta.tolist() == pytest.approx([0.005] * 3, abs=1e-15)
 
 
 def test_corner_and_asymmetry_terms_add():
-    model = TransferModel(mirror=simple_cascode_mirror(), switching=naive_switching())
+    model = TransferModel(mirror=MIRRORS["simple"], switching=SWITCHING["naive"])
     delta = effective_mismatch(model, ZERO, model.switching.offset(ProcessCorner.SF), 25.0)
     assert delta.tolist() == pytest.approx([0.04 - 0.08] * 3, abs=1e-15)
     # one offset per chip broadcasts over that chip's cells
@@ -72,7 +69,7 @@ def test_effective_mismatch_sums_in_the_pinned_order():
     # (w_pm1 pm1 + w_nm1 nm1) + (w_pm2 pm2 + w_nm2 nm2), then the offset,
     # temperature, asymmetry and noise terms, each a float addition in turn
     model = TransferModel(
-        mirror=simple_cascode_mirror(), switching=naive_switching(), temp_coeff=2.0e-4
+        mirror=MIRRORS["simple"], switching=SWITCHING["naive"], temp_coeff=2.0e-4
     )
     rng = np.random.default_rng(7)
     dvth = rng.normal(0.0, 0.03, size=(1000, 4))
@@ -135,14 +132,14 @@ def test_transfer_array_matches_scalar():
 
 
 def test_higher_gain_saturates_harder():
-    lo = TransferModel(mirror=simple_cascode_mirror(), switching=power_gated_switching())
+    lo = TransferModel(mirror=MIRRORS["simple"], switching=SWITCHING["gated"])
     hi = default_model()
     assert hi.mirror.gain > lo.mirror.gain
     assert float(transfer_array(hi, 0.02)) > float(transfer_array(lo, 0.02))
 
 
 def test_mirror_presets():
-    wide, reduced, simple = wide_swing_mirror(), reduced_headroom_mirror(), simple_cascode_mirror()
+    wide, reduced, simple = MIRRORS["wide"], MIRRORS["reduced"], MIRRORS["simple"]
     assert wide.asymmetry_offset == 0.0
     assert wide.gain > reduced.gain > simple.gain
     assert wide.kind is MirrorKind.WIDE_SWING_CASCODE
@@ -151,7 +148,7 @@ def test_mirror_presets():
 
 
 def test_switching_presets():
-    gated, naive = power_gated_switching(), naive_switching()
+    gated, naive = SWITCHING["gated"], SWITCHING["naive"]
     gated_worst = max(abs(gated.offset(c)) for c in ProcessCorner)
     naive_worst = max(abs(naive.offset(c)) for c in ProcessCorner)
     assert gated_worst <= 1.0e-3
@@ -161,6 +158,24 @@ def test_switching_presets():
         assert cfg.offset(ProcessCorner.SF) == -cfg.offset(ProcessCorner.FS)
         for c in (ProcessCorner.TT, ProcessCorner.SS, ProcessCorner.FF):
             assert cfg.offset(c) == 0.0
+
+
+def test_the_preset_tables_are_pinned():
+    # every other test reads the tables, so only these literals stop a preset drifting
+    assert {name: to_json(mirror) for name, mirror in MIRRORS.items()} == {
+        "wide": {"kind": "wide_swing_cascode", "gain": 300.0, "asymmetry_offset": 0.0,
+                 "bias_current": 4.3e-6},
+        "reduced": {"kind": "reduced_headroom", "gain": 180.0, "asymmetry_offset": 0.05,
+                    "bias_current": 4.3e-6},
+        "simple": {"kind": "simple_cascode", "gain": 120.0, "asymmetry_offset": -0.08,
+                   "bias_current": 4.3e-6},
+    }
+    assert {name: to_json(switching) for name, switching in SWITCHING.items()} == {
+        "gated": {"kind": "power_gated",
+                  "corner_offsets": {"TT": 0.0, "SS": 0.0, "FF": 0.0, "SF": 5.0e-4, "FS": -5.0e-4}},
+        "naive": {"kind": "naive",
+                  "corner_offsets": {"TT": 0.0, "SS": 0.0, "FF": 0.0, "SF": 0.04, "FS": -0.04}},
+    }
 
 
 def test_power_gated_bound_enforced():
@@ -174,19 +189,21 @@ def test_power_gated_bound_enforced():
 def test_switching_requires_all_corners():
     with pytest.raises(ValueError):
         SwitchingConfig(kind=SwitchingKind.NAIVE, corner_offsets={ProcessCorner.TT: 0.0})
+    with pytest.raises(TypeError):  # no default: an empty table would miss TT
+        SwitchingConfig(kind=SwitchingKind.NAIVE)
 
 
 def test_weight_symmetry_enforced():
     with pytest.raises(ValueError):
         TransferModel(
-            mirror=wide_swing_mirror(),
-            switching=power_gated_switching(),
+            mirror=MIRRORS["wide"],
+            switching=SWITCHING["gated"],
             weights=(1.0, 0.3, -0.3, -0.9),
         )
     with pytest.raises(ValueError):
         TransferModel(
-            mirror=wide_swing_mirror(),
-            switching=power_gated_switching(),
+            mirror=MIRRORS["wide"],
+            switching=SWITCHING["gated"],
             weights=(1.0, 0.3, 0.3, -1.0),
         )
 
@@ -199,7 +216,7 @@ def test_invalid_scalars_rejected():
     with pytest.raises(ValueError):
         Conditions(temperature=200.0)
     with pytest.raises(ValueError, match="temp_coeff must be finite, got inf"):
-        TransferModel(wide_swing_mirror(), power_gated_switching(), temp_coeff=float("inf"))
+        TransferModel(MIRRORS["wide"], SWITCHING["gated"], temp_coeff=float("inf"))
 
 
 def test_cell_output_reproducible_with_noise():
@@ -230,8 +247,8 @@ def test_transfer_curve_endpoints_and_shape():
 
 def test_model_dict_round_trip():
     model = TransferModel(
-        mirror=reduced_headroom_mirror(),
-        switching=naive_switching(),
+        mirror=MIRRORS["reduced"],
+        switching=SWITCHING["naive"],
         temp_coeff=2.0e-4,
     )
     assert from_json(TransferModel, to_json(model)) == model
@@ -241,7 +258,7 @@ def test_model_dict_round_trip():
 @given(delta=st.floats(-0.03, 0.03), gain=st.floats(1.0, 1000.0))
 def test_transfer_properties_hold_for_any_gain(delta, gain):
     mirror = MirrorConfig(kind=MirrorKind.WIDE_SWING_CASCODE, gain=gain)
-    model = TransferModel(mirror=mirror, switching=power_gated_switching())
+    model = TransferModel(mirror=mirror, switching=SWITCHING["gated"])
     v = float(transfer_array(model, delta))
     assert 0.0 < v < model.vdd
     assert abs(v + float(transfer_array(model, -delta)) - model.vdd) < 1e-12

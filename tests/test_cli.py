@@ -17,24 +17,17 @@ from cmapuf import analog, codec, crp
 from cmapuf.adc import COMPARISON_ROWS, AdcConfig, energy_per_cycle
 from cmapuf.analog import (
     Conditions,
+    MIRRORS,
+    SWITCHING,
     TransferModel,
     default_model,
-    naive_switching,
-    reduced_headroom_mirror,
     transfer_curve,
-    wide_swing_mirror,
 )
 from cmapuf.attack import EsHyper, LrHyper, attack_report, clone_bits, es_fit, split
 from cmapuf.cellarray import evaluate_array
 from cmapuf.cli import SAMPLES_CHUNK, build_parser, main
 from cmapuf.crp import generate, load_csv, reliability, save_csv
-from cmapuf.quantizer import (
-    DEFAULT_BITS,
-    EmpiricalDistribution,
-    QuantizerSpec,
-    default_regions,
-    lloyd_max,
-)
+from cmapuf.quantizer import EmpiricalDistribution, QuantizerSpec, default_regions, lloyd_max
 from cmapuf.variation import ChipInstance, VariationConfig, synth_chip, synth_population
 
 
@@ -135,9 +128,13 @@ def test_fit_quantizer_bits_mismatch_errors(tmp_path, capsys):
     raw.write_text("0.1\n0.9\n1.7\n")
     out = tmp_path / "x.json"
     # an empty list is a bad one, not the default table
-    for bits in ("8,8,8", "", "8,x"):
+    for bits, message in (
+        ("8,8,8", "bits_per_region must have 2 entries, got 3"),
+        ("", "--bits needs comma-separated integers, got ''"),
+        ("8,x", "--bits needs comma-separated integers, got '8,x'"),
+    ):
         assert run("fit-quantizer", "--samples", raw, "--k", 2, "--bits", bits, "--out", out) == 1
-        assert capsys.readouterr().err == f"error: --bits needs 2 comma-separated entries, got {bits!r}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -436,7 +433,7 @@ def test_attack_es_attacks_with_what_the_manifest_records(tmp_path):
     out = tmp_path / "es.csv"
     assert run("attack", "--in", ds, "--model", "es", "--generations", 200, "--out", out) == 0
 
-    model = TransferModel(reduced_headroom_mirror(), naive_switching())
+    model = TransferModel(MIRRORS["reduced"], SWITCHING["naive"])
     spec, adc_config = codec.read_json(spec_path, QuantizerSpec), AdcConfig()
     recorded = json.loads((tmp_path / "ds.csv.manifest.json").read_text())["parameters"]
     assert recorded["model"] == codec.to_json(model)
@@ -591,7 +588,7 @@ def test_the_transfer_curve_is_pinned_byte_for_byte(tmp_path):
     out = tmp_path / "curve.csv"
     argv = ("curve", "--range=-0.05,0.07", "--points", 33, "--gain", 75, "--out", out)
     assert run(*argv) == 0
-    model = replace(default_model(), mirror=replace(wide_swing_mirror(), gain=75.0))
+    model = replace(default_model(), mirror=replace(MIRRORS["wide"], gain=75.0))
     deltas, volts = transfer_curve(model, -0.05, 0.07, 33)
     assert out.read_text() == "delta_v,v_out\n" + "".join(
         f"{float(d)!r},{float(v)!r}\n" for d, v in zip(deltas, volts)
@@ -712,8 +709,7 @@ def test_mc_samples_out_is_one_repr_per_line(tmp_path, made_volts, n):
     k = min(n, 5)
     spec_path = tmp_path / "q.json"
     assert run("fit-quantizer", "--samples", raw, "--k", k, "--out", spec_path) == 0
-    bits = DEFAULT_BITS if k == len(DEFAULT_BITS) else None
-    fitted = lloyd_max(EmpiricalDistribution(volts, 1.8), k, bits_per_region=bits)
+    fitted = lloyd_max(EmpiricalDistribution(volts, 1.8), k)
     assert codec.read_json(spec_path, QuantizerSpec) == fitted
 
 
@@ -821,8 +817,8 @@ NAN_REFUSERS = {
     "AdcConfig.vdd": lambda v: AdcConfig(vdd=v),
     "AdcConfig.clock_freq": lambda v: AdcConfig(clock_freq=v),
     "AdcConfig.power": lambda v: AdcConfig(power=v),
-    "MirrorConfig.gain": lambda v: replace(wide_swing_mirror(), gain=v),
-    "MirrorConfig.bias_current": lambda v: replace(wide_swing_mirror(), bias_current=v),
+    "MirrorConfig.gain": lambda v: replace(MIRRORS["wide"], gain=v),
+    "MirrorConfig.bias_current": lambda v: replace(MIRRORS["wide"], bias_current=v),
     "Conditions.temperature": lambda v: Conditions(temperature=v),
     "Conditions.noise_sigma": lambda v: Conditions(noise_sigma=v),
     "VariationConfig.sigma_vth": lambda v: VariationConfig(sigma_vth=v),
@@ -895,6 +891,9 @@ def test_nan_is_refused_by_name(name):
          "population must be >= 8, got 4"),
         (("attack", "--in", "{inputs}/ds.csv", "--train-frac", "1.5"),
          "train_frac must be in (0, 1), got 1.5"),
+        # a clock so slow that power / clock overflows: each once wrote an infinite energy
+        (("energy", "--clock", "1e-320"), "power / clock_freq must be finite, got inf"),
+        (("crps", "--clock", "1e-320"), "power / clock_freq must be finite, got inf"),
     ],
 )
 def test_bad_options_fail_before_any_file_is_written(tmp_path, capsys, inputs, argv, message):

@@ -11,13 +11,12 @@ import pytest
 from cmapuf.adc import AdcConfig
 from cmapuf.analog import (
     Conditions,
+    MIRRORS,
     MirrorConfig,
     MirrorKind,
+    SWITCHING,
     TransferModel,
     default_model,
-    naive_switching,
-    power_gated_switching,
-    reduced_headroom_mirror,
 )
 from cmapuf.cli import CrpsParameters
 from cmapuf.codec import check_range, from_json, read_json, to_json, write_json
@@ -25,8 +24,8 @@ from cmapuf.quantizer import QuantizerSpec
 from cmapuf.variation import ProcessCorner, VariationConfig
 
 MODEL = TransferModel(
-    mirror=reduced_headroom_mirror(),
-    switching=naive_switching(),
+    mirror=MIRRORS["reduced"],
+    switching=SWITCHING["naive"],
     vdd=1.2,
     weights=(0.9, 0.2, -0.2, -0.9),
     temp_coeff=2.0e-4,
@@ -44,8 +43,8 @@ CONFIGS = [
         MirrorConfig(kind=kind, gain=150.0, asymmetry_offset=-0.02, bias_current=5.0e-6)
         for kind in MirrorKind
     ),
-    power_gated_switching(),
-    naive_switching(),
+    SWITCHING["gated"],
+    SWITCHING["naive"],
     COND,
     MODEL,
     SPEC,

@@ -724,6 +724,15 @@ def test_a_built_dataset_names_the_first_bad_row():
     assert _reads(temperature=[25]).temperature.tolist() == [25.0]
 
 
+@pytest.mark.parametrize("name", ["challenge", "code"])
+@pytest.mark.parametrize("big", [2**63, 2**64 - 255])
+def test_an_unsigned_array_past_int64_is_named_not_wrapped(name, big):
+    # the int64 cast would wrap it to a negative value the caller never gave
+    values = np.array([1, big], dtype=np.uint64)
+    with pytest.raises(ValueError, match=re.escape(f"row 2 has a bad {name!r} field: {big}") + "$"):
+        _reads(2, **{name: values})
+
+
 @pytest.mark.parametrize("seeds", [[-1], [2**64], np.array([-1]), [2**63, -1]])
 def test_a_built_dataset_refuses_a_seed_outside_64_bits(seeds):
     row, bad = next((i, s) for i, s in enumerate(np.asarray(seeds, dtype=object).tolist(), 1)

@@ -181,6 +181,13 @@ def test_default_regions_table():
     assert spec.vdd == 1.8 and spec.k == 5
 
 
+def test_lloyd_max_defaults_to_the_paper_table_for_five_regions():
+    # the library's fit writes what fit-quantizer writes: adaptive at k=5, 8 bits otherwise
+    dist = EmpiricalDistribution(np.linspace(0.1, 1.7, 50), VDD)
+    assert lloyd_max(dist, 5).bits_per_region == DEFAULT_BITS
+    assert lloyd_max(dist, 3).bits_per_region == (8, 8, 8)
+
+
 def test_region_of_agrees_with_interval_scan():
     spec = default_regions()
     for v in np.linspace(0.0, VDD, 10_000):

@@ -24,10 +24,9 @@ from cmapuf.analog import (
     Conditions,
     MirrorConfig,
     MirrorKind,
+    SWITCHING,
     TransferModel,
     default_model,
-    naive_switching,
-    power_gated_switching,
 )
 from cmapuf.cellarray import evaluate, evaluate_array
 from cmapuf.crp import (
@@ -60,7 +59,7 @@ def specs(draw):
 
 @st.composite
 def models(draw):
-    switching = draw(st.sampled_from([naive_switching(), power_gated_switching()]))
+    switching = draw(st.sampled_from([SWITCHING["naive"], SWITCHING["gated"]]))
     mirror = MirrorConfig(
         kind=MirrorKind.WIDE_SWING_CASCODE,
         gain=draw(st.floats(20.0, 400.0)),
@@ -120,7 +119,7 @@ def test_generate_equals_the_scalar_route(
 )
 def test_reliability_equals_the_scalar_route(corner, chip_seeds, spec, offset, tests):
     chips = [synth_chip(VariationConfig(corner=corner, seed=s)) for s in chip_seeds]
-    model = TransferModel(mirror=default_model().mirror, switching=naive_switching())
+    model = TransferModel(mirror=default_model().mirror, switching=SWITCHING["naive"])
     adc_config = AdcConfig(comparator_residual_offset=offset)
     expected = oracle.reliability(chips, model, spec, adc_config, tests)
     assert reliability(chips, model, spec, adc_config, tests) == expected
