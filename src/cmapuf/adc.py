@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import check_range
-from .quantizer import CODE_FIELD_BITS, MAX_REGIONS, REGION_FIELD_BITS, QuantizerSpec
-from .quantizer import check_volts, region_index_array
+from .quantizer import CODE_FIELD_BITS, REGION_FIELD_BITS, QuantizerSpec
+from .quantizer import check_volts, check_word_field, region_index_array
 
 WORD_BITS = REGION_FIELD_BITS + CODE_FIELD_BITS
 
@@ -62,8 +62,8 @@ class ResponseWord:
 
 def check_words(region, code, bits) -> None:
     """The response-word rule, on one word or on columns: region, then precision, then code."""
-    check_range("region", region, 1, MAX_REGIONS, rule=f"be in [1, {MAX_REGIONS}]")
-    check_range("bits", bits, 1, CODE_FIELD_BITS, rule=f"be in [1, {CODE_FIELD_BITS}]")
+    check_word_field("region", region)
+    check_word_field("bits", bits)
     bits = np.asarray(bits)
     check_range("code", code, 0, (1 << bits) - 1, rule=lambda i: f"fit in {bits.flat[i]} bits")
 

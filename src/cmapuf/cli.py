@@ -7,7 +7,9 @@ or ``manifest.json`` inside a directory) holding the parameters it ran with, exc
 ``--parents``).  ``codec`` writes and reads them field by field.  Manifests and outputs
 contain no timestamps; the same invocation produces byte-identical files.
 ``metrics --temps`` and ``attack --model es`` take how a dataset was read
-from its ``crps`` manifest, not from options of their own.
+from its ``crps`` manifest, not from options of their own.  No output or output
+manifest may land on an input, an input's manifest or the other output
+(``_refuse_overwrites``).
 """
 
 from __future__ import annotations
@@ -135,14 +137,35 @@ def _split(text: str | None, parse, option: str, needs: str, count: int | None =
     return values
 
 
+def _manifest(path: str | Path) -> Path:
+    """The manifest of the file or directory ``path``."""
+    path = Path(path)
+    return path / "manifest.json" if path.is_dir() else Path(str(path) + ".manifest.json")
+
+
 def _write_manifest(out: Path, command: str, parameters: dict | CrpsParameters) -> None:
-    target = out / "manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
-    codec.write_json(target, {"command": command, "parameters": parameters})
+    codec.write_json(_manifest(out), {"command": command, "parameters": parameters})
+
+
+def _refuse_overwrites(args: argparse.Namespace, inputs: dict[str, str | Path | None]) -> None:
+    """Refuse, before any work, an output that would replace a file the command reads or
+    writes: ``--out``, its manifest and any ``--samples-out`` must each resolve to none of
+    ``inputs`` (option to path, None where not given), their manifests and each other.
+    The error names both options."""
+    files = [(option, path) for option, path in inputs.items() if path is not None]
+    files += [(f"{option}'s manifest", _manifest(path)) for option, path in files]
+    owners = {Path(path).resolve(): option for option, path in files}
+    outputs = [("--out", args.out), ("--out's manifest", _manifest(args.out))]
+    outputs += [("--samples-out", args.samples_out)] if getattr(args, "samples_out", None) else []
+    for option, path in outputs:
+        owner = owners.setdefault(Path(path).resolve(), option)
+        if owner != option:
+            raise ValueError(f"{option} would overwrite {owner}: both are {path}")
 
 
 def _crps_parameters(infile: str) -> CrpsParameters:
     """How the dataset ``infile`` was read, from the manifest ``crps`` wrote next to it."""
-    path = Path(str(infile) + ".manifest.json")
+    path = _manifest(infile)
     if not path.exists():
         raise ValueError(f"{infile} has no crps manifest: {path} is missing")
     return codec.read_json(path, CrpsManifest).parameters
@@ -166,6 +189,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
+    _refuse_overwrites(args, {})
     codec.check_range("samples", args.samples, 1)
     codec.check_range("bins", args.bins, 2)
     config = _variation_config(args)
@@ -214,6 +238,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_quantizer(args: argparse.Namespace) -> int:
+    _refuse_overwrites(args, {"--samples": args.samples})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data": refused below
         try:
@@ -248,6 +273,7 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
 
 
 def cmd_crps(args: argparse.Namespace) -> int:
+    _refuse_overwrites(args, {"--quantizer": args.quantizer})
     params = CrpsParameters(
         variation=_variation_config(args),
         chips=args.chips,
@@ -278,6 +304,7 @@ def _load_dataset(path: Path) -> crp.CrpDataset:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    _refuse_overwrites(args, {"--in": args.infile})
     temps = _split(args.temps, float, "--temps", "comma-separated degC")
     dataset = _load_dataset(Path(args.infile))
     multi = len(dataset.chip_ids) >= 2
@@ -334,6 +361,7 @@ def _attacker_options(args: argparse.Namespace) -> dict:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    _refuse_overwrites(args, {"--in": args.infile})
     options = _attacker_options(args)
     dataset = _load_dataset(Path(args.infile))
     ids = dataset.chip_ids

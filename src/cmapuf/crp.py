@@ -587,18 +587,18 @@ def _jsonl_fields(lines: list[str]) -> list[list] | None:
     return None
 
 
-def _repeated_key(line: str, doc: dict):
-    """The first key the JSON object ``line``, read as ``doc``, names a second time, or None:
-    every key has a colon of its own, so a line with as many colons as keys repeats none, and
-    any other is read once more by ``json.loads`` as its list of (key, value) pairs."""
-    if line.count(":") == len(doc):
-        return None
-    seen = set()
-    for key, _ in json.loads(line, object_pairs_hook=list):
-        if key in seen:
-            return key
-        seen.add(key)
-    return None
+class _Record(dict):
+    """A JSON object as ``json.loads`` builds it through ``object_pairs_hook``, with
+    ``repeated``, the first key it names a second time, or None."""
+
+    __slots__ = ("repeated",)
+
+    def __init__(self, pairs: list) -> None:
+        super().__init__(pairs)
+        self.repeated = None
+        if len(self) < len(pairs):  # only a repeat makes the dict shorter than its pairs
+            keys = [key for key, _ in pairs]
+            self.repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
 
 
 def load_jsonl(path: str | Path) -> CrpDataset:
@@ -609,9 +609,9 @@ def load_jsonl(path: str | Path) -> CrpDataset:
     chunk's lines are decoded by json's C scanner in one pass, each from its first
     character, and transposed by one ``itemgetter`` map per field; a chunk where that fails
     for any line (space around a value, a line that is not an object, a missing field, a
-    ``_meta`` line, more colons than keys) is read again line by line, each line by
-    ``json.loads`` and checked by ``_repeated_key``.  A byte-order mark that starts the file
-    is skipped."""
+    ``_meta`` line, more colons than keys) is read again line by line, each line decoded once
+    by ``json.loads`` into a ``_Record``, which notes a repeated key.  A byte-order mark that
+    starts the file is skipped."""
 
     def chunks(fh):
         n = 0
@@ -626,7 +626,7 @@ def load_jsonl(path: str | Path) -> CrpDataset:
             records = []
             for line in lines:
                 try:
-                    doc = json.loads(line)
+                    doc = json.loads(line, object_pairs_hook=_Record)
                 except ValueError:
                     doc = None
                 if not isinstance(doc, dict):
@@ -634,9 +634,10 @@ def load_jsonl(path: str | Path) -> CrpDataset:
                         f"row {n + len(records) + 1} is not a JSON object: {line.strip()!r}"
                     )
                 if doc.keys() != {"_meta"}:
-                    key = _repeated_key(line, doc)
-                    if key is not None:
-                        raise ValueError(f"row {n + len(records) + 1} repeats the {key!r} key")
+                    if doc.repeated is not None:
+                        raise ValueError(
+                            f"row {n + len(records) + 1} repeats the {doc.repeated!r} key"
+                        )
                     records.append(doc)
             n += len(records)
             yield {name: [doc.get(name) for doc in records] for name in CSV_FIELDS}

@@ -14,8 +14,8 @@ rule for a scalar).  Each half-step can only lower the mean squared
 error, so the iteration converges to a local optimum.  A fit refuses
 samples with fewer distinct values than regions.
 
-A spec's regions and precisions must fit the 11-bit response word: the
-field widths are defined here, and ``adc`` packs the word from them.
+A spec's regions and precisions must fit the 11-bit response word: the field
+widths and their one rule, ``check_word_field``, are here; ``adc`` packs the word.
 """
 
 from __future__ import annotations
@@ -40,6 +40,19 @@ DEFAULT_BITS = (8, 7, 6, 7, 8)
 REGION_FIELD_BITS = 3
 CODE_FIELD_BITS = 8
 MAX_REGIONS = (1 << REGION_FIELD_BITS) - 1
+
+
+def check_word_field(field: str, values, name: str | None = None) -> None:
+    """What the response word holds: a ``"region"`` is an integer in [1, ``MAX_REGIONS``], a
+    ``"bits"`` precision one in [1, ``CODE_FIELD_BITS``], and a bool is neither.  A list or tuple
+    is judged by its values' types, else by its dtype; the first bad value raises, as ``name``."""
+    name, hi = name or field, MAX_REGIONS if field == "region" else CODE_FIELD_BITS
+    values = values if isinstance(values, (list, tuple)) else np.asarray(values).reshape(-1)
+    judged = values[:1] if isinstance(values, np.ndarray) else values  # an array by its dtype
+    bad = next((i for i, v in enumerate(judged) if not np.issubdtype(type(v), np.integer)), None)
+    check_range(name, values[:bad], 1, hi, rule=f"be in [1, {hi}]")  # up to the first non-integer
+    if bad is not None:
+        raise ValueError(f"{name} must be an integer, got {values[bad]}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +84,7 @@ class QuantizerSpec:
     vdd at the ends.  Region i (1-based, matching the encoded region
     number) spans [boundaries[i-1], boundaries[i]).  bits_per_region sets
     the converter precision used inside each region and centroids are the
-    fitted representatives.  A spec holds at most ``MAX_REGIONS`` regions
-    and at most ``CODE_FIELD_BITS`` bits per region, what the response word
-    holds.
+    fitted representatives.
     """
 
     boundaries: tuple[float, ...]
@@ -82,14 +93,10 @@ class QuantizerSpec:
 
     def __post_init__(self) -> None:
         k = len(self.bits_per_region)
-        if k < 1:
-            raise ValueError("need at least one region")
-        _refuse_wider_than_the_word(k, self.bits_per_region)
-        check_range("bits_per_region", self.bits_per_region, 1)
+        check_word_field("region", k, "k")
+        check_word_field("bits", self.bits_per_region, "bits_per_region")
         if len(self.boundaries) != k + 1:
-            raise ValueError(
-                f"{k} regions need {k + 1} boundaries, got {len(self.boundaries)}"
-            )
+            raise ValueError(f"{k} regions need {k + 1} boundaries, got {len(self.boundaries)}")
         if len(self.centroids) != k:
             raise ValueError(f"{k} regions need {k} centroids, got {len(self.centroids)}")
         if self.boundaries[0] != 0.0:
@@ -107,14 +114,6 @@ class QuantizerSpec:
     @property
     def vdd(self) -> float:
         return self.boundaries[-1]
-
-
-def _refuse_wider_than_the_word(k: int, bits_per_region: tuple[int, ...]) -> None:
-    """Raise for more regions, or a wider precision, than the response word holds."""
-    if k > MAX_REGIONS:
-        raise ValueError(f"the response word holds at most {MAX_REGIONS} regions, got k={k}")
-    width = f"be <= {CODE_FIELD_BITS}, the response word's code width"
-    check_range("bits_per_region", bits_per_region, hi=CODE_FIELD_BITS, rule=width)
 
 
 def default_regions() -> QuantizerSpec:
@@ -213,13 +212,13 @@ def lloyd_max(
     Runs the centroid/boundary alternation from a uniform initial
     partition until the largest boundary movement in one iteration falls
     below tol (or max_iter is hit).  bits_per_region defaults to the paper's
-    ``DEFAULT_BITS`` at k=5, else 8 bits everywhere.  A bad k, then a k or a precision
-    the response word cannot hold, then a table not of k entries is refused before the fit.
+    ``DEFAULT_BITS`` at k=5, else 8 bits everywhere.  A k, then a precision, that the
+    response word cannot hold, then a table not of k entries is refused before the fit.
     """
-    check_range("k", k, 1)
+    check_word_field("region", k, "k")
     if bits_per_region is None:
         bits_per_region = DEFAULT_BITS if k == len(DEFAULT_BITS) else (CODE_FIELD_BITS,) * k
-    _refuse_wider_than_the_word(k, bits_per_region)
+    check_word_field("bits", bits_per_region, "bits_per_region")
     if len(bits_per_region) != k:
         raise ValueError(f"bits_per_region must have {k} entries, got {len(bits_per_region)}")
     *_, (boundaries, centroids) = _lloyd_max_steps(dist, k, tol, max_iter)

@@ -141,9 +141,9 @@ def test_fit_quantizer_bits_mismatch_errors(tmp_path, capsys):
 def test_a_quantizer_wider_than_the_word_is_refused(tmp_path, capsys):
     raw = tmp_path / "s.txt"
     raw.write_text("\n".join(str(i * 1.8 / 200) for i in range(201)) + "\n")
-    wide = "bits_per_region must be <= 8, the response word's code width, got 9"
+    wide = "bits_per_region must be in [1, 8], got 9"
     for option, message in (
-        (["--k", 8], "the response word holds at most 7 regions, got k=8"),
+        (["--k", 8], "k must be in [1, 7], got 8"),
         (["--k", 2, "--bits", "9,9"], wide),
     ):
         out = tmp_path / "q.json"
@@ -643,13 +643,75 @@ def test_fit_quantizer_refuses_a_fit_without_iterations(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == [raw]
 
 
+def test_fit_quantizer_names_a_bad_precision_before_it_fits(tmp_path, capsys):
+    # two distinct samples are too few for three regions: a fit that ran would say so first
+    raw = tmp_path / "s.txt"
+    raw.write_text("0.1\n0.9\n")
+    out = tmp_path / "q.json"
+    assert run("fit-quantizer", "--samples", raw, "--k", 3, "--bits", "8,8,0", "--out", out) == 1
+    assert capsys.readouterr().err == "error: bits_per_region must be in [1, 8], got 0\n"
+    assert list(tmp_path.iterdir()) == [raw]
+
+
+@pytest.fixture(scope="module")
+def crps_files(tmp_path_factory):
+    """A directory holding a one-chip dataset with its manifest and a fitted spec with its own."""
+    path = tmp_path_factory.mktemp("crps_files")
+    (path / "s.txt").write_text("\n".join(str(i * 1.8 / 20) for i in range(21)) + "\n")
+    assert run("fit-quantizer", "--samples", path / "s.txt", "--out", path / "q.json") == 0
+    assert run("crps", "--challenges", 16, "--quantizer", path / "q.json",
+               "--out", path / "d.csv") == 0
+    (path / "link.csv").symlink_to(path / "d.csv")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["metrics", "--in", "{dir}/d.csv", "--out", "{dir}/d.csv"],
+         "--out would overwrite --in: both are {dir}/d.csv"),
+        # the same file by another spelling, or through a link
+        (["metrics", "--in", "{dir}/d.csv", "--out", "{dir}/sub/../d.csv"],
+         "--out would overwrite --in: both are {dir}/sub/../d.csv"),
+        (["metrics", "--in", "{dir}/d.csv", "--out", "{dir}/link.csv"],
+         "--out would overwrite --in: both are {dir}/link.csv"),
+        (["metrics", "--in", "{dir}/d.csv", "--out", "{dir}/d.csv.manifest.json"],
+         "--out would overwrite --in's manifest: both are {dir}/d.csv.manifest.json"),
+        (["metrics", "--in", "{dir}/d.csv.manifest.json", "--out", "{dir}/d.csv"],
+         "--out's manifest would overwrite --in: both are {dir}/d.csv.manifest.json"),
+        (["attack", "--in", "{dir}/d.csv", "--out", "{dir}/d.csv"],
+         "--out would overwrite --in: both are {dir}/d.csv"),
+        (["attack", "--in", "{dir}/d.csv", "--model", "es", "--out", "{dir}/d.csv.manifest.json"],
+         "--out would overwrite --in's manifest: both are {dir}/d.csv.manifest.json"),
+        (["fit-quantizer", "--samples", "{dir}/s.txt", "--out", "{dir}/s.txt"],
+         "--out would overwrite --samples: both are {dir}/s.txt"),
+        (["crps", "--quantizer", "{dir}/q.json", "--out", "{dir}/q.json"],
+         "--out would overwrite --quantizer: both are {dir}/q.json"),
+        (["crps", "--quantizer", "{dir}/q.json", "--out", "{dir}/q.json.manifest.json"],
+         "--out would overwrite --quantizer's manifest: both are {dir}/q.json.manifest.json"),
+        (["mc", "--samples", "10", "--out", "{dir}/x.csv", "--samples-out", "{dir}/x.csv"],
+         "--samples-out would overwrite --out: both are {dir}/x.csv"),
+        (["mc", "--samples", "10", "--out", "{dir}/x.csv",
+          "--samples-out", "{dir}/x.csv.manifest.json"],
+         "--samples-out would overwrite --out's manifest: both are {dir}/x.csv.manifest.json"),
+    ],
+)
+def test_an_output_never_overwrites_an_input(crps_files, capsys, argv, message):
+    # each of these once exited 0, the dataset replaced by the report or the crps manifest by
+    # the metrics manifest, the sample file by a spec, the histogram by the samples
+    before = {path.name: path.read_bytes() for path in crps_files.iterdir()}
+    assert run(*(a.format(dir=crps_files) for a in argv)) == 1
+    assert capsys.readouterr().err == f"error: {message.format(dir=crps_files)}\n"
+    assert {path.name: path.read_bytes() for path in crps_files.iterdir()} == before
+
+
 def test_fit_quantizer_names_a_bad_k(tmp_path, capsys):
     raw = tmp_path / "samples.txt"
     raw.write_text("0.1\n0.5\n1.7\n")
     out = tmp_path / "q.json"
-    too_many = "the response word holds at most 7 regions, got k=8"
     # k is named before --bits is split into k entries
-    for k, message in ((0, "k must be >= 1, got 0"), (-1, "k must be >= 1, got -1"), (8, too_many)):
+    for k in (0, -1, 8):
+        message = f"k must be in [1, 7], got {k}"
         for bits in ([], ["--bits", 8]):
             assert run("fit-quantizer", "--samples", raw, "--k", k, *bits, "--out", out) == 1
             assert capsys.readouterr().err == f"error: {message}\n"

@@ -650,12 +650,16 @@ def test_load_jsonl_reads_each_line_as_json_loads_does(tmp_path, monkeypatch, sm
             assert got[name].dtype.type is dtype and np.array_equal(got[name], want[name]), name
 
 
+def _never_called(*args):
+    raise AssertionError("called")
+
+
 def test_a_clean_jsonl_file_is_read_without_the_line_by_line_route(tmp_path, monkeypatch,
                                                                   small_dataset):
     path = tmp_path / "ds.jsonl"
     save_jsonl(small_dataset, path)
     text = path.read_text()
-    monkeypatch.setattr(crp, "_repeated_key", None)  # a call would raise
+    monkeypatch.setattr(crp, "_Record", _never_called)  # the line-by-line route's hook
     for body in (text, text[:-1]):  # the last line with and without its newline
         path.write_text(body)
         assert_same_records(load_jsonl(path), small_dataset)

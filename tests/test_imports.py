@@ -1,7 +1,8 @@
 """Every module-level import in the package, its tests and the bench is used,
 importing the package, or drawing a record's noise, leaves ``numpy.random``
-unloaded, the model layers do no file I/O, and no module reads another's
-private names beyond a listed few.
+unloaded, the model layers do no file I/O, no module reads another's
+private names beyond a listed few, and only the response word's field rule
+bounds a range check by the word's field widths.
 
 No linter is installed, so this scan stands in for one.
 """
@@ -159,6 +160,54 @@ def test_the_package_imports_exactly_the_names_it_exports():
     tree = ast.parse(Path(cmapuf.__file__).read_text())
     imported = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
     assert sorted(imported) == sorted(set(cmapuf.__all__) - {"__version__"})
+
+
+# The response word's field widths: one rule, ``quantizer.check_word_field``, checks a value
+# against them.
+WORD_BOUNDS = {"MAX_REGIONS", "CODE_FIELD_BITS"}
+
+
+def word_bound_checks(sources: dict[str, str]) -> list[str]:
+    """``module.function`` (``module`` for module-level code) for each top-level function,
+    method or module body that both calls ``check_range`` and reads a name of ``WORD_BOUNDS``:
+    a place that could restate the word's field rule."""
+    named = lambda node, names: (isinstance(node, ast.Name) and node.id in names
+                                 or isinstance(node, ast.Attribute) and node.attr in names)
+    found = []
+    for module, source in sources.items():
+        scopes, body = [], []
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((f"{module}.{node.name}", [node]))
+            elif isinstance(node, ast.ClassDef):
+                scopes += [(f"{module}.{node.name}.{n.name}", [n]) for n in node.body
+                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            else:
+                body.append(node)
+        for scope, nodes in scopes + [(module, body)]:
+            walked = [n for node in nodes for n in ast.walk(node)]
+            checks = any(isinstance(n, ast.Call) and named(n.func, {"check_range"}) for n in walked)
+            if checks and any(named(n, WORD_BOUNDS) for n in walked):
+                found.append(scope)
+    return found
+
+
+def test_only_the_word_rule_bounds_a_check_by_the_words_fields():
+    # a second check against MAX_REGIONS or CODE_FIELD_BITS would be a second statement of
+    # what the word holds, free to drift from the first
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert word_bound_checks(sources) == ["quantizer.check_word_field"]
+
+
+def test_the_scan_names_each_place_that_bounds_a_check_by_a_word_field():
+    sources = {
+        "a": "from .q import MAX_REGIONS\ndef f(k): check_range('k', k, 1, MAX_REGIONS)\n"
+             "def g(k): return k << q.CODE_FIELD_BITS\n",
+        "b": "class S:\n    def check(self):\n        hi = q.CODE_FIELD_BITS\n"
+             "        codec.check_range('bits', self.bits, 1, hi)\n",
+        "c": "codec.check_range('k', 3, 1, MAX_REGIONS)\ndef h(): check_range('x', 1)\n",
+    }
+    assert word_bound_checks(sources) == ["a.f", "b.S.check", "c"]
 
 
 # the modules that model the chip and attack it; files are the codec's, crp's and cli's

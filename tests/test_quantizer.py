@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cmapuf.adc import ResponseWord
 from cmapuf.codec import read_json, write_json
+from cmapuf.crp import CrpDataset
 from cmapuf.quantizer import (
     DEFAULT_BITS,
     DEFAULT_BOUNDARIES,
@@ -15,6 +17,7 @@ from cmapuf.quantizer import (
     EmpiricalDistribution,
     QuantizerSpec,
     _lloyd_max_steps,
+    check_word_field,
     default_regions,
     lloyd_max,
     lloyd_max_mse_trace,
@@ -230,9 +233,9 @@ def test_a_spec_wider_than_the_word_is_refused(tmp_path):
     # 3 region bits hold regions 1-7, and the code field 8 bits
     b8 = tuple(i * VDD / 8 for i in range(9))
     mids8 = tuple((lo + hi) / 2 for lo, hi in zip(b8[:-1], b8[1:]))
-    with pytest.raises(ValueError, match=r"^the response word holds at most 7 regions, got k=8$"):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 7\], got 8$"):
         QuantizerSpec(boundaries=b8, bits_per_region=(8,) * 8, centroids=mids8)
-    wide = "bits_per_region must be <= 8, the response word's code width, got 9"
+    wide = "bits_per_region must be in [1, 8], got 9"
     with pytest.raises(ValueError, match=f"^{re.escape(wide)}$"):
         QuantizerSpec(boundaries=(0.0, 0.9, VDD), bits_per_region=(8, 9), centroids=(0.45, 1.35))
     b7 = b8[:7] + (VDD,)
@@ -240,14 +243,95 @@ def test_a_spec_wider_than_the_word_is_refused(tmp_path):
     assert widest.k == 7
     # the fit refuses before it runs: one distinct sample would fail it otherwise
     flat = EmpiricalDistribution(np.array([0.9]), VDD)
-    with pytest.raises(ValueError, match="at most 7 regions, got k=8"):
+    with pytest.raises(ValueError, match=re.escape("k must be in [1, 7], got 8")):
         lloyd_max(flat, 8)
     with pytest.raises(ValueError, match=re.escape(wide)):
         lloyd_max(flat, 2, bits_per_region=(9, 8))
     path = tmp_path / "k8.json"
     path.write_text(json.dumps({"boundaries": b8, "bits_per_region": [8] * 8, "centroids": mids8}))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the response word holds"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: k must be in "):
         read_json(path, QuantizerSpec)
+
+
+def _spec_holding(field, value):
+    """A two-region spec with ``value`` as its second precision, or a spec of ``value`` regions."""
+    if field == "region":
+        b = tuple(i * VDD / max(value, 1) for i in range(value + 1))
+        mids = tuple((lo + hi) / 2 for lo, hi in zip(b[:-1], b[1:]))
+        return QuantizerSpec(boundaries=b, bits_per_region=(8,) * value, centroids=mids)
+    return QuantizerSpec(boundaries=(0.0, 0.9, VDD), bits_per_region=(8, value),
+                         centroids=(0.45, 1.35))
+
+
+def _fit_holding(field, value):
+    # one distinct sample: a fit that ran would refuse it, naming its own fault instead
+    flat = EmpiricalDistribution(np.array([0.9]), VDD)
+    if field == "region":
+        return lloyd_max(flat, value)
+    return lloyd_max(flat, 2, bits_per_region=(8, value))
+
+
+def _word_holding(field, value):
+    return ResponseWord(**{"region": 1, "code": 0, "bits": 8, field: value})
+
+
+def _read_holding(field, value):
+    read = dict(chip_id=["a"], challenge=[1], region=[2], code=[3], bits=[8], temperature=[25.0],
+                noise_sigma=[0.0], noise_seed=[5])
+    return CrpDataset(**read | {field: [value]})
+
+
+# each holder of a word field, the name it gives its region (or region count) and precision
+WORD_HOLDERS = {
+    "QuantizerSpec": (_spec_holding, "k", "bits_per_region"),
+    "lloyd_max": (_fit_holding, "k", "bits_per_region"),
+    "ResponseWord": (_word_holding, "region", "bits"),
+    "CrpDataset": (_read_holding, "region", "bits"),
+}
+WORD_CASES = [
+    ("bits", 0, "be in [1, 8]"),
+    ("bits", 9, "be in [1, 8]"),
+    ("bits", 7.5, "be an integer"),
+    ("bits", True, "be an integer"),
+    ("region", 0, "be in [1, 7]"),
+    ("region", 8, "be in [1, 7]"),
+    ("region", 1.0, "be an integer"),
+    ("region", True, "be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "holder, field, value, rule",
+    [
+        (holder, *case) for holder in WORD_HOLDERS for case in WORD_CASES
+        # a spec's region count is the length of its table, which no float or bool can be
+        if not (holder == "QuantizerSpec" and case[0] == "region" and type(case[1]) is not int)
+    ],
+)
+def test_every_holder_of_a_word_field_refuses_what_the_word_cannot_hold(holder, field, value,
+                                                                         rule):
+    # (8, 7.5) once read as 7 bits and (8, True) as 1; a dataset's column rule refuses a value
+    # of the wrong kind before the word rule sees it, naming its row
+    build, region_name, bits_name = WORD_HOLDERS[holder]
+    name = region_name if field == "region" else bits_name
+    message = f"{name} must {rule}, got {value}"
+    if holder == "CrpDataset" and rule == "be an integer":
+        message = f"row 1 has a bad {field!r} field: {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(field, value)
+
+
+def test_the_word_rule_names_the_first_bad_value_in_order():
+    with pytest.raises(ValueError, match=r"^bits must be in \[1, 8\], got 9$"):
+        check_word_field("bits", (8, 9, 7.5))
+    with pytest.raises(ValueError, match=r"^bits must be an integer, got 7.5$"):
+        check_word_field("bits", (8, 7.5, 9))
+    with pytest.raises(ValueError, match=r"^precision must be an integer, got 8.0$"):
+        check_word_field("bits", np.array([8.0, 7.0]), "precision")
+    with pytest.raises(ValueError, match=f"^region must be in \\[1, 7\\], got {2**70}$"):
+        check_word_field("region", [1, 2**70])
+    check_word_field("region", np.arange(1, 8, dtype=np.uint8))
+    check_word_field("bits", (np.int64(8), 1))
 
 
 def test_lloyd_max_argument_validation():
