@@ -3,20 +3,13 @@
 The pipeline mirrors the hardware: ``variation`` synthesizes per-chip
 transistor mismatch, ``analog`` turns a cell's mismatch into an output
 voltage, ``cellarray`` routes an 8-bit challenge to one of 256 cells,
-``quantizer`` + ``adc`` turn the voltage into an 11-bit response word,
+``quantizer`` + ``adc`` turn the voltage into an 11-bit ``word``,
 ``crp`` collects datasets and quality metrics, and ``attack`` tries to
 model a chip from its responses.  ``codec`` is the one JSON form of every
 config, report and manifest.
 """
 
-from .adc import (
-    AdcConfig,
-    ResponseWord,
-    conversion_cycles,
-    conversion_energy,
-    encode_word,
-    energy_per_cycle,
-)
+from .adc import AdcConfig, conversion_cycles, conversion_energy, energy_per_cycle
 from .analog import (
     Conditions,
     MirrorConfig,
@@ -44,6 +37,7 @@ from .variation import (
     synth_chip,
     synth_population,
 )
+from .word import ResponseWord, encode_word
 
 __version__ = "0.1.0"
 

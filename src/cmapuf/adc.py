@@ -1,19 +1,14 @@
-"""Single-slope conversion of a cell voltage into the 11-bit response word.
+"""Single-slope conversion of a cell voltage into a response word's fields.
 
 The converter ramps a counter while a comparator watches the cell
 voltage, so a b-bit conversion costs 2**b clock cycles.  Because the
 quantizer assigns fewer bits to sparse regions, mid-range voltages
-convert in a quarter of the cycles of rail-adjacent ones.
+convert in a quarter of the cycles of rail-adjacent ones.  The per-cycle
+energy is power / clock, and a handful of published reference points are
+kept here for the energy comparison command.
 
-A response word is region number plus in-region code, packed as a fixed
-11-bit string: 3 region bits followed by the code, zero-padded on the
-left to 8 bits.  The field widths come from ``quantizer``, whose spec
-must fit them; this module holds the rest of the layout: the word's index
-``region << 8 | code``, its string and its bit row.  The per-cycle energy
-of the converter is power / clock, and a handful of published reference
-points are kept here for the energy comparison command.
-
-``convert_array`` is the one converter; ``convert`` is one element of it.
+``convert_array`` is the one converter, giving each voltage's region, code
+and precision for ``word`` to pack; ``convert`` is one element of it.
 Its tables (levels, top codes, boundaries, precisions) are built from the
 configuration and spec by ``_Converter``, which a caller converting many
 small batches, as the ES fitness does, builds once and reads through.
@@ -26,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import check_range
-from .quantizer import CODE_FIELD_BITS, REGION_FIELD_BITS, QuantizerSpec
-from .quantizer import check_volts, check_word_field, region_index_array
-
-WORD_BITS = REGION_FIELD_BITS + CODE_FIELD_BITS
+from .quantizer import QuantizerSpec, check_volts, region_index_array
+from .word import ResponseWord, word_bits
 
 
 @dataclass(frozen=True)
@@ -44,50 +37,9 @@ class AdcConfig:
         energy_per_cycle(self.power, self.clock_freq)  # the clock and power rules
 
 
-@dataclass(frozen=True)
-class ResponseWord:
-    """One converted readout: 1-based region number, code, and precision."""
-
-    region: int
-    code: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        check_words(self.region, self.code, self.bits)
-
-    @property
-    def encoded(self) -> str:
-        return encode_word(self)
-
-
-def check_words(region, code, bits) -> None:
-    """The response-word rule, on one word or on columns: region, then precision, then code."""
-    check_word_field("region", region)
-    check_word_field("bits", bits)
-    bits = np.asarray(bits)
-    check_range("code", code, 0, (1 << bits) - 1, rule=lambda i: f"fit in {bits.flat[i]} bits")
-
-
-def encode_word(word: ResponseWord) -> str:
-    """Pack a response as 3 region bits plus the left-zero-padded code."""
-    return word_strings([word.region], [word.code])[0]
-
-
-def decode_word(encoded: str, bits_per_region: tuple[int, ...]) -> ResponseWord:
-    """Inverse of ``encode_word`` for a given region/precision table."""
-    if len(encoded) != WORD_BITS or set(encoded) - {"0", "1"}:
-        raise ValueError(f"encoded word must be {WORD_BITS} binary digits, got {encoded!r}")
-    region = int(encoded[:REGION_FIELD_BITS], 2)
-    code = int(encoded[REGION_FIELD_BITS:], 2)
-    if not (1 <= region <= len(bits_per_region)):
-        raise ValueError(f"region {region} outside the configured table")
-    return ResponseWord(region=region, code=code, bits=bits_per_region[region - 1])
-
-
 def convert(config: AdcConfig, spec: QuantizerSpec, v: float) -> ResponseWord:
     """One voltage's conversion: one element of ``convert_array``."""
-    region, code, bits = (int(x[0]) for x in convert_array(config, spec, np.array([v])))
-    return ResponseWord(region=region, code=code, bits=bits)
+    return ResponseWord(*(int(x[0]) for x in convert_array(config, spec, np.array([v]))))
 
 
 def convert_array(
@@ -133,28 +85,6 @@ class _Converter:
         # the clamped voltage is >= 0, so truncation is the floor
         code = (v / self.vdd * self.levels[idx]).astype(np.int64)
         return idx, np.minimum(code, self.top[idx])
-
-
-# String and bit row of every 11-bit word, indexed by ``region << 8 | code``,
-# most significant bit first.
-_WORD_STRINGS = [format(w, f"0{WORD_BITS}b") for w in range(1 << WORD_BITS)]
-_WORD_BIT_ROWS = (
-    (np.arange(1 << WORD_BITS)[:, None] >> np.arange(WORD_BITS - 1, -1, -1)) & 1
-).astype(np.int8)
-
-
-def _word_index(region: np.ndarray, code: np.ndarray) -> np.ndarray:
-    return (np.asarray(region) << CODE_FIELD_BITS) | np.asarray(code)
-
-
-def word_strings(region: np.ndarray, code: np.ndarray) -> list[str]:
-    """The 11-character strings of 1-D arrays of response words."""
-    return [_WORD_STRINGS[w] for w in _word_index(region, code).tolist()]
-
-
-def word_bits(region: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Bit rows (..., 11) of response words."""
-    return np.take(_WORD_BIT_ROWS, _word_index(region, code), axis=0)
 
 
 def response_bits(config: AdcConfig, spec: QuantizerSpec, v: np.ndarray) -> np.ndarray:

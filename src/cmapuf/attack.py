@@ -39,12 +39,13 @@ from enum import Enum
 
 import numpy as np
 
-from .adc import _WORD_BIT_ROWS, WORD_BITS, AdcConfig, _Converter, _word_index, response_bits
+from .adc import AdcConfig, _Converter, response_bits
 from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS, decode
 from .codec import check_range
 from .crp import CrpDataset, _refuse_repeated_reads, bits_matrix
 from .quantizer import QuantizerSpec
+from .word import WORD_BITS, WORD_WEIGHT, word_index
 
 N_CELLS = 1 << CHALLENGE_BITS
 MAX_BACKTRACKS = 40  # LR step halvings tried per bit and epoch
@@ -53,7 +54,6 @@ SIGMA_FLOOR = 1.0e-5  # ES annealed step never falls below this
 MUTATION_RATE = 2.0  # expected mutated coordinates per offspring
 COARSE_FRACTION = 0.1  # offspring that mutate at SIGMA0 regardless of annealing
 STAGNATION_LIMIT = 15  # generations without a better fitness before the step halves
-_WORD_WEIGHT = _WORD_BIT_ROWS.sum(axis=1)  # set bits of each 11-bit word index
 
 
 class FeatureEncoding(Enum):
@@ -203,7 +203,7 @@ def clone_bits(
 def _distance(converter: _Converter, volts: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Encoded Hamming distance of each voltage's word to a target word index."""
     idx, code = converter.read(volts)
-    return _WORD_WEIGHT[_word_index(idx + 1, code) ^ target]
+    return WORD_WEIGHT[word_index(idx + 1, code) ^ target]
 
 
 def es_fit(
@@ -238,7 +238,7 @@ def es_fit(
     trained = np.zeros(N_CELLS, dtype=bool)
     trained[words] = True
     target = np.zeros(N_CELLS, dtype=np.int64)
-    target[words] = _word_index(dataset.region, dataset.code)
+    target[words] = word_index(dataset.region, dataset.code)
     n_bits = len(words) * WORD_BITS
     converter = _Converter(adc_config, spec)
 

@@ -47,13 +47,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .adc import WORD_BITS, AdcConfig, check_words, convert_array, word_bits, word_strings
-from .adc import _WORD_STRINGS, _word_index
+from .adc import AdcConfig, convert_array
 from .analog import Conditions, TransferModel, check_conditions
 from .cellarray import CHALLENGE_BITS, decode, evaluate_array
 from .codec import write_csv
-from .quantizer import REGION_FIELD_BITS, QuantizerSpec
+from .quantizer import QuantizerSpec
 from .variation import ChipInstance
+from .word import REGION_FIELD_BITS, WORD_BITS, WORD_STRINGS, check_words, word_bits, word_index
+from .word import word_strings
 
 # A dataset's columns and their dtypes.
 COLUMNS = {
@@ -467,7 +468,7 @@ class _HexWords(dict):
 # challenge hex and the encoded word its 11-bit string, read as ``region << 8 | code``, in both.
 # ``_column`` then checks each parsed value's kind.
 _CSV_PARSE = dict(challenge=_HexWords(zip(_HEX, range(len(_HEX)))).__getitem__,
-                  encoded=dict(zip(_WORD_STRINGS, range(len(_WORD_STRINGS)))).__getitem__)
+                  encoded=dict(zip(WORD_STRINGS, range(len(WORD_STRINGS)))).__getitem__)
 _JSONL_PARSE = dict(_CSV_PARSE)
 _CSV_PARSE |= dict(region=int, code=int, bits=int, temperature=float, noise_sigma=float,
                    noise_seed=int)
@@ -516,11 +517,11 @@ def _load(path: str | Path, chunks, parsers: dict) -> CrpDataset:
         raise ValueError(f"{path} holds no records")
     encoded = np.concatenate(parts.pop("encoded"))
     dataset = CrpDataset(**{name: np.concatenate(parts.pop(name)) for name in COLUMNS})
-    words = _word_index(dataset.region, dataset.code)
+    words = word_index(dataset.region, dataset.code)
     if (encoded != words).any():
         i = int(np.argmax(encoded != words))
-        raise ValueError(f"row {i + 1} has encoded {_WORD_STRINGS[encoded[i]]!r}, but its "
-                         f"region and code are {_WORD_STRINGS[words[i]]!r}")
+        raise ValueError(f"row {i + 1} has encoded {WORD_STRINGS[encoded[i]]!r}, but its "
+                         f"region and code are {WORD_STRINGS[words[i]]!r}")
     return dataset
 
 

@@ -13,9 +13,6 @@ boundary moves to the midpoint between neighbours (the nearest-neighbour
 rule for a scalar).  Each half-step can only lower the mean squared
 error, so the iteration converges to a local optimum.  A fit refuses
 samples with fewer distinct values than regions.
-
-A spec's regions and precisions must fit the 11-bit response word: the field
-widths and their one rule, ``check_word_field``, are here; ``adc`` packs the word.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import check_range
+from .word import CODE_FIELD_BITS, check_word_field
 
 DEFAULT_TOL = 1.0e-6
 DEFAULT_MAX_ITER = 1000
@@ -35,25 +33,6 @@ DEFAULT_MAX_ITER = 1000
 # get 8 bits, the sparse middle 6).
 DEFAULT_BOUNDARIES = (0.0, 0.1451, 0.6596, 1.3308, 1.6978, 1.8)
 DEFAULT_BITS = (8, 7, 6, 7, 8)
-
-# The response word's fields: a 1-based region number, then the in-region code.
-REGION_FIELD_BITS = 3
-CODE_FIELD_BITS = 8
-MAX_REGIONS = (1 << REGION_FIELD_BITS) - 1
-
-
-def check_word_field(field: str, values, name: str | None = None) -> None:
-    """What the response word holds: a ``"region"`` is an integer in [1, ``MAX_REGIONS``], a
-    ``"bits"`` precision one in [1, ``CODE_FIELD_BITS``], and a bool is neither.  A list or tuple
-    is judged by its values' types, else by its dtype; the first bad value raises, as ``name``."""
-    name, hi = name or field, MAX_REGIONS if field == "region" else CODE_FIELD_BITS
-    values = values if isinstance(values, (list, tuple)) else np.asarray(values).reshape(-1)
-    judged = values[:1] if isinstance(values, np.ndarray) else values  # an array by its dtype
-    bad = next((i for i, v in enumerate(judged) if not np.issubdtype(type(v), np.integer)), None)
-    check_range(name, values[:bad], 1, hi, rule=f"be in [1, {hi}]")  # up to the first non-integer
-    if bad is not None:
-        raise ValueError(f"{name} must be an integer, got {values[bad]}")
-
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -168,7 +147,7 @@ def _lloyd_max_steps(
     dist: EmpiricalDistribution, k: int, tol: float, max_iter: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The fit as it goes: each iteration's boundaries and centroids, the last the fitted ones."""
-    check_range("k", k, 1)
+    check_word_field("region", k, "k")
     check_range("tol", tol, 0)  # a NaN tol would never stop the fit, an infinite one at once
     check_range("max_iter", max_iter, 1)  # no iteration would leave the uniform start unfitted
     samples = np.sort(dist.samples)

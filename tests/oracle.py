@@ -51,7 +51,7 @@ import zlib
 
 import numpy as np
 
-from cmapuf.adc import CODE_FIELD_BITS, REGION_FIELD_BITS, WORD_BITS, AdcConfig, ResponseWord
+from cmapuf.adc import AdcConfig
 from cmapuf.analog import Conditions, TransferModel, effective_mismatch, transfer_array
 from cmapuf.attack import (
     COARSE_FRACTION,
@@ -78,6 +78,7 @@ from cmapuf.quantizer import (
     region_index_array,
 )
 from cmapuf.variation import ChipInstance
+from cmapuf.word import CODE_FIELD_BITS, REGION_FIELD_BITS, WORD_BITS, ResponseWord
 
 
 def record_seed(base_seed: int, chip_id: str, word: int) -> int:

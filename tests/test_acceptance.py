@@ -8,14 +8,7 @@ import numpy as np
 import oracle
 import pytest
 
-from cmapuf.adc import (
-    COMPARISON_ROWS,
-    AdcConfig,
-    ResponseWord,
-    convert_array,
-    decode_word,
-    encode_word,
-)
+from cmapuf.adc import COMPARISON_ROWS, AdcConfig, convert_array
 from cmapuf.analog import (
     Conditions,
     SWITCHING,
@@ -42,6 +35,7 @@ from cmapuf.quantizer import (
     region_of,
 )
 from cmapuf.variation import ProcessCorner, VariationConfig, synth_population
+from cmapuf.word import ResponseWord, decode_word, encode_word
 
 MODEL = default_model()
 SPEC = default_regions()

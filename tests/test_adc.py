@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 from cmapuf.adc import (
     COMPARISON_ROWS,
     AdcConfig,
-    ResponseWord,
     conversion_cycles,
     conversion_energy,
     convert,
     convert_array,
-    decode_word,
-    encode_word,
     energy_per_cycle,
     response_bits,
 )
 from cmapuf.codec import from_json, to_json
 from cmapuf.quantizer import QuantizerSpec, default_regions
+from cmapuf.word import ResponseWord, decode_word, encode_word
 
 CFG = AdcConfig()
 SPEC = default_regions()
@@ -86,6 +84,8 @@ def test_encoding_round_trips_exhaustively():
             enc = encode_word(word)
             assert len(enc) == 11
             assert decode_word(enc, SPEC.bits_per_region) == word
+    # a narrow integer region once shifted its field out of the word, encoding region 0
+    assert encode_word(ResponseWord(np.uint8(7), np.uint8(255), np.uint8(8))) == "11111111111"
 
 
 def test_decode_word_rejects_garbage():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmapuf.adc import AdcConfig, _Converter, response_bits, word_bits
+from cmapuf.adc import AdcConfig, _Converter, response_bits
 from cmapuf.analog import Conditions, default_model, transfer_array
 from cmapuf.attack import (
     N_CELLS,
@@ -26,6 +26,7 @@ from cmapuf.attack import (
 from cmapuf.crp import COLUMNS, CrpDataset, bits_matrix, generate
 from cmapuf.quantizer import QuantizerSpec, default_regions
 from cmapuf.variation import VariationConfig, synth_population, synth_chip
+from cmapuf.word import word_bits
 
 MODEL = default_model()
 SPEC = default_regions()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmapuf import crp
-from cmapuf.adc import AdcConfig, ResponseWord
+from cmapuf.adc import AdcConfig
 from cmapuf.analog import Conditions, default_model
 from cmapuf.crp import (
     COLUMNS,
@@ -36,6 +36,7 @@ from cmapuf.crp import (
 )
 from cmapuf.quantizer import default_regions
 from cmapuf.variation import VariationConfig, synth_population, synth_chip
+from cmapuf.word import ResponseWord
 
 MODEL = default_model()
 SPEC = default_regions()

@@ -128,12 +128,8 @@ def private_reads(sources: dict[str, str]) -> list[str]:
 # The crossings that remain, each with its reason; any other is a private name that is
 # either misnamed or reached into.
 PRIVATE_READS = {
-    "attack -> adc._WORD_BIT_ROWS": "the ES fitness weighs a word by its set bits",
     "attack -> adc._Converter": "the ES fitness builds the converter's tables once per fit",
-    "attack -> adc._word_index": "the ES fitness scores words by their index",
     "attack -> crp._refuse_repeated_reads": "the attackers refuse repeated reads as metrics do",
-    "crp -> adc._WORD_STRINGS": "the loaders parse and name a word by its string",
-    "crp -> adc._word_index": "the loaders check a record's encoded word against its fields",
 }
 
 
@@ -162,7 +158,7 @@ def test_the_package_imports_exactly_the_names_it_exports():
     assert sorted(imported) == sorted(set(cmapuf.__all__) - {"__version__"})
 
 
-# The response word's field widths: one rule, ``quantizer.check_word_field``, checks a value
+# The response word's field widths: one rule, ``word.check_word_field``, checks a value
 # against them.
 WORD_BOUNDS = {"MAX_REGIONS", "CODE_FIELD_BITS"}
 
@@ -196,7 +192,7 @@ def test_only_the_word_rule_bounds_a_check_by_the_words_fields():
     # a second check against MAX_REGIONS or CODE_FIELD_BITS would be a second statement of
     # what the word holds, free to drift from the first
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert word_bound_checks(sources) == ["quantizer.check_word_field"]
+    assert word_bound_checks(sources) == ["word.check_word_field"]
 
 
 def test_the_scan_names_each_place_that_bounds_a_check_by_a_word_field():
@@ -211,7 +207,7 @@ def test_the_scan_names_each_place_that_bounds_a_check_by_a_word_field():
 
 
 # the modules that model the chip and attack it; files are the codec's, crp's and cli's
-MODEL_LAYERS = ("variation", "analog", "cellarray", "quantizer", "adc", "attack")
+MODEL_LAYERS = ("variation", "analog", "cellarray", "word", "quantizer", "adc", "attack")
 FILE_MODULES = {"csv", "io", "json", "os", "pathlib", "shutil"}
 
 

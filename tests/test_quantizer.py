@@ -7,17 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cmapuf.adc import ResponseWord
 from cmapuf.codec import read_json, write_json
 from cmapuf.crp import CrpDataset
 from cmapuf.quantizer import (
     DEFAULT_BITS,
     DEFAULT_BOUNDARIES,
-    MAX_REGIONS,
     EmpiricalDistribution,
     QuantizerSpec,
     _lloyd_max_steps,
-    check_word_field,
     default_regions,
     lloyd_max,
     lloyd_max_mse_trace,
@@ -25,6 +22,7 @@ from cmapuf.quantizer import (
     region_index_array,
     region_of,
 )
+from cmapuf.word import MAX_REGIONS, ResponseWord, check_word_field
 
 VDD = 1.8
 
@@ -271,6 +269,11 @@ def _fit_holding(field, value):
     return lloyd_max(flat, 2, bits_per_region=(8, value))
 
 
+def _trace_holding(field, value):
+    # one distinct sample: a trace that ran would refuse it, as the fit would
+    return lloyd_max_mse_trace(EmpiricalDistribution(np.array([0.9]), VDD), value)
+
+
 def _word_holding(field, value):
     return ResponseWord(**{"region": 1, "code": 0, "bits": 8, field: value})
 
@@ -281,12 +284,14 @@ def _read_holding(field, value):
     return CrpDataset(**read | {field: [value]})
 
 
-# each holder of a word field, the name it gives its region (or region count) and precision
+# each holder of a word field, and the name it gives each field it holds: its region (or
+# region count), its precision and its code
 WORD_HOLDERS = {
-    "QuantizerSpec": (_spec_holding, "k", "bits_per_region"),
-    "lloyd_max": (_fit_holding, "k", "bits_per_region"),
-    "ResponseWord": (_word_holding, "region", "bits"),
-    "CrpDataset": (_read_holding, "region", "bits"),
+    "QuantizerSpec": (_spec_holding, {"region": "k", "bits": "bits_per_region"}),
+    "lloyd_max": (_fit_holding, {"region": "k", "bits": "bits_per_region"}),
+    "lloyd_max_mse_trace": (_trace_holding, {"region": "k"}),
+    "ResponseWord": (_word_holding, {"region": "region", "bits": "bits", "code": "code"}),
+    "CrpDataset": (_read_holding, {"region": "region", "bits": "bits", "code": "code"}),
 }
 WORD_CASES = [
     ("bits", 0, "be in [1, 8]"),
@@ -297,6 +302,10 @@ WORD_CASES = [
     ("region", 8, "be in [1, 7]"),
     ("region", 1.0, "be an integer"),
     ("region", True, "be an integer"),
+    ("code", 7.5, "be an integer"),
+    ("code", True, "be an integer"),
+    ("code", -1, "fit in 8 bits"),
+    ("code", 256, "fit in 8 bits"),
 ]
 
 
@@ -304,17 +313,17 @@ WORD_CASES = [
     "holder, field, value, rule",
     [
         (holder, *case) for holder in WORD_HOLDERS for case in WORD_CASES
+        if case[0] in WORD_HOLDERS[holder][1]
         # a spec's region count is the length of its table, which no float or bool can be
         if not (holder == "QuantizerSpec" and case[0] == "region" and type(case[1]) is not int)
     ],
 )
 def test_every_holder_of_a_word_field_refuses_what_the_word_cannot_hold(holder, field, value,
                                                                          rule):
-    # (8, 7.5) once read as 7 bits and (8, True) as 1; a dataset's column rule refuses a value
-    # of the wrong kind before the word rule sees it, naming its row
-    build, region_name, bits_name = WORD_HOLDERS[holder]
-    name = region_name if field == "region" else bits_name
-    message = f"{name} must {rule}, got {value}"
+    # (8, 7.5) once read as 7 bits and (8, True) as 1, a code of True as 1, and a trace's k of
+    # 1.5 raised a TypeError; a dataset's column rule refuses a value of the wrong kind before the word rule sees it, naming its row
+    build, names = WORD_HOLDERS[holder]
+    message = f"{names[field]} must {rule}, got {value}"
     if holder == "CrpDataset" and rule == "be an integer":
         message = f"row 1 has a bad {field!r} field: {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cmapuf.adc import AdcConfig, ResponseWord, convert, convert_array, response_bits
+from cmapuf.adc import AdcConfig, convert, convert_array, response_bits
 from cmapuf.analog import (
     Conditions,
     MirrorConfig,
@@ -40,6 +40,7 @@ from cmapuf.crp import (
 )
 from cmapuf.quantizer import QuantizerSpec, default_regions, region_of
 from cmapuf.variation import ProcessCorner, VariationConfig, synth_chip
+from cmapuf.word import ResponseWord
 
 VDD = 1.8
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
