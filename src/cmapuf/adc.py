@@ -95,7 +95,7 @@ def response_bits(config: AdcConfig, spec: QuantizerSpec, v: np.ndarray) -> np.n
 
 def conversion_cycles(bits: int) -> int:
     """Clock cycles a single-slope conversion takes at the given precision."""
-    check_range("bits", bits, 1)
+    check_range("bits", bits, 1, integer=True)
     return 1 << bits
 
 

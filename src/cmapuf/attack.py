@@ -108,7 +108,7 @@ class LrHyper:
     def __post_init__(self) -> None:
         check_range("learning_rate", self.learning_rate, 0, open_lo=True)
         check_range("l2", self.l2, 0)
-        check_range("epochs", self.epochs, 1)
+        check_range("epochs", self.epochs, 1, integer=True)
 
 
 @dataclass
@@ -174,10 +174,11 @@ class EsHyper:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_range("parents", self.parents, 1)
-        check_range("population", self.population, self.parents)
-        check_range("generations", self.generations, 0)  # at 0 the clone is the initial best
-        check_range("seed", self.seed, 0)
+        check_range("parents", self.parents, 1, integer=True)
+        check_range("population", self.population, self.parents, integer=True)
+        # at 0 generations the clone is the initial best
+        check_range("generations", self.generations, 0, integer=True)
+        check_range("seed", self.seed, 0, integer=True)
 
 
 @dataclass

@@ -1,5 +1,11 @@
 """Command-line front end.
 
+An option that sets a parameter is parsed under the name of the field it fills (``--temp``
+as ``temperature``) in ``VariationConfig``, ``default_model()`` or its mirror, ``Conditions``,
+``AdcConfig``, ``LrHyper`` or ``EsHyper``.  ``_record`` fills each from its default instance,
+so an option left out takes its record's default.  An option that names a table entry
+(``--corner``, ``--mirror``, ``--switching``, ``--encoding``) is parsed into the entry.
+
 Every writing command drops a manifest next to its output (``<out>.manifest.json``,
 or ``manifest.json`` inside a directory) holding the parameters it ran with, except
 ``metrics --seed`` (the reliability re-reads' noise seed) and the attacker's options
@@ -18,7 +24,7 @@ import argparse
 import functools
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,68 +35,53 @@ from . import adc, analog, attack, cellarray, codec, crp, quantizer, variation
 SAMPLES_CHUNK = 8192
 
 
+class _Entry(argparse.Action):
+    """Holds the entry of its ``choices`` table that argparse has checked the option names."""
+
+    def __call__(self, parser, namespace, name, option_string=None):
+        setattr(namespace, self.dest, self.choices[name])
+
+
 def _add_variation_args(p: argparse.ArgumentParser) -> None:
-    config = variation.VariationConfig
-    p.add_argument("--seed", type=int, default=config.seed)
-    p.add_argument(
-        "--sigma-vth", type=float, default=config.sigma_vth, help="mismatch sigma in volts"
-    )
-    p.add_argument(
-        "--corner",
-        type=str.lower,
-        choices=[c.value.lower() for c in variation.ProcessCorner],
-        default=config.corner.value.lower(),
-    )
+    p.add_argument("--seed", type=int)
+    p.add_argument("--sigma-vth", type=float, help="mismatch sigma in volts")
+    corners = {c.value.lower(): c for c in variation.ProcessCorner}
+    p.add_argument("--corner", type=str.lower, choices=corners, action=_Entry)
 
 
 def _add_mirror_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mirror", choices=sorted(analog.MIRRORS), default="wide")
-    p.add_argument("--gain", type=float, default=None, help="override the mirror preset gain")
+    p.add_argument("--mirror", choices=dict(sorted(analog.MIRRORS.items())), action=_Entry)
+    p.add_argument("--gain", type=float, help="override the mirror preset gain")
 
 
 def _add_read_args(p: argparse.ArgumentParser) -> None:
     """Chips, cell model and conditions: what ``mc`` and ``crps`` read cells with."""
     _add_variation_args(p)
     _add_mirror_args(p)
-    p.add_argument("--switching", choices=sorted(analog.SWITCHING), default="gated")
-    p.add_argument("--temp-coeff", type=float, default=analog.DEFAULT_TEMP_COEFF)
-    cond = analog.Conditions
-    p.add_argument("--temp", type=float, default=cond.temperature, help="read temperature in degC")
-    p.add_argument("--noise-sigma", type=float, default=cond.noise_sigma)
+    p.add_argument("--switching", choices=dict(sorted(analog.SWITCHING.items())), action=_Entry)
+    p.add_argument("--temp-coeff", type=float)
+    p.add_argument("--temp", type=float, dest="temperature", metavar="TEMP",
+                   help="read temperature in degC")
+    p.add_argument("--noise-sigma", type=float)
 
 
 def _add_adc_args(p: argparse.ArgumentParser) -> None:
-    config = adc.AdcConfig
-    p.add_argument("--clock", type=float, default=config.clock_freq, help="converter clock in Hz")
-    p.add_argument("--power", type=float, default=config.power, help="converter power in W")
+    p.add_argument("--clock", type=float, dest="clock_freq", metavar="CLOCK",
+                   help="converter clock in Hz")
+    p.add_argument("--power", type=float, help="converter power in W")
 
 
-def _variation_config(args: argparse.Namespace) -> variation.VariationConfig:
-    return variation.VariationConfig(
-        sigma_vth=args.sigma_vth,
-        corner=variation.ProcessCorner(args.corner.upper()),
-        seed=args.seed,
-    )
-
-
-def _mirror(args: argparse.Namespace) -> analog.MirrorConfig:
-    mirror = analog.MIRRORS[args.mirror]
-    return mirror if args.gain is None else replace(mirror, gain=args.gain)
+def _record(record, args: argparse.Namespace, **given):
+    """``record`` with each field that an option, or ``given``, holds replaced."""
+    names = {f.name for f in fields(record)}
+    return replace(record, **{k: v for k, v in (vars(args) | given).items() if k in names})
 
 
 def _model(args: argparse.Namespace) -> analog.TransferModel:
-    switching = analog.SWITCHING[args.switching]
-    return analog.TransferModel(_mirror(args), switching, temp_coeff=args.temp_coeff)
-
-
-def _conditions(args: argparse.Namespace, noise_seed: int = 0) -> analog.Conditions:
-    return analog.Conditions(
-        temperature=args.temp, noise_sigma=args.noise_sigma, noise_seed=noise_seed
-    )
-
-
-def _adc_config(args: argparse.Namespace) -> adc.AdcConfig:
-    return adc.AdcConfig(clock_freq=args.clock, power=args.power)
+    """``default_model()`` with the options' mirror, its gain, switching and temp_coeff."""
+    model = analog.default_model()
+    mirror = _record(getattr(args, "mirror", model.mirror), args)  # the preset, then its gain
+    return _record(model, args, mirror=mirror)
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ def _crps_parameters(infile: str) -> CrpsParameters:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _variation_config(args)
+    config = _record(variation.VariationConfig(), args)
     chips = variation.synth_population(config, args.chips)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,9 +183,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
     _refuse_overwrites(args, {})
     codec.check_range("samples", args.samples, 1)
     codec.check_range("bins", args.bins, 2)
-    config = _variation_config(args)
+    config = _record(variation.VariationConfig(), args)
     model = _model(args)
-    cond = _conditions(args)
+    cond = _record(analog.Conditions(), args)
     rng = np.random.default_rng(config.seed)
     dvth = rng.normal(0.0, config.sigma_vth, size=(args.samples, 4))
     noise = None
@@ -275,7 +266,7 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
 def cmd_crps(args: argparse.Namespace) -> int:
     _refuse_overwrites(args, {"--quantizer": args.quantizer})
     params = CrpsParameters(
-        variation=_variation_config(args),
+        variation=_record(variation.VariationConfig(), args),
         chips=args.chips,
         challenges=args.challenges,
         model=_model(args),
@@ -284,8 +275,8 @@ def cmd_crps(args: argparse.Namespace) -> int:
             if args.quantizer
             else quantizer.default_regions()
         ),
-        adc=_adc_config(args),
-        conditions=_conditions(args, args.noise_seed),
+        adc=_record(adc.AdcConfig(), args),
+        conditions=_record(analog.Conditions(), args),
     )
     chips = variation.synth_population(params.variation, params.chips)
     words = list(range(params.challenges))
@@ -340,29 +331,25 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each attacker's own options, by argparse dest.  They default to None: one
-# not given takes its hyperparameter's default.
+# Each attacker's own options, by argparse dest; one left out is absent from ``args``.
 ATTACKER_OPTIONS = {
     "lr": ("encoding", "epochs", "learning_rate", "l2"),
     "es": ("generations", "population", "parents"),
 }
 
 
-def _attacker_options(args: argparse.Namespace) -> dict:
-    """The options given to ``--model``'s attacker; one of the other attacker's is refused."""
+def _refuse_other_attackers_options(args: argparse.Namespace) -> None:
+    """Refuse an option given to the attacker that ``--model`` does not name."""
     for model, names in ATTACKER_OPTIONS.items():
-        given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-        if model == args.model:
-            options = given
-        elif given:
-            flag = "--" + next(iter(given)).replace("_", "-")
+        given = [name for name in names if name in args]
+        if model != args.model and given:
+            flag = "--" + given[0].replace("_", "-")
             raise ValueError(f"{flag} is an option of --model {model}, not of --model {args.model}")
-    return options
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
     _refuse_overwrites(args, {"--in": args.infile})
-    options = _attacker_options(args)
+    _refuse_other_attackers_options(args)
     dataset = _load_dataset(Path(args.infile))
     ids = dataset.chip_ids
     chip_id = args.chip_id
@@ -376,15 +363,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
     train, test = attack.split(single, args.train_frac, seed=args.seed)
 
     if args.model == "lr":
-        encoding = options.pop("encoding", attack.FeatureEncoding.ONE_HOT_CELL.value)
-        encoding = attack.FeatureEncoding(encoding)
-        fitted = attack.lr_train(train, encoding, attack.LrHyper(**options))
+        encoding = getattr(args, "encoding", attack.FeatureEncoding.ONE_HOT_CELL)
+        fitted = attack.lr_train(train, encoding, _record(attack.LrHyper(), args))
         predict = lambda words: attack.lr_predict(fitted, words)
         detail = {"encoding": encoding.value, "final_loss": fitted.loss_history[-1].tolist()}
     else:
         params = _crps_parameters(args.infile)
         model, spec, adc_config = params.model, params.quantizer, params.adc
-        hyper = attack.EsHyper(seed=args.seed, **options)
+        hyper = _record(attack.EsHyper(), args)  # --seed seeds the split and the search
         clone = attack.es_fit(train, model, spec, adc_config, hyper)
         predict = lambda words: attack.clone_bits(clone.params, model, spec, adc_config, words)
         detail = {"fitness": clone.fitness}
@@ -419,7 +405,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    adc_config = _adc_config(args)
+    adc_config = _record(adc.AdcConfig(), args)
     out = Path(args.out)
     header = ("name", "power_w", "clock_hz", "quoted_energy_j", "computed_energy_j", "consistent")
     rows = [
@@ -428,7 +414,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
         for row in adc.COMPARISON_ROWS
     ]
     codec.write_csv(out, header, rows)
-    _write_manifest(out, "energy", {"clock": args.clock, "power": args.power})
+    _write_manifest(out, "energy", {"clock": adc_config.clock_freq, "power": adc_config.power})
     for bits in sorted(set(quantizer.DEFAULT_BITS)):
         e = adc.conversion_energy(adc_config, bits)
         print(f"{bits}-bit conversion: {adc.conversion_cycles(bits)} cycles, {e * 1e12:.3f} pJ")
@@ -439,7 +425,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    model = replace(analog.default_model(), mirror=_mirror(args))
+    model = _model(args)
     lo, hi = _split(args.range, float, "--range", "lo,hi in volts", 2)
     # an overflowing hi - lo makes the first delta, and so its volts, NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -462,15 +448,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cmapuf",
         description="Simulate and analyse a current-mirror-array analog PUF.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an option left out leaves no attribute, so its record keeps its own default; options
+    # are spelled out, so a prefix such as `attack --gen 10` is refused
+    add_parser = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser,
+        argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,
+    )
 
-    p = sub.add_parser("synth", help="synthesize chip mismatch files")
+    p = add_parser("synth", help="synthesize chip mismatch files")
     _add_variation_args(p)
     p.add_argument("--chips", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("mc", help="Monte Carlo histogram of cell output voltages")
+    p = add_parser("mc", help="Monte Carlo histogram of cell output voltages")
     _add_read_args(p)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--bins", type=int, default=64)
@@ -478,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-out", default=None, help="also dump raw samples, one per line")
     p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("fit-quantizer", help="fit region boundaries to a sample file")
+    p = add_parser("fit-quantizer", help="fit region boundaries to a sample file")
     p.add_argument("--samples", required=True, help="text file, one voltage per line")
     p.add_argument("--k", type=int, default=len(quantizer.DEFAULT_BITS))
     p.add_argument(
@@ -492,12 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="quantizer spec JSON")
     p.set_defaults(func=cmd_fit_quantizer)
 
-    p = sub.add_parser("crps", help="generate a challenge-response dataset")
+    p = add_parser("crps", help="generate a challenge-response dataset")
     _add_read_args(p)
-    noise_seed = analog.Conditions.noise_seed
-    p.add_argument(
-        "--noise-seed", type=int, default=noise_seed, help="base of every record's noise seed"
-    )
+    p.add_argument("--noise-seed", type=int, help="base of every record's noise seed")
     _add_adc_args(p)
     p.add_argument("--quantizer", type=Path, default=None, help="quantizer spec JSON")
     p.add_argument("--chips", type=int, default=1)
@@ -505,16 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help=".csv or .jsonl")
     p.set_defaults(func=cmd_crps)
 
-    p = sub.add_parser("metrics", help="quality metrics of a dataset")
+    p = add_parser("metrics", help="quality metrics of a dataset")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--temps", default=None, help="comma-separated degC for reliability")
-    p.add_argument(
-        "--seed", type=int, default=noise_seed, help="noise seed for reliability re-reads"
-    )
+    p.add_argument("--seed", type=int, default=analog.Conditions.noise_seed,
+                   help="noise seed for reliability re-reads")
     p.add_argument("--out", required=True, help="report JSON")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("attack", help="model one chip from its dataset (es reads its manifest)")
+    p = add_parser("attack", help="model one chip from its dataset (es reads its manifest)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--chip-id", default=None)
     p.add_argument("--model", choices=list(ATTACKER_OPTIONS), default="lr")
@@ -523,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     lr, es = attack.LrHyper, attack.EsHyper
     p.add_argument(
         "--encoding",
-        choices=[e.value for e in attack.FeatureEncoding],
+        choices={e.value: e for e in attack.FeatureEncoding},
+        action=_Entry,
         help=f"lr only (default {attack.FeatureEncoding.ONE_HOT_CELL.value})",
     )
     p.add_argument("--epochs", type=int, help=f"lr only (default {lr.epochs})")
@@ -535,21 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("energy", help="per-cycle energy comparison table")
+    p = add_parser("energy", help="per-cycle energy comparison table")
     _add_adc_args(p)
     p.add_argument("--out", required=True, help="comparison CSV")
     p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser("curve", help="transfer characteristic samples")
+    p = add_parser("curve", help="transfer characteristic samples")
     _add_mirror_args(p)
     p.add_argument("--range", default="-0.05,0.05", help="imbalance range lo,hi in volts")
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--out", required=True, help="curve CSV")
     p.set_defaults(func=cmd_curve)
-
-    # options are spelled out: a prefix such as `attack --gen 10` is refused
-    for p in sub.choices.values():
-        p.allow_abbrev = False
     return parser
 
 

@@ -9,7 +9,8 @@ are ignored.  ``write_json`` is the one file format; it refuses NaN and ±inf,
 and ``read_json`` the tokens that would spell them.
 ``write_csv`` writes every CSV table, a dataset's included: a header, then
 rows of Python scalars, so a float prints as its ``repr``.
-``check_range`` is the one range check; NaN and ±inf break any range.
+``check_range`` is the one range check; NaN and ±inf break any range, and so
+does a non-integer where integers are asked for.
 """
 
 from __future__ import annotations
@@ -78,14 +79,28 @@ def _kind(tp: type, doc: Any, where: str) -> Any:
 
 
 def check_range(name: str, values: Any, lo: Any = -math.inf, hi: Any = math.inf, *,
-                open_lo: bool = False, rule: str | Callable[[int], str] | None = None) -> None:
+                open_lo: bool = False, rule: str | Callable[[int], str] | None = None,
+                integer: bool = False) -> None:
     """Refuse values outside [lo, hi], or (lo, hi] if ``open_lo``; NaN and ±inf always.
 
     Raises ``{name} must {rule}, got {v}`` for the first such element in C
     order.  The rule is ``be finite`` for a ±inf the bounds hold; else ``rule``,
     text or a function of the flat index; else ``be within [lo, hi]``, ``be > lo``,
-    ``be >= lo`` or, with no bound, ``be finite``.
+    ``be >= lo`` or, with no bound, ``be finite``.  With ``integer``, a value that
+    is not an integer, a bool included, is refused in its place in that order as
+    ``be an integer``: a list or tuple is judged by its values' types, anything
+    else by its dtype.  A bound may then also be a flat array, one per value.
     """
+    if integer:
+        values = values if isinstance(values, (list, tuple)) else np.asarray(values).reshape(-1)
+        judged = values[:1] if isinstance(values, np.ndarray) else values  # an array by its dtype
+        bad = next((i for i, v in enumerate(judged) if not np.issubdtype(type(v), np.integer)),
+                   None)
+        lo, hi = (b[:bad] if np.ndim(b) else b for b in (lo, hi))
+        check_range(name, values[:bad], lo, hi, open_lo=open_lo, rule=rule)  # the integers first
+        if bad is not None:
+            raise ValueError(f"{name} must be an integer, got {values[bad]}")
+        return
     v = np.asarray(values)
     inside = ((v > lo) if open_lo else (v >= lo)) & (v <= hi)  # NaN never is
     # an int is finite, and np.isfinite cannot read one past int64

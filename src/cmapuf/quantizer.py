@@ -149,7 +149,8 @@ def _lloyd_max_steps(
     """The fit as it goes: each iteration's boundaries and centroids, the last the fitted ones."""
     check_word_field("region", k, "k")
     check_range("tol", tol, 0)  # a NaN tol would never stop the fit, an infinite one at once
-    check_range("max_iter", max_iter, 1)  # no iteration would leave the uniform start unfitted
+    # no iteration would leave the uniform start unfitted
+    check_range("max_iter", max_iter, 1, integer=True)
     samples = np.sort(dist.samples)
     distinct = 1 + int(np.count_nonzero(np.diff(samples)))
     if distinct < k:  # some region would hold no sample

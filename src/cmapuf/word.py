@@ -20,21 +20,16 @@ MAX_REGIONS = (1 << REGION_FIELD_BITS) - 1
 def check_word_field(field: str, values, name: str | None = None, bits=CODE_FIELD_BITS) -> None:
     """What the word holds: a ``"region"`` is an integer in [1, ``MAX_REGIONS``], a ``"bits"``
     precision one in [1, ``CODE_FIELD_BITS``], a ``"code"`` one below 2**``bits`` (precisions
-    already checked), and a bool is none of them.  A list or tuple is judged by its values' types, else by its
-    dtype; the first bad value raises, as ``name``."""
+    already checked).  ``check_range``'s integer rule judges them, and the first bad value
+    raises, as ``name``."""
     name = name or field
-    values = values if isinstance(values, (list, tuple)) else np.asarray(values).reshape(-1)
-    judged = values[:1] if isinstance(values, np.ndarray) else values  # an array by its dtype
-    bad = next((i for i, v in enumerate(judged) if not np.issubdtype(type(v), np.integer)), None)
     if field == "code":
-        bits = np.broadcast_to(np.asarray(bits, dtype=np.int64), len(values))[:bad]
+        bits = np.broadcast_to(np.asarray(bits, dtype=np.int64), np.shape(values)).reshape(-1)
         lo, hi, rule = 0, (1 << bits) - 1, lambda i: f"fit in {bits[i]} bits"
     else:
         hi = MAX_REGIONS if field == "region" else CODE_FIELD_BITS
         lo, rule = 1, f"be in [1, {hi}]"
-    check_range(name, values[:bad], lo, hi, rule=rule)  # up to the first non-integer
-    if bad is not None:
-        raise ValueError(f"{name} must be an integer, got {values[bad]}")
+    check_range(name, values, lo, hi, rule=rule, integer=True)
 
 
 def check_words(region, code, bits) -> None:

@@ -154,8 +154,9 @@ def test_conversion_cycles_doubling():
     assert conversion_cycles(8) == 256
     for b in range(1, 9):
         assert conversion_cycles(b + 1) == 2 * conversion_cycles(b)
-    with pytest.raises(ValueError):
-        conversion_cycles(0)
+    for bits, rule in ((0, "be >= 1"), (7.5, "be an integer"), (True, "be an integer")):
+        with pytest.raises(ValueError, match=f"^bits must {rule}, got {bits}$"):
+            conversion_cycles(bits)
 
 
 def test_energy_per_cycle_and_conversion_energy():

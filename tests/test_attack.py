@@ -321,15 +321,22 @@ def test_clone_bits_checks_the_words():
             clone_bits(params, MODEL, SPEC, ADC, np.array([0, word]))
 
 
-def test_es_hyper_validation():
-    with pytest.raises(ValueError):
-        EsHyper(parents=0)
-    with pytest.raises(ValueError):
-        EsHyper(parents=10, population=5)
-    with pytest.raises(ValueError):
-        LrHyper(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        LrHyper(epochs=0)
+@pytest.mark.parametrize(
+    "hyper, field, value, message",
+    [
+        (EsHyper, "parents", 0, "parents must be >= 1, got 0"),
+        (EsHyper, "population", 5, "population must be >= 8, got 5"),
+        (LrHyper, "learning_rate", 0.0, "learning_rate must be > 0, got 0.0"),
+        (LrHyper, "epochs", 0, "epochs must be >= 1, got 0"),
+        # a count is an integer: neither a float nor a bool is one
+        *((LrHyper, "epochs", v, f"epochs must be an integer, got {v}") for v in (7.5, True)),
+        *((EsHyper, f, v, f"{f} must be an integer, got {v}")
+          for f in ("parents", "population", "generations", "seed") for v in (7.5, True)),
+    ],
+)
+def test_es_hyper_validation(hyper, field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hyper(**{field: value})
 
 
 def test_attack_report_chance_baseline():

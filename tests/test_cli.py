@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -5,7 +6,7 @@ import json
 import math
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from cmapuf.adc import COMPARISON_ROWS, AdcConfig, energy_per_cycle
 from cmapuf.analog import (
     Conditions,
     MIRRORS,
+    MirrorConfig,
     SWITCHING,
     TransferModel,
     default_model,
@@ -28,7 +30,13 @@ from cmapuf.cellarray import evaluate_array
 from cmapuf.cli import SAMPLES_CHUNK, build_parser, main
 from cmapuf.crp import generate, load_csv, reliability, save_csv
 from cmapuf.quantizer import EmpiricalDistribution, QuantizerSpec, default_regions, lloyd_max
-from cmapuf.variation import ChipInstance, VariationConfig, synth_chip, synth_population
+from cmapuf.variation import (
+    ChipInstance,
+    ProcessCorner,
+    VariationConfig,
+    synth_chip,
+    synth_population,
+)
 
 
 def run(*argv):
@@ -165,12 +173,79 @@ def test_crps_csv_and_jsonl(tmp_path):
     ds = load_csv(csv_path)
     assert len(ds) == 512
     assert ds.chip_ids == ["chip000", "chip001"]
-    jsonl_path = tmp_path / "ds.jsonl"
-    assert run("crps", "--chips", 1, "--challenges", 16, "--out", jsonl_path) == 0
-    lines = jsonl_path.read_text().splitlines()
-    assert len(lines) == 16  # one line per record
     manifest = json.loads((tmp_path / "ds.csv.manifest.json").read_text())
     assert manifest["parameters"]["quantizer"]["bits_per_region"] == [8, 7, 6, 7, 8]
+    # every read option, each away from its default, reaches its field
+    jsonl_path = tmp_path / "ds.jsonl"
+    read = ("--seed", 3, "--sigma-vth", 0.02, "--corner", "sf", "--mirror", "reduced",
+            "--gain", 150.0, "--switching", "naive", "--temp-coeff", 2e-4, "--temp", 60.0,
+            "--noise-sigma", 0.001, "--noise-seed", 5, "--clock", 1e9, "--power", 1e-4)
+    assert run("crps", "--chips", 1, "--challenges", 16, *read, "--out", jsonl_path) == 0
+    lines = jsonl_path.read_text().splitlines()
+    assert len(lines) == 16  # one line per record
+    manifest = json.loads((tmp_path / "ds.jsonl.manifest.json").read_text())["parameters"]
+    assert {key: manifest[key] for key in ("variation", "model", "conditions", "adc")} == {
+        "variation": codec.to_json(VariationConfig(0.02, ProcessCorner.SF, seed=3)),
+        "model": codec.to_json(TransferModel(
+            replace(MIRRORS["reduced"], gain=150.0), SWITCHING["naive"], temp_coeff=2e-4
+        )),
+        "conditions": codec.to_json(Conditions(60.0, 0.001, 5)),
+        "adc": codec.to_json(AdcConfig(clock_freq=1e9, power=1e-4)),
+    }
+
+
+# The records each command fills from its options, and each command's own options.
+RECORDS = {
+    "synth": (VariationConfig,),
+    "mc": (VariationConfig, TransferModel, MirrorConfig, Conditions),
+    "fit-quantizer": (),
+    "crps": (VariationConfig, TransferModel, MirrorConfig, Conditions, AdcConfig),
+    "metrics": (),
+    "attack": (LrHyper, EsHyper),
+    "energy": (AdcConfig,),
+    "curve": (TransferModel, MirrorConfig),
+}
+OWN_OPTIONS = {
+    "synth": {"chips", "out"},
+    "mc": {"samples", "bins", "out", "samples_out"},
+    "fit-quantizer": {"samples", "k", "bits", "tol", "max_iter", "out"},
+    "crps": {"quantizer", "chips", "challenges", "out"},
+    "metrics": {"infile", "temps", "seed", "out"},
+    "attack": {"infile", "chip_id", "model", "train_frac", "seed", "encoding", "out"},
+    "energy": {"out"},
+    "curve": {"range", "points", "out"},
+}
+
+
+def silent_options(parser: argparse.ArgumentParser) -> list[str]:
+    """``command --flag`` for each option whose dest is neither a field of a record its
+    command fills nor one of the command's own options, so that no record would take its
+    value, and for each record-filling option with a default, which would stand in for the
+    record's own."""
+    found = []
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in commands.choices.items():
+        names = {f.name for record in RECORDS[command] for f in fields(record)}
+        for action in p._actions:
+            if isinstance(action, argparse._HelpAction) or action.dest in OWN_OPTIONS[command]:
+                continue
+            if action.dest not in names or action.default is not argparse.SUPPRESS:
+                found.append(f"{command} {action.option_strings[0]}")
+    return found
+
+
+def test_every_option_fills_a_field_or_is_its_commands_own():
+    assert silent_options(build_parser()) == []
+
+
+def test_the_option_scan_names_a_misspelt_field_and_a_restated_default():
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("crps", argument_default=argparse.SUPPRESS)
+    p.add_argument("--temp", dest="temprature", type=float)
+    p.add_argument("--noise-sigma", type=float, default=Conditions.noise_sigma)
+    p.add_argument("--power", type=float)
+    p.add_argument("--out", required=True)
+    assert silent_options(parser) == ["crps --temp", "crps --noise-sigma"]
 
 
 def test_crps_byte_identical_reruns(tmp_path):

@@ -363,9 +363,10 @@ def test_lloyd_max_argument_validation():
 def test_lloyd_max_needs_an_iteration():
     # with no iteration the uniform start would come back as a fit
     dist = EmpiricalDistribution(np.linspace(0.1, 1.7, 50), VDD)
-    for max_iter in (0, -3):
+    for max_iter, rule in ((0, "be >= 1"), (-3, "be >= 1"), (7.5, "be an integer"),
+                           (True, "be an integer")):
         for fit in (lloyd_max, lloyd_max_mse_trace):
-            with pytest.raises(ValueError, match=f"^max_iter must be >= 1, got {max_iter}$"):
+            with pytest.raises(ValueError, match=f"^max_iter must {rule}, got {max_iter}$"):
                 fit(dist, 5, max_iter=max_iter)
     assert len(lloyd_max_mse_trace(dist, 5, max_iter=1)) == 1
 
