@@ -145,7 +145,7 @@ class Conditions:
 
     def __post_init__(self) -> None:
         check_conditions(self.temperature, self.noise_sigma)
-        check_range("noise_seed", self.noise_seed, 0)
+        check_range("noise_seed", self.noise_seed, 0, integer=True)
 
 
 def check_conditions(temperature, noise_sigma) -> None:
@@ -239,7 +239,7 @@ def transfer_curve(
     model: TransferModel, lo: float, hi: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled transfer characteristic over [lo, hi] volts of imbalance."""
-    check_range("points", points, 2)
+    check_range("points", points, 2, integer=True)
     check_range("lo", lo)
     check_range("hi", hi)
     if not lo < hi:

@@ -308,7 +308,7 @@ def split(dataset: CrpDataset, train_frac: float, seed: int = 0) -> tuple[CrpDat
     """
     if not (0.0 < train_frac < 1.0):
         raise ValueError(f"train_frac must be in (0, 1), got {train_frac}")
-    check_range("seed", seed, 0)
+    check_range("seed", seed, 0, integer=True)
     words = np.unique(dataset.challenge)
     if len(words) < 2:
         raise ValueError("need at least two distinct challenges to split")

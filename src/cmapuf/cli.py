@@ -101,7 +101,8 @@ class CrpsParameters:
     conditions: analog.Conditions
 
     def __post_init__(self) -> None:
-        codec.check_range("challenges", self.challenges, 1, 1 << cellarray.CHALLENGE_BITS)
+        codec.check_range("challenges", self.challenges, 1, 1 << cellarray.CHALLENGE_BITS,
+                          integer=True)
         if not self.quantizer.vdd == self.model.vdd == self.adc.vdd:
             raise ValueError(
                 f"the quantizer spans [0, {self.quantizer.vdd}] V, but the cell runs at "

@@ -48,7 +48,7 @@ class VariationConfig:
 
     def __post_init__(self) -> None:
         check_range("sigma_vth", self.sigma_vth, 0)
-        check_range("seed", self.seed, 0)
+        check_range("seed", self.seed, 0, integer=True)
         if not isinstance(self.corner, ProcessCorner):
             raise TypeError("corner must be a ProcessCorner")
 
@@ -102,7 +102,7 @@ def synth_population(config: VariationConfig, chips: int) -> list[ChipInstance]:
     enrolment / verification splits) while a disjoint range is guaranteed
     to be independent.
     """
-    check_range("chips", chips, 1)
+    check_range("chips", chips, 1, integer=True)
     return [
         synth_chip(replace(config, seed=config.seed + i), chip_id=f"chip{i:03d}")
         for i in range(chips)

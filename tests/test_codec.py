@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,11 +17,14 @@ from cmapuf.analog import (
     SWITCHING,
     TransferModel,
     default_model,
+    transfer_curve,
 )
+from cmapuf.attack import split
 from cmapuf.cli import CrpsParameters
 from cmapuf.codec import check_range, from_json, read_json, to_json, write_json
-from cmapuf.quantizer import QuantizerSpec
-from cmapuf.variation import ProcessCorner, VariationConfig
+from cmapuf.crp import generate
+from cmapuf.quantizer import QuantizerSpec, default_regions
+from cmapuf.variation import ProcessCorner, VariationConfig, synth_chip, synth_population
 
 MODEL = TransferModel(
     mirror=MIRRORS["reduced"],
@@ -167,3 +170,31 @@ def test_check_range_passes_what_keeps_the_rule():
     check_range("v", [0.0, 0.9, 1.8], 0, 1.8)  # both ends are inside
     check_range("epochs", 10**30, 1)
     check_range("noise_sigma", np.array([]), 0)
+
+
+def _split(seed):
+    chip = synth_chip(VariationConfig())
+    dataset = generate([chip], default_model(), default_regions(), AdcConfig(), [0, 1],
+                       Conditions())
+    return split(dataset, 0.5, seed)
+
+
+# a seed or a count is an integer: neither a float nor a bool is one
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: VariationConfig(seed=v), "seed"),
+        (lambda v: synth_population(VariationConfig(), v), "chips"),
+        (lambda v: Conditions(noise_seed=v), "noise_seed"),
+        (lambda v: transfer_curve(MODEL, -0.05, 0.05, v), "points"),
+        (_split, "seed"),
+        (lambda v: replace(CONFIGS[-1], challenges=v), "challenges"),
+    ],
+    ids=["VariationConfig.seed", "synth_population.chips", "Conditions.noise_seed",
+         "transfer_curve.points", "split.seed", "CrpsParameters.challenges"],
+)
+@pytest.mark.parametrize("value", [1.5, True])
+def test_a_seed_or_a_count_is_an_integer(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        build(value)
+    build(np.int64(2))  # numpy's integers are integers
