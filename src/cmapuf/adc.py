@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analog import VDD_DEFAULT
 from .codec import check_range
 from .quantizer import QuantizerSpec, check_volts, region_index_array
 from .word import ResponseWord, word_bits
@@ -27,13 +28,14 @@ from .word import ResponseWord, word_bits
 
 @dataclass(frozen=True)
 class AdcConfig:
-    vdd: float = 1.8
+    vdd: float = VDD_DEFAULT
     clock_freq: float = 6.4e9
     power: float = 306.54e-6
     comparator_residual_offset: float = 0.0
 
     def __post_init__(self) -> None:
         check_range("vdd", self.vdd, 0, open_lo=True)
+        check_range("comparator_residual_offset", self.comparator_residual_offset)
         energy_per_cycle(self.power, self.clock_freq)  # the clock and power rules
 
 
@@ -139,5 +141,5 @@ COMPARISON_ROWS: tuple[EnergyRow, ...] = (
     EnergyRow("Sub-threshold", 0.047e-6, 1.0e6, 0.047e-12),
     EnergyRow("ICID", 250.0e-6, 0.5e6, 500.0e-12),
     EnergyRow("TV-PUF", 0.181e-6, 1.0e9, 0.0018e-12),
-    EnergyRow("This design", 306.54e-6, 6.4e9, 0.0478e-12),
+    EnergyRow("This design", AdcConfig.power, AdcConfig.clock_freq, 0.0478e-12),
 )

@@ -69,6 +69,7 @@ class MirrorConfig:
 
     def __post_init__(self) -> None:
         check_range("gain", self.gain, 0, open_lo=True)
+        check_range("asymmetry_offset", self.asymmetry_offset)
         check_range("bias_current", self.bias_current, 0, open_lo=True)
 
 
@@ -99,6 +100,7 @@ class SwitchingConfig:
         for c in ProcessCorner:
             if c not in self.corner_offsets:
                 raise ValueError(f"corner_offsets missing {c.value}")
+            check_range(f"corner_offsets[{c.value}]", self.corner_offsets[c])
         if self.kind is SwitchingKind.POWER_GATED:
             worst = max(abs(v) for v in self.corner_offsets.values())
             if worst > 1.0e-3:
@@ -139,7 +141,7 @@ class Conditions:
     generator so repeated reads are reproducible.
     """
 
-    temperature: float = 25.0
+    temperature: float = TEMP_REF
     noise_sigma: float = 0.0
     noise_seed: int = 0
 
@@ -175,8 +177,10 @@ class TransferModel:
     def __post_init__(self) -> None:
         check_range("vdd", self.vdd, 0, open_lo=True)
         check_range("temp_coeff", self.temp_coeff)
+        check_range("temp_ref", self.temp_ref)
         if len(self.weights) != 4:
             raise ValueError("weights must have four entries (pm1, pm2, nm1, nm2)")
+        check_range("weights", self.weights)
         w_pm1, w_pm2, w_nm1, w_nm2 = self.weights
         if not (math.isclose(w_pm1, -w_nm2) and math.isclose(w_pm2, -w_nm1)):
             raise ValueError(

@@ -101,6 +101,7 @@ class CrpsParameters:
     conditions: analog.Conditions
 
     def __post_init__(self) -> None:
+        codec.check_range("chips", self.chips, 1, integer=True)
         codec.check_range("challenges", self.challenges, 1, 1 << cellarray.CHALLENGE_BITS,
                           integer=True)
         if not self.quantizer.vdd == self.model.vdd == self.adc.vdd:
@@ -491,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_adc_args(p)
     p.add_argument("--quantizer", type=Path, default=None, help="quantizer spec JSON")
     p.add_argument("--chips", type=int, default=1)
-    p.add_argument("--challenges", type=int, default=256, help="use challenge words [0, N)")
+    p.add_argument("--challenges", type=int, default=1 << cellarray.CHALLENGE_BITS,
+                   help="use challenge words [0, N)")
     p.add_argument("--out", required=True, help=".csv or .jsonl")
     p.set_defaults(func=cmd_crps)
 

@@ -398,9 +398,9 @@ def reliability(
 ) -> list[float]:
     """Per chip, in order: 1 - mean encoded HD between reference and stressed reads.
 
-    The reference is a noise-free read at 25 degC.  All 256 challenges
-    are compared under every test condition, with one ``generate`` call
-    per condition for the whole population.
+    The reference is the ``Conditions()`` read: noise-free at ``analog.TEMP_REF``.
+    All 256 challenges are compared under every test condition, with one
+    ``generate`` call per condition for the whole population.
     """
     if not test_conditions:
         raise ValueError("need at least one test condition")
@@ -410,7 +410,7 @@ def reliability(
         dataset = generate(chips, model, spec, adc_config, words, cond)
         return bits_matrix(dataset).reshape(len(chips), -1)
 
-    ref_bits = read_bits(Conditions(temperature=25.0, noise_sigma=0.0))
+    ref_bits = read_bits(Conditions())
     total = np.zeros(len(chips))
     for cond in test_conditions:
         total += (read_bits(cond) != ref_bits).mean(axis=1)

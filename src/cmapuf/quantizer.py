@@ -81,6 +81,7 @@ class QuantizerSpec:
         if self.boundaries[0] != 0.0:
             raise ValueError(f"first boundary must be 0, got {self.boundaries[0]}")
         b = np.asarray(self.boundaries)
+        check_range("boundaries", b)  # an infinite last boundary would pass as increasing
         if not np.all(np.diff(b) > 0.0):
             raise ValueError(f"boundaries must be strictly increasing, got {self.boundaries}")
         region = lambda i: f"be within region {i + 1}'s [{b[i]}, {b[i + 1]}]"

@@ -187,6 +187,13 @@ def test_adc_config_validation():
     assert from_json(AdcConfig, to_json(CFG)) == CFG
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_comparator_offset_is_refused(bad):
+    # a NaN offset once reached numpy's int cast as a RuntimeWarning
+    with pytest.raises(ValueError, match=f"^comparator_residual_offset must be finite, got {bad}$"):
+        AdcConfig(comparator_residual_offset=bad)
+
+
 @settings(max_examples=200, deadline=None)
 @given(v=st.floats(0.0, 1.8))
 def test_convert_word_always_well_formed(v):

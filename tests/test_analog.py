@@ -219,6 +219,23 @@ def test_invalid_scalars_rejected():
         TransferModel(MIRRORS["wide"], SWITCHING["gated"], temp_coeff=float("inf"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_design_values_are_refused_by_name(bad):
+    # each once passed: a NaN offset slipped past the power-gated bound, an infinite
+    # temp_ref read every cell at 0 V, and infinite weights passed the symmetry rule
+    wide, gated = MIRRORS["wide"], SWITCHING["gated"]
+    refused = lambda name: pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$")
+    with refused("asymmetry_offset"):
+        MirrorConfig(kind=MirrorKind.WIDE_SWING_CASCODE, gain=300.0, asymmetry_offset=bad)
+    for kind in SwitchingKind:
+        with refused(r"corner_offsets\[SF\]"):
+            SwitchingConfig(kind, {**gated.corner_offsets, ProcessCorner.SF: bad})
+    with refused("temp_ref"):
+        TransferModel(wide, gated, temp_ref=bad)
+    with refused("weights"):
+        TransferModel(wide, gated, weights=(bad, 0.3, -0.3, -bad))
+
+
 def test_cell_output_reproducible_with_noise():
     # a read takes its noise pre-drawn, so the same noise gives the same
     # voltage and another noise another voltage

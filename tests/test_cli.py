@@ -1057,6 +1057,7 @@ def inputs(tmp_path_factory):
         # a null field is a missing one
         (lambda p: p["conditions"].update(noise_sigma=None), "Conditions has no 'noise_sigma' field"),
         (lambda p: p.update(challenges=300), "challenges must be within [1, 256], got 300"),
+        (lambda p: p.update(chips=0), "chips must be >= 1, got 0"),
     ],
 )
 def test_a_malformed_manifest_is_reported(tmp_path, capsys, edit, message):

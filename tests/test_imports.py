@@ -18,8 +18,8 @@ import pytest
 
 import cmapuf
 
-# the package's __init__.py is exempt: its imports are the package's re-exports
-PACKAGE = sorted(p for p in Path(cmapuf.__file__).parent.glob("*.py") if p.name != "__init__.py")
+# __init__.py included: a name is imported from the module that defines it, not re-exported
+PACKAGE = sorted(Path(cmapuf.__file__).parent.glob("*.py"))
 BENCH = Path(__file__).parent.parent / "bench"
 MODULES = (
     PACKAGE
@@ -149,13 +149,6 @@ def test_the_scan_names_a_read_of_another_modules_private_name():
     assert private_reads(sources) == [
         "b -> a._y", "b -> a._x", "b -> a._own", "b -> a._x", "c -> a._x", "c -> a._y"
     ]
-
-
-def test_the_package_imports_exactly_the_names_it_exports():
-    # a name __init__.py imports but __all__ leaves out would be a re-export nobody listed
-    tree = ast.parse(Path(cmapuf.__file__).read_text())
-    imported = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
-    assert sorted(imported) == sorted(set(cmapuf.__all__) - {"__version__"})
 
 
 # The response word's field widths: one rule, ``word.check_word_field``, checks a value

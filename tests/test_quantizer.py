@@ -225,6 +225,10 @@ def test_spec_validation():
         QuantizerSpec(boundaries=(0.0, 1.0, 1.8), bits_per_region=(8, 8), centroids=(1.2, 1.5))
     with pytest.raises(ValueError):
         QuantizerSpec(boundaries=(0.0, 1.8), bits_per_region=(0,), centroids=(0.9,))
+    # an infinite top once passed as increasing and gave the spec an infinite vdd
+    with pytest.raises(ValueError, match="^boundaries must be finite, got inf$"):
+        QuantizerSpec(boundaries=(0.0, 0.9, float("inf")), bits_per_region=(8, 8),
+                      centroids=(0.45, 1.35))
 
 
 def test_a_spec_wider_than_the_word_is_refused(tmp_path):
