@@ -68,6 +68,8 @@ class MirrorConfig:
     bias_current: float = 4.3e-6
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, MirrorKind):
+            raise TypeError(f"kind must be a MirrorKind, got {self.kind!r}")
         check_range("gain", self.gain, 0, open_lo=True)
         check_range("asymmetry_offset", self.asymmetry_offset)
         check_range("bias_current", self.bias_current, 0, open_lo=True)
@@ -97,6 +99,11 @@ class SwitchingConfig:
     corner_offsets: dict[ProcessCorner, float]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, SwitchingKind):
+            raise TypeError(f"kind must be a SwitchingKind, got {self.kind!r}")
+        for key in self.corner_offsets:
+            if not isinstance(key, ProcessCorner):
+                raise TypeError(f"corner_offsets key must be a ProcessCorner, got {key!r}")
         for c in ProcessCorner:
             if c not in self.corner_offsets:
                 raise ValueError(f"corner_offsets missing {c.value}")

@@ -69,6 +69,8 @@ def features(encoding: FeatureEncoding, words: np.ndarray) -> np.ndarray:
 
     ``decode`` checks the words, so one outside [0, 255] raises.
     """
+    if not isinstance(encoding, FeatureEncoding):
+        raise TypeError(f"encoding must be a FeatureEncoding, got {encoding!r}")
     rows, cols = decode(words)
     words = np.asarray(words, dtype=np.int64)
     n = words.shape[0]

@@ -6,8 +6,9 @@ as ``temperature``) in ``VariationConfig``, ``default_model()`` or its mirror, `
 so an option left out takes its record's default.  An option that names a table entry
 (``--corner``, ``--mirror``, ``--switching``, ``--encoding``) is parsed into the entry.
 
-Every writing command drops a manifest next to its output (``<out>.manifest.json``,
-or ``manifest.json`` inside a directory) holding the parameters it ran with, except
+Each command writes its output, prints its summary and returns the parameters it ran
+with; ``main`` then writes them as the manifest next to the output (``<out>.manifest.json``,
+or ``manifest.json`` inside a directory).  A manifest holds every parameter except
 ``metrics --seed`` (the reliability re-reads' noise seed) and the attacker's options
 (``--epochs``, ``--learning-rate``, ``--l2``, ``--generations``, ``--population``,
 ``--parents``).  ``codec`` writes and reads them field by field.  Manifests and outputs
@@ -136,10 +137,6 @@ def _manifest(path: str | Path) -> Path:
     return path / "manifest.json" if path.is_dir() else Path(str(path) + ".manifest.json")
 
 
-def _write_manifest(out: Path, command: str, parameters: dict | CrpsParameters) -> None:
-    codec.write_json(_manifest(out), {"command": command, "parameters": parameters})
-
-
 def _refuse_overwrites(args: argparse.Namespace, inputs: dict[str, str | Path | None]) -> None:
     """Refuse, before any work, an output that would replace a file the command reads or
     writes: ``--out``, its manifest and any ``--samples-out`` must each resolve to none of
@@ -164,7 +161,7 @@ def _crps_parameters(infile: str) -> CrpsParameters:
     return codec.read_json(path, CrpsManifest).parameters
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> dict:
     config = _record(variation.VariationConfig(), args)
     chips = variation.synth_population(config, args.chips)
     out = Path(args.out)
@@ -174,14 +171,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         name = f"{chip.chip_id}.json"
         codec.write_json(out / name, chip)
         names.append(name)
-    _write_manifest(
-        out, "synth", {"variation": config, "chips": args.chips, "files": names}
-    )
     print(f"synthesized {len(chips)} chips at corner {config.corner.value} into {out}")
-    return 0
+    return {"variation": config, "chips": args.chips, "files": names}
 
 
-def cmd_mc(args: argparse.Namespace) -> int:
+def cmd_mc(args: argparse.Namespace) -> dict:
     _refuse_overwrites(args, {})
     codec.check_range("samples", args.samples, 1)
     codec.check_range("bins", args.bins, 2)
@@ -201,36 +195,30 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
     counts, edges = np.histogram(volts, bins=args.bins, range=(0.0, model.vdd))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    out = Path(args.out)
-    codec.write_csv(out, ("bin_center", "count"), zip(centers.tolist(), counts.tolist()))
+    codec.write_csv(args.out, ("bin_center", "count"), zip(centers.tolist(), counts.tolist()))
     if args.samples_out:
         with open(args.samples_out, "w", encoding="utf-8") as fh:
             for start in range(0, volts.size, SAMPLES_CHUNK):
                 chunk = volts[start : start + SAMPLES_CHUNK].tolist()
                 fh.write("\n".join(map(repr, chunk)) + "\n")
-    _write_manifest(
-        out,
-        "mc",
-        {
-            "model": model,
-            "conditions": cond,
-            "corner": config.corner,
-            "sigma_vth": config.sigma_vth,
-            "seed": config.seed,
-            "samples": args.samples,
-            "bins": args.bins,
-        },
-    )
     lo_rail = float((volts < 0.1 * model.vdd).mean())
     hi_rail = float((volts > 0.9 * model.vdd).mean())
     print(
         f"{args.samples} samples: {100 * lo_rail:.1f}% in the bottom decile, "
         f"{100 * hi_rail:.1f}% in the top decile"
     )
-    return 0
+    return {
+        "model": model,
+        "conditions": cond,
+        "corner": config.corner,
+        "sigma_vth": config.sigma_vth,
+        "seed": config.seed,
+        "samples": args.samples,
+        "bins": args.bins,
+    }
 
 
-def cmd_fit_quantizer(args: argparse.Namespace) -> int:
+def cmd_fit_quantizer(args: argparse.Namespace) -> dict:
     _refuse_overwrites(args, {"--samples": args.samples})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data": refused below
@@ -245,27 +233,21 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> int:
     spec = quantizer.lloyd_max(
         dist, args.k, tol=args.tol, max_iter=args.max_iter, bits_per_region=bits
     )
-    out = Path(args.out)
-    codec.write_json(out, spec)
-    _write_manifest(
-        out,
-        "fit-quantizer",
-        {
-            "samples": str(args.samples),
-            "n_samples": int(samples.size),
-            "k": args.k,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "vdd": analog.VDD_DEFAULT,
-            "spec": spec,
-        },
-    )
+    codec.write_json(args.out, spec)
     pretty = ", ".join(f"{b:.4f}" for b in spec.boundaries)
     print(f"fitted {spec.k} regions: boundaries [{pretty}]")
-    return 0
+    return {
+        "samples": str(args.samples),
+        "n_samples": int(samples.size),
+        "k": args.k,
+        "tol": args.tol,
+        "max_iter": args.max_iter,
+        "vdd": analog.VDD_DEFAULT,
+        "spec": spec,
+    }
 
 
-def cmd_crps(args: argparse.Namespace) -> int:
+def cmd_crps(args: argparse.Namespace) -> CrpsParameters:
     _refuse_overwrites(args, {"--quantizer": args.quantizer})
     params = CrpsParameters(
         variation=_record(variation.VariationConfig(), args),
@@ -287,16 +269,15 @@ def cmd_crps(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     (crp.save_jsonl if out.suffix == ".jsonl" else crp.save_csv)(dataset, out)
-    _write_manifest(out, "crps", params)
     print(f"wrote {len(dataset)} records ({args.chips} chips x {args.challenges} challenges)")
-    return 0
+    return params
 
 
 def _load_dataset(path: Path) -> crp.CrpDataset:
     return crp.load_jsonl(path) if path.suffix == ".jsonl" else crp.load_csv(path)
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
+def cmd_metrics(args: argparse.Namespace) -> dict:
     _refuse_overwrites(args, {"--in": args.infile})
     temps = _split(args.temps, float, "--temps", "comma-separated degC")
     dataset = _load_dataset(Path(args.infile))
@@ -322,15 +303,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         reliability=reliabilities,
         uniqueness_code_bits=uniq_code,
     )
-    out = Path(args.out)
-    codec.write_json(out, report)
-    _write_manifest(out, "metrics", {"infile": str(args.infile), "temps": args.temps})
+    codec.write_json(args.out, report)
     if uniq is not None:
         print(f"uniqueness {uniq:.4f} over {len(uniformities)} chips")
     print(f"mean uniformity {float(np.mean(list(uniformities.values()))):.4f}")
     if reliabilities:
         print(f"mean reliability {float(np.mean(list(reliabilities.values()))):.4f}")
-    return 0
+    return {"infile": str(args.infile), "temps": args.temps}
 
 
 # Each attacker's own options, by argparse dest; one left out is absent from ``args``.
@@ -349,7 +328,7 @@ def _refuse_other_attackers_options(args: argparse.Namespace) -> None:
             raise ValueError(f"{flag} is an option of --model {model}, not of --model {args.model}")
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
+def cmd_attack(args: argparse.Namespace) -> dict:
     _refuse_overwrites(args, {"--in": args.infile})
     _refuse_other_attackers_options(args)
     dataset = _load_dataset(Path(args.infile))
@@ -378,24 +357,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         detail = {"fitness": clone.fitness}
     report = attack.attack_report(train, test, predict)
 
-    out = Path(args.out)
     accuracies = (report.train_bit_accuracy, report.test_bit_accuracy, report.chance_bit_accuracy)
     rows = ((i, *row) for i, row in enumerate(zip(*accuracies)))
-    codec.write_csv(out, ("bit_index", "train_acc", "test_acc", "chance"), rows)
-    _write_manifest(
-        out,
-        "attack",
-        {
-            "infile": str(args.infile),
-            "chip_id": chip_id,
-            "model": args.model,
-            "encoding": detail.get("encoding"),
-            "train_frac": args.train_frac,
-            "seed": args.seed,
-            "detail": detail,
-            "report": report,
-        },
-    )
+    codec.write_csv(args.out, ("bit_index", "train_acc", "test_acc", "chance"), rows)
     print(
         f"{args.model} on {chip_id} ({len(train)} train / {len(test)} test records): "
         f"word accuracy train {report.train_word_accuracy:.4f}, "
@@ -403,45 +367,46 @@ def cmd_attack(args: argparse.Namespace) -> int:
         f"(mean bit acc {report.mean_test_bit_accuracy:.4f}, "
         f"chance {report.mean_chance_bit_accuracy:.4f})"
     )
-    return 0
+    return {
+        "infile": str(args.infile),
+        "chip_id": chip_id,
+        "model": args.model,
+        "encoding": detail.get("encoding"),
+        "train_frac": args.train_frac,
+        "seed": args.seed,
+        "detail": detail,
+        "report": report,
+    }
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
+def cmd_energy(args: argparse.Namespace) -> dict:
     adc_config = _record(adc.AdcConfig(), args)
-    out = Path(args.out)
     header = ("name", "power_w", "clock_hz", "quoted_energy_j", "computed_energy_j", "consistent")
     rows = [
         (row.name, row.power_w, row.clock_hz, row.quoted_energy_j, row.computed_energy_j,
          "true" if row.consistent else "false")
         for row in adc.COMPARISON_ROWS
     ]
-    codec.write_csv(out, header, rows)
-    _write_manifest(out, "energy", {"clock": adc_config.clock_freq, "power": adc_config.power})
+    codec.write_csv(args.out, header, rows)
     for bits in sorted(set(quantizer.DEFAULT_BITS)):
         e = adc.conversion_energy(adc_config, bits)
         print(f"{bits}-bit conversion: {adc.conversion_cycles(bits)} cycles, {e * 1e12:.3f} pJ")
     flagged = [row.name for row in adc.COMPARISON_ROWS if not row.consistent]
     if flagged:
         print(f"quoted figures inconsistent with power/clock: {', '.join(flagged)}")
-    return 0
+    return {"clock": adc_config.clock_freq, "power": adc_config.power}
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: argparse.Namespace) -> dict:
     model = _model(args)
     lo, hi = _split(args.range, float, "--range", "lo,hi in volts", 2)
     # an overflowing hi - lo makes the first delta, and so its volts, NaN
     with np.errstate(over="ignore", invalid="ignore"):
         deltas, volts = analog.transfer_curve(model, lo, hi, args.points)
     codec.check_range("v_out", volts)
-    out = Path(args.out)
-    codec.write_csv(out, ("delta_v", "v_out"), zip(deltas.tolist(), volts.tolist()))
-    _write_manifest(
-        out,
-        "curve",
-        {"model": model, "range": [lo, hi], "points": args.points},
-    )
+    codec.write_csv(args.out, ("delta_v", "v_out"), zip(deltas.tolist(), volts.tolist()))
     print(f"wrote {args.points} curve points for gain {model.mirror.gain:g}")
-    return 0
+    return {"model": model, "range": [lo, hi], "points": args.points}
 
 
 @functools.cache  # built once per process: each parse starts from a fresh namespace
@@ -544,10 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        parameters = args.func(args)
+        codec.write_json(_manifest(args.out), {"command": args.command, "parameters": parameters})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -193,6 +193,18 @@ def test_switching_requires_all_corners():
         SwitchingConfig(kind=SwitchingKind.NAIVE)
 
 
+def test_a_kind_or_a_corner_outside_its_enum_is_refused_by_name():
+    # each was accepted: the string kind skipped the power-gated 1 mV bound, and
+    # codec.to_json then wrote a record that its own reader refuses
+    naive = SWITCHING["naive"].corner_offsets
+    with pytest.raises(TypeError, match=r"^kind must be a MirrorKind, got 'wide'$"):
+        MirrorConfig(kind="wide", gain=300.0)
+    with pytest.raises(TypeError, match=r"^kind must be a SwitchingKind, got 'power_gated'$"):
+        SwitchingConfig("power_gated", naive)
+    with pytest.raises(TypeError, match=r"^corner_offsets key must be a ProcessCorner, got 'XX'$"):
+        SwitchingConfig(SwitchingKind.NAIVE, {**naive, "XX": 0.0})
+
+
 def test_weight_symmetry_enforced():
     with pytest.raises(ValueError):
         TransferModel(

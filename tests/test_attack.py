@@ -99,6 +99,16 @@ def test_features_refuse_a_word_that_is_not_an_integer(words):
             features(encoding, np.atleast_1d(words))
 
 
+@pytest.mark.parametrize("encoding", ["raw", "cell", None])
+def test_features_refuse_an_encoding_that_is_not_a_feature_encoding(chip_dataset, encoding):
+    # each once read as the one-hot cell encoding, and lr_train stored the value as given
+    message = f"^encoding must be a FeatureEncoding, got {encoding!r}$"
+    with pytest.raises(TypeError, match=message):
+        features(encoding, np.array([1, 2]))
+    with pytest.raises(TypeError, match=message):
+        lr_train(chip_dataset, encoding, LrHyper(epochs=1))
+
+
 def test_lr_loss_history_non_increasing(chip_dataset):
     train, _ = split(chip_dataset, 0.75, seed=0)
     model = lr_train(train, FeatureEncoding.RAW_BITS, LrHyper(epochs=150))

@@ -1091,6 +1091,36 @@ def test_a_quantizer_spec_without_centroids_is_reported(tmp_path, capsys):
     assert not ds.exists()
 
 
+# Each subcommand: the options of a quick run, its output, and an option that refuses the run.
+QUICK_RUNS = {
+    "synth": (["--chips", "2"], "chips", ["--chips", "0"]),
+    "mc": (["--samples", "200"], "h.csv", ["--samples", "0"]),
+    "fit-quantizer": (["--samples", "{inputs}/s.txt"], "q.json", ["--k", "0"]),
+    "crps": (["--challenges", "16"], "d.csv", ["--chips", "0"]),
+    "metrics": (["--in", "{inputs}/ds.csv"], "m.json", ["--temps", "hot"]),
+    "attack": (["--in", "{inputs}/ds.csv", "--epochs", "5"], "a.csv", ["--train-frac", "2"]),
+    "energy": ([], "e.csv", ["--clock", "0"]),
+    "curve": (["--points", "11"], "c.csv", ["--points", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", QUICK_RUNS)
+def test_every_subcommand_writes_a_manifest_named_for_itself(inputs, tmp_path, capsys, command):
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert set(QUICK_RUNS) == set(commands.choices)
+    options, out, refusal = QUICK_RUNS[command]
+    argv = [command, *(a.format(inputs=inputs) for a in options), "--out", tmp_path / out]
+    assert run(*argv, *refusal) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.rglob("*manifest.json")) == []
+    assert run(*argv) == 0
+    manifest = f"{out}/manifest.json" if command == "synth" else f"{out}.manifest.json"
+    doc = json.loads((tmp_path / manifest).read_text())
+    assert sorted(doc) == ["command", "parameters"]
+    assert doc["command"] == command
+
+
 # Adversarial option values: non-finite, zero, negative, empty or malformed
 # lists and wrong suffixes.  Sizes stay bounded: each run's base options cap
 # it at 16 challenges, 200 samples and 5 iterations, epochs or generations,
