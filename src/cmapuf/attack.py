@@ -103,11 +103,14 @@ def _bce(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
 
 @dataclass(frozen=True)
 class LrHyper:
+    encoding: FeatureEncoding = FeatureEncoding.ONE_HOT_CELL
+    epochs: int = 400
     learning_rate: float = 50.0
     l2: float = 1.0e-6
-    epochs: int = 400
 
     def __post_init__(self) -> None:
+        if not isinstance(self.encoding, FeatureEncoding):
+            raise TypeError(f"encoding must be a FeatureEncoding, got {self.encoding!r}")
         check_range("learning_rate", self.learning_rate, 0, open_lo=True)
         check_range("l2", self.l2, 0)
         check_range("epochs", self.epochs, 1, integer=True)
@@ -128,12 +131,12 @@ def _targets(dataset: CrpDataset) -> tuple[np.ndarray, np.ndarray]:
     return dataset.challenge, bits_matrix(dataset).astype(float)
 
 
-def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper | None = None) -> LrModel:
-    """Fit the 11 per-bit logistic classifiers on one chip's records."""
+def lr_train(dataset: CrpDataset, hyper: LrHyper | None = None) -> LrModel:
+    """Fit the 11 per-bit logistic classifiers on one chip's records, in ``hyper.encoding``."""
     if hyper is None:
         hyper = LrHyper()
     words, y = _targets(dataset)
-    x = np.hstack([features(encoding, words), np.ones((len(words), 1))])
+    x = np.hstack([features(hyper.encoding, words), np.ones((len(words), 1))])
     weights = np.zeros((x.shape[1], WORD_BITS))
     lr = np.full(WORD_BITS, hyper.learning_rate)
     loss, z, e = _bce(weights, x, y, hyper.l2)
@@ -159,7 +162,7 @@ def lr_train(dataset: CrpDataset, encoding: FeatureEncoding, hyper: LrHyper | No
         loss = np.where(accepted, trial_loss, loss)
         lr = np.where(accepted, np.minimum(lr * 1.2, 1.0e6), lr)
         history.append(loss)
-    return LrModel(encoding=encoding, weights=weights, loss_history=np.array(history))
+    return LrModel(encoding=hyper.encoding, weights=weights, loss_history=np.array(history))
 
 
 def lr_predict(model: LrModel, words: np.ndarray) -> np.ndarray:
@@ -170,9 +173,9 @@ def lr_predict(model: LrModel, words: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EsHyper:
-    parents: int = 8
-    population: int = 40
     generations: int = 4000
+    population: int = 40
+    parents: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -9,9 +9,9 @@ so an option left out takes its record's default.  An option that names a table 
 Each command writes its output, prints its summary and returns the parameters it ran
 with; ``main`` then writes them as the manifest next to the output (``<out>.manifest.json``,
 or ``manifest.json`` inside a directory).  A manifest holds every parameter except
-``metrics --seed`` (the reliability re-reads' noise seed) and the attacker's options
-(``--epochs``, ``--learning-rate``, ``--l2``, ``--generations``, ``--population``,
-``--parents``).  ``codec`` writes and reads them field by field.  Manifests and outputs
+``metrics --seed`` (the reliability re-reads' noise seed) and ``attack``'s options from
+``LrHyper`` and ``EsHyper`` other than ``--encoding``.  ``codec`` writes and reads them field
+by field.  Manifests and outputs
 contain no timestamps; the same invocation produces byte-identical files.
 ``metrics --temps`` and ``attack --model es`` take how a dataset was read
 from its ``crps`` manifest, not from options of their own.  No output or output
@@ -24,8 +24,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import typing
 import warnings
 from dataclasses import dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -312,17 +314,15 @@ def cmd_metrics(args: argparse.Namespace) -> dict:
     return {"infile": str(args.infile), "temps": args.temps}
 
 
-# Each attacker's own options, by argparse dest; one left out is absent from ``args``.
-ATTACKER_OPTIONS = {
-    "lr": ("encoding", "epochs", "learning_rate", "l2"),
-    "es": ("generations", "population", "parents"),
-}
+# Each attacker's record: each field is an option of that attacker alone, but ``seed``,
+# which ``attack --seed`` fills.  An option left out is absent from ``args``.
+ATTACKER_OPTIONS = {"lr": attack.LrHyper, "es": attack.EsHyper}
 
 
 def _refuse_other_attackers_options(args: argparse.Namespace) -> None:
     """Refuse an option given to the attacker that ``--model`` does not name."""
-    for model, names in ATTACKER_OPTIONS.items():
-        given = [name for name in names if name in args]
+    for model, record in ATTACKER_OPTIONS.items():
+        given = [f.name for f in fields(record) if f.name != "seed" and f.name in args]
         if model != args.model and given:
             flag = "--" + given[0].replace("_", "-")
             raise ValueError(f"{flag} is an option of --model {model}, not of --model {args.model}")
@@ -343,15 +343,14 @@ def cmd_attack(args: argparse.Namespace) -> dict:
         raise ValueError(f"no records for chip {chip_id!r}")
     train, test = attack.split(single, args.train_frac, seed=args.seed)
 
+    hyper = _record(ATTACKER_OPTIONS[args.model](), args)  # --seed seeds the split and ES
     if args.model == "lr":
-        encoding = getattr(args, "encoding", attack.FeatureEncoding.ONE_HOT_CELL)
-        fitted = attack.lr_train(train, encoding, _record(attack.LrHyper(), args))
+        fitted = attack.lr_train(train, hyper)
         predict = lambda words: attack.lr_predict(fitted, words)
-        detail = {"encoding": encoding.value, "final_loss": fitted.loss_history[-1].tolist()}
+        detail = {"encoding": hyper.encoding.value, "final_loss": fitted.loss_history[-1].tolist()}
     else:
         params = _crps_parameters(args.infile)
         model, spec, adc_config = params.model, params.quantizer, params.adc
-        hyper = _record(attack.EsHyper(), args)  # --seed seeds the split and the search
         clone = attack.es_fit(train, model, spec, adc_config, hyper)
         predict = lambda words: attack.clone_bits(clone.params, model, spec, adc_config, words)
         detail = {"fitness": clone.fitness}
@@ -391,6 +390,8 @@ def cmd_energy(args: argparse.Namespace) -> dict:
     for bits in sorted(set(quantizer.DEFAULT_BITS)):
         e = adc.conversion_energy(adc_config, bits)
         print(f"{bits}-bit conversion: {adc.conversion_cycles(bits)} cycles, {e * 1e12:.3f} pJ")
+    on, idle = (cellarray.static_power(analog.default_model(), w) for w in (0, None))
+    print(f"array static power: {on * 1e6:.2f} uW with a cell selected, {idle:g} W idle")
     flagged = [row.name for row in adc.COMPARISON_ROWS if not row.consistent]
     if flagged:
         print(f"quoted figures inconsistent with power/clock: {', '.join(flagged)}")
@@ -476,19 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=list(ATTACKER_OPTIONS), default="lr")
     p.add_argument("--train-frac", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
-    lr, es = attack.LrHyper, attack.EsHyper
-    p.add_argument(
-        "--encoding",
-        choices={e.value: e for e in attack.FeatureEncoding},
-        action=_Entry,
-        help=f"lr only (default {attack.FeatureEncoding.ONE_HOT_CELL.value})",
-    )
-    p.add_argument("--epochs", type=int, help=f"lr only (default {lr.epochs})")
-    p.add_argument("--learning-rate", type=float, help=f"lr only (default {lr.learning_rate})")
-    p.add_argument("--l2", type=float, help=f"lr only (default {lr.l2})")
-    p.add_argument("--generations", type=int, help=f"es only (default {es.generations})")
-    p.add_argument("--population", type=int, help=f"es only (default {es.population})")
-    p.add_argument("--parents", type=int, help=f"es only (default {es.parents})")
+    for model, record in ATTACKER_OPTIONS.items():
+        kinds = typing.get_type_hints(record)
+        for f in (f for f in fields(record) if f.name != "seed"):
+            kind, default = kinds[f.name], getattr(f.default, "value", f.default)
+            parse = ({"choices": {e.value: e for e in kind}, "action": _Entry}
+                     if issubclass(kind, Enum) else {"type": kind})
+            p.add_argument("--" + f.name.replace("_", "-"), **parse,
+                           help=f"{model} only (default {default})")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=cmd_attack)
 

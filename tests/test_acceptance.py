@@ -18,6 +18,7 @@ from cmapuf.analog import (
 )
 from cmapuf.attack import (
     FeatureEncoding,
+    LrHyper,
     attack_report,
     lr_predict,
     lr_train,
@@ -285,7 +286,7 @@ def test_criterion_8_attack_harness(population):
     grad_ok = grad_err < 1e-5
 
     full = generate([population[0]], MODEL, SPEC, ADC, list(range(256)), Conditions())
-    memor = lr_train(full, FeatureEncoding.ONE_HOT_CELL)
+    memor = lr_train(full, LrHyper(encoding=FeatureEncoding.ONE_HOT_CELL))
     truth = bits_matrix(full)
     word_acc = float((lr_predict(memor, full.challenge) == truth).all(axis=1).mean())
     memor_ok = word_acc >= 0.95
@@ -300,7 +301,7 @@ def test_criterion_8_attack_harness(population):
                 [population[s]], MODEL, SPEC, ADC, list(range(256)), Conditions()
             )
             train, test = split(chip_ds, 0.75, seed=s)
-            fitted = lr_train(train, encoding)
+            fitted = lr_train(train, LrHyper(encoding=encoding))
             rep = attack_report(train, test, lambda w: lr_predict(fitted, w))
             code_acc = float(np.mean(rep.test_bit_accuracy[3:]))
             code_chance = float(np.mean(rep.chance_bit_accuracy[3:]))

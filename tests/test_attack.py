@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import oracle
@@ -100,18 +101,18 @@ def test_features_refuse_a_word_that_is_not_an_integer(words):
 
 
 @pytest.mark.parametrize("encoding", ["raw", "cell", None])
-def test_features_refuse_an_encoding_that_is_not_a_feature_encoding(chip_dataset, encoding):
-    # each once read as the one-hot cell encoding, and lr_train stored the value as given
+def test_features_refuse_an_encoding_that_is_not_a_feature_encoding(encoding):
+    # each once read as the one-hot cell encoding; LrHyper refuses it before any fit
     message = f"^encoding must be a FeatureEncoding, got {encoding!r}$"
     with pytest.raises(TypeError, match=message):
         features(encoding, np.array([1, 2]))
     with pytest.raises(TypeError, match=message):
-        lr_train(chip_dataset, encoding, LrHyper(epochs=1))
+        LrHyper(encoding=encoding, epochs=1)
 
 
 def test_lr_loss_history_non_increasing(chip_dataset):
     train, _ = split(chip_dataset, 0.75, seed=0)
-    model = lr_train(train, FeatureEncoding.RAW_BITS, LrHyper(epochs=150))
+    model = lr_train(train, LrHyper(encoding=FeatureEncoding.RAW_BITS, epochs=150))
     hist = model.loss_history
     assert hist.shape == (151, 11)
     assert np.all(np.diff(hist, axis=0) <= 1e-12)
@@ -121,7 +122,8 @@ def test_lr_loss_non_increasing_with_tiny_fixed_rate(chip_dataset):
     # even without the backtracking safety net kicking in, a small step
     # size must descend
     train, _ = split(chip_dataset, 0.75, seed=0)
-    model = lr_train(train, FeatureEncoding.RAW_BITS, LrHyper(learning_rate=0.01, epochs=60))
+    hyper = LrHyper(encoding=FeatureEncoding.RAW_BITS, learning_rate=0.01, epochs=60)
+    model = lr_train(train, hyper)
     assert np.all(np.diff(model.loss_history, axis=0) <= 1e-12)
 
 
@@ -133,7 +135,7 @@ LARGE_RATE = LrHyper(learning_rate=1.0e5, epochs=60)
 def test_lr_replays_the_recomputed_route_bit_for_bit(chip_dataset, encoding, hyper):
     # the gradient from the accepted step's logits is the gradient from the weights
     train, _ = split(chip_dataset, 0.75, seed=0)
-    got = lr_train(train, encoding, hyper)
+    got = lr_train(train, replace(hyper, encoding=encoding))
     want = oracle.lr_train(train, encoding, hyper)
     assert got.weights.tobytes() == want.weights.tobytes()
     assert got.loss_history.tobytes() == want.loss_history.tobytes()
@@ -166,14 +168,14 @@ def test_lr_fits_constant_bits():
         noise_sigma=np.zeros(256),
         noise_seed=np.zeros(256, dtype=np.uint64),
     )
-    model = lr_train(ds, FeatureEncoding.RAW_BITS)
+    model = lr_train(ds, LrHyper(encoding=FeatureEncoding.RAW_BITS))
     truth = bits_matrix(ds)
     acc = (lr_predict(model, np.arange(256)) == truth).mean(axis=0)
     assert np.all(acc[:3] >= 0.99)
 
 
 def test_lr_memorizes_with_one_hot_cell(chip_dataset):
-    model = lr_train(chip_dataset, FeatureEncoding.ONE_HOT_CELL)
+    model = lr_train(chip_dataset, LrHyper(encoding=FeatureEncoding.ONE_HOT_CELL))
     pred = lr_predict(model, chip_dataset.challenge)
     truth = bits_matrix(chip_dataset)
     assert float((pred == truth).all(axis=1).mean()) >= 0.95
@@ -183,7 +185,7 @@ def test_lr_rejects_multichip_dataset():
     chips = synth_population(VariationConfig(seed=0), 2)
     ds = generate(chips, MODEL, SPEC, ADC, [0, 1, 2, 3], Conditions())
     with pytest.raises(ValueError):
-        lr_train(ds, FeatureEncoding.RAW_BITS)
+        lr_train(ds, LrHyper(encoding=FeatureEncoding.RAW_BITS))
 
 
 def test_split_is_challenge_disjoint(chip_dataset):
@@ -369,7 +371,7 @@ def test_attack_report_chance_baseline():
 
 def test_word_accuracy_never_exceeds_bit_accuracy(chip_dataset):
     train, test = split(chip_dataset, 0.75, seed=5)
-    model = lr_train(train, FeatureEncoding.ONE_HOT_ROWCOL, LrHyper(epochs=200))
+    model = lr_train(train, LrHyper(encoding=FeatureEncoding.ONE_HOT_ROWCOL, epochs=200))
     report = attack_report(train, test, lambda w: lr_predict(model, w))
     # getting the whole word right is never easier than any single bit
     assert report.test_word_accuracy <= min(report.test_bit_accuracy) + 1e-12

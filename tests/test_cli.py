@@ -211,7 +211,7 @@ OWN_OPTIONS = {
     "fit-quantizer": {"samples", "k", "bits", "tol", "max_iter", "out"},
     "crps": {"quantizer", "chips", "challenges", "out"},
     "metrics": {"infile", "temps", "seed", "out"},
-    "attack": {"infile", "chip_id", "model", "train_frac", "seed", "encoding", "out"},
+    "attack": {"infile", "chip_id", "model", "train_frac", "seed", "out"},
     "energy": {"out"},
     "curve": {"range", "points", "out"},
 }
@@ -565,19 +565,44 @@ def test_attack_refuses_the_other_attackers_options(tmp_path, capsys, model, fla
 def test_attack_takes_unset_hyperparameters_from_their_defaults(tmp_path):
     ds = tmp_path / "ds.csv"
     assert run("crps", "--challenges", 32, "--out", ds) == 0
-    for model, given, spelled in (
+    for i, (model, given, spelled) in enumerate((
         ("lr", ("--epochs", 7), ("--epochs", 7, "--learning-rate", 50.0, "--l2", 1e-6,
                                  "--encoding", "cell")),
+        # no option at all: LrHyper alone states the paper's settings
+        ("lr", (), ("--encoding", "cell", "--epochs", 400, "--learning-rate", 50.0,
+                    "--l2", 1e-06)),
         ("es", ("--parents", 3, "--generations", 20),
          ("--parents", 3, "--population", 40, "--generations", 20)),
-    ):
-        a, b = tmp_path / f"{model}_a.csv", tmp_path / f"{model}_b.csv"
+    )):
+        a, b = tmp_path / f"{i}_a.csv", tmp_path / f"{i}_b.csv"
         assert run("attack", "--in", ds, "--model", model, *given, "--out", a) == 0
         assert run("attack", "--in", ds, "--model", model, *spelled, "--out", b) == 0
         for suffix in ("", ".manifest.json"):
             assert (tmp_path / (a.name + suffix)).read_bytes() == (
                 tmp_path / (b.name + suffix)
             ).read_bytes()
+
+
+def test_attacks_options_are_its_records_fields_less_seed():
+    # attack's own --seed fills EsHyper.seed; every other field is its attacker's option, in
+    # the record's order, with the record's default in its help
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    options = [(a.option_strings[0], a.dest, a.type, a.help)
+               for a in commands.choices["attack"]._actions
+               if a.dest not in OWN_OPTIONS["attack"] | {"help"}]
+    assert [dest for _, dest, _, _ in options] == [
+        f.name for record in (LrHyper, EsHyper) for f in fields(record) if f.name != "seed"
+    ]
+    assert options == [
+        ("--encoding", "encoding", None, "lr only (default cell)"),
+        ("--epochs", "epochs", int, "lr only (default 400)"),
+        ("--learning-rate", "learning_rate", float, "lr only (default 50.0)"),
+        ("--l2", "l2", float, "lr only (default 1e-06)"),
+        ("--generations", "generations", int, "es only (default 4000)"),
+        ("--population", "population", int, "es only (default 40)"),
+        ("--parents", "parents", int, "es only (default 8)"),
+    ]
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
@@ -617,6 +642,8 @@ def test_energy_table(tmp_path, capsys):
     assert run("energy", "--out", out) == 0
     printed = capsys.readouterr().out
     assert "TV-PUF" in printed
+    # the paper's power gating: one selected cell draws 1.8 V x 4.3 uA, an idle array nothing
+    assert "array static power: 7.74 uW with a cell selected, 0 W idle\n" in printed
     rows = {r["name"]: r for r in read_rows(out)}
     assert set(rows) == {"Super-threshold", "Sub-threshold", "ICID", "TV-PUF", "This design"}
     assert rows["TV-PUF"]["consistent"] == "false"

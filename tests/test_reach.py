@@ -67,8 +67,6 @@ REACH_EXEMPT = {
     "cellarray.evaluate": TRACED,
     "crp.record_seed": TRACED,
     "quantizer.region_of": TRACED,
-    "cellarray.static_power": "the paper's power-gating figure, "
-                              "test_cellarray.py::test_static_power_accounting",
     "quantizer.quantization_mse": LLOYD_MAX,
     "quantizer.lloyd_max_mse_trace": LLOYD_MAX,
     "word.encode_word": ROUND_TRIP,
