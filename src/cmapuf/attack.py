@@ -26,8 +26,12 @@ mutated at the parent's value and at the new one, and its total is the
 parent's plus the differences.  That total over n * 11 is exactly the
 mean because each trained cell is read once (the refusal of repeated
 reads).  An offspring is held as its parent and its mutations; only the
-survivors of selection are copied into rows.  The step schedules are module
-constants; ``EsHyper`` and ``LrHyper`` hold only what a caller sets.
+survivors of selection are copied into rows.  The ES's random draws come
+from a forked process that draws ahead while the fit scores; they are the
+stream, in the order, that one Generator seeded by ``EsHyper.seed`` makes in
+one process, so the fit's outputs are those of an unforked fit.  The step
+schedules are module constants; ``EsHyper`` and ``LrHyper`` hold only what a
+caller sets.
 ES uses the model, quantizer and converter the data was read with.  Both
 attackers refuse more than one read of a (chip, challenge), as the metrics do.
 """
@@ -44,6 +48,7 @@ from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS, decode
 from .codec import check_range
 from .crp import CrpDataset, _refuse_repeated_reads, bits_matrix
+from .fork import forked
 from .quantizer import QuantizerSpec
 from .word import WORD_BITS, WORD_WEIGHT, word_index
 
@@ -54,6 +59,7 @@ SIGMA_FLOOR = 1.0e-5  # ES annealed step never falls below this
 MUTATION_RATE = 2.0  # expected mutated coordinates per offspring
 COARSE_FRACTION = 0.1  # offspring that mutate at SIGMA0 regardless of annealing
 STAGNATION_LIMIT = 15  # generations without a better fitness before the step halves
+DRAW_BATCH = 25  # ES generations of draws per item the draw process sends
 
 
 class FeatureEncoding(Enum):
@@ -212,6 +218,41 @@ def _distance(converter: _Converter, volts: np.ndarray, target: np.ndarray) -> n
     return WORD_WEIGHT[word_index(idx + 1, code) ^ target]
 
 
+def _draw(hyper: EsHyper):
+    """The ES's draws, in the order of its one Generator, for ``fork.forked`` to send.
+
+    First the (parents, 256) first parents.  Then, per DRAW_BATCH generations, the
+    ``(picks, coarse, cuts, at, steps)`` of the batch: each generation's parent of each
+    offspring and whether each offspring mutates at SIGMA0, one row each; and the flat
+    (offspring, cell) positions each generation mutates with their standard normal steps,
+    joined, and split at ``cuts``.  The mask and the steps are drawn for every cell, so
+    the stream is the same whatever the fit does with them.
+    """
+    rng = np.random.default_rng(hyper.seed)
+    mu, lam = hyper.parents, hyper.population
+    yield rng.normal(0.0, SIGMA0, size=(mu, N_CELLS))
+    uniform, normal = np.empty((lam, N_CELLS)), np.empty(lam * N_CELLS)  # filled in place
+    for start in range(0, hyper.generations, DRAW_BATCH):
+        picks, coarse, at, steps = [], [], [], []
+        for _ in range(min(DRAW_BATCH, hyper.generations - start)):
+            picks.append(rng.integers(0, mu, size=lam))
+            mask = rng.random(out=uniform) < MUTATION_RATE / N_CELLS
+            silent = np.flatnonzero(~mask.any(axis=1))
+            if silent.size:
+                mask[silent, rng.integers(0, N_CELLS, size=silent.size)] = True
+            coarse.append(rng.random(lam) < COARSE_FRACTION)
+            at.append(mask.reshape(-1).nonzero()[0])
+            steps.append(rng.standard_normal(out=normal)[at[-1]])
+        cuts = np.cumsum([len(a) for a in at[:-1]], dtype=np.int64)
+        yield np.array(picks), np.array(coarse), cuts, np.concatenate(at), np.concatenate(steps)
+
+
+def _generations(batches):
+    """Each generation's ``(pick, coarse, at, steps)`` from ``_draw``'s batches."""
+    for picks, coarse, cuts, at, steps in batches:
+        yield from zip(picks, coarse, np.split(at, cuts), np.split(steps, cuts))
+
+
 def es_fit(
     dataset: CrpDataset,
     model: TransferModel,
@@ -237,6 +278,12 @@ def es_fit(
     differences.  The fitness is the total over n * 11, exactly the mean
     encoded distance, because ``_targets`` refuses a repeated read and so
     each trained cell stands for one record.
+
+    The draws come from a forked process (``fork.forked``) that sends them
+    DRAW_BATCH generations at a time while this scores the last ones.
+    They are the stream, in the order, of one in-process Generator seeded by
+    ``hyper.seed``, so the clone and its history do not change.  The process
+    is reaped before this returns or raises.
     """
     if hyper is None:
         hyper = EsHyper()
@@ -252,55 +299,51 @@ def es_fit(
         """Encoded Hamming distance of each value, read as its cell, to the cell's target."""
         return _distance(converter, transfer_array(model, values), target[cells])
 
-    rng = np.random.default_rng(hyper.seed)
     mu, lam = hyper.parents, hyper.population
     sigma = SIGMA0
-    pop = rng.normal(0.0, SIGMA0, size=(mu, N_CELLS))
-    # whole-number totals, exact in float, sort as their fitness totals / n_bits does
-    totals = distances(pop[:, words], words).sum(axis=1).astype(float)
-    order = np.argsort(totals, kind="stable")
-    pop, totals = pop[order], totals[order]
-    history = [float(totals[0] / n_bits)]
-    stagnant = 0
-    places = np.arange(mu)
-    source = np.arange(mu + lam)  # the row each candidate copies: its own, or its parent's
-    rank = np.full(mu + lam, -1)  # each candidate's place among the survivors, or -1
-    for _ in range(hyper.generations):
-        pick = rng.integers(0, mu, size=lam)
-        mask = rng.random((lam, N_CELLS)) < MUTATION_RATE / N_CELLS
-        silent = np.flatnonzero(~mask.any(axis=1))
-        if silent.size:
-            mask[silent, rng.integers(0, N_CELLS, size=silent.size)] = True
-        scale = np.where(rng.random((lam, 1)) < COARSE_FRACTION, SIGMA0, sigma)
-        step = rng.standard_normal((lam, N_CELLS))
-        # each mutation: its offspring, its cell and the new value
-        at = mask.reshape(-1).nonzero()[0]  # flat (offspring, cell) positions
-        child, cell = np.divmod(at, N_CELLS)
-        old = pop[pick[child], cell]
-        value = old + step.reshape(-1)[at] * scale[child, 0]
-        # a mutated trained cell is read at its parent's value, then at its new one
-        hit = trained[cell].nonzero()[0]
-        read = distances(np.concatenate((old[hit], value[hit])), cell[np.concatenate((hit, hit))])
-        gain = np.bincount(child[hit], weights=read[hit.size :] - read[: hit.size], minlength=lam)
-        all_totals = np.concatenate([totals, totals[pick] + gain])
-        survivors = np.argsort(all_totals, kind="stable")[:mu]
-        # survivors copy their source row; surviving offspring then take their mutations
-        source[mu:] = pick
-        pop, totals = pop[source[survivors]], all_totals[survivors]
-        rank[survivors] = places
-        kept = rank[mu:][child]
-        rank[survivors] = -1
-        keep = (kept >= 0).nonzero()[0]
-        pop[kept[keep], cell[keep]] = value[keep]
-        best = totals[0] / n_bits
-        if best < history[-1] - 1.0e-15:
-            stagnant = 0
-        else:
-            stagnant += 1
-        if stagnant >= STAGNATION_LIMIT:
-            sigma = max(sigma * 0.5, SIGMA_FLOOR)
-            stagnant = 0
-        history.append(float(best))
+    # safe to fork beside OpenBLAS's threads: the child draws from its own Generator,
+    # writes one pipe and takes no lock they share
+    with forked(_draw, hyper) as draws:
+        pop = next(draws)
+        # whole-number totals, exact in float, sort as their fitness totals / n_bits does
+        totals = distances(pop[:, words], words).sum(axis=1).astype(float)
+        order = np.argsort(totals, kind="stable")
+        pop, totals = pop[order], totals[order]
+        history = [float(totals[0] / n_bits)]
+        stagnant = 0
+        places = np.arange(mu)
+        source = np.arange(mu + lam)  # the row each candidate copies: its own, or its parent's
+        rank = np.full(mu + lam, -1)  # each candidate's place among the survivors, or -1
+        for pick, coarse, at, steps in _generations(draws):
+            # each mutation: its offspring, its cell and the new value
+            child, cell = np.divmod(at, N_CELLS)
+            old = pop[pick[child], cell]
+            value = old + steps * np.where(coarse, SIGMA0, sigma)[child]
+            # a mutated trained cell is read at its parent's value, then at its new one
+            hit = trained[cell].nonzero()[0]
+            twice = np.concatenate((hit, hit))
+            read = distances(np.concatenate((old[hit], value[hit])), cell[twice])
+            gain = np.bincount(child[hit], weights=read[hit.size :] - read[: hit.size],
+                               minlength=lam)
+            all_totals = np.concatenate([totals, totals[pick] + gain])
+            survivors = np.argsort(all_totals, kind="stable")[:mu]
+            # survivors copy their source row; surviving offspring then take their mutations
+            source[mu:] = pick
+            pop, totals = pop[source[survivors]], all_totals[survivors]
+            rank[survivors] = places
+            kept = rank[mu:][child]
+            rank[survivors] = -1
+            keep = (kept >= 0).nonzero()[0]
+            pop[kept[keep], cell[keep]] = value[keep]
+            best = totals[0] / n_bits
+            if best < history[-1] - 1.0e-15:
+                stagnant = 0
+            else:
+                stagnant += 1
+            if stagnant >= STAGNATION_LIMIT:
+                sigma = max(sigma * 0.5, SIGMA_FLOOR)
+                stagnant = 0
+            history.append(float(best))
     return EsClone(params=pop[0], fitness=history[-1], history=np.array(history))
 
 

@@ -1,4 +1,6 @@
+import os
 import re
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmapuf import attack
 from cmapuf.adc import AdcConfig, _Converter, response_bits
 from cmapuf.analog import Conditions, default_model, transfer_array
 from cmapuf.attack import (
@@ -245,6 +248,7 @@ def test_es_zero_generations_returns_initial_best(chip_dataset):
         (0.75, EsHyper(parents=8, population=8, generations=100, seed=0)),
         (0.75, EsHyper(parents=1, population=1, generations=300, seed=0)),
         (0.75, EsHyper(generations=0, seed=1)),
+        (0.75, EsHyper(generations=37, seed=3)),  # the last batch of draws is partial
     ],
 )
 def test_es_counts_replay_the_dense_fitness_exactly(chip_dataset, fraction, hyper):
@@ -270,6 +274,91 @@ def test_es_counts_replay_the_dense_fitness_under_another_reading(adc):
     assert np.array_equal(clone.params, dense.params)
     assert np.array_equal(clone.history, dense.history)
     assert clone.fitness == dense.fitness
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """The pids ``os.fork`` returns to the parent while the test runs."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_es_reaps_its_draw_process_when_the_fit_raises(chip_dataset, monkeypatch, fork_pids):
+    # the draw process is still drawing ahead when the fit raises; closing the read end
+    # makes its next write fail, so the reap does not wait on it forever
+    train, _ = split(chip_dataset, 0.75, seed=0)
+    calls, distance = [], attack._distance
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) > 3:
+            raise ArithmeticError("the fit's own fault")
+        return distance(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("es_fit waits on a draw process that cannot end")
+
+    monkeypatch.setattr(attack, "_distance", failing)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ArithmeticError, match="^the fit's own fault$"):
+            es_fit(train, MODEL, SPEC, ADC, EsHyper(seed=0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_reaped(fork_pids)
+
+
+class _ExitWhilePickled:
+    def __reduce__(self):
+        os._exit(4)
+
+
+def _exit_at_once(hyper):
+    os._exit(3)
+
+
+def _exit_mid_item(hyper, draw=attack._draw):
+    # the array's bytes go down the pipe before the process ends inside the pickle
+    draws = draw(hyper)
+    yield next(draws)
+    yield [np.zeros(1 << 18), _ExitWhilePickled()]
+
+
+def _raise_after_two_batches(hyper, draw=attack._draw):
+    yield from draw(replace(hyper, generations=attack.DRAW_BATCH + 1))
+    raise ValueError("the draws' own fault")
+
+
+@pytest.mark.parametrize(
+    "draw, status",
+    [(_exit_at_once, 3), (_exit_mid_item, 4), (_raise_after_two_batches, 1)],
+    ids=["at-once", "mid-item", "after-two-batches"],
+)
+def test_es_names_a_draw_process_that_ends_early(chip_dataset, monkeypatch, fork_pids, draw,
+                                                 status):
+    train, _ = split(chip_dataset, 0.75, seed=0)
+    monkeypatch.setattr(attack, "_draw", draw)
+    name = f"{draw.__module__}.{draw.__qualname__}"
+    message = f"the process forked to run {name} ended early with exit status {status}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        es_fit(train, MODEL, SPEC, ADC, EsHyper(generations=100, seed=0))
+    assert_reaped(fork_pids)
 
 
 def _edges(spec, adc):
