@@ -25,13 +25,11 @@ and their total distance; an offspring re-reads each trained cell it
 mutated at the parent's value and at the new one, and its total is the
 parent's plus the differences.  That total over n * 11 is exactly the
 mean because each trained cell is read once (the refusal of repeated
-reads).  An offspring is held as its parent and its mutations; only the
-survivors of selection are copied into rows.  The ES's random draws come
-from a forked process that draws ahead while the fit scores; they are the
-stream, in the order, that one Generator seeded by ``EsHyper.seed`` makes in
-one process, so the fit's outputs are those of an unforked fit.  The step
-schedules are module constants; ``EsHyper`` and ``LrHyper`` hold only what a
-caller sets.
+reads).  The ES's random draws come from a forked process that draws
+ahead while the fit scores; they are the stream, in the order, that one
+Generator seeded by ``EsHyper.seed`` makes in one process, so the fit's
+outputs are those of an unforked fit.  The step schedules are module
+constants; ``EsHyper`` and ``LrHyper`` hold only what a caller sets.
 ES uses the model, quantizer and converter the data was read with.  Both
 attackers refuse more than one read of a (chip, challenge), as the metrics do.
 """
@@ -43,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adc import AdcConfig, _Converter, response_bits
+from .adc import AdcConfig, convert_array, response_bits
 from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS, decode
 from .codec import check_range
@@ -212,10 +210,12 @@ def clone_bits(
     return response_bits(adc_config, spec, v)
 
 
-def _distance(converter: _Converter, volts: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _distance(
+    adc_config: AdcConfig, spec: QuantizerSpec, volts: np.ndarray, target: np.ndarray
+) -> np.ndarray:
     """Encoded Hamming distance of each voltage's word to a target word index."""
-    idx, code = converter.read(volts)
-    return WORD_WEIGHT[word_index(idx + 1, code) ^ target]
+    region, code, _ = convert_array(adc_config, spec, volts)
+    return WORD_WEIGHT[word_index(region, code) ^ target]
 
 
 def _draw(hyper: EsHyper):
@@ -271,13 +271,13 @@ def es_fit(
 
     Each member is its (256,) values and their total: the sum over trained
     cells of the encoded distance of each cell's word to its target.  An
-    offspring is its parent plus its mutations (cell, new value); each
-    mutated trained cell is read twice, at the parent's value and at the
-    new one, in the generation's one read through the fit's
-    ``adc._Converter``, and the offspring's total is the parent's plus the
-    differences.  The fitness is the total over n * 11, exactly the mean
-    encoded distance, because ``_targets`` refuses a repeated read and so
-    each trained cell stands for one record.
+    offspring is a copy of its parent's row with its mutations written in;
+    each mutated trained cell is read twice, at the parent's value and at
+    the new one, in the generation's one ``adc.convert_array``, and the
+    offspring's total is the parent's plus the differences.  The fitness is
+    the total over n * 11, exactly the mean encoded distance, because
+    ``_targets`` refuses a repeated read and so each trained cell stands for
+    one record.
 
     The draws come from a forked process (``fork.forked``) that sends them
     DRAW_BATCH generations at a time while this scores the last ones.
@@ -293,11 +293,10 @@ def es_fit(
     target = np.zeros(N_CELLS, dtype=np.int64)
     target[words] = word_index(dataset.region, dataset.code)
     n_bits = len(words) * WORD_BITS
-    converter = _Converter(adc_config, spec)
 
     def distances(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Encoded Hamming distance of each value, read as its cell, to the cell's target."""
-        return _distance(converter, transfer_array(model, values), target[cells])
+        return _distance(adc_config, spec, transfer_array(model, values), target[cells])
 
     mu, lam = hyper.parents, hyper.population
     sigma = SIGMA0
@@ -311,14 +310,13 @@ def es_fit(
         pop, totals = pop[order], totals[order]
         history = [float(totals[0] / n_bits)]
         stagnant = 0
-        places = np.arange(mu)
-        source = np.arange(mu + lam)  # the row each candidate copies: its own, or its parent's
-        rank = np.full(mu + lam, -1)  # each candidate's place among the survivors, or -1
         for pick, coarse, at, steps in _generations(draws):
             # each mutation: its offspring, its cell and the new value
             child, cell = np.divmod(at, N_CELLS)
-            old = pop[pick[child], cell]
+            offspring = pop[pick]
+            old = offspring[child, cell]
             value = old + steps * np.where(coarse, SIGMA0, sigma)[child]
+            offspring[child, cell] = value
             # a mutated trained cell is read at its parent's value, then at its new one
             hit = trained[cell].nonzero()[0]
             twice = np.concatenate((hit, hit))
@@ -327,14 +325,7 @@ def es_fit(
                                minlength=lam)
             all_totals = np.concatenate([totals, totals[pick] + gain])
             survivors = np.argsort(all_totals, kind="stable")[:mu]
-            # survivors copy their source row; surviving offspring then take their mutations
-            source[mu:] = pick
-            pop, totals = pop[source[survivors]], all_totals[survivors]
-            rank[survivors] = places
-            kept = rank[mu:][child]
-            rank[survivors] = -1
-            keep = (kept >= 0).nonzero()[0]
-            pop[kept[keep], cell[keep]] = value[keep]
+            pop, totals = np.concatenate((pop, offspring))[survivors], all_totals[survivors]
             best = totals[0] / n_bits
             if best < history[-1] - 1.0e-15:
                 stagnant = 0

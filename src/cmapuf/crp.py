@@ -124,9 +124,10 @@ class CrpDataset:
 def _column(name: str, values, dtype, start: int = 0, parse=None) -> np.ndarray:
     """``values``, each through ``parse`` if given, as a ``dtype`` column: a list judged by its
     values' types, anything else by its array's dtype; a bool is never a number, and a negative
-    seed is refused before the unsigned cast, which numpy 1.x would let wrap it.  On any fault,
-    one replay over the values as given raises for the first row refused on its own, counted
-    from ``start + 1``: a None as a missing field, any other value as a bad one."""
+    seed is refused before the unsigned cast, which wraps a numpy integer silently (only a
+    Python int raises).  On any fault, one replay over the values as given raises for the first
+    row refused on its own, counted from ``start + 1``: a None as a missing field, any other
+    value, a numpy scalar named by its Python value, as a bad one."""
     kind = np.dtype(dtype).kind
     takes = set({"U": "U", "f": "iuf"}.get(kind, "iu"))
     try:
@@ -138,15 +139,15 @@ def _column(name: str, values, dtype, start: int = 0, parse=None) -> np.ndarray:
             parsed = np.asarray(parsed)
             kinds = {parsed.dtype.kind}
             low = parsed.min(initial=0) if kind == "u" else 0
-            if kind + parsed.dtype.kind == "iu" and parsed.max(initial=0) > np.uint64(2**63 - 1):
-                raise TypeError  # the int64 cast would wrap it; compared in uint64 for numpy 1.x
+            if kind + parsed.dtype.kind == "iu" and parsed.max(initial=0) > 2**63 - 1:
+                raise TypeError  # the int64 cast would wrap it silently
         if not kinds <= takes or low < 0:
             raise TypeError
         return np.asarray(parsed, dtype=dtype)
     except (TypeError, ValueError, KeyError, OverflowError):
         rows = values.reshape(-1).tolist() if isinstance(values, np.ndarray) else values
         if len(rows) == 1:
-            value = rows[0]
+            value = rows[0].item() if isinstance(rows[0], np.generic) else rows[0]
             fault = f"no {name!r} field" if value is None else f"a bad {name!r} field: {value!r}"
             raise ValueError(f"row {start + 1} has {fault}") from None
         for i, value in enumerate(rows):  # the first value refused on its own raises

@@ -35,8 +35,8 @@ for bit.
 generation builds each offspring densely and re-reads the whole training
 set for every one of them.  ``attack.es_fit`` re-reads only each
 offspring's mutated trained cells, at the parent's value and the new one,
-scores a read as a word-XOR popcount and copies only survivors instead,
-and is held to it array for array.
+and scores a read as a word-XOR popcount instead, and is held to it array
+for array.
 
 ``lr_train`` is the logistic attacker as first written: every epoch's
 gradient recomputes ``x @ weights`` and its sigmoid with ``bce_gradient``

@@ -1,6 +1,7 @@
 import os
 import re
 import signal
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmapuf import attack
-from cmapuf.adc import AdcConfig, _Converter, response_bits
+from cmapuf.adc import AdcConfig, response_bits
 from cmapuf.analog import Conditions, default_model, transfer_array
 from cmapuf.attack import (
     N_CELLS,
@@ -28,6 +29,7 @@ from cmapuf.attack import (
     split,
 )
 from cmapuf.crp import COLUMNS, CrpDataset, bits_matrix, generate
+from cmapuf.fork import forked
 from cmapuf.quantizer import QuantizerSpec, default_regions
 from cmapuf.variation import VariationConfig, synth_population, synth_chip
 from cmapuf.word import word_bits
@@ -361,6 +363,24 @@ def test_es_names_a_draw_process_that_ends_early(chip_dataset, monkeypatch, fork
     assert_reaped(fork_pids)
 
 
+def test_forked_passes_the_multi_threaded_fork_warning_of_python_3_12(monkeypatch, fork_pids):
+    # CPython 3.12+ warns in the parent after forking a process that has threads, as
+    # OpenBLAS's workers make this one; under filterwarnings = error it would raise
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with forked(range, 3) as items:
+        assert list(items) == [0, 1, 2]
+    assert_reaped(fork_pids)
+
+
 def _edges(spec, adc):
     """0, vdd, every boundary and the comparator split, with their float neighbours."""
     points = [*spec.boundaries, 0.5 * adc.vdd + adc.comparator_residual_offset]
@@ -382,7 +402,7 @@ def test_the_popcount_distance_is_the_bit_row_distance(spec, adc, volts, data):
     words = st.integers(0, (1 << 11) - 1)
     target = np.array(data.draw(st.lists(words, min_size=len(v), max_size=len(v))))
     target_bits = word_bits(target >> 8, target & 0xFF)
-    got = _distance(_Converter(adc, spec), v, target).tolist()
+    got = _distance(adc, spec, v, target).tolist()
     assert got == (response_bits(adc, spec, v) != target_bits).sum(-1).tolist()
     scalar = [[int(c) for c in oracle.encode(oracle.convert(adc, spec, x))] for x in v]
     assert got == (np.array(scalar) != target_bits).sum(-1).tolist()

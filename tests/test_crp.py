@@ -738,7 +738,7 @@ def test_an_unsigned_array_past_int64_is_named_not_wrapped(name, big):
         _reads(2, **{name: values})
 
 
-@pytest.mark.parametrize("seeds", [[-1], [2**64], np.array([-1]), [2**63, -1]])
+@pytest.mark.parametrize("seeds", [[-1], [2**64], np.array([-1]), [np.int64(-1)], [2**63, -1]])
 def test_a_built_dataset_refuses_a_seed_outside_64_bits(seeds):
     row, bad = next((i, s) for i, s in enumerate(np.asarray(seeds, dtype=object).tolist(), 1)
                     if not 0 <= s < 2**64)

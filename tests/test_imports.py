@@ -128,7 +128,6 @@ def private_reads(sources: dict[str, str]) -> list[str]:
 # The crossings that remain, each with its reason; any other is a private name that is
 # either misnamed or reached into.
 PRIVATE_READS = {
-    "attack -> adc._Converter": "the ES fitness builds the converter's tables once per fit",
     "attack -> crp._refuse_repeated_reads": "the attackers refuse repeated reads as metrics do",
 }
 
