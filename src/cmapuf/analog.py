@@ -154,7 +154,7 @@ class Conditions:
 
     def __post_init__(self) -> None:
         check_conditions(self.temperature, self.noise_sigma)
-        check_range("noise_seed", self.noise_seed, 0, integer=True)
+        check_range("noise_seed", self.noise_seed, 0, 2**64 - 1, integer=True)
 
 
 def check_conditions(temperature, noise_sigma) -> None:

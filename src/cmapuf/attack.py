@@ -45,7 +45,7 @@ from .adc import AdcConfig, convert_array, response_bits
 from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS, decode
 from .codec import check_range
-from .crp import CrpDataset, _refuse_repeated_reads, bits_matrix
+from .crp import CrpDataset, bits_matrix, refuse_repeated_reads
 from .fork import forked
 from .quantizer import QuantizerSpec
 from .word import WORD_BITS, WORD_WEIGHT, word_index
@@ -131,7 +131,7 @@ def _targets(dataset: CrpDataset) -> tuple[np.ndarray, np.ndarray]:
     ids = dataset.chip_ids
     if len(ids) != 1:
         raise ValueError(f"attack expects a single-chip dataset, got chips {ids}")
-    _refuse_repeated_reads(dataset, "attack")
+    refuse_repeated_reads(dataset, "attack")
     return dataset.challenge, bits_matrix(dataset).astype(float)
 
 

@@ -97,7 +97,8 @@ def check_range(name: str, values: Any, lo: Any = -math.inf, hi: Any = math.inf,
         bad = next((i for i, v in enumerate(judged) if not np.issubdtype(type(v), np.integer)),
                    None)
         lo, hi = (b[:bad] if np.ndim(b) else b for b in (lo, hi))
-        check_range(name, values[:bad], lo, hi, open_lo=open_lo, rule=rule)  # the integers first
+        if bad != 0:  # the integers first; an empty bool prefix overflows past an int64 bound
+            check_range(name, values[:bad], lo, hi, open_lo=open_lo, rule=rule)
         if bad is not None:
             raise ValueError(f"{name} must be an integer, got {values[bad]}")
         return

@@ -50,7 +50,7 @@ import numpy as np
 from .adc import AdcConfig, convert_array
 from .analog import Conditions, TransferModel, check_conditions
 from .cellarray import CHALLENGE_BITS, decode, evaluate_array
-from .codec import write_csv
+from .codec import check_range, write_csv
 from .quantizer import QuantizerSpec
 from .variation import ChipInstance
 from .word import REGION_FIELD_BITS, WORD_BITS, WORD_STRINGS, check_words, word_bits, word_index
@@ -158,6 +158,7 @@ def _column(name: str, values, dtype, start: int = 0, parse=None) -> np.ndarray:
 def record_seed(base_seed: int, chip_id: str, challenge: int) -> int:
     """Derived noise seed for one (chip, challenge) read: one element of ``_record_seeds``."""
     decode(challenge)
+    check_range("base_seed", base_seed, 0, 2**64 - 1, integer=True)
     return int(_record_seeds(base_seed, [chip_id], np.array([challenge]))[0, 0])
 
 
@@ -167,18 +168,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
-
-
-def _seed_words(n: int) -> list[int]:
-    """An entropy integer as numpy's seed sequence reads it: little-endian uint32 words."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")  # numpy's message
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
 
 
 def _hash_consts(init: int, mult: int):
@@ -203,24 +192,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _seed_sequence_state(entropy: list) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(1, np.uint64)[0]``, elementwise.
 
-    ``entropy`` is the uint32 words, each an array (or scalar) broadcast to
-    one shape; the result is uint64 of that shape.  The pool mix is a fixed
-    sequence of uint32 operations with data-independent constants, so it
-    runs over every element at once.  An entropy shorter than the pool is
-    padded with zero words, as numpy pads it.
+    ``entropy`` is at most ``_POOL_SIZE`` uint32 words, each an array (or
+    scalar) broadcast to one shape; the result is uint64 of that shape.  The
+    pool mix is a fixed sequence of uint32 operations with data-independent
+    constants, so it runs over every element at once.  An entropy shorter
+    than the pool is padded with zero words, as numpy pads it.
     """
     shape = np.broadcast_shapes(*(np.shape(e) for e in entropy))
     entropy = [np.broadcast_to(e, shape) for e in entropy]
     entropy += [np.zeros(shape, np.uint32)] * (_POOL_SIZE - len(entropy))
     consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(e, consts) for e in entropy[:_POOL_SIZE]]
+    pool = [_hashmix(e, consts) for e in entropy]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for e in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(e, consts))
     # the first output uint64 is the hashes of pool words 0 and 1, low word first
     consts = _hash_consts(_INIT_B, _MULT_B)
     low, high = (_hashmix(pool[i], consts).astype(np.uint64) for i in range(2))
@@ -231,10 +217,12 @@ def _record_seeds(base_seed: int, chip_ids: list[str], words: np.ndarray) -> np.
     """Noise seeds of every (chip, word) pair at once, as (chips, words) uint64.
 
     Each is the first uint64 numpy's seed sequence draws from the entropy
-    ``[base_seed, crc32(chip_id), word]``.  The callers check the words.
+    ``[base_seed, crc32(chip_id), word]``, the base read as one little-endian uint32
+    word below 2**32, else two.  The callers check the words and the base, below 2**64.
     """
     crcs = np.array([zlib.crc32(c.encode()) for c in chip_ids], dtype=np.uint32)[:, None]
-    entropy = [np.uint32(w) for w in _seed_words(base_seed)]
+    high, low = divmod(int(base_seed), 1 << 32)
+    entropy = [np.uint32(w) for w in ([low, high] if high else [low])]
     entropy += [crcs, np.asarray(words).astype(np.uint32)[None, :]]
     return _seed_sequence_state(entropy)
 
@@ -320,7 +308,7 @@ def bits_matrix(dataset: CrpDataset) -> np.ndarray:
     return word_bits(dataset.region, dataset.code)
 
 
-def _refuse_repeated_reads(dataset: CrpDataset, metric: str) -> None:
+def refuse_repeated_reads(dataset: CrpDataset, metric: str) -> None:
     """Raise naming the first row that repeats an earlier (chip, challenge)."""
     key = (dataset._chips[1] << CHALLENGE_BITS) | dataset.challenge
     _, first = np.unique(key, return_index=True)
@@ -348,7 +336,7 @@ def uniqueness(dataset: CrpDataset, code_bits: bool = False) -> float:
     ids, chip = dataset._chips
     if len(ids) < 2:
         raise ValueError(f"uniqueness needs >= 2 chips, got {len(ids)}")
-    _refuse_repeated_reads(dataset, "uniqueness")
+    refuse_repeated_reads(dataset, "uniqueness")
     read = np.zeros((len(ids), 1 << CHALLENGE_BITS), dtype=bool)
     read[chip, dataset.challenge] = True
     common = read.all(axis=0)
@@ -370,7 +358,7 @@ def uniformity(dataset: CrpDataset) -> dict[str, float]:
 
     The counts are exact, so each is the float ``bits_matrix(chip_rows).mean()`` gives.
     """
-    _refuse_repeated_reads(dataset, "uniformity")
+    refuse_repeated_reads(dataset, "uniformity")
     ids, chip = dataset._chips
     ones = np.bincount(chip, weights=bits_matrix(dataset).sum(axis=1), minlength=len(ids))
     reads = np.bincount(chip, minlength=len(ids))
@@ -386,7 +374,7 @@ def bit_aliasing(dataset: CrpDataset) -> np.ndarray:
     """
     if len(dataset.chip_ids) < 2:
         raise ValueError("bit_aliasing needs >= 2 chips")
-    _refuse_repeated_reads(dataset, "bit_aliasing")
+    refuse_repeated_reads(dataset, "bit_aliasing")
     return bits_matrix(dataset).mean(axis=0)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import traceback
 import warnings
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
@@ -24,9 +25,10 @@ def forked(produce: Callable[..., Iterable], *args) -> Iterator[Iterator]:
     On leaving the block the read end is closed first, so a process blocked
     on a full pipe fails its write and ends, and then the process is reaped.
     If the process ends before its last item, reading raises RuntimeError
-    naming ``produce`` and the exit status.  ``produce`` runs beside any
-    thread the caller's process had, so it must take no lock they may hold;
-    drawing from its own numpy Generator and yielding takes none.
+    naming ``produce`` and the exit status; the traceback of what ``produce``
+    raised is on stderr.  A failed fork closes the pipe.  ``produce`` runs
+    beside any thread the caller's process had, so it must take no lock
+    they may hold; drawing from its own numpy Generator and yielding takes none.
     """
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
@@ -36,7 +38,12 @@ def forked(produce: Callable[..., Iterable], *args) -> Iterator[Iterator]:
             "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
             DeprecationWarning,
         )
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
     if pid == 0:
         code = 1
         try:
@@ -46,6 +53,9 @@ def forked(produce: Callable[..., Iterable], *args) -> Iterator[Iterator]:
                     pickle.dump(item, out)
                     out.flush()
             code = 0
+        except Exception as error:  # a broken pipe is the reader leaving, not a fault
+            if not isinstance(error, BrokenPipeError):
+                os.write(2, traceback.format_exc().encode())  # unbuffered, so _exit loses none
         finally:
             os._exit(code)
     os.close(write_fd)

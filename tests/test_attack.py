@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import signal
@@ -299,9 +300,11 @@ def assert_reaped(pids):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-def test_es_reaps_its_draw_process_when_the_fit_raises(chip_dataset, monkeypatch, fork_pids):
+def test_es_reaps_its_draw_process_when_the_fit_raises(chip_dataset, monkeypatch, fork_pids,
+                                                       capfd):
     # the draw process is still drawing ahead when the fit raises; closing the read end
-    # makes its next write fail, so the reap does not wait on it forever
+    # makes its next write fail, so the reap does not wait on it forever, and the process
+    # leaves quietly: the broken pipe is no fault of its own
     train, _ = split(chip_dataset, 0.75, seed=0)
     calls, distance = [], attack._distance
 
@@ -324,6 +327,7 @@ def test_es_reaps_its_draw_process_when_the_fit_raises(chip_dataset, monkeypatch
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert_reaped(fork_pids)
+    assert "Traceback" not in capfd.readouterr().err
 
 
 class _ExitWhilePickled:
@@ -353,7 +357,7 @@ def _raise_after_two_batches(hyper, draw=attack._draw):
     ids=["at-once", "mid-item", "after-two-batches"],
 )
 def test_es_names_a_draw_process_that_ends_early(chip_dataset, monkeypatch, fork_pids, draw,
-                                                 status):
+                                                 status, capfd):
     train, _ = split(chip_dataset, 0.75, seed=0)
     monkeypatch.setattr(attack, "_draw", draw)
     name = f"{draw.__module__}.{draw.__qualname__}"
@@ -361,11 +365,15 @@ def test_es_names_a_draw_process_that_ends_early(chip_dataset, monkeypatch, fork
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         es_fit(train, MODEL, SPEC, ADC, EsHyper(generations=100, seed=0))
     assert_reaped(fork_pids)
+    # the process's own exception reaches its stderr; an exit raises none
+    raised = "ValueError: the draws' own fault\n" in capfd.readouterr().err
+    assert raised == (draw is _raise_after_two_batches)
 
 
 def test_forked_passes_the_multi_threaded_fork_warning_of_python_3_12(monkeypatch, fork_pids):
     # CPython 3.12+ warns in the parent after forking a process that has threads, as
-    # OpenBLAS's workers make this one; under filterwarnings = error it would raise
+    # OpenBLAS's workers make this one.  3.12.1 and 3.13.0 emit it under an "always"
+    # filter and drop it under "error"; a fork whose warning raises is the strict case
     fork = os.fork
 
     def warning_fork():
@@ -379,6 +387,27 @@ def test_forked_passes_the_multi_threaded_fork_warning_of_python_3_12(monkeypatc
     with forked(range, 3) as items:
         assert list(items) == [0, 1, 2]
     assert_reaped(fork_pids)
+
+
+def test_forked_closes_its_pipe_when_the_fork_fails(monkeypatch):
+    fds, pipe = [], os.pipe
+
+    def recorded_pipe():
+        fds.extend(pipe())
+        return tuple(fds)
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(OSError, match="Resource temporarily unavailable$"):
+        with forked(range, 3):
+            pass
+    assert len(fds) == 2
+    for fd in fds:
+        with pytest.raises(OSError, match="Bad file descriptor"):
+            os.fstat(fd)
 
 
 def _edges(spec, adc):

@@ -926,12 +926,13 @@ def test_crps_rejects_a_challenge_past_the_array(tmp_path, capsys):
 
 def test_negative_noise_seed_fails_even_without_noise(tmp_path, capsys):
     ds = tmp_path / "ds.csv"
+    refused = f"error: noise_seed must be within [0, {2**64 - 1}], got -1"
     assert run("crps", "--chips", 1, "--noise-seed", -1, "--out", ds) == 1
-    assert "error: noise_seed must be >= 0, got -1" in capsys.readouterr().err
+    assert refused in capsys.readouterr().err
     assert run("crps", "--chips", 2, "--out", ds) == 0
     args = ("metrics", "--in", ds, "--temps", "0", "--seed", -1, "--out", tmp_path / "m.json")
     assert run(*args) == 1
-    assert "error: noise_seed must be >= 0, got -1" in capsys.readouterr().err
+    assert refused in capsys.readouterr().err
 
 
 def test_metrics_refuses_merged_temperatures(tmp_path, capsys):
@@ -1034,11 +1035,16 @@ def test_nan_is_refused_by_name(name):
         (("curve", "--range=-1e308,1e308"), "v_out must be finite, got nan"),
         # a negative seed is refused by the field it enters
         (("crps", "--seed", "-1"), "seed must be >= 0, got -1"),
-        (("crps", "--noise-seed", "-1"), "noise_seed must be >= 0, got -1"),
+        (("crps", "--noise-seed", "-1"), "noise_seed must be within [0, 18446744073709551615], got -1"),
         (("mc", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("synth", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("metrics", "--in", "{inputs}/ds.csv", "--temps", "0", "--seed", "-1"),
-         "noise_seed must be >= 0, got -1"),
+         "noise_seed must be within [0, 18446744073709551615], got -1"),
+        # a noise seed is 64 bits, as the dataset's noise_seed column is
+        (("crps", "--noise-seed", "18446744073709551616"),
+         "noise_seed must be within [0, 18446744073709551615], got 18446744073709551616"),
+        (("metrics", "--in", "{inputs}/ds.csv", "--temps", "0", "--seed", "18446744073709551616"),
+         "noise_seed must be within [0, 18446744073709551615], got 18446744073709551616"),
         (("attack", "--in", "{inputs}/ds.csv", "--seed", "-1"), "seed must be >= 0, got -1"),
         # the challenge words are [0, N) of the array's 256
         (("crps", "--challenges", "0"), "challenges must be within [1, 256], got 0"),
@@ -1085,6 +1091,8 @@ def inputs(tmp_path_factory):
         (lambda p: p["conditions"].update(noise_sigma=None), "Conditions has no 'noise_sigma' field"),
         (lambda p: p.update(challenges=300), "challenges must be within [1, 256], got 300"),
         (lambda p: p.update(chips=0), "chips must be >= 1, got 0"),
+        (lambda p: p["conditions"].update(noise_seed=2**64),
+         f"noise_seed must be within [0, 18446744073709551615], got {2**64}"),
     ],
 )
 def test_a_malformed_manifest_is_reported(tmp_path, capsys, edit, message):

@@ -159,6 +159,11 @@ def test_write_json_refuses_non_finite_values(tmp_path):
         # numpy holds an int past int64 as an object, which np.isfinite cannot read
         (("bits", [1, 10**30], 1, 8), {}, f"bits must be within [1, 8], got {10**30}"),
         (("code", [3, 64], 0, [7, 63]), {"rule": lambda i: f"fit in row {i}"}, "code must fit in row 1, got 64"),
+        # a bool is no integer, whatever the bound, one past int64 included
+        (("s", True, 0, 2**64 - 1), {"integer": True}, "s must be an integer, got True"),
+        (("s", np.True_, 0, 2**64 - 1), {"integer": True}, "s must be an integer, got True"),
+        (("s", np.array([True, False]), 0, 2**64 - 1), {"integer": True},
+         "s must be an integer, got True"),
     ],
 )
 def test_check_range_names_the_first_bad_element(args, kwargs, message):

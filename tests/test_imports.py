@@ -1,8 +1,8 @@
 """Every module-level import in the package, its tests and the bench is used,
 importing the package, or drawing a record's noise, leaves ``numpy.random``
 unloaded, the model layers do no file I/O, no module reads another's
-private names beyond a listed few, and only the response word's field rule
-bounds a range check by the word's field widths.
+private names, and only the response word's field rule bounds a range
+check by the word's field widths.
 
 No linter is installed, so this scan stands in for one.
 """
@@ -125,17 +125,10 @@ def private_reads(sources: dict[str, str]) -> list[str]:
     return found
 
 
-# The crossings that remain, each with its reason; any other is a private name that is
-# either misnamed or reached into.
-PRIVATE_READS = {
-    "attack -> crp._refuse_repeated_reads": "the attackers refuse repeated reads as metrics do",
-}
-
-
 def test_no_module_reads_another_modules_private_names():
+    # a private name read from another module is either misnamed or reached into
     package = Path(cmapuf.__file__).parent.glob("*.py")
-    found = private_reads({path.stem: path.read_text() for path in package})
-    assert sorted(found) == sorted(PRIVATE_READS)
+    assert private_reads({path.stem: path.read_text() for path in package}) == []
 
 
 def test_the_scan_names_a_read_of_another_modules_private_name():
