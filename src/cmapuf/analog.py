@@ -144,8 +144,9 @@ class Conditions:
     """Environment a cell is read under.
 
     noise_sigma is the standard deviation (volts) of zero-mean Gaussian
-    read noise added to the effective imbalance; noise_seed feeds the
-    generator so repeated reads are reproducible.
+    read noise added to the effective imbalance; noise_seed, in [0, 2**64),
+    is the base each read's own noise seed derives from (``crp.record_seed``),
+    so repeated reads are reproducible.
     """
 
     temperature: float = TEMP_REF
@@ -218,8 +219,9 @@ def effective_mismatch(
 
     ``dvth`` is ordered as ``TRANSISTORS``.  The deviations sum pairwise in
     the order above, elementwise, so every caller's imbalance is the same
-    float whatever the batch shape.  ``noise`` is pre-drawn: drawing is the
-    caller's job so that batched reads can share one generator.
+    float whatever the batch shape.  ``noise`` is pre-drawn by the caller:
+    ``crp.generate`` draws each read's from its own record seed, and ``mc``
+    from its Generator.
     """
     w_pm1, w_pm2, w_nm1, w_nm2 = model.weights
     delta = (w_pm1 * dvth[..., 0] + w_nm1 * dvth[..., 2]) + (

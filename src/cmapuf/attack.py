@@ -24,14 +24,15 @@ word index XOR its cell's target word.  A member carries only its values
 and their total distance; an offspring re-reads each trained cell it
 mutated at the parent's value and at the new one, and its total is the
 parent's plus the differences.  That total over n * 11 is exactly the
-mean because each trained cell is read once (the refusal of repeated
-reads).  The ES's random draws come from a forked process that draws
-ahead while the fit scores; they are the stream, in the order, that one
+mean because each trained cell is read once (the chip index refuses a
+repeated read).  The ES's random draws come from a forked process that
+draws ahead while the fit scores; they are the stream, in the order, that one
 Generator seeded by ``EsHyper.seed`` makes in one process, so the fit's
 outputs are those of an unforked fit.  The step schedules are module
 constants; ``EsHyper`` and ``LrHyper`` hold only what a caller sets.
 ES uses the model, quantizer and converter the data was read with.  Both
-attackers refuse more than one read of a (chip, challenge), as the metrics do.
+attackers refuse more than one read of a (chip, challenge) through
+``CrpDataset.chip_ids``, as the metrics do.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .adc import AdcConfig, convert_array, response_bits
 from .analog import TransferModel, transfer_array
 from .cellarray import CHALLENGE_BITS, decode
 from .codec import check_range
-from .crp import CrpDataset, bits_matrix, refuse_repeated_reads
+from .crp import CrpDataset, bits_matrix
 from .fork import forked
 from .quantizer import QuantizerSpec
 from .word import WORD_BITS, WORD_WEIGHT, word_index
@@ -131,7 +132,6 @@ def _targets(dataset: CrpDataset) -> tuple[np.ndarray, np.ndarray]:
     ids = dataset.chip_ids
     if len(ids) != 1:
         raise ValueError(f"attack expects a single-chip dataset, got chips {ids}")
-    refuse_repeated_reads(dataset, "attack")
     return dataset.challenge, bits_matrix(dataset).astype(float)
 
 
@@ -276,8 +276,8 @@ def es_fit(
     the new one, in the generation's one ``adc.convert_array``, and the
     offspring's total is the parent's plus the differences.  The fitness is
     the total over n * 11, exactly the mean encoded distance, because
-    ``_targets`` refuses a repeated read and so each trained cell stands for
-    one record.
+    ``_targets`` reads ``chip_ids``, which refuses a repeated read, and so each
+    trained cell stands for one record.
 
     The draws come from a forked process (``fork.forked``) that sends them
     DRAW_BATCH generations at a time while this scores the last ones.
@@ -367,14 +367,6 @@ class AttackReport:
     train_word_accuracy: float
     test_word_accuracy: float
     chance_bit_accuracy: tuple[float, ...]
-
-    @property
-    def mean_test_bit_accuracy(self) -> float:
-        return float(np.mean(self.test_bit_accuracy))
-
-    @property
-    def mean_chance_bit_accuracy(self) -> float:
-        return float(np.mean(self.chance_bit_accuracy))
 
 
 def attack_report(train: CrpDataset, test: CrpDataset, predict) -> AttackReport:

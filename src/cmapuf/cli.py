@@ -237,7 +237,8 @@ def cmd_fit_quantizer(args: argparse.Namespace) -> dict:
     )
     codec.write_json(args.out, spec)
     pretty = ", ".join(f"{b:.4f}" for b in spec.boundaries)
-    print(f"fitted {spec.k} regions: boundaries [{pretty}]")
+    mse = quantizer.quantization_mse(np.array(spec.boundaries), np.array(spec.centroids), samples)
+    print(f"fitted {spec.k} regions: boundaries [{pretty}], mean squared error {mse:.4g} V^2")
     return {
         "samples": str(args.samples),
         "n_samples": int(samples.size),
@@ -332,9 +333,9 @@ def cmd_attack(args: argparse.Namespace) -> dict:
     _refuse_overwrites(args, {"--in": args.infile})
     _refuse_other_attackers_options(args)
     dataset = _load_dataset(Path(args.infile))
-    ids = dataset.chip_ids
     chip_id = args.chip_id
-    if chip_id is None:
+    if chip_id is None:  # only then the whole file's chips: another chip may repeat a read
+        ids = dataset.chip_ids
         if len(ids) != 1:
             raise ValueError(f"dataset has chips {ids}; pick one with --chip-id")
         chip_id = ids[0]
@@ -363,8 +364,8 @@ def cmd_attack(args: argparse.Namespace) -> dict:
         f"{args.model} on {chip_id} ({len(train)} train / {len(test)} test records): "
         f"word accuracy train {report.train_word_accuracy:.4f}, "
         f"test {report.test_word_accuracy:.4f} "
-        f"(mean bit acc {report.mean_test_bit_accuracy:.4f}, "
-        f"chance {report.mean_chance_bit_accuracy:.4f})"
+        f"(mean bit acc {np.mean(report.test_bit_accuracy):.4f}, "
+        f"chance {np.mean(report.chance_bit_accuracy):.4f})"
     )
     return {
         "infile": str(args.infile),

@@ -77,7 +77,8 @@ class CrpDataset:
     Every column, built, taken or loaded, is converted by ``_column``, which
     names the column's first missing or bad row, then checked by the record
     rules: ``check_words``, then ``check_conditions``, then ``decode``, each
-    raising for its first bad row.
+    raising for its first bad row.  Rows may read a (chip, challenge) twice, as
+    merged files do; the chip index (``_chips``, ``chip_ids``) refuses that.
     """
 
     chip_id: np.ndarray
@@ -104,12 +105,27 @@ class CrpDataset:
 
     @cached_property
     def _chips(self) -> tuple[list[str], np.ndarray]:
-        """Distinct chip ids in first-appearance order, and each row's index into them."""
+        """Distinct chip ids in first-appearance order, and each row's index into them.
+
+        Every metric and attack reads its chips here and scores one read per (chip,
+        challenge), so building the index raises for the first row that repeats one."""
         ids, first, inverse = np.unique(self.chip_id, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty(len(ids), dtype=np.int64)
         rank[order] = np.arange(len(ids))
-        return ids[order].tolist(), rank[inverse.reshape(-1)]
+        chip = rank[inverse.reshape(-1)]
+        key = (chip << CHALLENGE_BITS) | self.challenge
+        _, once = np.unique(key, return_index=True)
+        if len(once) < len(key):
+            repeat = np.ones(len(key), dtype=bool)
+            repeat[once] = False
+            i = int(np.argmax(repeat))
+            raise ValueError(
+                "a metric or an attack needs one read per (chip, challenge), but chip "
+                f"{self.chip_id[i].item()!r} has more than one read of challenge "
+                f"{self.challenge[i]}"
+            )
+        return ids[order].tolist(), chip
 
     @property
     def chip_ids(self) -> list[str]:
@@ -275,7 +291,8 @@ def generate(
     and ``u2`` the seed's first two SplitMix64 outputs as 53-bit uniforms,
     drawn for the whole batch at once.  Bad input raises for a challenge
     outside [0, 255] (``evaluate_array``), then for the first voltage
-    ``convert_array`` rejects; ``Conditions`` refuses a negative noise seed.
+    ``convert_array`` rejects; ``Conditions`` refuses a noise seed outside
+    [0, 2**64).
     """
     if not chips:
         raise ValueError("need at least one chip")
@@ -308,21 +325,6 @@ def bits_matrix(dataset: CrpDataset) -> np.ndarray:
     return word_bits(dataset.region, dataset.code)
 
 
-def refuse_repeated_reads(dataset: CrpDataset, metric: str) -> None:
-    """Raise naming the first row that repeats an earlier (chip, challenge)."""
-    key = (dataset._chips[1] << CHALLENGE_BITS) | dataset.challenge
-    _, first = np.unique(key, return_index=True)
-    if len(first) < len(key):
-        repeat = np.ones(len(key), dtype=bool)
-        repeat[first] = False
-        i = int(np.argmax(repeat))
-        raise ValueError(
-            f"{metric} needs one read per (chip, challenge), but chip "
-            f"{dataset.chip_id[i].item()!r} has more than one read of challenge "
-            f"{dataset.challenge[i]}"
-        )
-
-
 def uniqueness(dataset: CrpDataset, code_bits: bool = False) -> float:
     """Mean pairwise fractional HD between chips over shared challenges.
 
@@ -336,7 +338,6 @@ def uniqueness(dataset: CrpDataset, code_bits: bool = False) -> float:
     ids, chip = dataset._chips
     if len(ids) < 2:
         raise ValueError(f"uniqueness needs >= 2 chips, got {len(ids)}")
-    refuse_repeated_reads(dataset, "uniqueness")
     read = np.zeros((len(ids), 1 << CHALLENGE_BITS), dtype=bool)
     read[chip, dataset.challenge] = True
     common = read.all(axis=0)
@@ -358,7 +359,6 @@ def uniformity(dataset: CrpDataset) -> dict[str, float]:
 
     The counts are exact, so each is the float ``bits_matrix(chip_rows).mean()`` gives.
     """
-    refuse_repeated_reads(dataset, "uniformity")
     ids, chip = dataset._chips
     ones = np.bincount(chip, weights=bits_matrix(dataset).sum(axis=1), minlength=len(ids))
     reads = np.bincount(chip, minlength=len(ids))
@@ -374,7 +374,6 @@ def bit_aliasing(dataset: CrpDataset) -> np.ndarray:
     """
     if len(dataset.chip_ids) < 2:
         raise ValueError("bit_aliasing needs >= 2 chips")
-    refuse_repeated_reads(dataset, "bit_aliasing")
     return bits_matrix(dataset).mean(axis=0)
 
 

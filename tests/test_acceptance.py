@@ -306,7 +306,7 @@ def test_criterion_8_attack_harness(population):
             code_acc = float(np.mean(rep.test_bit_accuracy[3:]))
             code_chance = float(np.mean(rep.chance_bit_accuracy[3:]))
             diffs.append(code_acc - code_chance)
-            word_le_bit &= rep.test_word_accuracy <= rep.mean_test_bit_accuracy + 1e-12
+            word_le_bit &= rep.test_word_accuracy <= np.mean(rep.test_bit_accuracy) + 1e-12
         gap = float(np.mean(diffs))
         gaps[encoding.value] = gap
         held_out_ok &= abs(gap) <= 0.05

@@ -30,6 +30,7 @@ from cmapuf.cellarray import evaluate_array
 from cmapuf.cli import SAMPLES_CHUNK, build_parser, main
 from cmapuf.crp import generate, load_csv, reliability, save_csv
 from cmapuf.quantizer import EmpiricalDistribution, QuantizerSpec, default_regions, lloyd_max
+from cmapuf.quantizer import quantization_mse
 from cmapuf.variation import (
     ChipInstance,
     ProcessCorner,
@@ -108,14 +109,20 @@ def test_mc_bin_edge_cases(tmp_path, capsys):
     assert float(rows[1]["bin_center"]) == pytest.approx(1.35)
 
 
-def test_fit_quantizer_from_samples_file(tmp_path):
+def test_fit_quantizer_from_samples_file(tmp_path, capsys):
     raw = tmp_path / "samples.txt"
     run("mc", "--samples", 20000, "--seed", 2, "--out", tmp_path / "h.csv", "--samples-out", raw)
     spec_path = tmp_path / "spec.json"
+    capsys.readouterr()
     assert run("fit-quantizer", "--samples", raw, "--k", 5, "--out", spec_path) == 0
     spec = codec.read_json(spec_path, QuantizerSpec)
     assert spec.k == 5
     assert spec.bits_per_region == (8, 7, 6, 7, 8)
+    # the summary names the fit's error over the samples it fitted
+    samples = np.loadtxt(raw)
+    mse = quantization_mse(np.array(spec.boundaries), np.array(spec.centroids), samples)
+    assert mse > 0.0
+    assert capsys.readouterr().out.endswith(f"], mean squared error {mse:.4g} V^2\n")
     manifest = json.loads((tmp_path / "spec.json.manifest.json").read_text())
     assert manifest["parameters"]["n_samples"] == 20000
 
@@ -952,6 +959,21 @@ def test_metrics_refuses_merged_temperatures(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "chip 'chip000' has more than one read of challenge 0" in err
         assert not (tmp_path / "m.json").exists()
+
+
+def test_a_repeated_read_of_one_chip_leaves_the_others_attackable(tmp_path, capsys):
+    # chip000 is read twice at challenge 0; chip001 once at each challenge
+    ds = tmp_path / "ds.csv"
+    assert run("crps", "--chips", 2, "--challenges", 8, "--out", ds) == 0
+    lines = ds.read_text().splitlines(keepends=True)
+    ds.write_text("".join(lines + lines[1:2]))
+    assert run("attack", "--chip-id", "chip001", "--in", ds, "--out", tmp_path / "a.csv") == 0
+    assert (tmp_path / "a.csv").exists()
+    capsys.readouterr()
+    assert run("metrics", "--in", ds, "--out", tmp_path / "m.json") == 1
+    assert "chip 'chip000' has more than one read of challenge 0" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "m.json.manifest.json").exists()
 
 
 @pytest.mark.parametrize("vdd", [3.3, 1.2])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cmapuf import crp
 from cmapuf.adc import AdcConfig
 from cmapuf.analog import Conditions, default_model
+from cmapuf.attack import EsHyper, attack_report, es_fit, lr_train
 from cmapuf.crp import (
     COLUMNS,
     CSV_FIELDS,
@@ -96,7 +97,7 @@ def test_single_record_reproducible_from_its_seed():
     assert_same_records(solo, ds.take([77]))
 
 
-def test_uniqueness_rejects_duplicate_reads():
+def test_uniqueness_rejects_duplicate_reads(tmp_path):
     # a 0 degC and a 90 degC dataset of the same chips, merged: every
     # (chip, challenge) is read twice and no one read is the right one
     chips = synth_population(VariationConfig(seed=50), 2)
@@ -108,9 +109,24 @@ def test_uniqueness_rejects_duplicate_reads():
         **{name: np.concatenate([getattr(cold, name), getattr(hot, name)]) for name in COLUMNS}
     )
     repeat = "needs one read per (chip, challenge), but chip 'chip000' has more than one read"
-    for metric in (uniqueness, bit_aliasing, uniformity):
+    # the chip index holds the rule, so every metric and attack that reads it refuses
+    readers = (
+        lambda ds: ds.chip_ids,
+        uniqueness,
+        bit_aliasing,
+        uniformity,
+        lr_train,
+        lambda ds: es_fit(ds, MODEL, SPEC, ADC, EsHyper(generations=1)),
+        lambda ds: attack_report(ds, ds, lambda words: None),
+    )
+    for reader in readers:
         with pytest.raises(ValueError, match=re.escape(repeat) + " of challenge 0$"):
-            metric(merged)
+            reader(merged)
+    # loading and taking build no index: merged rows load and select as any rows do
+    for save, load, suffix in ((save_csv, load_csv, ".csv"), (save_jsonl, load_jsonl, ".jsonl")):
+        save(merged, tmp_path / f"merged{suffix}")
+        assert len(load(tmp_path / f"merged{suffix}")) == len(merged)
+    assert len(merged.take(merged.challenge == 0)) == 4
     assert 0.0 < uniqueness(cold) < 1.0
     assert 0.0 < uniformity(cold)["chip000"] < 1.0
     assert bit_aliasing(cold).shape == (11,)

@@ -69,7 +69,6 @@ REACH_EXEMPT = {
     "cellarray.evaluate": TRACED,
     "crp.record_seed": TRACED,
     "quantizer.region_of": TRACED,
-    "quantizer.quantization_mse": LLOYD_MAX,
     "quantizer.lloyd_max_mse_trace": LLOYD_MAX,
     "word.encode_word": ROUND_TRIP,
     "word.decode_word": ROUND_TRIP,
